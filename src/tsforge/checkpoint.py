@@ -150,12 +150,23 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint back; rejects bad magic, truncation and
-    unknown format versions."""
+    """Read a checkpoint back; bad magic, truncation, unknown format
+    versions and malformed metadata all raise CheckpointError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read {path}: {e}") from None
+    try:
+        return _decode(blob, path)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        # a missing key, a wrong type or range, or non-UTF-8 bytes (a ValueError)
+        raise CheckpointError(f"{path}: malformed checkpoint: "
+                              f"{type(e).__name__}: {e}") from None
+
+
+def _decode(blob: bytes, path) -> Checkpoint:
     r = _Reader(blob, path)
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")

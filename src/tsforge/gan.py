@@ -159,19 +159,24 @@ def gradient_penalty(critic: Critic, x_hat: Tensor, lambda_gp: float) -> Tensor:
     return T.mul(T.reduce("mean", T.square(T.sub(norms, 1.0))), float(lambda_gp))
 
 
-def _wgan_terms(critic: Critic, real_t: Tensor, fake_t: Tensor) -> tuple[Tensor, Tensor]:
-    mean_real = T.reduce("mean", critic(real_t))
-    mean_fake = T.reduce("mean", critic(fake_t))
-    return mean_real, mean_fake
+def _score_pair(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, Tensor]:
+    """Scores of the real and the fake windows from one critic call on both."""
+    real_t = T._as_tensor(real_batch)
+    scores = critic(T.concat([real_t, fake_batch], axis=0))
+    n = real_t.shape[0]
+    return T.slice_(scores, 0, 0, n), T.slice_(scores, 0, n, scores.shape[0])
+
+
+def _wgan_terms(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, Tensor]:
+    s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
+    return T.reduce("mean", s_real), T.reduce("mean", s_fake)
 
 
 def _critic_objective_wgan_gp(critic: Critic, real: np.ndarray, fake: np.ndarray,
                               lambda_gp: float, rng: np.random.Generator,
                               eps=None) -> tuple[Tensor, float, float]:
     """Loss tensor plus (wasserstein estimate, penalty value) diagnostics."""
-    real_t = Tensor(real, requires_grad=False, op="real-batch")
-    fake_t = Tensor(fake, requires_grad=False, op="fake-batch")
-    mean_real, mean_fake = _wgan_terms(critic, real_t, fake_t)
+    mean_real, mean_fake = _wgan_terms(critic, real, fake)
     loss = T.sub(mean_fake, mean_real)
     gp_val = 0.0
     if lambda_gp > 0:
@@ -197,9 +202,7 @@ def critic_loss_wgan_gp(critic: Critic, real_batch, fake_batch, lambda_gp: float
 
 def critic_loss_wgan_clip(critic: Critic, real_batch, fake_batch) -> Tensor:
     """Plain Wasserstein critic loss; clipping happens after the update."""
-    real_t = Tensor(np.asarray(real_batch, dtype=np.float64), requires_grad=False, op="real-batch")
-    fake_t = Tensor(np.asarray(fake_batch, dtype=np.float64), requires_grad=False, op="fake-batch")
-    mean_real, mean_fake = _wgan_terms(critic, real_t, fake_t)
+    mean_real, mean_fake = _wgan_terms(critic, real_batch, fake_batch)
     return T.sub(mean_fake, mean_real)
 
 
@@ -211,8 +214,8 @@ def generator_loss_wgan(critic: Critic, fake_batch: Tensor) -> Tensor:
 _PROB_FLOOR = 1e-7
 
 
-def _probs(critic: Critic, x: Tensor) -> Tensor:
-    return T.clip(T.sigmoid(critic(x)), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+def _probs(scores: Tensor) -> Tensor:
+    return T.clip(T.sigmoid(scores), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
 def gan_losses_standard(critic: Critic, real_batch, fake_batch,
@@ -223,12 +226,8 @@ def gan_losses_standard(critic: Critic, real_batch, fake_batch,
     minimizes mean log(1 - D(fake)), or -mean log D(fake) when the
     non-saturating alternative is selected.
     """
-    real_t = real_batch if isinstance(real_batch, Tensor) else \
-        Tensor(np.asarray(real_batch, dtype=np.float64), requires_grad=False, op="real-batch")
-    fake_t = fake_batch if isinstance(fake_batch, Tensor) else \
-        Tensor(np.asarray(fake_batch, dtype=np.float64), requires_grad=False, op="fake-batch")
-    p_real = _probs(critic, real_t)
-    p_fake = _probs(critic, fake_t)
+    s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
+    p_real, p_fake = _probs(s_real), _probs(s_fake)
     d_loss = T.sub(T.negate(T.reduce("mean", T.log(p_real))),
                    T.reduce("mean", T.log(T.sub(1.0, p_fake))))
     if nonsaturating:
@@ -241,7 +240,7 @@ def gan_losses_standard(critic: Critic, real_batch, fake_batch,
 def generator_loss_gan(critic: Critic, fake_batch: Tensor,
                        nonsaturating: bool = False) -> Tensor:
     """Generator side of the log-loss variant."""
-    p_fake = _probs(critic, fake_batch)
+    p_fake = _probs(critic(fake_batch))
     if nonsaturating:
         return T.negate(T.reduce("mean", T.log(p_fake)))
     return T.reduce("mean", T.log(T.sub(1.0, p_fake)))
@@ -249,9 +248,8 @@ def generator_loss_gan(critic: Critic, fake_batch: Tensor,
 
 def wasserstein_estimate(critic: Critic, real_batch, fake_batch) -> float:
     """mean D(real) - mean D(fake); the per-step convergence diagnostic."""
-    real_t = Tensor(np.asarray(real_batch, dtype=np.float64), requires_grad=False)
-    fake_t = Tensor(np.asarray(fake_batch, dtype=np.float64), requires_grad=False)
-    return float(np.mean(critic(real_t).data) - np.mean(critic(fake_t).data))
+    s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
+    return float(np.mean(s_real.data) - np.mean(s_fake.data))
 
 
 def lipschitz_ratio_check(critic: Critic, x1, x2) -> float:
@@ -314,6 +312,11 @@ def _param_grads(gmap: T.GradientMap, params: ParamSet) -> dict[str, np.ndarray]
     return {name: gmap[t].data for name, t in params.items()}
 
 
+def _nonfinite(grads: dict[str, np.ndarray]) -> list[str]:
+    """Names of the parameters whose gradient holds a NaN or an Inf."""
+    return [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+
+
 def train(config: TrainConfig, data: WindowedDataset, *,
           resume: TrainSnapshot | None = None,
           on_checkpoint: Callable[[TrainSnapshot], None] | None = None,
@@ -366,8 +369,10 @@ def train(config: TrainConfig, data: WindowedDataset, *,
         c_loss = w_est = gp_val = 0.0
         last_fake = None
 
-        def abort(detail: str):
-            err = TrainingDiverged(f"non-finite loss at epoch {epoch}: {detail}")
+        def abort(detail: str, bad_grads: list[str]):
+            if bad_grads:
+                detail += f"; non-finite gradient of {', '.join(bad_grads)}"
+            err = TrainingDiverged(f"non-finite value at epoch {epoch}: {detail}")
             err.history = history
             err.snapshot = snapshot(epoch, last_fake)
             raise err
@@ -388,14 +393,17 @@ def train(config: TrainConfig, data: WindowedDataset, *,
                     w_est = -loss.item()
                 else:
                     loss, _ = gan_losses_standard(critic_fn, real, fake)
-                    w_est = wasserstein_estimate(critic_fn, real, fake)
-                gmap = T.backward(graph, loss, wrt=critic_wrt)
-                grads = _param_grads(gmap, critic)
+            if config.loss_variant == "gan":
+                w_est = wasserstein_estimate(critic_fn, real, fake)
+            # Outside ``with graph:`` the backward records nothing on the tape.
+            grads = _param_grads(T.backward(graph, loss, wrt=critic_wrt), critic)
             c_loss = loss.item()
             graph.clear()
-            if not all(np.isfinite(v) for v in (c_loss, w_est, gp_val)):
+            # checked before the step, so the crash snapshot holds finite weights
+            bad = _nonfinite(grads)
+            if bad or not all(np.isfinite(v) for v in (c_loss, w_est, gp_val)):
                 history.append(epoch, c_loss, float("nan"), w_est, gp_val)
-                abort(f"critic={c_loss}, wasserstein={w_est}, penalty={gp_val}")
+                abort(f"critic={c_loss}, wasserstein={w_est}, penalty={gp_val}", bad)
             rmsprop_step(critic, grads, opt_c, config.optim)
             if config.loss_variant == "wgan_clip":
                 clip_weights(critic, config.optim.clip_c)
@@ -410,19 +418,19 @@ def train(config: TrainConfig, data: WindowedDataset, *,
                                                 nonsaturating=config.g_loss_nonsaturating)
                 else:
                     g_loss = generator_loss_wgan(critic_fn, fake_t)
-            gmap = T.backward(graph, g_loss, wrt=gen_wrt)
-            grads = _param_grads(gmap, gen)
+        grads = _param_grads(T.backward(graph, g_loss, wrt=gen_wrt), gen)
         g_val = g_loss.item()
         graph.clear()
-        rmsprop_step(gen, grads, opt_g, config.optim)
 
         history.append(epoch, c_loss, g_val, w_est, gp_val)
+        bad = _nonfinite(grads)
+        if bad or not history.last_finite():
+            # crash snapshot travels on the exception so callers can persist it
+            abort(f"critic={c_loss}, generator={g_val}", bad)
+        rmsprop_step(gen, grads, opt_g, config.optim)
         if epoch == start_epoch + 1 or epoch % 100 == 0:
             logger.debug("epoch %d: critic=%.5f generator=%.5f w=%.5f gp=%.5f",
                          epoch, c_loss, g_val, w_est, gp_val)
-        if not history.last_finite():
-            # crash snapshot travels on the exception so callers can persist it
-            abort(f"critic={c_loss}, generator={g_val}")
         if epoch % config.checkpoint_every == 0:
             sample = _generate_eager(gen, sample_noise(B, config.noise_len, make_rng(config.seed + epoch)))
             snap = snapshot(epoch, sample)

@@ -6,6 +6,11 @@ timestep and squashes the per-step projection with tanh, so its output
 lives in (-1, 1) to match min-max scaled training windows. The critic
 projects each hidden state to one score and averages the scores over
 time; there is deliberately no sigmoid, so scores are unbounded.
+
+Each forward pass concatenates the LSTM gate weights and biases once, in
+column order [i | f | o | c~], so a step computes all gates with one
+matmul, one sigmoid and one tanh. The parameters, and so the checkpoint
+layout, stay the eight tensors ``lstm.W_i`` ... ``lstm.b_o``.
 """
 
 from __future__ import annotations
@@ -153,45 +158,40 @@ def init_params(spec: ArchitectureSpec, kind: str, seed: int) -> ParamSet:
     return ParamSet(kind, params, arch=spec)
 
 
-def _add_bias(x: Tensor, b: Tensor, ones_col: Tensor) -> Tensor:
-    # row-broadcast via ones [n,1] @ b [1,out]; keeps broadcasting explicit
-    tiled = T.matmul(ones_col, T.reshape(b, (1, b.size)))
-    return T.add(x, tiled)
-
-
-def _ones_col(n: int) -> Tensor:
-    return Tensor(np.ones((n, 1)), requires_grad=False, op="const")
-
-
 def dense_forward(p: DenseParams, x: Tensor) -> Tensor:
     """x [n, in] -> x W + b, activation left to the caller."""
     x = T._as_tensor(x)
     if x.rank != 2 or x.shape[1] != p.W.shape[0]:
         raise ValueError(f"dense: input {x.shape} incompatible with weights {p.W.shape}")
-    return _add_bias(T.matmul(x, p.W), p.b, _ones_col(x.shape[0]))
+    return T.add_row(T.matmul(x, p.W), p.b)
+
+
+def _fused_gates(p: LstmParams) -> tuple[Tensor, Tensor]:
+    """Gate weights [units+features, 4*units] and biases [4*units], [i|f|o|c~]."""
+    return (T.concat([p.W_i, p.W_f, p.W_o, p.W_c], axis=1),
+            T.concat([p.b_i, p.b_f, p.b_o, p.b_c], axis=0))
 
 
 def lstm_cell_step(p: LstmParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
-                   _ones: Tensor | None = None) -> tuple[Tensor, Tensor]:
+                   _fused: tuple[Tensor, Tensor] | None = None) -> tuple[Tensor, Tensor]:
     """One step of the four-gate cell.
 
     i = sigmoid(W_i [h, x] + b_i),  c~ = tanh(W_c [h, x] + b_c)
     f = sigmoid(W_f [h, x] + b_f),  o  = sigmoid(W_o [h, x] + b_o)
     c = f * c_prev + i * c~,        h  = o * tanh(c)
+
+    A scan passes ``_fused_gates(p)`` in, so it is built once per pass.
     """
     x_t, h_prev, c_prev = map(T._as_tensor, (x_t, h_prev, c_prev))
     hx = T.concat([h_prev, x_t], axis=1)
     if hx.shape[1] != p.W_i.shape[0]:
         raise ValueError(f"lstm: concat width {hx.shape[1]} != gate rows {p.W_i.shape[0]}")
-    ones = _ones if _ones is not None else _ones_col(hx.shape[0])
-
-    def gate(W, b, act):
-        return act(_add_bias(T.matmul(hx, W), b, ones))
-
-    i_t = gate(p.W_i, p.b_i, T.sigmoid)
-    c_tilde = gate(p.W_c, p.b_c, T.tanh)
-    f_t = gate(p.W_f, p.b_f, T.sigmoid)
-    o_t = gate(p.W_o, p.b_o, T.sigmoid)
+    W, b = _fused if _fused is not None else _fused_gates(p)
+    u = p.units
+    z = T.add_row(T.matmul(hx, W), b)
+    sig = T.sigmoid(T.slice_(z, 1, 0, 3 * u))
+    c_tilde = T.tanh(T.slice_(z, 1, 3 * u, 4 * u))
+    i_t, f_t, o_t = (T.slice_(sig, 1, k * u, (k + 1) * u) for k in range(3))
     c_t = T.add(T.mul(f_t, c_prev), T.mul(i_t, c_tilde))
     h_t = T.mul(o_t, T.tanh(c_t))
     return h_t, c_t
@@ -211,11 +211,11 @@ def _lstm_scan(p: LstmParams, x_seq: Tensor) -> list[Tensor]:
     if steps < 1:
         raise ValueError("lstm_forward: needs at least one timestep")
     h, c = _zero_state(batch, p.units)
-    ones = _ones_col(batch)
+    fused = _fused_gates(p)
     hs = []
     for t in range(steps):
         x_t = T.reshape(T.slice_(x_seq, 1, t, t + 1), (batch, features))
-        h, c = lstm_cell_step(p, x_t, h, c, _ones=ones)
+        h, c = lstm_cell_step(p, x_t, h, c, _fused=fused)
         hs.append(h)
     return hs
 
@@ -225,15 +225,6 @@ def lstm_forward(p: LstmParams, x_seq: Tensor) -> Tensor:
     initial state and shared weights; returns [batch, timesteps, units]."""
     hs = _lstm_scan(p, T._as_tensor(x_seq))
     return T.transpose(T.stack(hs, axis=0), (1, 0, 2))
-
-
-def _time_shared_dense(p: DenseParams, hs: list[Tensor]) -> Tensor:
-    """Apply one dense layer to every step's hidden state at once.
-
-    hs is a list of [batch, units]; returns [steps*batch, out] in
-    step-major row order (step 0's batch first).
-    """
-    return dense_forward(p, _time_shared_dense_input(hs))
 
 
 def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
@@ -254,12 +245,12 @@ def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
     batch = z.shape[0]
     seq_len = g.arch.seq_len
     h, c = _zero_state(batch, p.units)
-    ones = _ones_col(batch)
+    fused = _fused_gates(p)
     hs = []
     for _ in range(seq_len):
-        h, c = lstm_cell_step(p, z, h, c, _ones=ones)
+        h, c = lstm_cell_step(p, z, h, c, _fused=fused)
         hs.append(h)
-    y = T.tanh(_time_shared_dense(g.proj(), hs))      # [seq*batch, 1]
+    y = T.tanh(dense_forward(g.proj(), _time_shared_dense_input(hs)))  # [seq*batch, 1]
     y = T.reshape(y, (seq_len, batch, 1))
     return T.transpose(y, (1, 0, 2))
 
@@ -281,6 +272,7 @@ def critic_forward(d: ParamSet, x: Tensor) -> Tensor:
 
 
 def _time_shared_dense_input(hs: list[Tensor]) -> Tensor:
+    """Per-step [batch, units] states as one [steps*batch, units], step-major."""
     steps = len(hs)
     batch, units = hs[0].shape
     return T.reshape(T.stack(hs, axis=0), (steps * batch, units))

@@ -17,6 +17,7 @@ reshaped explicitly and fails loudly otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import Callable, Sequence
 
@@ -38,6 +39,16 @@ def _graph_stack() -> list:
 def active_graph() -> "Graph | None":
     stack = _graph_stack()
     return stack[-1] if stack else None
+
+
+@contextlib.contextmanager
+def _unrecorded():
+    """Run ops with no active graph, even inside another graph's block."""
+    _graph_stack().append(None)
+    try:
+        yield
+    finally:
+        _graph_stack().pop()
 
 
 class Graph:
@@ -392,6 +403,17 @@ def matmul(a, b) -> Tensor:
     ))
 
 
+def add_row(x, b) -> Tensor:
+    """x [n, k] + b [k]: the same row vector added to every row."""
+    x, b = _as_tensor(x), _as_tensor(b)
+    if x.rank != 2 or b.rank != 1 or x.shape[1] != b.shape[0]:
+        raise ValueError(f"add_row: cannot add row {b.shape} to rows of {x.shape}")
+    return _record(x.data + b.data, "add_row", (x, b), lambda out: (
+        (x, lambda g: g),
+        (b, lambda g: reduce("sum", g, 0)),
+    ))
+
+
 def l2_norm(a) -> Tensor:
     """Euclidean norm over all elements, as a scalar.
 
@@ -611,8 +633,10 @@ def _path_nodes(graph: Graph, output: Tensor, wrt: Sequence[Tensor]) -> set[int]
 def backward(graph: Graph, output: Tensor, wrt: Sequence[Tensor] | None = None) -> GradientMap:
     """Single reverse pass over the tape from a scalar output.
 
-    The vector-Jacobian products are themselves recorded on the graph,
-    so returned gradients can be differentiated again. With ``wrt``
+    The vector-Jacobian products are recorded on the graph only when the
+    caller is inside ``with graph:`` (``active_graph() is graph``), so
+    that the returned gradients can be differentiated again; otherwise
+    the pass adds nothing to any tape. With ``wrt``
     given, accumulation is restricted to nodes that can influence the
     output through one of those tensors (a pure work-skipping device;
     the gradients produced are identical).
@@ -627,7 +651,7 @@ def backward(graph: Graph, output: Tensor, wrt: Sequence[Tensor] | None = None) 
     seed = Tensor(np.asarray(1.0), requires_grad=False, op="seed")
     pending: dict[int, Tensor] = {output.node_id: seed}
     visited: dict[int, Tensor] = {}
-    with graph:
+    with graph if active_graph() is graph else _unrecorded():
         for nid in range(output.node_id, -1, -1):
             g = pending.pop(nid, None)
             if g is None:

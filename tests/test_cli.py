@@ -1,6 +1,7 @@
 """CLI contract: flags, config precedence, artifacts, exit codes."""
 
 import json
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -218,6 +219,24 @@ class TestGenerate:
         bad.write_bytes(bytes(blob))
         assert main(["generate", "--checkpoint", str(bad), "--out",
                      str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("arch"),
+        lambda meta: meta.update(arch=[1]),
+        lambda meta: meta.pop("epoch"),
+    ], ids=["no-arch", "arch-not-a-mapping", "no-epoch"])
+    def test_malformed_metadata_exit_2(self, trained_run, tmp_path, capsys, edit):
+        run, _ = trained_run
+        blob = (run / "checkpoint_epoch000002.ckpt").read_bytes()
+        start = blob.rindex(b'{"arch"')   # keys are sorted, so "arch" opens the block
+        meta = json.loads(blob[start:])
+        edit(meta)
+        edited = json.dumps(meta).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:start - 8] + struct.pack("<Q", len(edited)) + edited)
+        assert main(["generate", "--checkpoint", str(bad), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert "malformed checkpoint" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -409,6 +409,33 @@ class TestTrainLoop:
         assert exc.value.snapshot is not None
         assert len(exc.value.history) >= 1
 
+    @pytest.mark.parametrize("kind", ["critic", "generator"])
+    def test_nonfinite_gradient_aborts_before_the_step(self, monkeypatch, kind):
+        import tsforge.gan as gan_mod
+        orig = gan_mod._param_grads
+
+        def poisoned(gmap, params):
+            grads = orig(gmap, params)
+            if params.kind == kind:
+                grads["lstm.W_f"] = np.full(grads["lstm.W_f"].shape, np.nan)
+            return grads
+
+        monkeypatch.setattr(gan_mod, "_param_grads", poisoned)
+        cfg = self._cfg(epochs=3)
+        seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
+        gen0 = init_params(cfg.arch(), "generator", int(seeds[0]))
+        critic0 = init_params(cfg.arch(), "critic", int(seeds[1]))
+        with pytest.raises(TrainingDiverged, match="lstm.W_f") as exc:
+            gan.train(cfg, small_dataset())
+        snap = exc.value.snapshot
+        assert snap.epoch == 1
+        for ps in (snap.generator, snap.critic):
+            assert all(np.all(np.isfinite(t.data)) for _, t in ps.items())
+        # the poisoned network never stepped: it still holds its initial weights
+        poisoned_net, initial = (snap.critic, critic0) if kind == "critic" else (snap.generator, gen0)
+        for name, t in initial.items():
+            assert np.array_equal(poisoned_net[name].data, t.data)
+
     def test_empty_dataset_rejected(self):
         ds = small_dataset()
         ds.windows = ds.windows[:0]

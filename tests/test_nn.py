@@ -199,19 +199,23 @@ class TestLstmForward:
         units, features, steps = 4, 2, 5
         p = _random_lstm(rng, units, features)
         x0 = rng.normal(size=(2, steps, features))
-        W0 = p.W_c.data.copy()
-
-        def f(wv):
-            p.W_c.data[...] = wv
-            out = nn.lstm_forward(p, Tensor(x0, requires_grad=False))
-            val = float(out.data.sum())
-            p.W_c.data[...] = W0
-            return val
-
+        # unequal weights per unit, so swapped gate columns change the gradient
+        w = rng.normal(size=(2, steps, units))
         with Graph() as g:
-            out = T.reduce("sum", nn.lstm_forward(p, Tensor(x0, requires_grad=False)))
-            gw = T.backward(g, out)[p.W_c].data
-        assert rel_err(gw, central_diff(f, W0)) < 1e-4
+            out = nn.lstm_forward(p, Tensor(x0, requires_grad=False))
+            gm = T.backward(g, T.reduce("sum", T.mul(out, Tensor(w))))
+
+        for name in ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o"):
+            param = getattr(p, name)
+            W0 = param.data.copy()
+
+            def f(wv):
+                param.data[...] = wv
+                out = nn.lstm_forward(p, Tensor(x0, requires_grad=False))
+                param.data[...] = W0
+                return float((out.data * w).sum())
+
+            assert rel_err(gm[param].data, central_diff(f, W0)) < 1e-4, name
 
 
 class TestGenerator:

@@ -375,6 +375,30 @@ class TestGradientOracle:
                 lambda v: float((v.mean(axis=axis) ** 2).sum()), x)
             assert rel_err(ga, fd) < 1e-4
 
+    def test_add_row_many(self):
+        rng = np.random.default_rng(66)
+        for _ in range(100):
+            n, k = (int(v) for v in rng.integers(1, 5, size=2))
+            x, b, w = rng.normal(size=(n, k)), rng.normal(size=k), rng.normal(size=(n, k))
+
+            def f_graph(xt, bt):
+                return T.reduce("sum", T.mul(T.square(T.add_row(xt, bt)), Tensor(w)))
+
+            def f_plain(xv, bv):
+                return float((w * (xv + bv) ** 2).sum())
+
+            with Graph() as g:
+                xt, bt = Tensor(x), Tensor(b)
+                gm = T.backward(g, f_graph(xt, bt))
+            assert rel_err(gm[xt].data, central_diff(lambda v: f_plain(v, b), x)) < 1e-4
+            assert rel_err(gm[bt].data, central_diff(lambda v: f_plain(x, v), b)) < 1e-4
+
+    def test_add_row_shape_mismatch(self):
+        for x, b in ((np.zeros((2, 3)), np.zeros(2)), (np.zeros(3), np.zeros(3)),
+                     (np.zeros((2, 3)), np.zeros((1, 3)))):
+            with pytest.raises(ValueError):
+                T.add_row(Tensor(x), Tensor(b))
+
 
 class TestSecondOrder:
     def test_cubic(self):
@@ -418,6 +442,41 @@ class TestSecondOrder:
             h = 1e-6
             fd = (penalty(wv + h) - penalty(wv - h)) / (2 * h)
             assert rel_err(analytic, fd) < 1e-6
+
+    def test_add_row_second_order_vs_finite_differences(self):
+        # pen(x, b) = ||d/dx L||^2 + ||d/db L||^2 with L = sum(w * tanh(x + b))
+        rng = np.random.default_rng(67)
+        x0, b0, w = rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=(3, 4))
+
+        def penalty(xt, bt, g):
+            loss = T.reduce("sum", T.mul(T.tanh(T.add_row(xt, bt)), Tensor(w)))
+            gx, gb = T.grad(loss, xt, g), T.grad(loss, bt, g)
+            return T.add(T.reduce("sum", T.square(gx)), T.reduce("sum", T.square(gb)))
+
+        def value(xv, bv) -> float:
+            with Graph() as g:
+                return penalty(Tensor(xv), Tensor(bv), g).item()
+
+        with Graph() as g:
+            xt, bt = Tensor(x0), Tensor(b0)
+            gm = T.backward(g, penalty(xt, bt, g))
+        assert rel_err(gm[xt].data, central_diff(lambda v: value(v, b0), x0)) < 1e-5
+        assert rel_err(gm[bt].data, central_diff(lambda v: value(x0, v), b0)) < 1e-5
+
+    def test_backward_outside_the_graph_block_records_nothing(self):
+        g = Graph()
+        with g:
+            x = Tensor(np.array([1.0, 2.0]))
+            y = T.reduce("sum", T.square(x))
+        n = len(g)
+        assert T.backward(g, y)[x].data.tolist() == [2.0, 4.0]
+        assert len(g) == n
+        with Graph() as other:
+            assert T.backward(g, y)[x].data.tolist() == [2.0, 4.0]
+        assert len(other) == 0 and len(g) == n
+        with g:
+            T.backward(g, y)
+        assert len(g) > n
 
     def test_backward_through_gradient_helper(self):
         g = Graph()
