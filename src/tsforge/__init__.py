@@ -8,6 +8,8 @@ The package is organized as a small library:
 - :mod:`tsforge.gan`      adversarial losses and the training loop
 - :mod:`tsforge.data`     price CSV -> log returns -> windows -> scaling
 - :mod:`tsforge.stats`    moments, ACF, QQ, histograms, comparisons
+- :mod:`tsforge.plot`     minimal SVG charts with CSV twins
+- :mod:`tsforge.checkpoint` binary checkpoints of networks, optimizer and RNG
 - :mod:`tsforge.cli`      the ``tsforge`` command line front end
 """
 

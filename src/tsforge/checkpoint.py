@@ -160,8 +160,8 @@ def load_checkpoint(path) -> Checkpoint:
         return _decode(blob, path)
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
-        # a missing key, a wrong type or range, or non-UTF-8 bytes (a ValueError)
+    except (LookupError, TypeError, ValueError) as e:
+        # a missing key or index, a wrong type or range, or non-UTF-8 bytes
         raise CheckpointError(f"{path}: malformed checkpoint: "
                               f"{type(e).__name__}: {e}") from None
 
@@ -214,9 +214,14 @@ def _decode(blob: bytes, path) -> Checkpoint:
                if f"opt_c/{n}" in tensors},
         step=meta["opt_steps"]["critic"])
     scaler = Scaler.from_dict(meta["scaler"]) if meta["scaler"] is not None else None
+    epoch = meta["epoch"]
+    if type(epoch) is not int or epoch < 0:
+        raise ValueError(f"epoch must be a non-negative integer, got {epoch!r}")
+    rng_state = _rng_state_from_json(meta["rng_state"])
+    if rng_state is not None:
+        np.random.Philox(0).state = rng_state   # raises unless it is a Philox state
     return Checkpoint(
-        spec=arch, epoch=meta["epoch"], generator=gen, critic=critic,
+        spec=arch, epoch=epoch, generator=gen, critic=critic,
         opt_generator=opt_g, opt_critic=opt_c, scaler=scaler,
-        rng_state=_rng_state_from_json(meta["rng_state"]),
-        extra=meta.get("extra", {}), version=version,
+        rng_state=rng_state, extra=meta.get("extra", {}), version=version,
     )

@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,12 @@ import numpy as np
 from . import __version__, gan, stats
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (DataError, build_dataset, inverse_scale, load_csv, log_returns,
-                   make_windows, returns_to_prices)
+                   returns_to_prices)
 from .gan import TrainConfig, TrainingDiverged, make_rng
 from .nn import critic_forward
 from .optim import OptimConfig
 from .plot import Chart, render_chart, render_panels, write_svg
 from .stats import StatsError
-from .tensor import Tensor
 
 logger = logging.getLogger(__name__)
 
@@ -61,12 +61,13 @@ def _fmt(x: float) -> str:
 
 # configuration ------------------------------------------------------
 
-_INT_KEYS = {"epochs", "n_critic", "batch_size", "noise_len", "seq_len",
-             "units", "seed", "checkpoint_every"}
-_FLOAT_KEYS = {"lambda", "learning_rate", "rho", "epsilon", "clip_c"}
-_STR_KEYS = {"loss_variant"}
-_BOOL_KEYS = {"g_loss_nonsaturating"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
+# Config keys, mapped to the type of their field's default: the TrainConfig
+# and OptimConfig field names, two of them renamed.
+_RENAMED = {"lambda_gp": "lambda", "lstm_units": "units"}
+_FIELD = {key: name for name, key in _RENAMED.items()}
+_OPTIM_FIELDS = {f.name for f in fields(OptimConfig)}
+_KEYS = {_RENAMED.get(f.name, f.name): type(f.default)
+         for f in fields(TrainConfig) + fields(OptimConfig) if f.name != "optim"}
 
 
 def _read_config_file(path) -> dict:
@@ -83,19 +84,15 @@ def _read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _BOOL_KEYS:
+            if _KEYS[key] is bool:
                 if val.lower() not in ("true", "false", "0", "1"):
                     raise ValueError(val)
                 values[key] = val.lower() in ("true", "1")
             else:
-                values[key] = val
+                values[key] = _KEYS[key](val)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: cannot parse value {val!r} "
                               f"for key {key!r}") from None
@@ -111,41 +108,25 @@ def parse_config(path=None, overrides: dict | None = None) -> TrainConfig:
     for k, v in (overrides or {}).items():
         if v is None:
             continue
-        if k not in _ALL_KEYS:
+        if k not in _KEYS:
             raise ConfigError(f"unknown configuration key {k!r}")
         values[k] = v
-    optim_kwargs = {}
-    for src, dst in (("learning_rate", "learning_rate"), ("rho", "rho"),
-                     ("epsilon", "epsilon"), ("clip_c", "clip_c")):
-        if src in values:
-            optim_kwargs[dst] = values.pop(src)
-    rename = {"lambda": "lambda_gp", "units": "lstm_units"}
-    cfg_kwargs = {rename.get(k, k): v for k, v in values.items()}
+    kwargs = {_FIELD.get(k, k): v for k, v in values.items()}
+    optim = {name: kwargs.pop(name) for name in _OPTIM_FIELDS & kwargs.keys()}
     try:
-        return TrainConfig(optim=OptimConfig(**optim_kwargs), **cfg_kwargs)
+        return TrainConfig(optim=OptimConfig(**optim), **kwargs)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from None
 
 
 def write_config(cfg: TrainConfig, path) -> None:
     """Snapshot a TrainConfig in the same flat format parse_config reads."""
-    lines = [
-        f"epochs = {cfg.epochs}",
-        f"n_critic = {cfg.n_critic}",
-        f"lambda = {_fmt(cfg.lambda_gp)}",
-        f"batch_size = {cfg.batch_size}",
-        f"noise_len = {cfg.noise_len}",
-        f"seq_len = {cfg.seq_len}",
-        f"units = {cfg.lstm_units}",
-        f"loss_variant = {cfg.loss_variant}",
-        f"seed = {cfg.seed}",
-        f"checkpoint_every = {cfg.checkpoint_every}",
-        f"g_loss_nonsaturating = {str(cfg.g_loss_nonsaturating).lower()}",
-        f"learning_rate = {_fmt(cfg.optim.learning_rate)}",
-        f"rho = {_fmt(cfg.optim.rho)}",
-        f"epsilon = {_fmt(cfg.optim.epsilon)}",
-        f"clip_c = {_fmt(cfg.optim.clip_c)}",
-    ]
+    lines = []
+    for key, kind in _KEYS.items():
+        name = _FIELD.get(key, key)
+        value = getattr(cfg.optim if name in _OPTIM_FIELDS else cfg, name)
+        text = _fmt(value) if kind is float else str(value)
+        lines.append(f"{key} = {text.lower() if kind is bool else text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -212,17 +193,30 @@ def _sample_grid_chart(samples: np.ndarray, title: str,
     return chart
 
 
+def _check_resume(cp: Checkpoint, cfg: TrainConfig, path) -> None:
+    """Refuse a checkpoint that this configuration cannot continue."""
+    want = cfg.arch()
+    for f in fields(want):
+        have, need = getattr(cp.spec, f.name), getattr(want, f.name)
+        if have != need:
+            raise CheckpointError(f"{path}: checkpoint has {_RENAMED.get(f.name, f.name)} "
+                                  f"= {have}, the configuration {need}")
+    if cfg.epochs <= cp.epoch:
+        raise CheckpointError(f"{path}: checkpoint is at epoch {cp.epoch}, "
+                              f"so epochs = {cfg.epochs} leaves nothing to train")
+    if cp.rng_state is None:
+        raise CheckpointError(f"{path}: checkpoint holds no RNG state to resume from")
+
+
 def cmd_train(args) -> int:
-    overrides = {
-        "epochs": args.epochs, "n_critic": args.n_critic, "lambda": args.lambda_gp,
-        "batch_size": args.batch_size, "noise_len": args.noise_len,
-        "seq_len": args.seq_len, "units": args.units, "loss_variant": args.loss_variant,
-        "seed": args.seed, "checkpoint_every": args.checkpoint_every,
-        "learning_rate": args.lr, "rho": args.rho, "epsilon": args.epsilon,
-        "clip_c": args.clip_c,
-        "g_loss_nonsaturating": True if args.g_loss_nonsaturating else None,
-    }
-    cfg = parse_config(args.config, overrides)
+    cfg = parse_config(args.config, {key: getattr(args, key) for key in _KEYS})
+    resume = None
+    if args.resume:
+        cp = load_checkpoint(args.resume)
+        _check_resume(cp, cfg, args.resume)
+        resume = gan.TrainSnapshot(epoch=cp.epoch, generator=cp.generator,
+                                   critic=cp.critic, opt_generator=cp.opt_generator,
+                                   opt_critic=cp.opt_critic, rng_state=cp.rng_state)
     prices = load_csv(args.data)
     dataset = build_dataset(prices, seq_len=cfg.seq_len, stride=args.stride,
                             kind=args.scaler)
@@ -253,13 +247,6 @@ def cmd_train(args) -> int:
                    ["metric", "real", "synthetic"],
                    [(k, rv, sv) for (k, rv), (_, sv) in
                     zip(report.moments_real.rows(), report.moments_synthetic.rows())])
-
-    resume = None
-    if args.resume:
-        cp = load_checkpoint(args.resume)
-        resume = gan.TrainSnapshot(epoch=cp.epoch, generator=cp.generator,
-                                   critic=cp.critic, opt_generator=cp.opt_generator,
-                                   opt_critic=cp.opt_critic, rng_state=cp.rng_state)
 
     try:
         gen, critic, history, checkpoints = gan.train(
@@ -472,22 +459,14 @@ def _build_parser() -> _Parser:
     tr.add_argument("--config", help="flat key = value configuration file")
     tr.add_argument("--out", help="run directory (default under TSFORGE_OUT or ./runs)")
     tr.add_argument("--resume", help="checkpoint to resume from")
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--n-critic", dest="n_critic", type=int)
-    tr.add_argument("--lambda", dest="lambda_gp", type=float)
-    tr.add_argument("--batch-size", dest="batch_size", type=int)
-    tr.add_argument("--noise-len", dest="noise_len", type=int)
-    tr.add_argument("--seq-len", dest="seq_len", type=int)
-    tr.add_argument("--units", type=int)
-    tr.add_argument("--loss-variant", dest="loss_variant",
-                    choices=list(gan.LOSS_VARIANTS))
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    tr.add_argument("--lr", type=float, help="learning rate")
-    tr.add_argument("--rho", type=float)
-    tr.add_argument("--epsilon", type=float)
-    tr.add_argument("--clip-c", dest="clip_c", type=float)
-    tr.add_argument("--g-loss-nonsaturating", action="store_true", default=False)
+    for key, kind in _KEYS.items():
+        flag = "--lr" if key == "learning_rate" else "--" + key.replace("_", "-")
+        if kind is bool:
+            tr.add_argument(flag, dest=key, action="store_true", default=None,
+                            help=f"config key {key}")
+        else:
+            tr.add_argument(flag, dest=key, type=kind, help=f"config key {key}",
+                            choices=gan.LOSS_VARIANTS if key == "loss_variant" else None)
     tr.add_argument("--scaler", choices=["minmax_symmetric", "zscore"],
                     default="minmax_symmetric")
     tr.add_argument("--stride", type=int, default=1)

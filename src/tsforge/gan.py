@@ -2,10 +2,12 @@
 
 The critic is trained n_critic times per generator update, each time on
 a fresh real batch and fresh noise, while the other network's weights
-stay fixed. Three loss variants are supported: the gradient-penalty
-Wasserstein loss (default), the weight-clipping Wasserstein loss, and
-the original log-loss GAN (scores squashed through a sigmoid for that
-variant only).
+stay fixed. Three loss variants are supported. The gradient-penalty
+Wasserstein loss (default) and the weight-clipping one share
+``critic_loss_wgan``, the latter with lambda_gp = 0, and
+``generator_loss_wgan``. The original log-loss GAN uses
+``critic_loss_gan`` and ``generator_loss_gan``; only it squashes the
+scores through a sigmoid.
 
 Critic arguments below are callables mapping a [batch, seq_len, 1]
 tensor to one score per sample, so losses work for any scoring
@@ -167,16 +169,19 @@ def _score_pair(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, Tensor]
     return T.slice_(scores, 0, 0, n), T.slice_(scores, 0, n, scores.shape[0])
 
 
-def _wgan_terms(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, Tensor]:
-    s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
-    return T.reduce("mean", s_real), T.reduce("mean", s_fake)
+def critic_loss_wgan(critic: Critic, real_batch, fake_batch, lambda_gp: float,
+                     rng: np.random.Generator, eps=None) -> tuple[Tensor, float, float]:
+    """mean D(fake) - mean D(real) + gradient penalty at interpolates.
 
-
-def _critic_objective_wgan_gp(critic: Critic, real: np.ndarray, fake: np.ndarray,
-                              lambda_gp: float, rng: np.random.Generator,
-                              eps=None) -> tuple[Tensor, float, float]:
-    """Loss tensor plus (wasserstein estimate, penalty value) diagnostics."""
-    mean_real, mean_fake = _wgan_terms(critic, real, fake)
+    Returns the loss tensor, the Wasserstein estimate mean D(real) -
+    mean D(fake) and the penalty value. With lambda_gp = 0 (the
+    weight-clipping variant) the penalty term and its interpolation draw
+    are skipped entirely, leaving the plain Wasserstein critic loss.
+    """
+    real = np.asarray(real_batch, dtype=np.float64)
+    fake = np.asarray(fake_batch, dtype=np.float64)
+    s_real, s_fake = _score_pair(critic, real, fake)
+    mean_real, mean_fake = T.reduce("mean", s_real), T.reduce("mean", s_fake)
     loss = T.sub(mean_fake, mean_real)
     gp_val = 0.0
     if lambda_gp > 0:
@@ -185,25 +190,6 @@ def _critic_objective_wgan_gp(critic: Critic, real: np.ndarray, fake: np.ndarray
         gp_val = penalty.item()
         loss = T.add(loss, penalty)
     return loss, mean_real.item() - mean_fake.item(), gp_val
-
-
-def critic_loss_wgan_gp(critic: Critic, real_batch, fake_batch, lambda_gp: float,
-                        rng: np.random.Generator, eps=None) -> Tensor:
-    """mean D(fake) - mean D(real) + gradient penalty at interpolates.
-
-    With lambda_gp = 0 the penalty term (and its interpolation draw) is
-    skipped entirely, reducing to the plain Wasserstein critic loss.
-    """
-    real = np.asarray(real_batch, dtype=np.float64)
-    fake = np.asarray(fake_batch, dtype=np.float64)
-    loss, _, _ = _critic_objective_wgan_gp(critic, real, fake, lambda_gp, rng, eps=eps)
-    return loss
-
-
-def critic_loss_wgan_clip(critic: Critic, real_batch, fake_batch) -> Tensor:
-    """Plain Wasserstein critic loss; clipping happens after the update."""
-    mean_real, mean_fake = _wgan_terms(critic, real_batch, fake_batch)
-    return T.sub(mean_fake, mean_real)
 
 
 def generator_loss_wgan(critic: Critic, fake_batch: Tensor) -> Tensor:
@@ -218,28 +204,19 @@ def _probs(scores: Tensor) -> Tensor:
     return T.clip(T.sigmoid(scores), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
-def gan_losses_standard(critic: Critic, real_batch, fake_batch,
-                        nonsaturating: bool = False) -> tuple[Tensor, Tensor]:
-    """The original log losses; only this variant squashes the scores.
-
-    d_loss = -mean log D(real) - mean log(1 - D(fake)); the generator
-    minimizes mean log(1 - D(fake)), or -mean log D(fake) when the
-    non-saturating alternative is selected.
-    """
+def critic_loss_gan(critic: Critic, real_batch, fake_batch) -> Tensor:
+    """The original log loss -mean log D(real) - mean log(1 - D(fake));
+    only this variant squashes the scores."""
     s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
     p_real, p_fake = _probs(s_real), _probs(s_fake)
-    d_loss = T.sub(T.negate(T.reduce("mean", T.log(p_real))),
-                   T.reduce("mean", T.log(T.sub(1.0, p_fake))))
-    if nonsaturating:
-        g_loss = T.negate(T.reduce("mean", T.log(p_fake)))
-    else:
-        g_loss = T.reduce("mean", T.log(T.sub(1.0, p_fake)))
-    return d_loss, g_loss
+    return T.sub(T.negate(T.reduce("mean", T.log(p_real))),
+                 T.reduce("mean", T.log(T.sub(1.0, p_fake))))
 
 
 def generator_loss_gan(critic: Critic, fake_batch: Tensor,
                        nonsaturating: bool = False) -> Tensor:
-    """Generator side of the log-loss variant."""
+    """mean log(1 - D(fake)), or -mean log D(fake) when the
+    non-saturating alternative is selected."""
     p_fake = _probs(critic(fake_batch))
     if nonsaturating:
         return T.negate(T.reduce("mean", T.log(p_fake)))
@@ -303,11 +280,6 @@ def generate(generator: ParamSet, n_samples: int, seed: int) -> np.ndarray:
     return np.array(out.data)
 
 
-def _generate_eager(generator: ParamSet, z: np.ndarray) -> np.ndarray:
-    out = generator_forward(generator, Tensor(z, requires_grad=False))
-    return np.array(out.data)
-
-
 def _param_grads(gmap: T.GradientMap, params: ParamSet) -> dict[str, np.ndarray]:
     return {name: gmap[t].data for name, t in params.items()}
 
@@ -355,6 +327,7 @@ def train(config: TrainConfig, data: WindowedDataset, *,
     history = LossHistory()
     checkpoints: list[TrainSnapshot] = []
     B = config.batch_size
+    lambda_gp = config.lambda_gp if config.loss_variant == "wgan_gp" else 0.0
 
     def snapshot(epoch: int, batch: np.ndarray | None = None) -> TrainSnapshot:
         mc = mode_collapse_score(batch) if batch is not None and batch.shape[0] >= 2 else 0.0
@@ -380,19 +353,14 @@ def train(config: TrainConfig, data: WindowedDataset, *,
         for _ in range(config.n_critic):
             real = sample_real_batch(data, B, rng)
             z = sample_noise(B, config.noise_len, rng)
-            with gen.frozen():
-                fake = _generate_eager(gen, z)
+            fake = generator_forward(gen, Tensor(z, requires_grad=False)).data
             last_fake = fake
             graph = Graph()
             with graph:
-                if config.loss_variant == "wgan_gp":
-                    loss, w_est, gp_val = _critic_objective_wgan_gp(
-                        critic_fn, real, fake, config.lambda_gp, rng)
-                elif config.loss_variant == "wgan_clip":
-                    loss = critic_loss_wgan_clip(critic_fn, real, fake)
-                    w_est = -loss.item()
+                if config.loss_variant == "gan":
+                    loss = critic_loss_gan(critic_fn, real, fake)
                 else:
-                    loss, _ = gan_losses_standard(critic_fn, real, fake)
+                    loss, w_est, gp_val = critic_loss_wgan(critic_fn, real, fake, lambda_gp, rng)
             if config.loss_variant == "gan":
                 w_est = wasserstein_estimate(critic_fn, real, fake)
             # Outside ``with graph:`` the backward records nothing on the tape.
@@ -432,8 +400,7 @@ def train(config: TrainConfig, data: WindowedDataset, *,
             logger.debug("epoch %d: critic=%.5f generator=%.5f w=%.5f gp=%.5f",
                          epoch, c_loss, g_val, w_est, gp_val)
         if epoch % config.checkpoint_every == 0:
-            sample = _generate_eager(gen, sample_noise(B, config.noise_len, make_rng(config.seed + epoch)))
-            snap = snapshot(epoch, sample)
+            snap = snapshot(epoch, generate(gen, B, config.seed + epoch))
             checkpoints.append(snap)
             if on_checkpoint is not None:
                 on_checkpoint(snap)

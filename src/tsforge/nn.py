@@ -206,10 +206,10 @@ def _zero_state(batch: int, units: int) -> tuple[Tensor, Tensor]:
 def _lstm_scan(p: LstmParams, x_seq: Tensor) -> list[Tensor]:
     """Per-step hidden states, as a list of [batch, units] tensors."""
     if x_seq.rank != 3:
-        raise ValueError(f"lstm_forward: expected rank-3 input, got {x_seq.shape}")
+        raise ValueError(f"lstm: expected rank-3 input, got {x_seq.shape}")
     batch, steps, features = x_seq.shape
     if steps < 1:
-        raise ValueError("lstm_forward: needs at least one timestep")
+        raise ValueError("lstm: needs at least one timestep")
     h, c = _zero_state(batch, p.units)
     fused = _fused_gates(p)
     hs = []
@@ -218,13 +218,6 @@ def _lstm_scan(p: LstmParams, x_seq: Tensor) -> list[Tensor]:
         h, c = lstm_cell_step(p, x_t, h, c, _fused=fused)
         hs.append(h)
     return hs
-
-
-def lstm_forward(p: LstmParams, x_seq: Tensor) -> Tensor:
-    """Iterate the cell over [batch, timesteps, features] with zero
-    initial state and shared weights; returns [batch, timesteps, units]."""
-    hs = _lstm_scan(p, T._as_tensor(x_seq))
-    return T.transpose(T.stack(hs, axis=0), (1, 0, 2))
 
 
 def generator_forward(g: ParamSet, z: Tensor) -> Tensor:

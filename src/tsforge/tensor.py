@@ -330,21 +330,6 @@ def clip(a, lo: float, hi: float) -> Tensor:
     ))
 
 
-_ELEMENTWISE = {
-    "add": add, "sub": sub, "mul": mul, "div": div,
-    "square": square, "sqrt": sqrt, "exp": exp, "log": log, "negate": negate,
-}
-
-
-def elementwise(op_kind: str, a, b=None) -> Tensor:
-    """Dispatch over the elementwise op family by name."""
-    try:
-        f = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op_kind!r}") from None
-    return f(a) if b is None else f(a, b)
-
-
 # activations --------------------------------------------------------
 
 def tanh(a) -> Tensor:
@@ -376,17 +361,6 @@ def relu(a) -> Tensor:
     return _record(np.maximum(a.data, 0.0), "relu", (a,), lambda out: (
         (a, lambda g: mul(g, mask)),
     ))
-
-
-_ACTIVATIONS = {"tanh": tanh, "sigmoid": sigmoid, "relu": relu}
-
-
-def activation(kind: str, x) -> Tensor:
-    try:
-        f = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return f(x)
 
 
 # linear algebra -----------------------------------------------------
@@ -570,17 +544,6 @@ def _scatter(g: Tensor, axis: int, start: int, full_shape: tuple[int, ...]) -> T
     ))
 
 
-def structural(kind: str, *args, **kwargs) -> Tensor:
-    """Dispatch over the structural op family by name."""
-    table = {"reshape": reshape, "concat": concat, "slice": slice_,
-             "stack": stack, "transpose": transpose}
-    try:
-        f = table[kind]
-    except KeyError:
-        raise ValueError(f"unknown structural op {kind!r}") from None
-    return f(*args, **kwargs)
-
-
 # backward pass ------------------------------------------------------
 
 class GradientMap:
@@ -673,15 +636,3 @@ def grad(output: Tensor, wrt: Tensor, graph: Graph | None = None) -> Tensor:
         raise ValueError("grad: no active graph")
     return backward(g, output, wrt=[wrt])[wrt]
 
-
-def backward_through_gradient(graph: Graph, penalty_expr_builder: Callable) -> GradientMap:
-    """Differentiate an expression that itself contains a gradient.
-
-    ``penalty_expr_builder`` receives ``grad_fn(output, wrt) -> Tensor``
-    whose results are graph nodes, and must return the scalar expression
-    to differentiate. Every backward rule used inside the inner pass is
-    itself differentiable, so the outer pass sees an ordinary graph.
-    """
-    with graph:
-        expr = penalty_expr_builder(lambda out, wrt: grad(out, wrt, graph))
-    return backward(graph, expr)

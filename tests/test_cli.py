@@ -3,6 +3,7 @@
 import json
 import struct
 import xml.etree.ElementTree as ET
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from tsforge import cli
 from tsforge.cli import main, parse_config, write_config
 from tsforge.gan import TrainConfig
+from tsforge.optim import OptimConfig
 
 from conftest import build_price_csv
 
@@ -34,6 +36,57 @@ def small_csv(tmp_path):
 FAST = ["--epochs", "3", "--seq-len", "10", "--units", "4", "--noise-len", "3",
         "--batch-size", "8", "--checkpoint-every", "2", "--seed", "5",
         "--grid-samples", "4", "--lipschitz-pairs", "10"]
+
+# config.txt of TrainConfig(), byte for byte: run directories written by
+# earlier versions must keep reading back through --config
+DEFAULT_CONFIG_TXT = """\
+epochs = 3000
+n_critic = 5
+lambda = 10
+batch_size = 32
+noise_len = 25
+seq_len = 50
+units = 50
+loss_variant = wgan_gp
+seed = 0
+checkpoint_every = 500
+g_loss_nonsaturating = false
+learning_rate = 5.0000000000000002e-05
+rho = 0.90000000000000002
+epsilon = 1e-08
+clip_c = 0.01
+"""
+
+# flag, its value, the field it sets (optimizer fields under "optim."), the parsed value
+TRAIN_FLAGS = [
+    ("--epochs", "7", "epochs", 7), ("--n-critic", "2", "n_critic", 2),
+    ("--lambda", "3.5", "lambda_gp", 3.5), ("--batch-size", "9", "batch_size", 9),
+    ("--noise-len", "4", "noise_len", 4), ("--seq-len", "11", "seq_len", 11),
+    ("--units", "12", "lstm_units", 12), ("--loss-variant", "gan", "loss_variant", "gan"),
+    ("--seed", "9", "seed", 9), ("--checkpoint-every", "3", "checkpoint_every", 3),
+    ("--g-loss-nonsaturating", None, "g_loss_nonsaturating", True),
+    ("--lr", "0.001", "optim.learning_rate", 0.001), ("--rho", "0.8", "optim.rho", 0.8),
+    ("--epsilon", "1e-7", "optim.epsilon", 1e-7), ("--clip-c", "0.02", "optim.clip_c", 0.02),
+]
+
+
+def every_field_changed() -> TrainConfig:
+    return TrainConfig(epochs=7, n_critic=2, lambda_gp=3.5, batch_size=9, noise_len=4,
+                       seq_len=11, lstm_units=12, loss_variant="gan", seed=9,
+                       checkpoint_every=3, g_loss_nonsaturating=True,
+                       optim=OptimConfig(learning_rate=1e-3, rho=0.8, epsilon=1e-7,
+                                         clip_c=0.02))
+
+
+def edit_checkpoint_meta(src, dest, edit):
+    """Copy a checkpoint with ``edit`` applied to its JSON metadata."""
+    blob = src.read_bytes()
+    start = blob.rindex(b'{"arch"')   # keys are sorted, so "arch" opens the block
+    meta = json.loads(blob[start:])
+    edit(meta)
+    edited = json.dumps(meta).encode()
+    dest.write_bytes(blob[:start - 8] + struct.pack("<Q", len(edited)) + edited)
+    return dest
 
 
 class TestParseConfig:
@@ -93,6 +146,41 @@ class TestParseConfig:
         write_config(cfg, f)
         assert parse_config(f) == cfg
 
+    def test_default_config_text_is_pinned(self, tmp_path):
+        write_config(TrainConfig(), tmp_path / "config.txt")
+        assert (tmp_path / "config.txt").read_bytes() == DEFAULT_CONFIG_TXT.encode()
+
+    def test_every_field_roundtrips(self, tmp_path):
+        cfg = every_field_changed()
+        default = TrainConfig()
+        for f in fields(TrainConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        for f in fields(OptimConfig):
+            assert getattr(cfg.optim, f.name) != getattr(default.optim, f.name), f.name
+        write_config(cfg, tmp_path / "snap.cfg")
+        assert parse_config(tmp_path / "snap.cfg") == cfg
+
+    def test_flags_cover_every_field(self):
+        names = {f.name for f in fields(TrainConfig) if f.name != "optim"}
+        names |= {f"optim.{f.name}" for f in fields(OptimConfig)}
+        assert sorted(field for _, _, field, _ in TRAIN_FLAGS) == sorted(names)
+
+    @pytest.mark.parametrize("flag,value,field,expected", TRAIN_FLAGS,
+                             ids=[row[0] for row in TRAIN_FLAGS])
+    def test_each_train_flag_sets_its_own_field(self, monkeypatch, tmp_path,
+                                                flag, value, field, expected):
+        parsed = []
+        real_parse = cli.parse_config
+        monkeypatch.setattr(cli, "parse_config",
+                            lambda *a: parsed.append(real_parse(*a)) or parsed[-1])
+        argv = ["train", "--data", str(tmp_path / "missing.csv"), flag]
+        assert main(argv + ([value] if value is not None else [])) == 2
+        if field.startswith("optim."):
+            want = TrainConfig(optim=replace(OptimConfig(), **{field[6:]: expected}))
+        else:
+            want = replace(TrainConfig(), **{field: expected})
+        assert parsed == [want]
+
 
 class TestTrain:
     def test_run_directory_artifacts(self, small_csv, tmp_path):
@@ -149,6 +237,28 @@ class TestTrain:
         full_rows = (full / "loss.csv").read_text().splitlines()
         cont_rows = (cont / "loss.csv").read_text().splitlines()
         assert cont_rows[1:] == full_rows[5:]
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--units", "5"], "units = 4"), (["--seq-len", "12"], "seq_len = 10"),
+        (["--noise-len", "4"], "noise_len = 3"), (["--epochs", "1"], "epoch 2"),
+    ], ids=["units", "seq-len", "noise-len", "epochs"])
+    def test_mismatched_resume_exit_2(self, trained_run, tmp_path, capsys, flags, named):
+        run, csv_path = trained_run
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(csv_path), "--out", str(out), "--resume",
+                   str(run / "checkpoint_epoch000002.ckpt")] + FAST + flags)
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "config.txt").exists()
+
+    def test_resume_without_rng_state_exit_2(self, trained_run, tmp_path, capsys):
+        run, csv_path = trained_run
+        bad = edit_checkpoint_meta(run / "checkpoint_epoch000002.ckpt", tmp_path / "bad.ckpt",
+                                   lambda meta: meta.update(rng_state=None))
+        rc = main(["train", "--data", str(csv_path), "--out", str(tmp_path / "o"),
+                   "--resume", str(bad)] + FAST)
+        assert rc == 2
+        assert "no RNG state" in capsys.readouterr().err
 
     def test_missing_data_exit_2(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--out",
@@ -224,18 +334,22 @@ class TestGenerate:
         lambda meta: meta.pop("arch"),
         lambda meta: meta.update(arch=[1]),
         lambda meta: meta.pop("epoch"),
-    ], ids=["no-arch", "arch-not-a-mapping", "no-epoch"])
+        lambda meta: meta.update(epoch="x"),
+        lambda meta: meta.update(epoch=-5),
+        lambda meta: meta.update(epoch=1.5),
+        lambda meta: meta.update(epoch=True),
+        lambda meta: meta.update(rng_state={"a": 1}),
+    ], ids=["no-arch", "arch-not-a-mapping", "no-epoch", "epoch-str", "epoch-negative",
+            "epoch-float", "epoch-bool", "rng-state-not-philox"])
     def test_malformed_metadata_exit_2(self, trained_run, tmp_path, capsys, edit):
-        run, _ = trained_run
-        blob = (run / "checkpoint_epoch000002.ckpt").read_bytes()
-        start = blob.rindex(b'{"arch"')   # keys are sorted, so "arch" opens the block
-        meta = json.loads(blob[start:])
-        edit(meta)
-        edited = json.dumps(meta).encode()
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(blob[:start - 8] + struct.pack("<Q", len(edited)) + edited)
+        run, csv_path = trained_run
+        bad = edit_checkpoint_meta(run / "checkpoint_epoch000002.ckpt", tmp_path / "bad.ckpt",
+                                   edit)
         assert main(["generate", "--checkpoint", str(bad), "--out",
                      str(tmp_path / "o")]) == 2
+        assert "malformed checkpoint" in capsys.readouterr().err
+        assert main(["train", "--data", str(csv_path), "--out", str(tmp_path / "t"),
+                     "--resume", str(bad)] + FAST) == 2
         assert "malformed checkpoint" in capsys.readouterr().err
 
 

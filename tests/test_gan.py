@@ -6,8 +6,8 @@ import pytest
 from tsforge import gan
 from tsforge import tensor as T
 from tsforge.data import fit_scale
-from tsforge.gan import (TrainConfig, TrainingDiverged, critic_loss_wgan_gp,
-                         gan_losses_standard, generator_loss_wgan, gradient_penalty,
+from tsforge.gan import (TrainConfig, TrainingDiverged, critic_loss_gan, critic_loss_wgan,
+                         generator_loss_gan, generator_loss_wgan, gradient_penalty,
                          interpolate, lipschitz_ratio_check, make_rng,
                          mode_collapse_score, sample_noise, wasserstein_estimate)
 from tsforge.nn import ArchitectureSpec, critic_forward, init_params
@@ -149,8 +149,9 @@ class TestCriticLoss:
         real = np.random.default_rng(1).normal(size=(4, 6, 1))
         fake = np.random.default_rng(2).normal(size=(4, 6, 1))
         with Graph():
-            loss = critic_loss_wgan_gp(constant_critic, real, fake, 10.0, rng)
+            loss, w, gp = critic_loss_wgan(constant_critic, real, fake, 10.0, rng)
         assert loss.item() == pytest.approx(10.0)
+        assert (w, gp) == (0.0, loss.item())
 
     def test_lambda_zero_reduces_to_wasserstein(self):
         rng = make_rng(3)
@@ -159,8 +160,10 @@ class TestCriticLoss:
         fake = np.random.default_rng(6).normal(size=(4, 6, 1))
         fn = lambda x: critic_forward(critic, x)
         with Graph():
-            loss = critic_loss_wgan_gp(fn, real, fake, 0.0, rng)
+            loss, w, gp = critic_loss_wgan(fn, real, fake, 0.0, rng)
         assert loss.item() == pytest.approx(-wasserstein_estimate(fn, real, fake))
+        assert w == -loss.item() and gp == 0.0
+        assert rng.random() == make_rng(3).random()   # no interpolation draw
 
     def test_loss_gradient_vs_finite_differences(self):
         critic = init_params(SMALL, "critic", 7)
@@ -174,14 +177,14 @@ class TestCriticLoss:
         def loss_value(wv) -> float:
             critic[name].data[...] = wv
             with Graph():
-                val = critic_loss_wgan_gp(lambda x: critic_forward(critic, x),
-                                          real, fake, lam, make_rng(0), eps=eps).item()
+                val = critic_loss_wgan(lambda x: critic_forward(critic, x),
+                                       real, fake, lam, make_rng(0), eps=eps)[0].item()
             critic[name].data[...] = W0
             return val
 
         with Graph() as g:
-            loss = critic_loss_wgan_gp(lambda x: critic_forward(critic, x),
-                                       real, fake, lam, make_rng(0), eps=eps)
+            loss, _, _ = critic_loss_wgan(lambda x: critic_forward(critic, x),
+                                          real, fake, lam, make_rng(0), eps=eps)
             analytic = T.backward(g, loss, wrt=[critic[name]])[critic[name]].data
         assert rel_err(analytic, central_diff(loss_value, W0), floor=1e-5) < 1e-3
 
@@ -228,8 +231,8 @@ class TestStandardGanLosses:
     def test_half_probability_analytic(self):
         # D == 0.5 -> d_loss = 2 log 2
         with Graph():
-            d_loss, g_loss = gan_losses_standard(
-                constant_critic, np.zeros((4, 6, 1)), np.zeros((4, 6, 1)))
+            d_loss = critic_loss_gan(constant_critic, np.zeros((4, 6, 1)), np.zeros((4, 6, 1)))
+            g_loss = generator_loss_gan(constant_critic, Tensor(np.zeros((4, 6, 1))))
         assert d_loss.item() == pytest.approx(2 * np.log(2.0))
         assert g_loss.item() == pytest.approx(np.log(0.5))
 
@@ -242,7 +245,7 @@ class TestStandardGanLosses:
         real = np.ones((4, 6, 1))
         fake = -np.ones((4, 6, 1))
         with Graph():
-            d_loss, _ = gan_losses_standard(sharp, real, fake)
+            d_loss = critic_loss_gan(sharp, real, fake)
         assert d_loss.item() == pytest.approx(0.0, abs=1e-4)
 
     def test_g_loss_decreases_as_fake_scores_rise(self):
@@ -251,15 +254,14 @@ class TestStandardGanLosses:
             def biased(x: Tensor, s=score) -> Tensor:
                 return T.add(constant_critic(x), s)
             with Graph():
-                _, g_loss = gan_losses_standard(biased, np.zeros((2, 6, 1)),
-                                                np.zeros((2, 6, 1)))
+                g_loss = generator_loss_gan(biased, Tensor(np.zeros((2, 6, 1))))
             vals.append(g_loss.item())
         assert vals[0] > vals[1] > vals[2]
 
     def test_nonsaturating_variant(self):
         with Graph():
-            _, g_loss = gan_losses_standard(constant_critic, np.zeros((2, 6, 1)),
-                                            np.zeros((2, 6, 1)), nonsaturating=True)
+            g_loss = generator_loss_gan(constant_critic, Tensor(np.zeros((2, 6, 1))),
+                                        nonsaturating=True)
         assert g_loss.item() == pytest.approx(-np.log(0.5))
 
 

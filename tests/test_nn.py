@@ -162,12 +162,17 @@ class TestLstmCell:
                               Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
 
 
+def lstm_seq(p, x) -> Tensor:
+    """Hidden states of the scan as [batch, timesteps, units]."""
+    return T.stack(nn._lstm_scan(p, x), axis=1)
+
+
 class TestLstmForward:
     def test_single_step_equals_cell(self):
         rng = np.random.default_rng(31)
         p = _random_lstm(rng, 4, 2)
         x = rng.normal(size=(3, 1, 2))
-        seq = nn.lstm_forward(p, Tensor(x))
+        seq = lstm_seq(p, Tensor(x))
         h, _ = nn.lstm_cell_step(p, Tensor(x[:, 0, :]),
                                  Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
         np.testing.assert_allclose(seq.data[:, 0, :], h.data, rtol=1e-12)
@@ -176,7 +181,7 @@ class TestLstmForward:
         rng = np.random.default_rng(32)
         p = _random_lstm(rng, 4, 2)
         x = rng.normal(size=(2, 3, 2))
-        seq = nn.lstm_forward(p, Tensor(x))
+        seq = lstm_seq(p, Tensor(x))
         h = np.zeros((2, 4))
         c = np.zeros((2, 4))
         for t in range(3):
@@ -191,7 +196,7 @@ class TestLstmForward:
         p = LstmParams(*(zeros(units + features, units) for _ in range(4)),
                        *(zeros(units) for _ in range(4)))
         x = np.ones((2, 5, 1))
-        out = nn.lstm_forward(p, Tensor(x))
+        out = lstm_seq(p, Tensor(x))
         np.testing.assert_array_equal(out.data, np.zeros((2, 5, 3)))
 
     def test_gradients_through_time(self):
@@ -202,7 +207,7 @@ class TestLstmForward:
         # unequal weights per unit, so swapped gate columns change the gradient
         w = rng.normal(size=(2, steps, units))
         with Graph() as g:
-            out = nn.lstm_forward(p, Tensor(x0, requires_grad=False))
+            out = lstm_seq(p, Tensor(x0, requires_grad=False))
             gm = T.backward(g, T.reduce("sum", T.mul(out, Tensor(w))))
 
         for name in ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o"):
@@ -211,7 +216,7 @@ class TestLstmForward:
 
             def f(wv):
                 param.data[...] = wv
-                out = nn.lstm_forward(p, Tensor(x0, requires_grad=False))
+                out = lstm_seq(p, Tensor(x0, requires_grad=False))
                 param.data[...] = W0
                 return float((out.data * w).sum())
 
