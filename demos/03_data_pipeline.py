@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tsforge.data import (build_dataset, inverse_scale, load_csv, log_returns,
-                          make_windows, returns_to_prices, sample_real_batch, fit_scale)
+from tsforge.data import (build_dataset, fit_scale, load_csv, log_returns, make_windows,
+                          returns_to_prices, sample_real_batch)
 
 # synthesize a price CSV (a null row included, as real exports have)
 rng = np.random.Generator(np.random.Philox(7))
@@ -36,12 +36,12 @@ print(f"loaded {len(series)} prices ({series.dropped} null row dropped)")
 
 returns = log_returns(series)
 print(f"log returns: {len(returns)} values, "
-      f"std {returns.values.std():.4f}, mean {returns.values.mean():.5f}")
+      f"std {returns.std():.4f}, mean {returns.mean():.5f}")
 
 windows = make_windows(returns, seq_len=50, stride=1)
 print(f"windows: {windows.shape}  (count = len - seq_len + 1 = {len(returns)} - 50 + 1)")
 
-ds, scaler = fit_scale(windows, "minmax_symmetric")
+ds = fit_scale(windows)
 print(f"scaled windows: {ds.windows.shape}, range "
       f"[{ds.windows.min():.3f}, {ds.windows.max():.3f}]  (tanh-compatible)")
 
@@ -49,11 +49,11 @@ batch = sample_real_batch(ds, 32, np.random.Generator(np.random.Philox(0)))
 print(f"a training batch: {batch.shape}")
 
 # and back again
-recovered = inverse_scale(ds.windows[0, :, 0], scaler)
+recovered = ds.scaler.inverse(ds.windows[0, :, 0])
 print(f"\nscaling inverts exactly: max |error| = "
       f"{np.abs(recovered - windows[0]).max():.2e}")
 
-path = returns_to_prices(returns.values[:10], p0=float(series.closes[0]))
+path = returns_to_prices(returns[:10], p0=float(series.closes[0]))
 print(f"first 3 integrated prices {np.round(path[:3], 4)} "
       f"vs original {np.round(series.closes[:3], 4)}")
 

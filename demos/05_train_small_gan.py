@@ -13,14 +13,14 @@ import time
 import numpy as np
 
 from tsforge import gan
-from tsforge.data import ReturnSeries, fit_scale, inverse_scale, make_windows
+from tsforge.data import fit_scale, make_windows
 from tsforge.gan import TrainConfig
 from tsforge.optim import OptimConfig
 from tsforge.stats import moments
 
 rng = np.random.Generator(np.random.Philox(2024))
 returns = rng.standard_normal(1200) * 0.02
-ds, scaler = fit_scale(make_windows(ReturnSeries(returns), seq_len=20))
+ds = fit_scale(make_windows(returns, seq_len=20))
 print(f"dataset: {ds.windows.shape[0]} windows of length {ds.seq_len}")
 
 cfg = TrainConfig(epochs=300, n_critic=5, lambda_gp=10.0, batch_size=32,
@@ -38,10 +38,10 @@ for i in range(0, len(history), 50):
           f"{history.gradient_penalty[i]:>9.4f}")
 
 print("\ncheckpoints:", [c.epoch for c in checkpoints],
-      " mode-collapse scores:", [round(c.mode_collapse, 4) for c in checkpoints])
+      " mode-collapse scores:", [round(c.extra["mode_collapse"], 4) for c in checkpoints])
 
 samples = gan.generate(gen, 256, seed=7)
-synth = inverse_scale(samples[:, :, 0], scaler)
+synth = ds.scaler.inverse(samples[:, :, 0])
 m_target = moments(returns)
 m_synth = moments(synth.reshape(-1))
 print(f"\n{'':<12} {'target':>10} {'generated':>10}")

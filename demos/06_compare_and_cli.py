@@ -31,7 +31,7 @@ csv_path = workdir / "prices.csv"
 csv_path.write_text("\n".join(rows) + "\n")
 
 # library-level comparison: real returns vs an i.i.d. Gaussian imitation
-real = log_returns(load_csv(csv_path)).values
+real = log_returns(load_csv(csv_path))
 synthetic = rng.standard_normal((32, 50)) * real.std()
 report = compare_distributions(real, synthetic, max_lag=30)
 print("real      skew %+.3f  kurt %.2f" % (report.moments_real.skewness,

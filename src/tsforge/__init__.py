@@ -14,7 +14,7 @@ The package is organized as a small library:
 """
 
 from .nn import ArchitectureSpec, ParamSet, init_params, generator_forward, critic_forward
-from .gan import TrainConfig, LossHistory, TrainSnapshot, train, generate
+from .gan import TrainConfig, LossHistory, train, generate
 from .data import PriceSeries, WindowedDataset, load_csv, build_dataset
 from .stats import compare_distributions, moments
 
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchitectureSpec", "ParamSet", "init_params", "generator_forward", "critic_forward",
-    "TrainConfig", "LossHistory", "TrainSnapshot", "train", "generate",
+    "TrainConfig", "LossHistory", "train", "generate",
     "PriceSeries", "WindowedDataset", "load_csv", "build_dataset",
     "compare_distributions", "moments", "__version__",
 ]

@@ -11,11 +11,20 @@ Layout (all integers little-endian):
 
 Tensor names are namespaced: ``gen/<param>``, ``critic/<param>``,
 ``opt_g/<param>``, ``opt_c/<param>``. Round-trips are bit-exact.
+
+The metadata holds the architecture, the epoch, the parameter names,
+the optimizer step counts, the scaler, the RNG state and a free-form
+``extra`` block. Checkpoints written by ``gan.train`` put the full
+training configuration (``config``), the number of training windows
+(``n_windows``) and the generator's mode-collapse score
+(``mode_collapse``) there, so a resume can be checked against the
+configuration and the data it continues.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Scaler
-from .nn import ArchitectureSpec, ParamSet
+from .nn import ArchitectureSpec, ParamSet, param_shapes
 from .optim import RmspropState
 from .tensor import Tensor
 
@@ -48,7 +57,6 @@ class Checkpoint:
     scaler: Scaler | None = None
     rng_state: dict | None = None
     extra: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
 
 def _rng_state_to_json(state: dict | None):
@@ -160,8 +168,9 @@ def load_checkpoint(path) -> Checkpoint:
         return _decode(blob, path)
     except CheckpointError:
         raise
-    except (LookupError, TypeError, ValueError) as e:
-        # a missing key or index, a wrong type or range, or non-UTF-8 bytes
+    except (ArithmeticError, LookupError, TypeError, ValueError) as e:
+        # an overflow, a missing key or index, a wrong type or range, or
+        # non-UTF-8 bytes
         raise CheckpointError(f"{path}: malformed checkpoint: "
                               f"{type(e).__name__}: {e}") from None
 
@@ -181,7 +190,7 @@ def _decode(blob: bytes, path) -> Checkpoint:
         name = r.take(name_len).decode("utf-8")
         rank = r.u64()
         dims = struct.unpack(f"<{rank}Q", r.take(8 * rank)) if rank else ()
-        n = int(np.prod(dims)) if dims else 1
+        n = math.prod(dims)
         payload = r.take(8 * n)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     meta_len = r.u64()
@@ -194,25 +203,29 @@ def _decode(blob: bytes, path) -> Checkpoint:
 
     arch = ArchitectureSpec(**meta["arch"])
 
-    def collect(prefix: str, names: list[str], kind: str) -> ParamSet:
+    def network(prefix: str, kind: str) -> ParamSet:
         params = {}
-        for name in names:
+        for name in meta[f"{kind}_names"]:
             key = f"{prefix}/{name}"
             if key not in tensors:
                 raise CheckpointError(f"{path}: missing tensor record {key!r}")
             params[name] = Tensor(tensors[key])
+        if {n: t.shape for n, t in params.items()} != param_shapes(arch, kind):
+            raise ValueError(f"the {kind} tensors do not fit {arch}")
         return ParamSet(kind, params, arch=arch)
 
-    gen = collect("gen", meta["generator_names"], "generator")
-    critic = collect("critic", meta["critic_names"], "critic")
-    opt_g = RmspropState(
-        cache={n: tensors[f"opt_g/{n}"] for n in meta["generator_names"]
-               if f"opt_g/{n}" in tensors},
-        step=meta["opt_steps"]["generator"])
-    opt_c = RmspropState(
-        cache={n: tensors[f"opt_c/{n}"] for n in meta["critic_names"]
-               if f"opt_c/{n}" in tensors},
-        step=meta["opt_steps"]["critic"])
+    def optimizer(prefix: str, params: ParamSet, step) -> RmspropState:
+        if type(step) is not int or step < 0:
+            raise ValueError(f"optimizer step must be a non-negative integer, got {step!r}")
+        cache = {n: tensors[f"{prefix}/{n}"] for n in params if f"{prefix}/{n}" in tensors}
+        for n, arr in cache.items():
+            if arr.shape != params[n].shape:
+                raise ValueError(f"{prefix}/{n} has shape {arr.shape}, "
+                                 f"its parameter {params[n].shape}")
+        return RmspropState(cache=cache, step=step)
+
+    gen = network("gen", "generator")
+    critic = network("critic", "critic")
     scaler = Scaler.from_dict(meta["scaler"]) if meta["scaler"] is not None else None
     epoch = meta["epoch"]
     if type(epoch) is not int or epoch < 0:
@@ -222,6 +235,7 @@ def _decode(blob: bytes, path) -> Checkpoint:
         np.random.Philox(0).state = rng_state   # raises unless it is a Philox state
     return Checkpoint(
         spec=arch, epoch=epoch, generator=gen, critic=critic,
-        opt_generator=opt_g, opt_critic=opt_c, scaler=scaler,
-        rng_state=rng_state, extra=meta.get("extra", {}), version=version,
+        opt_generator=optimizer("opt_g", gen, meta["opt_steps"]["generator"]),
+        opt_critic=optimizer("opt_c", critic, meta["opt_steps"]["critic"]),
+        scaler=scaler, rng_state=rng_state, extra=meta.get("extra", {}),
     )

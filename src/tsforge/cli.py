@@ -19,14 +19,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, gan, stats
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .data import (DataError, build_dataset, inverse_scale, load_csv, log_returns,
+from .data import (DataError, WindowedDataset, build_dataset, load_csv, log_returns,
                    returns_to_prices)
 from .gan import TrainConfig, TrainingDiverged, make_rng
 from .nn import critic_forward
@@ -119,14 +119,18 @@ def parse_config(path=None, overrides: dict | None = None) -> TrainConfig:
         raise ConfigError(str(e)) from None
 
 
+def _by_key(config: dict) -> dict:
+    """The values of an ``asdict(TrainConfig)`` under their config keys."""
+    values = {**config, **config["optim"]}
+    return {key: values[_FIELD.get(key, key)] for key in _KEYS}
+
+
 def write_config(cfg: TrainConfig, path) -> None:
     """Snapshot a TrainConfig in the same flat format parse_config reads."""
     lines = []
-    for key, kind in _KEYS.items():
-        name = _FIELD.get(key, key)
-        value = getattr(cfg.optim if name in _OPTIM_FIELDS else cfg, name)
-        text = _fmt(value) if kind is float else str(value)
-        lines.append(f"{key} = {text.lower() if kind is bool else text}")
+    for key, value in _by_key(asdict(cfg)).items():
+        text = _fmt(value) if _KEYS[key] is float else str(value)
+        lines.append(f"{key} = {text.lower() if _KEYS[key] is bool else text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -165,16 +169,11 @@ def _out_dir(arg: str | None, default_name: str) -> Path:
 
 # train --------------------------------------------------------------
 
-def _loss_rows(history: gan.LossHistory):
-    for i in range(len(history)):
-        yield (history.epochs[i], history.critic_loss[i], history.generator_loss[i],
-               history.wasserstein[i], history.gradient_penalty[i])
-
-
 def _write_loss_artifacts(out: Path, history: gan.LossHistory) -> None:
     _write_csv(out / "loss.csv",
                ["epoch", "critic_loss", "generator_loss", "wasserstein", "gradient_penalty"],
-               _loss_rows(history))
+               zip(history.epochs, history.critic_loss, history.generator_loss,
+                   history.wasserstein, history.gradient_penalty))
     chart = Chart("Generator and critic loss", "epoch", "loss")
     chart.add("critic", history.epochs, history.critic_loss)
     chart.add("generator", history.epochs, history.generator_loss)
@@ -182,25 +181,41 @@ def _write_loss_artifacts(out: Path, history: gan.LossHistory) -> None:
     write_svg(out / "loss.svg", render_chart(chart))
 
 
-def _sample_grid_chart(samples: np.ndarray, title: str,
-                       real_window: np.ndarray | None = None) -> Chart:
-    chart = Chart(title, "timestep", "scaled return")
-    xs = list(range(samples.shape[1]))
-    for i, row in enumerate(samples[:8]):
-        chart.add("synthetic" if i == 0 else "", xs, row[:, 0], color="#1f77b4")
-    if real_window is not None:
-        chart.add("real", xs, real_window, color="#d62728")
+def _paths_chart(title: str, y_label: str, rows: np.ndarray,
+                 real: np.ndarray | None = None) -> Chart:
+    """The first 8 rows as synthetic paths, and an optional real one."""
+    chart = Chart(title, "timestep", y_label)
+    xs = list(range(rows.shape[1]))
+    for i, row in enumerate(rows[:8]):
+        chart.add("synthetic" if i == 0 else "", xs, row, color="#1f77b4")
+    if real is not None:
+        chart.add("real", xs, real, color="#d62728")
     return chart
 
 
-def _check_resume(cp: Checkpoint, cfg: TrainConfig, path) -> None:
-    """Refuse a checkpoint that this configuration cannot continue."""
-    want = cfg.arch()
-    for f in fields(want):
-        have, need = getattr(cp.spec, f.name), getattr(want, f.name)
-        if have != need:
-            raise CheckpointError(f"{path}: checkpoint has {_RENAMED.get(f.name, f.name)} "
-                                  f"= {have}, the configuration {need}")
+def _write_moments(path, real: stats.MomentsReport, synth: stats.MomentsReport) -> None:
+    _write_csv(path, ["metric", "real", "synthetic"],
+               [(k, rv, sv) for (k, rv), (_, sv) in zip(real.rows(), synth.rows())])
+
+
+def _check_resume(cp: Checkpoint, cfg: TrainConfig, dataset: WindowedDataset, path) -> None:
+    """Refuse a checkpoint that this configuration and data cannot continue."""
+    try:
+        have = _by_key(cp.extra["config"])
+    except (LookupError, TypeError):
+        raise CheckpointError(f"{path}: checkpoint holds no complete training "
+                              f"configuration to resume under") from None
+    for key, need in _by_key(asdict(cfg)).items():
+        if key not in ("epochs", "checkpoint_every") and have[key] != need:
+            raise CheckpointError(f"{path}: checkpoint has {key} = {have[key]}, "
+                                  f"the configuration {need}")
+    if cp.spec != cfg.arch():
+        raise CheckpointError(f"{path}: checkpoint architecture {cp.spec} "
+                              f"disagrees with its configuration")
+    if cp.scaler != dataset.scaler or cp.extra.get("n_windows") != len(dataset):
+        raise CheckpointError(f"{path}: checkpoint was trained on other data "
+                              f"({cp.extra.get('n_windows')} windows, {cp.scaler}), "
+                              f"this price file gives {len(dataset)} windows, {dataset.scaler}")
     if cfg.epochs <= cp.epoch:
         raise CheckpointError(f"{path}: checkpoint is at epoch {cp.epoch}, "
                               f"so epochs = {cfg.epochs} leaves nothing to train")
@@ -210,55 +225,32 @@ def _check_resume(cp: Checkpoint, cfg: TrainConfig, path) -> None:
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config, {key: getattr(args, key) for key in _KEYS})
-    resume = None
-    if args.resume:
-        cp = load_checkpoint(args.resume)
-        _check_resume(cp, cfg, args.resume)
-        resume = gan.TrainSnapshot(epoch=cp.epoch, generator=cp.generator,
-                                   critic=cp.critic, opt_generator=cp.opt_generator,
-                                   opt_critic=cp.opt_critic, rng_state=cp.rng_state)
+    resume = load_checkpoint(args.resume) if args.resume else None
     prices = load_csv(args.data)
-    dataset = build_dataset(prices, seq_len=cfg.seq_len, stride=args.stride,
-                            kind=args.scaler)
+    dataset = build_dataset(prices, seq_len=cfg.seq_len, stride=args.stride)
+    if resume is not None:
+        _check_resume(resume, cfg, dataset, args.resume)
     out = _out_dir(args.out, f"train-{Path(args.data).stem}-seed{cfg.seed}")
     write_config(cfg, out / "config.txt")
+    real_moments = stats.moments(dataset.scaler.inverse(dataset.windows))
 
-    real_flat = inverse_scale(dataset.windows[:, :, 0], dataset.scaler).reshape(-1)
-
-    def on_checkpoint(snap: gan.TrainSnapshot, crashed: bool = False) -> None:
-        tag = "crash" if crashed else f"epoch{snap.epoch:06d}"
-        cp = Checkpoint(spec=snap.generator.arch, epoch=snap.epoch,
-                        generator=snap.generator, critic=snap.critic,
-                        opt_generator=snap.opt_generator, opt_critic=snap.opt_critic,
-                        scaler=dataset.scaler, rng_state=snap.rng_state,
-                        extra={"loss_variant": cfg.loss_variant, "seed": cfg.seed})
+    def on_checkpoint(cp: Checkpoint) -> None:
+        tag = f"epoch{cp.epoch:06d}"
         save_checkpoint(out / f"checkpoint_{tag}.ckpt", cp)
-        if crashed:
-            return
-        samples = gan.generate(snap.generator, args.grid_samples, cfg.seed + snap.epoch)
-        _write_matrix_csv(out / f"samples_{tag}.csv", samples[:, :, 0])
-        write_svg(out / f"samples_{tag}.svg",
-                  render_chart(_sample_grid_chart(
-                      samples, f"Generated samples at epoch {snap.epoch}",
-                      dataset.windows[0, :, 0])))
-        synth = inverse_scale(samples[:, :, 0], dataset.scaler)
-        report = stats.compare_distributions(real_flat, synth)
-        _write_csv(out / f"compare_{tag}_moments.csv",
-                   ["metric", "real", "synthetic"],
-                   [(k, rv, sv) for (k, rv), (_, sv) in
-                    zip(report.moments_real.rows(), report.moments_synthetic.rows())])
+        samples = gan.generate(cp.generator, args.grid_samples, cfg.seed + cp.epoch)[:, :, 0]
+        _write_matrix_csv(out / f"samples_{tag}.csv", samples)
+        write_svg(out / f"samples_{tag}.svg", render_chart(_paths_chart(
+            f"Generated samples at epoch {cp.epoch}", "scaled return", samples,
+            dataset.windows[0, :, 0])))
+        _write_moments(out / f"compare_{tag}_moments.csv", real_moments,
+                       stats.moments(dataset.scaler.inverse(samples)))
 
     try:
         gen, critic, history, checkpoints = gan.train(
-            cfg, dataset, resume=resume,
-            on_checkpoint=lambda s: on_checkpoint(s))
+            cfg, dataset, resume=resume, on_checkpoint=on_checkpoint)
     except TrainingDiverged as e:
-        partial = getattr(e, "history", None)
-        if partial is not None and len(partial):
-            _write_loss_artifacts(out, partial)
-        snap = getattr(e, "snapshot", None)
-        if snap is not None:
-            on_checkpoint(snap, crashed=True)
+        _write_loss_artifacts(out, e.history)
+        save_checkpoint(out / "checkpoint_crash.ckpt", e.checkpoint)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -282,7 +274,8 @@ def cmd_train(args) -> int:
         "final_wasserstein": history.wasserstein[-1],
         "median_lipschitz_ratio": float(np.median(ratios)) if ratios else None,
         "mode_collapse_final": gan.mode_collapse_score(final_sample),
-        "mode_collapse_per_checkpoint": {str(s.epoch): s.mode_collapse for s in checkpoints},
+        "mode_collapse_per_checkpoint": {str(c.epoch): c.extra["mode_collapse"]
+                                         for c in checkpoints},
         "dropped_rows": prices.dropped,
         "n_windows": len(dataset),
     }
@@ -301,7 +294,7 @@ def cmd_generate(args) -> int:
     scaled = samples[:, :, 0]
     _write_matrix_csv(out / "returns_scaled.csv", scaled)
     if cp.scaler is not None:
-        returns = inverse_scale(scaled, cp.scaler)
+        returns = cp.scaler.inverse(scaled)
     else:
         logger.warning("checkpoint has no scaler; emitting scaled values as returns")
         returns = scaled
@@ -312,31 +305,27 @@ def cmd_generate(args) -> int:
     real_path = None
     if args.real:
         series = load_csv(args.real)
-        r = log_returns(series).values
+        r = log_returns(series)
         seq = scaled.shape[1]
         if len(r) >= seq:
             real_path = returns_to_prices(r[-seq:], args.p0)
-    chart = Chart("Generated price paths", "timestep", "price")
-    xs = list(range(prices.shape[1]))
-    for i, row in enumerate(prices[:8]):
-        chart.add("synthetic" if i == 0 else "", xs, row, color="#1f77b4")
-    if real_path is not None:
-        chart.add("real", xs, real_path, color="#d62728")
-    write_svg(out / "prices.svg", render_chart(chart))
+    write_svg(out / "prices.svg",
+              render_chart(_paths_chart("Generated price paths", "price", prices, real_path)))
     print(f"wrote {args.n} samples to {out}")
     return EXIT_OK
 
 
 # evaluate -----------------------------------------------------------
 
-def _acf_csv_rows(plain: stats.AcfReport, absolute: stats.AcfReport):
-    for lag, v, a in zip(plain.lags, plain.values, absolute.values):
-        yield (int(lag), v, a)
+def _acf_chart(title: str, rep: stats.AcfReport) -> Chart:
+    chart = Chart(title, "lag", "acf", h_lines=[rep.band, -rep.band])
+    chart.add("", rep.lags[1:], rep.values[1:], kind="stem")
+    return chart
 
 
 def cmd_evaluate(args) -> int:
     prices = load_csv(args.data)
-    returns = log_returns(prices).values
+    returns = log_returns(prices)
     out = _out_dir(args.out, f"evaluate-{Path(args.data).stem}")
 
     report = stats.moments(returns)
@@ -346,15 +335,10 @@ def cmd_evaluate(args) -> int:
     plain = stats.acf(returns, max_lag)
     absolute = stats.acf_absolute(returns, max_lag)
     _write_csv(out / "acf.csv", ["lag", "acf", "acf_absolute"],
-               _acf_csv_rows(plain, absolute))
-    band = plain.band
-    panels = []
-    for name, rep in (("ACF of log returns", plain),
-                      ("ACF of absolute log returns", absolute)):
-        c = Chart(name, "lag", "acf", h_lines=[band, -band])
-        c.add("", rep.lags[1:], rep.values[1:], kind="stem")
-        panels.append(c)
-    write_svg(out / "acf.svg", render_panels(panels))
+               zip(plain.lags.tolist(), plain.values, absolute.values))
+    write_svg(out / "acf.svg", render_panels([
+        _acf_chart("ACF of log returns", plain),
+        _acf_chart("ACF of absolute log returns", absolute)]))
 
     qq = stats.qq_points(returns, "normal")
     _write_csv(out / "qq.csv", ["theoretical", "sample"],
@@ -375,13 +359,13 @@ def cmd_evaluate(args) -> int:
 
 # compare ------------------------------------------------------------
 
-def _load_synthetic(args, seq_len_hint: int | None) -> np.ndarray:
+def _load_synthetic(args) -> np.ndarray:
     if args.synthetic:
         return _read_matrix_csv(args.synthetic)
     cp = load_checkpoint(args.checkpoint)
     samples = gan.generate(cp.generator, args.n, args.seed)[:, :, 0]
     if cp.scaler is not None:
-        samples = inverse_scale(samples, cp.scaler)
+        samples = cp.scaler.inverse(samples)
     return samples
 
 
@@ -389,15 +373,13 @@ def cmd_compare(args) -> int:
     if not args.synthetic and not args.checkpoint:
         raise _UsageError("compare needs --synthetic or --checkpoint")
     prices = load_csv(args.real)
-    real = log_returns(prices).values
-    synth = _load_synthetic(args, None)
+    real = log_returns(prices)
+    synth = _load_synthetic(args)
     out = _out_dir(args.out, f"compare-{Path(args.real).stem}")
 
     report = stats.compare_distributions(real, synth, max_lag=args.max_lag,
                                          bins=args.bins)
-    _write_csv(out / "moments.csv", ["metric", "real", "synthetic"],
-               [(k, rv, sv) for (k, rv), (_, sv) in
-                zip(report.moments_real.rows(), report.moments_synthetic.rows())])
+    _write_moments(out / "moments.csv", report.moments_real, report.moments_synthetic)
 
     hist = report.histogram
     centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
@@ -434,15 +416,11 @@ def cmd_compare(args) -> int:
                zip(report.acf_real.lags.tolist(),
                    report.acf_real.values, report.acf_synthetic.values,
                    report.acf_abs_real.values, report.acf_abs_synthetic.values))
-    acf_panels = []
-    for title, rep in (("ACF of synthetic log returns", report.acf_synthetic),
-                       ("ACF of real log returns", report.acf_real),
-                       ("ACF of absolute synthetic log returns", report.acf_abs_synthetic),
-                       ("ACF of absolute real log returns", report.acf_abs_real)):
-        c = Chart(title, "lag", "acf", h_lines=[rep.band, -rep.band])
-        c.add("", rep.lags[1:], rep.values[1:], kind="stem")
-        acf_panels.append(c)
-    write_svg(out / "acf.svg", render_panels(acf_panels))
+    write_svg(out / "acf.svg", render_panels([
+        _acf_chart("ACF of synthetic log returns", report.acf_synthetic),
+        _acf_chart("ACF of real log returns", report.acf_real),
+        _acf_chart("ACF of absolute synthetic log returns", report.acf_abs_synthetic),
+        _acf_chart("ACF of absolute real log returns", report.acf_abs_real)]))
     print(f"comparison written to {out}")
     return EXIT_OK
 
@@ -467,8 +445,6 @@ def _build_parser() -> _Parser:
         else:
             tr.add_argument(flag, dest=key, type=kind, help=f"config key {key}",
                             choices=gan.LOSS_VARIANTS if key == "loss_variant" else None)
-    tr.add_argument("--scaler", choices=["minmax_symmetric", "zscore"],
-                    default="minmax_symmetric")
     tr.add_argument("--stride", type=int, default=1)
     tr.add_argument("--grid-samples", dest="grid_samples", type=int, default=16,
                     help="samples per checkpoint grid")
@@ -522,9 +498,6 @@ def main(argv=None) -> int:
     except (DataError, CheckpointError, StatsError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except TrainingDiverged as e:
-        print(f"numeric abort: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

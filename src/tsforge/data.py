@@ -3,6 +3,11 @@
 Pipeline order: load -> returns -> windows -> scale -> batch. Training
 runs on scaled log-return windows; the inverse transforms recover raw
 returns and, via exponentiated cumulative sums, price paths.
+
+There is one scaler, a min-max map of all window values onto [-1, 1]:
+the generator ends in tanh and cannot produce anything outside (-1, 1),
+so data scaled any other way (a z-score, say) would leave part of the
+real distribution out of its reach.
 """
 
 from __future__ import annotations
@@ -49,51 +54,33 @@ class PriceSeries:
 
 
 @dataclass
-class ReturnSeries:
-    """Log returns ln(p_t / p_{t-1}); one shorter than the price series."""
+class Scaler:
+    """Invertible affine map of [lo, hi] onto [-1, 1], fitted on all
+    window values at once."""
 
-    values: np.ndarray
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("log returns must be finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass
-class Scaler:
-    """Invertible affine map fitted on all window values at once."""
-
-    kind: str
-    lo: float = 0.0
-    hi: float = 0.0
-    mean: float = 0.0
-    std: float = 0.0
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise DataError(f"scaler needs finite lo < hi, got lo={self.lo!r}, hi={self.hi!r}")
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "minmax_symmetric":
-            return 2.0 * (x - self.lo) / (self.hi - self.lo) - 1.0
-        if self.kind == "zscore":
-            return (x - self.mean) / self.std
-        raise DataError(f"unknown scaler kind {self.kind!r}")
+        return 2.0 * (x - self.lo) / (self.hi - self.lo) - 1.0
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "minmax_symmetric":
-            return (np.asarray(x, dtype=np.float64) + 1.0) / 2.0 * (self.hi - self.lo) + self.lo
-        if self.kind == "zscore":
-            return np.asarray(x, dtype=np.float64) * self.std + self.mean
-        raise DataError(f"unknown scaler kind {self.kind!r}")
+        return (np.asarray(x, dtype=np.float64) + 1.0) / 2.0 * (self.hi - self.lo) + self.lo
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "lo": self.lo, "hi": self.hi,
-                "mean": self.mean, "std": self.std}
+        return {"lo": self.lo, "hi": self.hi}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        return cls(kind=d["kind"], lo=d["lo"], hi=d["hi"], mean=d["mean"], std=d["std"])
+        """Read ``to_dict`` output, or the {"kind": "minmax_symmetric", ...}
+        record of earlier checkpoints."""
+        if "kind" in d and d["kind"] != "minmax_symmetric":
+            raise DataError(f"unsupported scaler kind {d['kind']!r}")
+        return cls(lo=d["lo"], hi=d["hi"])
 
 
 @dataclass
@@ -170,20 +157,23 @@ def load_csv(path) -> PriceSeries:
     return PriceSeries(dates=dates, closes=closes, dropped=dropped)
 
 
-def log_returns(p: PriceSeries) -> ReturnSeries:
-    """r_t = ln(close_t / close_{t-1})."""
+def log_returns(p: PriceSeries) -> np.ndarray:
+    """r_t = ln(close_t / close_{t-1}); one shorter than the price series."""
     closes = p.closes
     if np.any(closes <= 0):
         raise DataError("log returns need positive prices")
-    return ReturnSeries(np.diff(np.log(closes)))
+    returns = np.diff(np.log(closes))
+    if not np.all(np.isfinite(returns)):
+        raise DataError("log returns must be finite")
+    return returns
 
 
-def make_windows(r: ReturnSeries, seq_len: int = 50, stride: int = 1) -> np.ndarray:
+def make_windows(r: np.ndarray, seq_len: int = 50, stride: int = 1) -> np.ndarray:
     """Overlapping fixed-length windows [count, seq_len] of the return
     series; count = floor((len - seq_len)/stride) + 1."""
     if seq_len < 1 or stride < 1:
         raise DataError("seq_len and stride must be positive")
-    values = r.values if isinstance(r, ReturnSeries) else np.asarray(r, dtype=np.float64)
+    values = np.asarray(r, dtype=np.float64)
     n = len(values)
     if n < seq_len:
         raise DataError(f"series of length {n} is shorter than seq_len {seq_len}")
@@ -194,12 +184,10 @@ def make_windows(r: ReturnSeries, seq_len: int = 50, stride: int = 1) -> np.ndar
     return out
 
 
-def fit_scale(windows: np.ndarray, kind: str = "minmax_symmetric",
-              meta: dict | None = None) -> tuple[WindowedDataset, Scaler]:
-    """Fit a global scaler over all window values and apply it.
+def fit_scale(windows: np.ndarray, meta: dict | None = None) -> WindowedDataset:
+    """Fit the scaler over all window values and apply it.
 
-    minmax_symmetric maps [min, max] linearly onto [-1, 1]; zscore
-    standardizes by the global mean/std. Global (not per-window) so the
+    [min, max] maps linearly onto [-1, 1]. Global (not per-window) so the
     cross-window volatility structure survives.
     """
     windows = np.asarray(windows, dtype=np.float64)
@@ -209,27 +197,12 @@ def fit_scale(windows: np.ndarray, kind: str = "minmax_symmetric",
         windows = windows[:, :, 0]
     if windows.ndim != 2:
         raise DataError(f"expected [n, seq_len] windows, got shape {windows.shape}")
-    if kind == "minmax_symmetric":
-        lo, hi = float(windows.min()), float(windows.max())
-        if hi == lo:
-            raise DataError("constant window values cannot be min-max scaled")
-        scaler = Scaler(kind=kind, lo=lo, hi=hi)
-    elif kind == "zscore":
-        mean, std = float(windows.mean()), float(windows.std())
-        if std == 0.0:
-            raise DataError("constant window values cannot be z-scored")
-        scaler = Scaler(kind=kind, mean=mean, std=std)
-    else:
-        raise DataError(f"unknown scaler kind {kind!r}")
-    scaled = scaler.transform(windows)[:, :, None]
-    ds = WindowedDataset(windows=scaled, scaler=scaler, seq_len=windows.shape[1],
-                         meta=dict(meta or {}))
-    return ds, scaler
-
-
-def inverse_scale(x: np.ndarray, scaler: Scaler) -> np.ndarray:
-    """Exact linear inverse of the fitted scaler."""
-    return scaler.inverse(np.asarray(x, dtype=np.float64))
+    lo, hi = float(windows.min()), float(windows.max())
+    if hi == lo:
+        raise DataError("constant window values cannot be min-max scaled")
+    scaler = Scaler(lo=lo, hi=hi)
+    return WindowedDataset(windows=scaler.transform(windows)[:, :, None], scaler=scaler,
+                           seq_len=windows.shape[1], meta=dict(meta or {}))
 
 
 def sample_real_batch(ds: WindowedDataset, batch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -240,26 +213,22 @@ def sample_real_batch(ds: WindowedDataset, batch_size: int, rng: np.random.Gener
     return ds.windows[idx]
 
 
-def returns_to_prices(r, p0: float) -> np.ndarray:
+def returns_to_prices(r: np.ndarray, p0: float) -> np.ndarray:
     """Integrate log returns into a price path starting at p0.
 
     p_t = p0 * exp(sum of the first t returns); length len(r) + 1.
     """
     if p0 <= 0:
         raise DataError("starting price must be positive")
-    values = r.values if isinstance(r, ReturnSeries) else np.asarray(r, dtype=np.float64)
+    values = np.asarray(r, dtype=np.float64)
     path = np.empty(len(values) + 1)
     path[0] = p0
     path[1:] = p0 * np.exp(np.cumsum(values))
     return path
 
 
-def build_dataset(prices: PriceSeries, seq_len: int = 50, stride: int = 1,
-                  kind: str = "minmax_symmetric") -> WindowedDataset:
+def build_dataset(prices: PriceSeries, seq_len: int = 50, stride: int = 1) -> WindowedDataset:
     """The full pipeline: returns -> windows -> scale."""
     returns = log_returns(prices)
-    windows = make_windows(returns, seq_len=seq_len, stride=stride)
-    ds, _ = fit_scale(windows, kind=kind,
-                      meta={"n_prices": len(prices), "n_returns": len(returns),
-                            "stride": stride})
-    return ds
+    return fit_scale(make_windows(returns, seq_len=seq_len, stride=stride),
+                     meta={"n_prices": len(prices), "n_returns": len(returns), "stride": stride})

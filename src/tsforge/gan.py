@@ -17,12 +17,13 @@ function; ``train`` wires in ``critic_forward`` over its ParamSet.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import Checkpoint
 from .data import WindowedDataset, sample_real_batch
 from .nn import ArchitectureSpec, ParamSet, critic_forward, generator_forward, init_params
 from .optim import OptimConfig, RmspropState, clip_weights, rmsprop_step
@@ -37,7 +38,13 @@ LOSS_VARIANTS = ("wgan_gp", "wgan_clip", "gan")
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss became NaN/Inf; the run is aborted rather than continued."""
+    """A loss or gradient became NaN/Inf; the run is aborted rather than
+    continued. Carries the history so far and the crash state."""
+
+    def __init__(self, message: str, history: LossHistory, checkpoint: Checkpoint):
+        super().__init__(message)
+        self.history = history
+        self.checkpoint = checkpoint
 
 
 @dataclass
@@ -94,19 +101,6 @@ class LossHistory:
         vals = (self.critic_loss[-1], self.generator_loss[-1],
                 self.wasserstein[-1], self.gradient_penalty[-1])
         return all(np.isfinite(v) for v in vals)
-
-
-@dataclass
-class TrainSnapshot:
-    """Everything needed to resume training mid-run, bit for bit."""
-
-    epoch: int
-    generator: ParamSet
-    critic: ParamSet
-    opt_generator: RmspropState
-    opt_critic: RmspropState
-    rng_state: dict
-    mode_collapse: float = 0.0
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -290,16 +284,16 @@ def _nonfinite(grads: dict[str, np.ndarray]) -> list[str]:
 
 
 def train(config: TrainConfig, data: WindowedDataset, *,
-          resume: TrainSnapshot | None = None,
-          on_checkpoint: Callable[[TrainSnapshot], None] | None = None,
-          ) -> tuple[ParamSet, ParamSet, LossHistory, list[TrainSnapshot]]:
+          resume: Checkpoint | None = None,
+          on_checkpoint: Callable[[Checkpoint], None] | None = None,
+          ) -> tuple[ParamSet, ParamSet, LossHistory, list[Checkpoint]]:
     """Run the alternating training loop.
 
     One epoch = n_critic critic updates (fresh real batch and fresh
     noise each, generator frozen) followed by one generator update
     (critic frozen). Real batches are drawn uniformly with replacement.
-    Deterministic given (seed, config, data); aborts on NaN/Inf after
-    persisting a crash snapshot through ``on_checkpoint``.
+    Deterministic given (seed, config, data); on NaN/Inf raises
+    TrainingDiverged carrying the crash checkpoint.
     """
     if len(data) == 0:
         raise ValueError("training dataset is empty")
@@ -325,15 +319,18 @@ def train(config: TrainConfig, data: WindowedDataset, *,
 
     critic_fn: Critic = lambda x: critic_forward(critic, x)
     history = LossHistory()
-    checkpoints: list[TrainSnapshot] = []
+    checkpoints: list[Checkpoint] = []
     B = config.batch_size
     lambda_gp = config.lambda_gp if config.loss_variant == "wgan_gp" else 0.0
 
-    def snapshot(epoch: int, batch: np.ndarray | None = None) -> TrainSnapshot:
+    def checkpoint(epoch: int, batch: np.ndarray | None = None) -> Checkpoint:
         mc = mode_collapse_score(batch) if batch is not None and batch.shape[0] >= 2 else 0.0
-        return TrainSnapshot(epoch=epoch, generator=gen.copy(), critic=critic.copy(),
-                             opt_generator=opt_g.copy(), opt_critic=opt_c.copy(),
-                             rng_state=rng.bit_generator.state, mode_collapse=mc)
+        return Checkpoint(spec=config.arch(), epoch=epoch, generator=gen.copy(),
+                          critic=critic.copy(), opt_generator=opt_g.copy(),
+                          opt_critic=opt_c.copy(), scaler=data.scaler,
+                          rng_state=rng.bit_generator.state,
+                          extra={"config": asdict(config), "n_windows": len(data),
+                                 "mode_collapse": mc})
 
     critic_wrt = [t for _, t in critic.items()]
     gen_wrt = [t for _, t in gen.items()]
@@ -345,10 +342,8 @@ def train(config: TrainConfig, data: WindowedDataset, *,
         def abort(detail: str, bad_grads: list[str]):
             if bad_grads:
                 detail += f"; non-finite gradient of {', '.join(bad_grads)}"
-            err = TrainingDiverged(f"non-finite value at epoch {epoch}: {detail}")
-            err.history = history
-            err.snapshot = snapshot(epoch, last_fake)
-            raise err
+            raise TrainingDiverged(f"non-finite value at epoch {epoch}: {detail}",
+                                   history, checkpoint(epoch, last_fake))
 
         for _ in range(config.n_critic):
             real = sample_real_batch(data, B, rng)
@@ -367,7 +362,7 @@ def train(config: TrainConfig, data: WindowedDataset, *,
             grads = _param_grads(T.backward(graph, loss, wrt=critic_wrt), critic)
             c_loss = loss.item()
             graph.clear()
-            # checked before the step, so the crash snapshot holds finite weights
+            # checked before the step, so the crash checkpoint holds finite weights
             bad = _nonfinite(grads)
             if bad or not all(np.isfinite(v) for v in (c_loss, w_est, gp_val)):
                 history.append(epoch, c_loss, float("nan"), w_est, gp_val)
@@ -393,16 +388,15 @@ def train(config: TrainConfig, data: WindowedDataset, *,
         history.append(epoch, c_loss, g_val, w_est, gp_val)
         bad = _nonfinite(grads)
         if bad or not history.last_finite():
-            # crash snapshot travels on the exception so callers can persist it
             abort(f"critic={c_loss}, generator={g_val}", bad)
         rmsprop_step(gen, grads, opt_g, config.optim)
         if epoch == start_epoch + 1 or epoch % 100 == 0:
             logger.debug("epoch %d: critic=%.5f generator=%.5f w=%.5f gp=%.5f",
                          epoch, c_loss, g_val, w_est, gp_val)
         if epoch % config.checkpoint_every == 0:
-            snap = snapshot(epoch, generate(gen, B, config.seed + epoch))
-            checkpoints.append(snap)
+            cp = checkpoint(epoch, generate(gen, B, config.seed + epoch))
+            checkpoints.append(cp)
             if on_checkpoint is not None:
-                on_checkpoint(snap)
+                on_checkpoint(cp)
 
     return gen, critic, history, checkpoints

@@ -37,8 +37,9 @@ class ArchitectureSpec:
 
     def __post_init__(self):
         for field in ("noise_len", "seq_len", "features", "lstm_units"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
+            value = getattr(self, field)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"{field} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -133,28 +134,30 @@ def lstm_param_count(units: int, features: int) -> int:
     return 4 * ((units + features) * units + units)
 
 
+def param_shapes(spec: ArchitectureSpec, kind: str) -> dict[str, tuple[int, ...]]:
+    """Names and shapes of one network's parameters, in order, without
+    allocating them. The generator's LSTM consumes the noise vector as
+    its per-step features."""
+    features = spec.noise_len if kind == "generator" else spec.features
+    units = spec.lstm_units
+    shapes = {f"lstm.W_{gate}": (units + features, units) for gate in "ifco"}
+    shapes.update({f"lstm.b_{gate}": (units,) for gate in "ifco"})
+    return {**shapes, "proj.W": (units, 1), "proj.b": (1,)}
+
+
 def init_params(spec: ArchitectureSpec, kind: str, seed: int) -> ParamSet:
     """Glorot-uniform weights, zero biases except the forget bias at 1.
 
-    Deterministic for a given seed; the generator's LSTM consumes the
-    noise vector as its per-step features.
+    Deterministic for a given seed.
     """
-    features = spec.noise_len if kind == "generator" else spec.features
-    units = spec.lstm_units
     rng = np.random.Generator(np.random.Philox(seed))
-
-    def glorot(rows: int, cols: int) -> Tensor:
-        limit = np.sqrt(6.0 / (rows + cols))
-        return Tensor(rng.uniform(-limit, limit, size=(rows, cols)))
-
     params: dict[str, Tensor] = {}
-    for gate in ("i", "f", "c", "o"):
-        params[f"lstm.W_{gate}"] = glorot(units + features, units)
-    for gate in ("i", "f", "c", "o"):
-        fill = 1.0 if gate == "f" else 0.0
-        params[f"lstm.b_{gate}"] = Tensor(np.full(units, fill))
-    params["proj.W"] = glorot(units, 1)
-    params["proj.b"] = Tensor(np.zeros(1))
+    for name, shape in param_shapes(spec, kind).items():
+        if len(shape) == 2:
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            params[name] = Tensor(rng.uniform(-limit, limit, size=shape))
+        else:
+            params[name] = Tensor(np.full(shape, 1.0 if name == "lstm.b_f" else 0.0))
     return ParamSet(kind, params, arch=spec)
 
 

@@ -173,19 +173,16 @@ def qq_points(sample, reference="normal") -> QqReport:
 
 
 def histogram(datasets: dict[str, np.ndarray], bins: int = 50) -> HistogramReport:
-    """Density-normalized histograms over shared bin edges."""
+    """Density-normalized histograms over shared, equal-width bin edges."""
     arrays = {k: np.asarray(v, dtype=np.float64).reshape(-1) for k, v in datasets.items()}
     for k, v in arrays.items():
         if v.size == 0:
             raise StatsError(f"dataset {k!r} is empty")
     combined = np.concatenate(list(arrays.values()))
-    if np.isscalar(bins) or np.ndim(bins) == 0:
-        lo, hi = float(combined.min()), float(combined.max())
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-        edges = np.linspace(lo, hi, int(bins) + 1)
-    else:
-        edges = np.asarray(bins, dtype=np.float64)
+    lo, hi = float(combined.min()), float(combined.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, int(bins) + 1)
     densities = {}
     for k, v in arrays.items():
         counts, _ = np.histogram(v, bins=edges, density=True)
@@ -193,28 +190,16 @@ def histogram(datasets: dict[str, np.ndarray], bins: int = 50) -> HistogramRepor
     return HistogramReport(edges=edges, densities=densities)
 
 
-def _mean_acf_over_windows(batch: np.ndarray, max_lag: int, absolute: bool) -> AcfReport:
-    """Average the per-window ACF across a batch of windows."""
-    batch = np.asarray(batch, dtype=np.float64)
-    rows = []
-    for row in batch:
-        series = np.abs(row) if absolute else row
-        rows.append(acf(series, max_lag).values)
-    values = np.mean(np.stack(rows, axis=0), axis=0)
-    return AcfReport(lags=np.arange(max_lag + 1), values=values,
-                     band=1.96 / np.sqrt(batch.shape[1]))
-
-
 def _acf_any(x: np.ndarray, max_lag: int, absolute: bool) -> AcfReport:
-    """ACF of a 1-D series, or the batch-averaged ACF of 2-D windows."""
+    """The ACF averaged over the rows of 2-D windows; a 1-D series is a
+    batch of one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3 and x.shape[2] == 1:
         x = x[:, :, 0]
-    if x.ndim == 2:
-        lag = min(max_lag, x.shape[1] - 1)
-        return _mean_acf_over_windows(x, lag, absolute)
-    lag = min(max_lag, x.size - 1)
-    return acf_absolute(x, lag) if absolute else acf(x, lag)
+    rows = np.atleast_2d(np.abs(x) if absolute else x)
+    lag = min(max_lag, rows.shape[1] - 1)
+    values = np.mean([acf(row, lag).values for row in rows], axis=0)
+    return AcfReport(lags=np.arange(lag + 1), values=values, band=1.96 / np.sqrt(rows.shape[1]))
 
 
 def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,

@@ -1,12 +1,18 @@
 """Checkpoint container: bit-exact round trips and corruption handling."""
 
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsforge.checkpoint import (Checkpoint, CheckpointError, FORMAT_VERSION, MAGIC,
-                                load_checkpoint, save_checkpoint)
+from tsforge.checkpoint import (Checkpoint, CheckpointError, MAGIC, load_checkpoint,
+                                save_checkpoint)
 from tsforge.data import Scaler
-from tsforge.gan import make_rng
+from tsforge.gan import generate, make_rng
 from tsforge.nn import ArchitectureSpec, init_params
 from tsforge.optim import RmspropState
 
@@ -23,7 +29,7 @@ def make_checkpoint(seed=0, with_rng=True) -> Checkpoint:
     return Checkpoint(
         spec=SPEC, epoch=42, generator=gen, critic=critic,
         opt_generator=opt_g, opt_critic=opt_c,
-        scaler=Scaler(kind="minmax_symmetric", lo=-0.13, hi=0.21),
+        scaler=Scaler(lo=-0.13, hi=0.21),
         rng_state=rng.bit_generator.state if with_rng else None,
         extra={"loss_variant": "wgan_gp", "seed": seed},
     )
@@ -54,7 +60,6 @@ class TestRoundtrip:
         assert back.spec == SPEC
         assert back.scaler == cp.scaler
         assert back.extra == cp.extra
-        assert back.version == FORMAT_VERSION
 
     def test_rng_state_restores_stream(self, tmp_path):
         cp = make_checkpoint(seed=9)
@@ -115,3 +120,48 @@ class TestCorruption:
 
     def test_magic_constant(self):
         assert MAGIC == b"WGTS1"
+
+    def test_tensors_must_fit_the_architecture(self, tmp_path):
+        cp = make_checkpoint()
+        cp.spec = ArchitectureSpec(noise_len=4, seq_len=6, features=1, lstm_units=4)
+        save_checkpoint(tmp_path / "x.ckpt", cp)
+        with pytest.raises(CheckpointError, match="generator tensors do not fit"):
+            load_checkpoint(tmp_path / "x.ckpt")
+
+    def test_optimizer_cache_must_fit_its_parameter(self, tmp_path):
+        cp = make_checkpoint()
+        cp.opt_critic.cache["proj.W"] = np.zeros((1, 4))
+        save_checkpoint(tmp_path / "x.ckpt", cp)
+        with pytest.raises(CheckpointError, match="opt_c/proj.W"):
+            load_checkpoint(tmp_path / "x.ckpt")
+
+
+@functools.cache
+def saved_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        save_checkpoint(Path(d) / "x.ckpt", make_checkpoint())
+        return (Path(d) / "x.ckpt").read_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_damaged_file_loads_whole_or_raises(tmp_path_factory, data):
+    """A flipped byte or a cut either raises CheckpointError or leaves a
+    checkpoint whose generator runs and whose scaler inverts."""
+    blob = bytearray(saved_blob())
+    if data.draw(st.booleans(), label="cut"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        meta = blob.rindex(b'{"arch"')   # about half the flips land in the metadata
+        at = data.draw(st.integers(0, len(blob) - 1) | st.integers(meta, len(blob) - 1),
+                       label="offset")
+        blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    path = tmp_path_factory.getbasetemp() / "damaged.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        cp = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert generate(cp.generator, 2, 0).shape == (2, cp.spec.seq_len, 1)
+    s = np.linspace(-1.0, 1.0, 5)
+    np.testing.assert_allclose(cp.scaler.transform(cp.scaler.inverse(s)), s, atol=1e-9)

@@ -241,7 +241,9 @@ class TestTrain:
     @pytest.mark.parametrize("flags,named", [
         (["--units", "5"], "units = 4"), (["--seq-len", "12"], "seq_len = 10"),
         (["--noise-len", "4"], "noise_len = 3"), (["--epochs", "1"], "epoch 2"),
-    ], ids=["units", "seq-len", "noise-len", "epochs"])
+        (["--loss-variant", "gan"], "loss_variant = wgan_gp"),
+        (["--lr", "0.01"], "learning_rate = 5e-05"), (["--lambda", "5"], "lambda = 10.0"),
+    ], ids=["units", "seq-len", "noise-len", "epochs", "loss-variant", "lr", "lambda"])
     def test_mismatched_resume_exit_2(self, trained_run, tmp_path, capsys, flags, named):
         run, csv_path = trained_run
         out = tmp_path / "o"
@@ -249,6 +251,51 @@ class TestTrain:
                    str(run / "checkpoint_epoch000002.ckpt")] + FAST + flags)
         assert rc == 2
         assert named in capsys.readouterr().err
+        assert not (out / "config.txt").exists()
+
+    def test_resume_on_other_prices_exit_2(self, trained_run, tmp_path, capsys):
+        run, csv_path = trained_run
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(csv_path.read_text().splitlines()[:-30]) + "\n")
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(short), "--out", str(out), "--resume",
+                   str(run / "checkpoint_epoch000002.ckpt")] + FAST)
+        assert rc == 2
+        assert "other data" in capsys.readouterr().err
+        assert not (out / "config.txt").exists()
+
+    def test_resume_from_self_contradicting_checkpoint_exit_2(self, trained_run, tmp_path,
+                                                              capsys):
+        run, csv_path = trained_run
+        bad = edit_checkpoint_meta(run / "checkpoint_epoch000002.ckpt", tmp_path / "bad.ckpt",
+                                   lambda meta: meta["extra"]["config"].update(lstm_units=5))
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(csv_path), "--out", str(out), "--resume", str(bad)]
+                  + FAST + ["--units", "5"])
+        assert rc == 2
+        assert "disagrees with its configuration" in capsys.readouterr().err
+        assert not (out / "config.txt").exists()
+
+    def test_earlier_checkpoint_format(self, trained_run, tmp_path, capsys):
+        # the metadata of checkpoints written before the configuration was
+        # stored: a tagged scaler record and an extra block without config
+        run, csv_path = trained_run
+        ckpt = run / "checkpoint_epoch000002.ckpt"
+
+        def earlier(meta):
+            meta["scaler"].update(kind="minmax_symmetric", mean=0.0, std=0.0)
+            meta["extra"] = {"loss_variant": "wgan_gp", "seed": 5}
+
+        old = edit_checkpoint_meta(ckpt, tmp_path / "old.ckpt", earlier)
+        for name, path in (("new", ckpt), ("old", old)):
+            assert main(["generate", "--checkpoint", str(path), "--n", "4",
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "new" / "returns.csv").read_bytes()
+                == (tmp_path / "old" / "returns.csv").read_bytes())
+        out = tmp_path / "t"
+        assert main(["train", "--data", str(csv_path), "--out", str(out),
+                     "--resume", str(old)] + FAST) == 2
+        assert "no complete training configuration" in capsys.readouterr().err
         assert not (out / "config.txt").exists()
 
     def test_resume_without_rng_state_exit_2(self, trained_run, tmp_path, capsys):
@@ -339,8 +386,21 @@ class TestGenerate:
         lambda meta: meta.update(epoch=1.5),
         lambda meta: meta.update(epoch=True),
         lambda meta: meta.update(rng_state={"a": 1}),
+        lambda meta: meta["arch"].update(noise_len=4),
+        lambda meta: meta["arch"].update(lstm_units=10**9),
+        lambda meta: meta["arch"].update(noise_len=3.0),
+        lambda meta: meta["generator_names"].remove("lstm.W_i"),
+        lambda meta: meta["scaler"].update(lo="x"),
+        lambda meta: meta["scaler"].update(lo=meta["scaler"]["hi"]),
+        lambda meta: meta["scaler"].update(kind="zscore"),
+        lambda meta: meta["rng_state"]["state"]["counter"]["__array__"].__setitem__(0, 2**70),
+        lambda meta: meta["opt_steps"].update(generator="x"),
+        lambda meta: meta["opt_steps"].update(critic=-1),
     ], ids=["no-arch", "arch-not-a-mapping", "no-epoch", "epoch-str", "epoch-negative",
-            "epoch-float", "epoch-bool", "rng-state-not-philox"])
+            "epoch-float", "epoch-bool", "rng-state-not-philox", "noise-len-other",
+            "units-huge", "noise-len-float", "generator-name-dropped", "scaler-lo-str",
+            "scaler-empty-range", "scaler-kind-other", "rng-counter-overflow",
+            "opt-step-str", "opt-step-negative"])
     def test_malformed_metadata_exit_2(self, trained_run, tmp_path, capsys, edit):
         run, csv_path = trained_run
         bad = edit_checkpoint_meta(run / "checkpoint_epoch000002.ckpt", tmp_path / "bad.ckpt",
@@ -407,7 +467,7 @@ class TestCompare:
     def test_real_vs_real_identity(self, small_csv, tmp_path):
         # feed the real returns back as a single synthetic window row
         from tsforge.data import load_csv, log_returns
-        r = log_returns(load_csv(small_csv)).values
+        r = log_returns(load_csv(small_csv))
         synth = tmp_path / "synth.csv"
         with open(synth, "w") as fh:
             fh.write(",".join(f"{v:.17g}" for v in r) + "\n")

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsforge.data import (DataError, PriceSeries, ReturnSeries, Scaler, build_dataset,
-                          fit_scale, inverse_scale, load_csv, log_returns, make_windows,
-                          returns_to_prices, sample_real_batch)
+from tsforge.data import (DataError, PriceSeries, Scaler, build_dataset, fit_scale, load_csv,
+                          log_returns, make_windows, returns_to_prices, sample_real_batch)
 
 HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
 
@@ -89,14 +88,19 @@ class TestLoadCsv:
 class TestLogReturns:
     def test_flat_prices(self):
         p = PriceSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([100.0, 100.0]))
-        np.testing.assert_array_equal(log_returns(p).values, [0.0])
+        np.testing.assert_array_equal(log_returns(p), [0.0])
 
     def test_ln_e(self):
         p = PriceSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([1.0, np.e]))
-        assert log_returns(p).values[0] == pytest.approx(1.0)
+        assert log_returns(p)[0] == pytest.approx(1.0)
 
     def test_fixture_count(self, btc_prices):
         assert len(log_returns(btc_prices)) == 2415
+
+    def test_nonfinite_rejected(self):
+        p = PriceSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([1.0, np.inf]))
+        with pytest.raises(DataError, match="finite"):
+            log_returns(p)
 
 
 class TestWindows:
@@ -105,23 +109,23 @@ class TestWindows:
         assert make_windows(r, seq_len=50, stride=1).shape == (2366, 50)
 
     def test_exactly_one_window(self):
-        r = ReturnSeries(np.arange(5.0))
+        r = np.arange(5.0)
         assert make_windows(r, seq_len=5).shape == (1, 5)
 
     def test_non_overlapping_partition(self):
-        r = ReturnSeries(np.arange(20.0))
+        r = np.arange(20.0)
         w = make_windows(r, seq_len=5, stride=5)
         assert w.shape == (4, 5)
         np.testing.assert_array_equal(w.reshape(-1), np.arange(20.0))
 
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
-            make_windows(ReturnSeries(np.arange(3.0)), seq_len=5)
+            make_windows(np.arange(3.0), seq_len=5)
 
     def test_windows_are_contiguous_slices(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=40)
-        w = make_windows(ReturnSeries(vals), seq_len=7, stride=3)
+        w = make_windows(vals, seq_len=7, stride=3)
         for i in range(w.shape[0]):
             np.testing.assert_array_equal(w[i], vals[i * 3: i * 3 + 7])
 
@@ -130,7 +134,7 @@ class TestWindows:
     def test_count_formula_fuzz(self, n, seq, stride):
         if n < seq:
             return
-        r = ReturnSeries(np.arange(float(n)))
+        r = np.arange(float(n))
         w = make_windows(r, seq_len=seq, stride=stride)
         assert w.shape[0] == (n - seq) // stride + 1
 
@@ -138,50 +142,58 @@ class TestWindows:
 class TestScaling:
     def test_already_spanning_unchanged(self):
         w = np.array([[-1.0, 0.0, 1.0]])
-        ds, scaler = fit_scale(w, "minmax_symmetric")
+        ds = fit_scale(w)
         np.testing.assert_allclose(ds.windows[:, :, 0], w, atol=1e-12)
 
     def test_constant_rejected(self):
         with pytest.raises(DataError):
             fit_scale(np.ones((3, 4)))
-        with pytest.raises(DataError):
-            fit_scale(np.ones((3, 4)), "zscore")
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(5, 8)) * 0.05
-        for kind in ("minmax_symmetric", "zscore"):
-            ds, scaler = fit_scale(w, kind)
-            back = inverse_scale(ds.windows[:, :, 0], scaler)
-            np.testing.assert_allclose(back, w, atol=1e-10)
+        ds = fit_scale(w)
+        back = ds.scaler.inverse(ds.windows[:, :, 0])
+        np.testing.assert_allclose(back, w, atol=1e-10)
 
     def test_minmax_output_range(self):
         rng = np.random.default_rng(4)
-        ds, _ = fit_scale(rng.normal(size=(10, 6)))
+        ds = fit_scale(rng.normal(size=(10, 6)))
         assert ds.windows.min() >= -1.0 - 1e-12
         assert ds.windows.max() <= 1.0 + 1e-12
 
     def test_endpoints(self):
         w = np.array([[2.0, 4.0, 6.0]])
-        _, scaler = fit_scale(w)
-        assert inverse_scale(np.array(-1.0), scaler) == pytest.approx(2.0)
-        assert inverse_scale(np.array(1.0), scaler) == pytest.approx(6.0)
-        assert inverse_scale(np.array(0.0), scaler) == pytest.approx(4.0)
+        scaler = fit_scale(w).scaler
+        assert scaler.inverse(np.array(-1.0)) == pytest.approx(2.0)
+        assert scaler.inverse(np.array(1.0)) == pytest.approx(6.0)
+        assert scaler.inverse(np.array(0.0)) == pytest.approx(4.0)
 
     def test_affine_invariance_of_shape_statistics(self):
         from tsforge.stats import moments
         rng = np.random.default_rng(5)
         w = rng.standard_t(df=4, size=(20, 30)) * 0.02
-        ds, _ = fit_scale(w)
+        ds = fit_scale(w)
         m_raw = moments(w.reshape(-1))
         m_scaled = moments(ds.windows.reshape(-1))
         assert abs(m_raw.skewness - m_scaled.skewness) < 1e-9
         assert abs(m_raw.kurtosis - m_scaled.kurtosis) < 1e-9
 
     def test_scaler_dict_roundtrip(self):
-        _, scaler = fit_scale(np.array([[1.0, 2.0, 3.0]]))
+        scaler = fit_scale(np.array([[1.0, 2.0, 3.0]])).scaler
         again = Scaler.from_dict(scaler.to_dict())
         assert again == scaler
+
+    def test_scaler_reads_the_earlier_record(self):
+        earlier = {"kind": "minmax_symmetric", "lo": 2.0, "hi": 6.0, "mean": 0.0, "std": 0.0}
+        assert Scaler.from_dict(earlier) == Scaler(lo=2.0, hi=6.0)
+        with pytest.raises(DataError, match="kind"):
+            Scaler.from_dict({**earlier, "kind": "zscore"})
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (np.nan, 1.0), (0.0, np.inf)])
+    def test_scaler_needs_a_finite_increasing_range(self, lo, hi):
+        with pytest.raises(DataError):
+            Scaler(lo=lo, hi=hi)
 
 
 class TestBatching:
@@ -198,7 +210,7 @@ class TestBatching:
     def test_uniformity_multinomial(self):
         # 1e5 draws over 10 windows: each frequency within 3 sigma of uniform
         windows = np.arange(10.0)[:, None].repeat(4, axis=1)
-        ds, _ = fit_scale(windows)
+        ds = fit_scale(windows)
         rng = np.random.Generator(np.random.Philox(7))
         draws = sample_real_batch(ds, 100_000, rng)[:, 0, 0]
         n, p = 100_000, 0.1
@@ -223,7 +235,7 @@ class TestPrices:
         path = returns_to_prices(r, 250.0)
         dates = [date(2020, 1, 1 + i) for i in range(len(path))]  # within Jan
         back = log_returns(PriceSeries(dates[:len(path)], path))
-        np.testing.assert_allclose(back.values, r, atol=1e-10)
+        np.testing.assert_allclose(back, r, atol=1e-10)
 
     def test_bad_p0(self):
         with pytest.raises(DataError):

@@ -1,7 +1,8 @@
 """The demos run against the current package.
 
-Each quick demo runs in its own interpreter inside a temporary directory.
-The training demo takes minutes, so it is only compiled, and every
+Each demo runs in its own interpreter inside a temporary directory. The
+training demo trains for minutes, so it runs through a short runner that
+cuts its configuration to 4 epochs with a checkpoint every 2; every
 ``tsforge`` name it imports or reads off an imported module must exist.
 """
 
@@ -21,6 +22,22 @@ QUICK = ["01_autodiff_basics.py", "02_networks_and_penalty.py", "03_data_pipelin
          "04_stylized_facts.py", "06_compare_and_cli.py"]
 SLOW = "05_train_small_gan.py"
 
+SHORT_TRAINING = """\
+import dataclasses, runpy, sys
+from tsforge import gan
+train = gan.train
+gan.train = lambda cfg, *a, **kw: train(
+    dataclasses.replace(cfg, epochs=4, checkpoint_every=2), *a, **kw)
+runpy.run_path(sys.argv[1], run_name="__main__")
+"""
+
+
+def run_demo(argv: list[str], tmp_path) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
 
 def test_every_demo_is_covered():
     assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(QUICK + [SLOW])
@@ -28,11 +45,14 @@ def test_every_demo_is_covered():
 
 @pytest.mark.parametrize("name", QUICK)
 def test_quick_demo_runs(name, tmp_path):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
-    done = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_demo([str(DEMOS / name)], tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_training_demo_runs(tmp_path):
+    done = run_demo(["-c", SHORT_TRAINING, str(DEMOS / SLOW)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "checkpoints: [2, 4]" in done.stdout
 
 
 def test_training_demo_names_resolve():

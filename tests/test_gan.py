@@ -1,5 +1,7 @@
 """Losses, gradient penalty analytics, and the training loop contract."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ SMALL = ArchitectureSpec(noise_len=3, seq_len=6, features=1, lstm_units=4)
 
 def small_dataset(n_windows=64, seq_len=6, seed=0, scale=0.02):
     rng = np.random.Generator(np.random.Philox(seed))
-    return fit_scale(rng.standard_normal((n_windows, seq_len)) * scale)[0]
+    return fit_scale(rng.standard_normal((n_windows, seq_len)) * scale)
 
 
 def unit_norm_critic(x: Tensor) -> Tensor:
@@ -387,9 +389,13 @@ class TestTrainLoop:
 
     def test_checkpoint_cadence(self):
         ds = small_dataset()
-        _, _, _, cps = gan.train(self._cfg(epochs=4, checkpoint_every=2), ds)
+        cfg = self._cfg(epochs=4, checkpoint_every=2)
+        _, _, _, cps = gan.train(cfg, ds)
         assert [c.epoch for c in cps] == [2, 4]
-        assert all(c.mode_collapse > 0.0 for c in cps)
+        for c in cps:
+            assert c.spec == cfg.arch() and c.scaler == ds.scaler
+            assert c.extra["config"] == asdict(cfg) and c.extra["n_windows"] == len(ds)
+            assert c.extra["mode_collapse"] > 0.0
 
     def test_resume_equivalence(self):
         ds = small_dataset()
@@ -408,7 +414,7 @@ class TestTrainLoop:
         cfg = self._cfg(epochs=50, lambda_gp=float("inf"))
         with pytest.raises(TrainingDiverged) as exc:
             gan.train(cfg, ds)
-        assert exc.value.snapshot is not None
+        assert exc.value.checkpoint.epoch == 1
         assert len(exc.value.history) >= 1
 
     @pytest.mark.parametrize("kind", ["critic", "generator"])
@@ -429,12 +435,13 @@ class TestTrainLoop:
         critic0 = init_params(cfg.arch(), "critic", int(seeds[1]))
         with pytest.raises(TrainingDiverged, match="lstm.W_f") as exc:
             gan.train(cfg, small_dataset())
-        snap = exc.value.snapshot
-        assert snap.epoch == 1
-        for ps in (snap.generator, snap.critic):
+        crash = exc.value.checkpoint
+        assert crash.epoch == 1
+        for ps in (crash.generator, crash.critic):
             assert all(np.all(np.isfinite(t.data)) for _, t in ps.items())
         # the poisoned network never stepped: it still holds its initial weights
-        poisoned_net, initial = (snap.critic, critic0) if kind == "critic" else (snap.generator, gen0)
+        poisoned_net, initial = ((crash.critic, critic0) if kind == "critic"
+                                 else (crash.generator, gen0))
         for name, t in initial.items():
             assert np.array_equal(poisoned_net[name].data, t.data)
 

@@ -128,7 +128,7 @@ class TestAcfAbsolute:
 
     def test_real_fixture_slow_decay(self, btc_prices):
         from tsforge.data import log_returns
-        r = log_returns(btc_prices).values
+        r = log_returns(btc_prices)
         rep = stats.acf_absolute(r, 20)
         assert np.mean(rep.values[1:]) > 0.03
 
@@ -228,7 +228,7 @@ class TestCompare:
 
     def test_fixture_negative_skew_fat_tails(self, btc_prices):
         from tsforge.data import log_returns
-        r = log_returns(btc_prices).values
+        r = log_returns(btc_prices)
         rng = np.random.Generator(np.random.Philox(24))
         rep = stats.compare_distributions(r, rng.standard_normal(2000) * 0.02)
         assert rep.moments_real.skewness < 0.0
@@ -241,7 +241,7 @@ class TestCompare:
         gen = init_params(ArchitectureSpec(noise_len=5, seq_len=20, features=1,
                                            lstm_units=4), "generator", 9)
         synth = generate(gen, 16, seed=1)[:, :, 0]
-        r = log_returns(btc_prices).values
+        r = log_returns(btc_prices)
         rep = stats.compare_distributions(r, synth, max_lag=30)
         assert len(rep.acf_synthetic.values) == 20  # capped at window length - 1 + 1
 
