@@ -198,13 +198,24 @@ def _probs(scores: Tensor) -> Tensor:
     return T.clip(T.sigmoid(scores), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
-def critic_loss_gan(critic: Critic, real_batch, fake_batch) -> Tensor:
+def wasserstein_estimate(s_real: Tensor, s_fake: Tensor) -> float:
+    """mean D(real) - mean D(fake) from scores already computed; the
+    log-loss variant's convergence diagnostic."""
+    return float(np.mean(s_real.data) - np.mean(s_fake.data))
+
+
+def critic_loss_gan(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, float]:
     """The original log loss -mean log D(real) - mean log(1 - D(fake));
-    only this variant squashes the scores."""
+    only this variant squashes the scores.
+
+    Returns the loss tensor and the Wasserstein estimate of the same
+    scores, so the diagnostic costs no second critic call.
+    """
     s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
     p_real, p_fake = _probs(s_real), _probs(s_fake)
-    return T.sub(T.negate(T.reduce("mean", T.log(p_real))),
+    loss = T.sub(T.negate(T.reduce("mean", T.log(p_real))),
                  T.reduce("mean", T.log(T.sub(1.0, p_fake))))
+    return loss, wasserstein_estimate(s_real, s_fake)
 
 
 def generator_loss_gan(critic: Critic, fake_batch: Tensor,
@@ -215,12 +226,6 @@ def generator_loss_gan(critic: Critic, fake_batch: Tensor,
     if nonsaturating:
         return T.negate(T.reduce("mean", T.log(p_fake)))
     return T.reduce("mean", T.log(T.sub(1.0, p_fake)))
-
-
-def wasserstein_estimate(critic: Critic, real_batch, fake_batch) -> float:
-    """mean D(real) - mean D(fake); the per-step convergence diagnostic."""
-    s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
-    return float(np.mean(s_real.data) - np.mean(s_fake.data))
 
 
 def lipschitz_ratio_check(critic: Critic, x1, x2) -> float:
@@ -261,7 +266,7 @@ def mode_collapse_score(batch: np.ndarray) -> float:
         diff = flat[i + 1:] - flat[i]
         total += float(np.sum(np.sqrt(np.sum(diff * diff, axis=1))))
         pairs += diff.shape[0]
-    return total / pairs / np.sqrt(per_sample)
+    return float(total / pairs / np.sqrt(per_sample))
 
 
 def generate(generator: ParamSet, n_samples: int, seed: int) -> np.ndarray:
@@ -353,11 +358,9 @@ def train(config: TrainConfig, data: WindowedDataset, *,
             graph = Graph()
             with graph:
                 if config.loss_variant == "gan":
-                    loss = critic_loss_gan(critic_fn, real, fake)
+                    loss, w_est = critic_loss_gan(critic_fn, real, fake)
                 else:
                     loss, w_est, gp_val = critic_loss_wgan(critic_fn, real, fake, lambda_gp, rng)
-            if config.loss_variant == "gan":
-                w_est = wasserstein_estimate(critic_fn, real, fake)
             # Outside ``with graph:`` the backward records nothing on the tape.
             grads = _param_grads(T.backward(graph, loss, wrt=critic_wrt), critic)
             c_loss = loss.item()

@@ -129,11 +129,6 @@ class ParamSet:
         return DenseParams(self["proj.W"], self["proj.b"])
 
 
-def lstm_param_count(units: int, features: int) -> int:
-    """Gate parameters of one LSTM block: 4 * ((units+features)*units + units)."""
-    return 4 * ((units + features) * units + units)
-
-
 def param_shapes(spec: ArchitectureSpec, kind: str) -> dict[str, tuple[int, ...]]:
     """Names and shapes of one network's parameters, in order, without
     allocating them. The generator's LSTM consumes the noise vector as

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 
 class StatsError(ValueError):
@@ -153,6 +152,7 @@ def qq_points(sample, reference="normal") -> QqReport:
         if std == 0.0:
             raise StatsError("degenerate sample: zero variance")
         sample_q = (x - x.mean()) / std
+        from scipy.special import ndtri   # here: importing scipy is most of `import tsforge`
         theo_q = ndtri(_plotting_positions(n))
     else:
         ref = np.asarray(reference, dtype=np.float64).reshape(-1)

@@ -340,15 +340,14 @@ def tanh(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both
+    from e = exp(-|x|), which cannot overflow; one division, no masks."""
     a = _as_tensor(a)
     x = a.data
-    val = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    val[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    val[~pos] = ex / (1.0 + ex)
-    if x.ndim == 0:
-        val = np.asarray(float(val))
+    e = np.exp(-np.abs(x))
+    val = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    val /= e
     return _record(val, "sigmoid", (a,), lambda out: (
         (a, lambda g: mul(g, mul(out, sub(1.0, out)))),
     ))

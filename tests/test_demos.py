@@ -53,6 +53,8 @@ def test_training_demo_runs(tmp_path):
     done = run_demo(["-c", SHORT_TRAINING, str(DEMOS / SLOW)], tmp_path)
     assert done.returncode == 0, done.stderr
     assert "checkpoints: [2, 4]" in done.stdout
+    scores = done.stdout.split("mode-collapse scores:")[1].splitlines()[0]
+    assert "np." not in scores, scores     # plain floats, not numpy scalar reprs
 
 
 def test_training_demo_names_resolve():

@@ -163,7 +163,8 @@ class TestCriticLoss:
         fn = lambda x: critic_forward(critic, x)
         with Graph():
             loss, w, gp = critic_loss_wgan(fn, real, fake, 0.0, rng)
-        assert loss.item() == pytest.approx(-wasserstein_estimate(fn, real, fake))
+        s_real, s_fake = (fn(Tensor(x, requires_grad=False)).data for x in (real, fake))
+        assert loss.item() == pytest.approx(np.mean(s_fake) - np.mean(s_real))
         assert w == -loss.item() and gp == 0.0
         assert rng.random() == make_rng(3).random()   # no interpolation draw
 
@@ -233,9 +234,11 @@ class TestStandardGanLosses:
     def test_half_probability_analytic(self):
         # D == 0.5 -> d_loss = 2 log 2
         with Graph():
-            d_loss = critic_loss_gan(constant_critic, np.zeros((4, 6, 1)), np.zeros((4, 6, 1)))
+            d_loss, w = critic_loss_gan(constant_critic, np.zeros((4, 6, 1)),
+                                        np.zeros((4, 6, 1)))
             g_loss = generator_loss_gan(constant_critic, Tensor(np.zeros((4, 6, 1))))
         assert d_loss.item() == pytest.approx(2 * np.log(2.0))
+        assert w == 0.0
         assert g_loss.item() == pytest.approx(np.log(0.5))
 
     def test_perfect_discriminator_loss_near_zero(self):
@@ -247,8 +250,9 @@ class TestStandardGanLosses:
         real = np.ones((4, 6, 1))
         fake = -np.ones((4, 6, 1))
         with Graph():
-            d_loss = critic_loss_gan(sharp, real, fake)
+            d_loss, w = critic_loss_gan(sharp, real, fake)
         assert d_loss.item() == pytest.approx(0.0, abs=1e-4)
+        assert w == pytest.approx(2000.0)
 
     def test_g_loss_decreases_as_fake_scores_rise(self):
         vals = []
@@ -271,22 +275,34 @@ class TestWassersteinEstimate:
     def test_identical_batches_zero(self):
         critic = init_params(SMALL, "critic", 15)
         x = np.random.default_rng(16).normal(size=(4, 6, 1))
-        fn = lambda t: critic_forward(critic, t)
-        assert wasserstein_estimate(fn, x, x.copy()) == pytest.approx(0.0)
+        s_real, s_fake = (critic_forward(critic, Tensor(v, requires_grad=False))
+                          for v in (x, x.copy()))
+        assert wasserstein_estimate(s_real, s_fake) == 0.0
 
     def test_constant_critic_zero(self):
         a = np.random.default_rng(17).normal(size=(4, 6, 1))
         b = np.random.default_rng(18).normal(size=(4, 6, 1))
-        assert wasserstein_estimate(constant_critic, a, b) == 0.0
+        assert wasserstein_estimate(constant_critic(Tensor(a)), constant_critic(Tensor(b))) == 0.0
+
+    def test_mean_difference(self):
+        got = wasserstein_estimate(Tensor([1.0, 2.0, 6.0]), Tensor([-1.0, 1.0]))
+        assert got == 3.0 and type(got) is float
 
     def test_shift_invariance(self):
+        rng = np.random.default_rng(20)
+        a, b = rng.normal(size=4), rng.normal(size=4)
+        assert wasserstein_estimate(Tensor(a), Tensor(b)) == pytest.approx(
+            wasserstein_estimate(Tensor(a + 123.0), Tensor(b + 123.0)), abs=1e-9)
+
+    def test_log_loss_estimate_matches_separate_critic_calls(self):
         critic = init_params(SMALL, "critic", 19)
-        a = np.random.default_rng(20).normal(size=(4, 6, 1))
-        b = np.random.default_rng(21).normal(size=(4, 6, 1))
-        base = lambda t: critic_forward(critic, t)
-        shifted = lambda t: T.add(critic_forward(critic, t), 123.0)
-        assert wasserstein_estimate(base, a, b) == pytest.approx(
-            wasserstein_estimate(shifted, a, b), abs=1e-9)
+        fn = lambda t: critic_forward(critic, t)
+        real = np.random.default_rng(21).normal(size=(5, 6, 1))
+        fake = np.random.default_rng(22).normal(size=(3, 6, 1))
+        with Graph():
+            _, w = critic_loss_gan(fn, real, fake)
+        s_real, s_fake = (fn(Tensor(x, requires_grad=False)).data for x in (real, fake))
+        assert w == pytest.approx(np.mean(s_real) - np.mean(s_fake), rel=1e-12, abs=1e-15)
 
 
 class TestLipschitz:
@@ -311,7 +327,8 @@ class TestLipschitz:
 class TestModeCollapse:
     def test_identical_samples_zero(self):
         batch = np.ones((5, 6, 1))
-        assert mode_collapse_score(batch) == 0.0
+        score = mode_collapse_score(batch)
+        assert score == 0.0 and type(score) is float
 
     def test_constant_offset_closed_form(self):
         d = 0.37
@@ -331,6 +348,22 @@ class TestTrainLoop:
                     checkpoint_every=1, optim=OptimConfig(learning_rate=5e-5))
         base.update(kw)
         return TrainConfig(**base)
+
+    @pytest.mark.parametrize("variant,calls", [("wgan_gp", 11), ("wgan_clip", 6), ("gan", 6)])
+    def test_critic_forward_calls_per_epoch(self, monkeypatch, variant, calls):
+        # per critic step one call on real and fake together, plus one on the
+        # interpolates with the penalty; then one in the generator step
+        count = [0]
+        orig = gan.critic_forward
+
+        def counting(params, x):
+            count[0] += 1
+            return orig(params, x)
+
+        monkeypatch.setattr(gan, "critic_forward", counting)
+        gan.train(self._cfg(epochs=2, loss_variant=variant, checkpoint_every=100),
+                  small_dataset())
+        assert count[0] == 2 * calls
 
     def test_update_counts(self, monkeypatch):
         calls = {"critic": 0, "generator": 0}

@@ -1,5 +1,7 @@
 """Layers and network architectures: shapes, equations, gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,11 +64,16 @@ class TestInit:
 
     def test_param_count_formula(self):
         spec = ArchitectureSpec(noise_len=25, seq_len=50, features=1, lstm_units=50)
+
+        def lstm_count(kind: str) -> int:
+            return sum(math.prod(shape) for name, shape in nn.param_shapes(spec, kind).items()
+                       if name.startswith("lstm."))
+
         critic = nn.init_params(spec, "critic", 0)
-        assert nn.lstm_param_count(50, 1) == 4 * (51 * 50 + 50) == 10400
+        assert lstm_count("critic") == 4 * (51 * 50 + 50) == 10400
         assert critic.count() == 10400 + 51 == 10451
         gen = nn.init_params(spec, "generator", 0)
-        assert gen.count() == nn.lstm_param_count(50, 25) + 51 == 15251
+        assert gen.count() == lstm_count("generator") + 51 == 15251
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

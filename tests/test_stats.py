@@ -1,5 +1,10 @@
 """Statistics instruments against independent oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -178,6 +183,17 @@ class TestQq:
         rng = np.random.Generator(np.random.Philox(19))
         rep = stats.qq_points(rng.standard_normal(333), "normal")
         assert np.all(np.diff(rep.sample) >= 0)
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.special is most of the import time; only the normal QQ reference needs it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = ("import sys, tsforge\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_degenerate_rejected(self):
         with pytest.raises(StatsError):

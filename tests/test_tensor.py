@@ -110,6 +110,48 @@ class TestActivations:
         assert out.data[0] == pytest.approx(0.0, abs=1e-300)
         assert out.data[1] == pytest.approx(1.0)
 
+    SPECIAL = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 40.0, -40.0, 745.0, -745.0,
+               800.0, -800.0, np.inf, -np.inf, np.nan)
+
+    @staticmethod
+    def two_branch_sigmoid(x) -> np.ndarray:
+        """Masked reference: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
+        flat = np.asarray(x, dtype=np.float64).reshape(-1)
+        out = np.empty_like(flat)
+        pos = flat >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
+        ex = np.exp(flat[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out.reshape(np.shape(x))
+
+    @staticmethod
+    def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+        # NaN stays NaN; the sign bit of a NaN is not part of the contract
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def test_sigmoid_matches_two_branch_formula_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        inputs = [np.array(self.SPECIAL), np.linspace(-800.0, 800.0, 20001),
+                  rng.normal(size=(64, 150)) * 10.0, rng.normal(size=(3, 7, 5)) * 300.0,
+                  rng.standard_cauchy(size=4096)]
+        inputs += [np.asarray(v) for v in self.SPECIAL]   # rank 0
+        for x in inputs:
+            got = T.sigmoid(Tensor(x)).data
+            self.assert_same_bits(got, self.two_branch_sigmoid(x))
+            assert got.ndim == x.ndim
+
+    def test_sigmoid_raises_no_floating_point_error_on_finite_inputs(self):
+        finite = [v for v in self.SPECIAL if np.isfinite(v)]
+        x = np.concatenate([finite, [np.finfo(np.float64).max, -np.finfo(np.float64).max],
+                            np.logspace(-300, 308, 609), -np.logspace(-300, 308, 609),
+                            np.random.default_rng(32).normal(size=1000) * 1e3])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = T.sigmoid(Tensor(x)).data
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
 
 class TestMatmul:
     def test_identity(self):
