@@ -15,7 +15,7 @@ from tsforge.tensor import Graph, Tensor
 
 print("== scalars ==")
 with Graph() as g:
-    x = T.constant([], [3.0])
+    x = Tensor(np.asarray(3.0))
     y = T.square(x)
     grads = T.backward(g, y)
     print(f"d(x^2)/dx at x=3      -> {grads[x].item()}   (expect 6)")
@@ -44,7 +44,7 @@ print("== second order ==")
 # so a second backward differentiates it again: d2f/dx2 = 6x.
 with Graph() as g:
     x = Tensor(np.asarray(2.0))
-    y = x * x * x
+    y = T.mul(T.mul(x, x), x)
     dy_dx = T.grad(y, x, g)
     d2y_dx2 = T.backward(g, dy_dx)[x]
     print(f"f=x^3 at x=2: df/dx={dy_dx.item()} (expect 12), "
@@ -59,9 +59,10 @@ with Graph() as g:
     x = Tensor(xv)
     score = T.reduce("sum", T.mul(x, w))          # "critic" score
     gx = T.grad(score, x, g)                      # gradient w.r.t. input
-    penalty = T.square(T.sub(T.l2_norm(gx), 1.0))  # (||grad|| - 1)^2
+    norm = T.sqrt(T.reduce("sum", T.square(gx)))  # ||grad||
+    penalty = T.square(T.sub(norm, 1.0))          # (||grad|| - 1)^2
     dpen_dw = T.backward(g, penalty)[w].item()
-norm = abs(0.7) * np.sqrt(2.0)
-analytic = 2 * (norm - 1) * np.sqrt(2.0)
+norm_value = abs(0.7) * np.sqrt(2.0)
+analytic = 2 * (norm_value - 1) * np.sqrt(2.0)
 print(f"d penalty / d weight  -> {dpen_dw:.12f}")
 print(f"closed form           -> {analytic:.12f}")

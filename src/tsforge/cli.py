@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -427,6 +428,17 @@ def cmd_compare(args) -> int:
 
 # argument parsing ---------------------------------------------------
 
+def _positive(kind):
+    """An argparse type: a finite value of ``kind`` above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive {kind.__name__}"
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="tsforge", description=__doc__.split("\n\n")[0])
     p.add_argument("--version", action="version", version=f"tsforge {__version__}")
@@ -446,16 +458,16 @@ def _build_parser() -> _Parser:
             tr.add_argument(flag, dest=key, type=kind, help=f"config key {key}",
                             choices=gan.LOSS_VARIANTS if key == "loss_variant" else None)
     tr.add_argument("--stride", type=int, default=1)
-    tr.add_argument("--grid-samples", dest="grid_samples", type=int, default=16,
+    tr.add_argument("--grid-samples", dest="grid_samples", type=_positive(int), default=16,
                     help="samples per checkpoint grid")
     tr.add_argument("--lipschitz-pairs", dest="lipschitz_pairs", type=int, default=200)
     tr.set_defaults(func=cmd_train)
 
     ge = sub.add_parser("generate", help="sample a trained generator")
     ge.add_argument("--checkpoint", required=True)
-    ge.add_argument("--n", type=int, default=32)
+    ge.add_argument("--n", type=_positive(int), default=32)
     ge.add_argument("--seed", type=int, default=0)
-    ge.add_argument("--p0", type=float, default=100.0, help="starting price for paths")
+    ge.add_argument("--p0", type=_positive(float), default=100.0, help="starting price for paths")
     ge.add_argument("--real", help="price CSV to overlay a real window")
     ge.add_argument("--out")
     ge.set_defaults(func=cmd_generate)
@@ -470,11 +482,11 @@ def _build_parser() -> _Parser:
     co.add_argument("--real", required=True, help="real price CSV")
     co.add_argument("--synthetic", help="CSV of synthetic return rows")
     co.add_argument("--checkpoint", help="generate synthetic data from this checkpoint")
-    co.add_argument("--n", type=int, default=64)
+    co.add_argument("--n", type=_positive(int), default=64)
     co.add_argument("--seed", type=int, default=0)
     co.add_argument("--out")
     co.add_argument("--max-lag", dest="max_lag", type=int, default=50)
-    co.add_argument("--bins", type=int, default=50)
+    co.add_argument("--bins", type=_positive(int), default=50)
     co.set_defaults(func=cmd_compare)
     return p
 

@@ -218,8 +218,8 @@ def returns_to_prices(r: np.ndarray, p0: float) -> np.ndarray:
 
     p_t = p0 * exp(sum of the first t returns); length len(r) + 1.
     """
-    if p0 <= 0:
-        raise DataError("starting price must be positive")
+    if not (math.isfinite(p0) and p0 > 0):
+        raise DataError(f"starting price must be finite and positive, got {p0!r}")
     values = np.asarray(r, dtype=np.float64)
     path = np.empty(len(values) + 1)
     path[0] = p0

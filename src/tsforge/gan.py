@@ -17,6 +17,7 @@ function; ``train`` wires in ``critic_forward`` over its ParamSet.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -67,8 +68,8 @@ class TrainConfig:
                      "seq_len", "lstm_units", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.lambda_gp < 0:
-            raise ValueError("lambda_gp must be non-negative")
+        if not (math.isfinite(self.lambda_gp) and self.lambda_gp >= 0):
+            raise ValueError(f"lambda_gp must be finite and non-negative, got {self.lambda_gp!r}")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
 

@@ -195,24 +195,15 @@ def lstm_cell_step(p: LstmParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
     return h_t, c_t
 
 
-def _zero_state(batch: int, units: int) -> tuple[Tensor, Tensor]:
-    h = Tensor(np.zeros((batch, units)), requires_grad=False, op="const")
-    c = Tensor(np.zeros((batch, units)), requires_grad=False, op="const")
-    return h, c
-
-
-def _lstm_scan(p: LstmParams, x_seq: Tensor) -> list[Tensor]:
-    """Per-step hidden states, as a list of [batch, units] tensors."""
-    if x_seq.rank != 3:
-        raise ValueError(f"lstm: expected rank-3 input, got {x_seq.shape}")
-    batch, steps, features = x_seq.shape
-    if steps < 1:
+def _lstm_scan(p: LstmParams, xs: list[Tensor]) -> list[Tensor]:
+    """Hidden states [batch, units] of one pass from zero state over the
+    per-step inputs ``xs``, each [batch, features]."""
+    if not xs:
         raise ValueError("lstm: needs at least one timestep")
-    h, c = _zero_state(batch, p.units)
+    h = c = Tensor(np.zeros((xs[0].shape[0], p.units)), requires_grad=False, op="const")
     fused = _fused_gates(p)
     hs = []
-    for t in range(steps):
-        x_t = T.reshape(T.slice_(x_seq, 1, t, t + 1), (batch, features))
+    for x_t in xs:
         h, c = lstm_cell_step(p, x_t, h, c, _fused=fused)
         hs.append(h)
     return hs
@@ -222,7 +213,7 @@ def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
     """Noise [batch, noise_len] -> return windows [batch, seq_len, 1].
 
     The noise vector is the input feature set of every timestep; the
-    sequence length is fixed by the projection loop, and tanh keeps the
+    sequence length comes from the architecture, and tanh keeps the
     output inside (-1, 1).
     """
     z = T._as_tensor(z)
@@ -235,13 +226,8 @@ def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
                          f"{p.W_i.shape[0]} (units {p.units})")
     batch = z.shape[0]
     seq_len = g.arch.seq_len
-    h, c = _zero_state(batch, p.units)
-    fused = _fused_gates(p)
-    hs = []
-    for _ in range(seq_len):
-        h, c = lstm_cell_step(p, z, h, c, _fused=fused)
-        hs.append(h)
-    y = T.tanh(dense_forward(g.proj(), _time_shared_dense_input(hs)))  # [seq*batch, 1]
+    hs = _lstm_scan(p, [z] * seq_len)
+    y = T.tanh(dense_forward(g.proj(), T.concat(hs, axis=0)))  # [seq*batch, 1], step-major
     y = T.reshape(y, (seq_len, batch, 1))
     return T.transpose(y, (1, 0, 2))
 
@@ -255,15 +241,10 @@ def critic_forward(d: ParamSet, x: Tensor) -> Tensor:
     x = T._as_tensor(x)
     if x.rank != 3:
         raise ValueError(f"critic: expected [batch, seq_len, features], got {x.shape}")
-    batch, steps, _ = x.shape
-    hs = _lstm_scan(d.lstm(), x)
-    scores = dense_forward(d.proj(), _time_shared_dense_input(hs))  # [steps*batch, 1]
+    batch, steps, features = x.shape
+    xs = [T.reshape(T.slice_(x, 1, t, t + 1), (batch, features)) for t in range(steps)]
+    hs = _lstm_scan(d.lstm(), xs)
+    scores = dense_forward(d.proj(), T.concat(hs, axis=0))  # [steps*batch, 1], step-major
     per_step = T.reshape(scores, (steps, batch))
     return T.reduce("mean", per_step, axis=0)
 
-
-def _time_shared_dense_input(hs: list[Tensor]) -> Tensor:
-    """Per-step [batch, units] states as one [steps*batch, units], step-major."""
-    steps = len(hs)
-    batch, units = hs[0].shape
-    return T.reshape(T.stack(hs, axis=0), (steps * batch, units))

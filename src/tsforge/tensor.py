@@ -18,37 +18,29 @@ reshaped explicitly and fails loudly otherwise.
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
 MAX_RANK = 3
 
-_tls = threading.local()
-
-
-def _graph_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+# Innermost last; None marks a block that records nothing. One stack per
+# process: graphs are built and differentiated on one thread only.
+_graphs: list["Graph | None"] = []
 
 
 def active_graph() -> "Graph | None":
-    stack = _graph_stack()
-    return stack[-1] if stack else None
+    return _graphs[-1] if _graphs else None
 
 
 @contextlib.contextmanager
 def _unrecorded():
     """Run ops with no active graph, even inside another graph's block."""
-    _graph_stack().append(None)
+    _graphs.append(None)
     try:
         yield
     finally:
-        _graph_stack().pop()
+        _graphs.pop()
 
 
 class Graph:
@@ -62,11 +54,11 @@ class Graph:
         self.nodes: list[Tensor] = []
 
     def __enter__(self) -> "Graph":
-        _graph_stack().append(self)
+        _graphs.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _graph_stack().pop()
+        popped = _graphs.pop()
         assert popped is self, "graph contexts must nest"
 
     def __len__(self) -> int:
@@ -128,71 +120,10 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, data={self.data!r})"
 
-    # operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return negate(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # method sugar ---------------------------------------------------
-    def square(self):
-        return square(self)
-
-    def sum(self, axis: int | None = None):
-        return reduce("sum", self, axis)
-
-    def mean(self, axis: int | None = None):
-        return reduce("mean", self, axis)
-
-    def reshape(self, shape: Sequence[int]):
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int] | None = None):
-        return transpose(self, axes)
-
-    def slice(self, axis: int, start: int, stop: int):
-        return slice_(self, axis, start, stop)
-
-
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x, requires_grad=False, op="const")
-
-
-def constant(shape: Sequence[int], values, requires_grad: bool = True) -> Tensor:
-    """Build a graph-free tensor of the given shape from flat row-major values."""
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    shape = tuple(int(s) for s in shape)
-    n = int(np.prod(shape)) if shape else 1
-    if flat.size != n:
-        raise ValueError(f"shape {shape} needs {n} values, got {flat.size}")
-    return Tensor(flat.reshape(shape), requires_grad=requires_grad, op="const")
 
 
 def _record(data: np.ndarray, op: str, inputs: Sequence[Tensor],
@@ -284,8 +215,8 @@ def square(a) -> Tensor:
 
 def sqrt(a) -> Tensor:
     """Elementwise square root; the backward at exactly 0 is guarded to 0
-    (same subgradient choice as l2_norm) so saturated gradients do not
-    blow up the outer pass."""
+    (a subgradient choice) so saturated gradients do not blow up the outer
+    pass."""
     a = _as_tensor(a)
     if np.any(a.data < 0.0):
         raise ValueError("sqrt: negative input")
@@ -302,13 +233,6 @@ def sqrt(a) -> Tensor:
         return ((a, vjp),)
 
     return _record(np.sqrt(a.data), "sqrt", (a,), make_vjps)
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    return _record(np.exp(a.data), "exp", (a,), lambda out: (
-        (a, lambda g: mul(g, out)),
-    ))
 
 
 def log(a) -> Tensor:
@@ -353,15 +277,6 @@ def sigmoid(a) -> Tensor:
     ))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    # closed-on-left convention: gradient 0 at exactly 0
-    mask = Tensor((a.data > 0).astype(np.float64), requires_grad=False, op="const")
-    return _record(np.maximum(a.data, 0.0), "relu", (a,), lambda out: (
-        (a, lambda g: mul(g, mask)),
-    ))
-
-
 # linear algebra -----------------------------------------------------
 
 def matmul(a, b) -> Tensor:
@@ -384,26 +299,6 @@ def add_row(x, b) -> Tensor:
     return _record(x.data + b.data, "add_row", (x, b), lambda out: (
         (x, lambda g: g),
         (b, lambda g: reduce("sum", g, 0)),
-    ))
-
-
-def l2_norm(a) -> Tensor:
-    """Euclidean norm over all elements, as a scalar.
-
-    The gradient at the origin is defined as zero (subgradient choice)
-    to avoid NaN propagation.
-    """
-    a = _as_tensor(a)
-    if a.size == 0:
-        raise ValueError("l2_norm: empty tensor")
-    val = float(np.sqrt(np.sum(a.data * a.data)))
-    if val == 0.0:
-        zero = Tensor(np.zeros(a.shape), requires_grad=False, op="const")
-        return _record(np.asarray(0.0), "l2_norm", (a,), lambda out: (
-            (a, lambda g: mul(zero, g)),
-        ))
-    return _record(np.asarray(val), "l2_norm", (a,), lambda out: (
-        (a, lambda g: mul(a, div(g, out))),
     ))
 
 
@@ -497,27 +392,6 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return _record(data, "concat", ts, vjps)
 
 
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts:
-        raise ValueError("stack: no tensors")
-    shape = ts[0].shape
-    for t in ts[1:]:
-        if t.shape != shape:
-            raise ValueError("stack: all tensors must share a shape")
-    if len(shape) + 1 > MAX_RANK:
-        raise ValueError(f"stack: result rank {len(shape) + 1} exceeds max {MAX_RANK}")
-    if not 0 <= axis <= len(shape):
-        raise ValueError(f"stack: axis {axis} invalid")
-    data = np.stack([t.data for t in ts], axis=axis)
-
-    def vjps(out):
-        return [(t, lambda g, j=i, s=shape: reshape(slice_(g, axis, j, j + 1), s))
-                for i, t in enumerate(ts)]
-
-    return _record(data, "stack", ts, vjps)
-
-
 def slice_(x, axis: int, start: int, stop: int) -> Tensor:
     x = _as_tensor(x)
     if not 0 <= axis < x.rank:
@@ -560,12 +434,6 @@ class GradientMap:
         if got is None:
             return Tensor(np.zeros(t.shape), requires_grad=False, op="zero-grad")
         return got
-
-    def get(self, t: Tensor) -> Tensor:
-        return self[t]
-
-    def __contains__(self, t: Tensor) -> bool:
-        return t in self._grads
 
     def __len__(self) -> int:
         return len(self._grads)

@@ -314,7 +314,7 @@ class TestTrain:
 
     def test_numeric_abort_exit_3(self, small_csv, tmp_path):
         rc = main(["train", "--data", str(small_csv), "--out", str(tmp_path / "o"),
-                   "--lambda", "inf"] + FAST)
+                   "--lr", "1e307"] + FAST)
         assert rc == 3
         assert (tmp_path / "o" / "checkpoint_crash.ckpt").exists()
         assert (tmp_path / "o" / "loss.csv").exists()
@@ -493,9 +493,31 @@ class TestCompare:
                      "--out", str(tmp_path / "o")]) == 1
 
 
+# a subcommand and bad numbers for it: each must be a usage error before any write
+BAD_NUMBERS = [
+    ("train", ["--lambda", "nan"]), ("train", ["--epsilon", "inf"]), ("train", ["--lr", "nan"]),
+    ("train", ["--clip-c", "-1", "--loss-variant", "wgan_clip"]),
+    ("train", ["--clip-c", "nan"]), ("train", ["--grid-samples", "0"]),
+    ("generate", ["--n", "0"]), ("generate", ["--n", "-3"]), ("generate", ["--p0", "nan"]),
+    ("compare", ["--n", "-2"]), ("compare", ["--bins", "0"]), ("compare", ["--bins", "-1"]),
+]
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command,bad", BAD_NUMBERS,
+                             ids=["_".join([c] + b) for c, b in BAD_NUMBERS])
+    def test_bad_number_exit_1_before_any_write(self, trained_run, tmp_path, command, bad):
+        run, csv_path = trained_run
+        ckpt = str(run / "checkpoint_epoch000002.ckpt")
+        source = {"train": ["--data", str(csv_path)] + FAST,
+                  "generate": ["--checkpoint", ckpt],
+                  "compare": ["--real", str(csv_path), "--checkpoint", ckpt]}[command]
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out)] + source + bad) == 1
+        assert not out.exists()
 
     def test_missing_required_flag(self):
         assert main(["train"]) == 1

@@ -238,8 +238,9 @@ class TestPrices:
         np.testing.assert_allclose(back, r, atol=1e-10)
 
     def test_bad_p0(self):
-        with pytest.raises(DataError):
-            returns_to_prices(np.zeros(3), 0.0)
+        for p0 in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DataError):
+                returns_to_prices(np.zeros(3), p0)
 
 
 def test_build_dataset_pipeline(btc_prices):

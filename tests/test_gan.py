@@ -442,9 +442,10 @@ class TestTrainLoop:
         assert tail.generator_loss == straight.generator_loss[4:]
 
     def test_nan_abort(self):
-        # an infinite penalty weight makes the first critic loss infinite
+        # the first step moves the weights by about 3x the learning rate, so
+        # one near the float limit overflows the next critic loss
         ds = small_dataset()
-        cfg = self._cfg(epochs=50, lambda_gp=float("inf"))
+        cfg = self._cfg(epochs=50, optim=OptimConfig(learning_rate=1e307))
         with pytest.raises(TrainingDiverged) as exc:
             gan.train(cfg, ds)
         assert exc.value.checkpoint.epoch == 1
@@ -502,5 +503,8 @@ class TestTrainLoop:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(lambda_gp=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                TrainConfig(lambda_gp=bad)
         with pytest.raises(ValueError):
             TrainConfig(loss_variant="wgan")

@@ -169,9 +169,12 @@ class TestLstmCell:
                               Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
 
 
-def lstm_seq(p, x) -> Tensor:
-    """Hidden states of the scan as [batch, timesteps, units]."""
-    return T.stack(nn._lstm_scan(p, x), axis=1)
+def lstm_seq(p, x: Tensor) -> Tensor:
+    """Hidden states of the scan over the timesteps of x [batch, timesteps,
+    features], as [batch, timesteps, units]; x itself gets no gradient."""
+    batch, steps, _ = x.shape
+    hs = nn._lstm_scan(p, [Tensor(x.data[:, t, :], requires_grad=False) for t in range(steps)])
+    return T.transpose(T.reshape(T.concat(hs, axis=0), (steps, batch, p.units)), (1, 0, 2))
 
 
 class TestLstmForward:
@@ -295,6 +298,8 @@ class TestCritic:
         critic = nn.init_params(SMALL, "critic", 8)
         with pytest.raises(ValueError):
             nn.critic_forward(critic, Tensor(np.zeros((4, 6))))
+        with pytest.raises(ValueError):
+            nn.critic_forward(critic, Tensor(np.zeros((2, 0, 1))))
 
 
 class TestEndToEnd:

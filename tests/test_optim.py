@@ -90,6 +90,10 @@ class TestRmsprop:
             OptimConfig(rho=1.0)
         with pytest.raises(ValueError):
             OptimConfig(epsilon=0.0)
+        for bad in ({"learning_rate": np.nan}, {"epsilon": np.inf}, {"clip_c": -1.0},
+                    {"clip_c": np.nan}, {"rho": np.nan}):
+            with pytest.raises(ValueError):
+                OptimConfig(**bad)
 
 
 class TestClipping:

@@ -67,7 +67,7 @@ def test_golden_trajectory(variant):
 
 
 # variant: tape length at Graph.clear of (each critic step, the generator step)
-TAPE_NODES = {"wgan_gp": (491, 240), "wgan_clip": (136, 240), "gan": (145, 244)}
+TAPE_NODES = {"wgan_gp": (480, 236), "wgan_clip": (134, 236), "gan": (143, 240)}
 
 
 @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
