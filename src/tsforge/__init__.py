@@ -11,18 +11,9 @@ The package is organized as a small library:
 - :mod:`tsforge.plot`     minimal SVG charts with CSV twins
 - :mod:`tsforge.checkpoint` binary checkpoints of networks, optimizer and RNG
 - :mod:`tsforge.cli`      the ``tsforge`` command line front end
+
+Import names from these modules; the package imports none of them, so
+importing one module loads only what that module needs.
 """
 
-from .nn import ArchitectureSpec, ParamSet, init_params, generator_forward, critic_forward
-from .gan import TrainConfig, LossHistory, train, generate
-from .data import PriceSeries, WindowedDataset, load_csv, build_dataset
-from .stats import compare_distributions, moments
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArchitectureSpec", "ParamSet", "init_params", "generator_forward", "critic_forward",
-    "TrainConfig", "LossHistory", "train", "generate",
-    "PriceSeries", "WindowedDataset", "load_csv", "build_dataset",
-    "compare_distributions", "moments", "__version__",
-]

@@ -15,6 +15,7 @@ abort. ``TSFORGE_OUT`` overrides the default output root.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -428,18 +429,23 @@ def cmd_compare(args) -> int:
 
 # argument parsing ---------------------------------------------------
 
-def _positive(kind):
-    """An argparse type: a finite value of ``kind`` above zero."""
+def _positive(kind, zero_ok: bool = False):
+    """An argparse type: a finite value of ``kind`` above zero, or at
+    least zero with ``zero_ok``."""
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
             raise ValueError(text)
         return value
-    parse.__name__ = f"positive {kind.__name__}"
+    parse.__name__ = f"{'non-negative' if zero_ok else 'positive'} {kind.__name__}"
     return parse
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: argparse actions point back at
+    their parser, so a parser per call left cyclic garbage on every
+    in-process command."""
     p = _Parser(prog="tsforge", description=__doc__.split("\n\n")[0])
     p.add_argument("--version", action="version", version=f"tsforge {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -457,10 +463,10 @@ def _build_parser() -> _Parser:
         else:
             tr.add_argument(flag, dest=key, type=kind, help=f"config key {key}",
                             choices=gan.LOSS_VARIANTS if key == "loss_variant" else None)
-    tr.add_argument("--stride", type=int, default=1)
+    tr.add_argument("--stride", type=_positive(int), default=1)
     tr.add_argument("--grid-samples", dest="grid_samples", type=_positive(int), default=16,
                     help="samples per checkpoint grid")
-    tr.add_argument("--lipschitz-pairs", dest="lipschitz_pairs", type=int, default=200)
+    tr.add_argument("--lipschitz-pairs", type=_positive(int, zero_ok=True), default=200)
     tr.set_defaults(func=cmd_train)
 
     ge = sub.add_parser("generate", help="sample a trained generator")
@@ -475,7 +481,7 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("evaluate", help="stylized facts of one price CSV")
     ev.add_argument("--data", required=True)
     ev.add_argument("--out")
-    ev.add_argument("--max-lag", dest="max_lag", type=int, default=50)
+    ev.add_argument("--max-lag", dest="max_lag", type=_positive(int), default=50)
     ev.set_defaults(func=cmd_evaluate)
 
     co = sub.add_parser("compare", help="real vs synthetic distribution report")
@@ -485,7 +491,7 @@ def _build_parser() -> _Parser:
     co.add_argument("--n", type=_positive(int), default=64)
     co.add_argument("--seed", type=int, default=0)
     co.add_argument("--out")
-    co.add_argument("--max-lag", dest="max_lag", type=int, default=50)
+    co.add_argument("--max-lag", dest="max_lag", type=_positive(int), default=50)
     co.add_argument("--bins", type=_positive(int), default=50)
     co.set_defaults(func=cmd_compare)
     return p

@@ -285,8 +285,10 @@ def _param_grads(gmap: T.GradientMap, params: ParamSet) -> dict[str, np.ndarray]
 
 
 def _nonfinite(grads: dict[str, np.ndarray]) -> list[str]:
-    """Names of the parameters whose gradient holds a NaN or an Inf."""
-    return [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+    """Names of the parameters whose gradient holds a NaN, an Inf or an element
+    whose square overflows, which would freeze RMSprop with an infinite cache."""
+    with np.errstate(over="ignore"):
+        return [name for name, g in grads.items() if not np.all(np.isfinite(g * g))]
 
 
 def train(config: TrainConfig, data: WindowedDataset, *,
@@ -347,7 +349,7 @@ def train(config: TrainConfig, data: WindowedDataset, *,
 
         def abort(detail: str, bad_grads: list[str]):
             if bad_grads:
-                detail += f"; non-finite gradient of {', '.join(bad_grads)}"
+                detail += f"; non-finite or overflowing gradient of {', '.join(bad_grads)}"
             raise TrainingDiverged(f"non-finite value at epoch {epoch}: {detail}",
                                    history, checkpoint(epoch, last_fake))
 

@@ -7,10 +7,16 @@ lives in (-1, 1) to match min-max scaled training windows. The critic
 projects each hidden state to one score and averages the scores over
 time; there is deliberately no sigmoid, so scores are unbounded.
 
-Each forward pass concatenates the LSTM gate weights and biases once, in
-column order [i | f | o | c~], so a step computes all gates with one
-matmul, one sigmoid and one tanh. The parameters, and so the checkpoint
-layout, stay the eight tensors ``lstm.W_i`` ... ``lstm.b_o``.
+``lstm_scan`` runs the LSTM as one tape node whose vjp is a numpy BPTT;
+the generator, ``gan.generate`` and every first-order critic call use it.
+Its gradients cannot be differentiated again, so the critic call at the
+gradient penalty's interpolates, which trains through its own input
+gradient, runs ``_lstm_scan``: ``lstm_cell_step`` composed of recorded
+primitives. Both paths compute the same floating-point operations. The
+gate weights and biases are concatenated in column order [i | f | o | c~],
+so a step computes all gates with one matmul, one sigmoid and one tanh;
+the parameters, and so the checkpoint layout, stay the eight tensors
+``lstm.W_i`` ... ``lstm.b_o``.
 """
 
 from __future__ import annotations
@@ -195,18 +201,108 @@ def lstm_cell_step(p: LstmParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
     return h_t, c_t
 
 
-def _lstm_scan(p: LstmParams, xs: list[Tensor]) -> list[Tensor]:
-    """Hidden states [batch, units] of one pass from zero state over the
-    per-step inputs ``xs``, each [batch, features]."""
-    if not xs:
-        raise ValueError("lstm: needs at least one timestep")
-    h = c = Tensor(np.zeros((xs[0].shape[0], p.units)), requires_grad=False, op="const")
+def _lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
+    """``lstm_scan`` composed of recorded primitives, whose vjps are
+    recorded ops too: the path a second-order gradient can run through."""
+    batch = x.shape[0]
+    h = c = Tensor(np.zeros((batch, p.units)), requires_grad=False, op="const")
     fused = _fused_gates(p)
     hs = []
-    for x_t in xs:
+    for t in range(steps):
+        x_t = x if x.rank == 2 else T.reshape(T.slice_(x, 1, t, t + 1), (batch, x.shape[2]))
         h, c = lstm_cell_step(p, x_t, h, c, _fused=fused)
         hs.append(h)
-    return hs
+    return T.concat(hs, axis=0)
+
+
+def _scan_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
+                  keep: bool) -> tuple[np.ndarray, list[tuple]]:
+    """``lstm_cell_step``'s equations in numpy, op for op: the hidden states
+    [steps, batch, units] and, if ``keep``, each step's ([h, x], gates, c~, c, tanh c)."""
+    batch, u = x.shape[0], b.shape[0] // 4
+    hs = np.empty((steps, batch, u))
+    h = c = np.zeros((batch, u))
+    saved = []
+    for t in range(steps):
+        hx = np.concatenate([h, x if x.ndim == 2 else x[:, t]], axis=1)
+        z = hx @ W + b
+        sig = T._sigmoid(z[:, :3 * u])
+        c_tilde = np.tanh(z[:, 3 * u:])
+        c = sig[:, u:2 * u] * c + sig[:, :u] * c_tilde
+        tanh_c = np.tanh(c)
+        h = hs[t] = sig[:, 2 * u:] * tanh_c
+        if keep:
+            saved.append((hx, sig, c_tilde, c, tanh_c))
+    return hs, saved
+
+
+def _scan_backward(W: np.ndarray, saved: list[tuple], x_shape: tuple[int, ...],
+                   d_hs: np.ndarray, weights: bool) -> list[np.ndarray]:
+    """BPTT for ``_scan_forward`` with the products and summation order (latest
+    step first) of the recorded primitives: the gradients of x, then of the
+    weight and bias blocks in fused column order (zero unless ``weights``)."""
+    u = W.shape[1] // 4
+    dx, dW, db = np.zeros(x_shape), np.zeros_like(W), np.zeros(4 * u)
+    dh_next = dc_next = 0.0
+    for t in range(len(saved) - 1, -1, -1):
+        hx, sig, c_tilde, _, tanh_c = saved[t]
+        dh = d_hs[t] + dh_next
+        dc = dc_next + (dh * sig[:, 2 * u:]) * (1.0 - tanh_c * tanh_c)
+        c_prev = saved[t - 1][3] if t else 0.0
+        d_sig = np.concatenate([dc * c_tilde, dc * c_prev, dh * tanh_c], axis=1)
+        dz = np.concatenate([d_sig * (sig * (1.0 - sig)),
+                             (dc * sig[:, :u]) * (1.0 - c_tilde * c_tilde)], axis=1)
+        dc_next = dc * sig[:, u:2 * u]
+        dhx = dz @ W.T
+        dh_next = dhx[:, :u]
+        if len(x_shape) == 3:
+            dx[:, t] = dhx[:, u:]
+        else:
+            dx += dhx[:, u:]
+        if weights:
+            dW += hx.T @ dz
+            db += np.sum(dz, axis=0)
+    return [dx, *np.split(dW, 4, axis=1), *np.split(db, 4)]
+
+
+def _no_second_order(g: Tensor) -> Tensor:
+    raise NotImplementedError("lstm_scan gradients are first-order; use _lstm_scan")
+
+
+def lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
+    """Step-major hidden states [steps*batch, units] of one pass from zero
+    state over a window x [batch, steps, features], or a vector x [batch,
+    features] fed at every step, as one tape node on x and the 8 gates.
+
+    Its vjp, a numpy BPTT, runs once per backward pass for all nine inputs;
+    per-step intermediates are kept only while a graph records. A recorded
+    backward records the vjp results as nodes whose own vjp raises
+    NotImplementedError, so a second-order pass fails, not drops a term."""
+    x = T._as_tensor(x)
+    u = p.units
+    if (x.rank not in (2, 3) or x.shape[-1] != p.W_i.shape[0] - u or steps <= 0
+            or (x.rank == 3 and x.shape[1] != steps)):
+        raise ValueError(f"lstm: {steps} steps over input {x.shape} with gate rows "
+                         f"{p.W_i.shape[0]} (units {u})")
+    gates = (p.W_i, p.W_f, p.W_o, p.W_c, p.b_i, p.b_f, p.b_o, p.b_c)  # [i | f | o | c~]
+    W = np.concatenate([t.data for t in gates[:4]], axis=1)
+    b = np.concatenate([t.data for t in gates[4:]])
+    hs, saved = _scan_forward(W, b, x.data, steps, keep=T.active_graph() is not None)
+
+    def make_vjps(out):
+        weights = any(t._vjps or t.requires_grad for t in gates)
+        memo: list = []
+
+        def vjp(g: Tensor, k: int) -> Tensor:
+            if not memo or memo[0] is not g:
+                memo[:] = [g, _scan_backward(W, saved, x.shape, g.data.reshape(hs.shape),
+                                             weights)]
+            return T._record(memo[1][k], "lstm_scan_vjp", (g, x, *gates),
+                             lambda o: [(t, _no_second_order) for t in (g, x, *gates)])
+
+        return [(t, lambda g, k=k: vjp(g, k)) for k, t in enumerate((x, *gates))]
+
+    return T._record(hs.reshape(steps * x.shape[0], u), "lstm_scan", (x, *gates), make_vjps)
 
 
 def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
@@ -219,15 +315,10 @@ def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
     z = T._as_tensor(z)
     if g.arch is None:
         raise ValueError("generator ParamSet carries no architecture")
-    p = g.lstm()
-    noise_features = p.W_i.shape[0] - p.units
-    if z.rank != 2 or z.shape[1] != noise_features:
-        raise ValueError(f"generator: noise {z.shape} incompatible with gate width "
-                         f"{p.W_i.shape[0]} (units {p.units})")
-    batch = z.shape[0]
-    seq_len = g.arch.seq_len
-    hs = _lstm_scan(p, [z] * seq_len)
-    y = T.tanh(dense_forward(g.proj(), T.concat(hs, axis=0)))  # [seq*batch, 1], step-major
+    if z.rank != 2:
+        raise ValueError(f"generator: expected noise [batch, noise_len], got {z.shape}")
+    batch, seq_len = z.shape[0], g.arch.seq_len
+    y = T.tanh(dense_forward(g.proj(), lstm_scan(g.lstm(), z, seq_len)))  # [seq*batch, 1]
     y = T.reshape(y, (seq_len, batch, 1))
     return T.transpose(y, (1, 0, 2))
 
@@ -241,10 +332,12 @@ def critic_forward(d: ParamSet, x: Tensor) -> Tensor:
     x = T._as_tensor(x)
     if x.rank != 3:
         raise ValueError(f"critic: expected [batch, seq_len, features], got {x.shape}")
-    batch, steps, features = x.shape
-    xs = [T.reshape(T.slice_(x, 1, t, t + 1), (batch, features)) for t in range(steps)]
-    hs = _lstm_scan(d.lstm(), xs)
-    scores = dense_forward(d.proj(), T.concat(hs, axis=0))  # [steps*batch, 1], step-major
+    batch, steps, _ = x.shape
+    # A leaf that asks for its own gradient and is not yet on the live graph,
+    # like the penalty's interpolates, has that gradient differentiated again.
+    graph = T.active_graph()
+    second_order = graph is not None and x.requires_grad and not x._vjps and x.graph is not graph
+    scan = _lstm_scan if second_order else lstm_scan
+    scores = dense_forward(d.proj(), scan(d.lstm(), x, steps))  # [steps*batch, 1], step-major
     per_step = T.reshape(scores, (steps, batch))
     return T.reduce("mean", per_step, axis=0)
-

@@ -263,16 +263,19 @@ def tanh(a) -> Tensor:
     ))
 
 
-def sigmoid(a) -> Tensor:
-    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both
-    from e = exp(-|x|), which cannot overflow; one division, no masks."""
-    a = _as_tensor(a)
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from
+    e = exp(-|x|) <= 1, which cannot overflow, as max(e, x >= 0) / (1 + e)."""
     e = np.exp(-np.abs(x))
-    val = np.where(x >= 0, 1.0, e)
+    val = np.maximum(e, x >= 0)
     e += 1.0
     val /= e
-    return _record(val, "sigmoid", (a,), lambda out: (
+    return val
+
+
+def sigmoid(a) -> Tensor:
+    a = _as_tensor(a)
+    return _record(_sigmoid(a.data), "sigmoid", (a,), lambda out: (
         (a, lambda g: mul(g, mul(out, sub(1.0, out)))),
     ))
 

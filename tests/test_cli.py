@@ -500,6 +500,8 @@ BAD_NUMBERS = [
     ("train", ["--clip-c", "nan"]), ("train", ["--grid-samples", "0"]),
     ("generate", ["--n", "0"]), ("generate", ["--n", "-3"]), ("generate", ["--p0", "nan"]),
     ("compare", ["--n", "-2"]), ("compare", ["--bins", "0"]), ("compare", ["--bins", "-1"]),
+    ("train", ["--stride", "0"]), ("train", ["--lipschitz-pairs", "-1"]),
+    ("evaluate", ["--max-lag", "-1"]), ("compare", ["--max-lag", "-1"]),
 ]
 
 
@@ -514,6 +516,7 @@ class TestExitCodes:
         ckpt = str(run / "checkpoint_epoch000002.ckpt")
         source = {"train": ["--data", str(csv_path)] + FAST,
                   "generate": ["--checkpoint", ckpt],
+                  "evaluate": ["--data", str(csv_path)],
                   "compare": ["--real", str(csv_path), "--checkpoint", ckpt]}[command]
         out = tmp_path / "o"
         assert main([command, "--out", str(out)] + source + bad) == 1

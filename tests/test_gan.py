@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tsforge import gan
+from tsforge import gan, nn
 from tsforge import tensor as T
 from tsforge.data import fit_scale
 from tsforge.gan import (TrainConfig, TrainingDiverged, critic_loss_gan, critic_loss_wgan,
@@ -365,6 +365,23 @@ class TestTrainLoop:
                   small_dataset())
         assert count[0] == 2 * calls
 
+    @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
+    def test_only_the_interpolates_take_the_primitive_lstm(self, monkeypatch, variant):
+        # every first-order call runs nn.lstm_scan; only the penalty's x-hat
+        # call, whose input gradient is differentiated again, steps the cell
+        count = [0]
+        orig = nn.lstm_cell_step
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "lstm_cell_step", counting)
+        cfg = self._cfg(epochs=2, loss_variant=variant, checkpoint_every=1)
+        gan.train(cfg, small_dataset())
+        per_epoch = cfg.n_critic * cfg.seq_len if variant == "wgan_gp" else 0
+        assert count[0] == cfg.epochs * per_epoch
+
     def test_update_counts(self, monkeypatch):
         calls = {"critic": 0, "generator": 0}
         import tsforge.gan as gan_mod
@@ -453,13 +470,22 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("kind", ["critic", "generator"])
     def test_nonfinite_gradient_aborts_before_the_step(self, monkeypatch, kind):
+        self._assert_poisoned_gradient_aborts(monkeypatch, kind, np.nan)
+
+    @pytest.mark.parametrize("kind", ["critic", "generator"])
+    def test_overflowing_gradient_aborts_before_the_step(self, monkeypatch, kind):
+        # finite, but its square overflows: RMSprop's cache would turn
+        # infinite and freeze the network with every later step at zero
+        self._assert_poisoned_gradient_aborts(monkeypatch, kind, 1e200)
+
+    def _assert_poisoned_gradient_aborts(self, monkeypatch, kind, value):
         import tsforge.gan as gan_mod
         orig = gan_mod._param_grads
 
         def poisoned(gmap, params):
             grads = orig(gmap, params)
             if params.kind == kind:
-                grads["lstm.W_f"] = np.full(grads["lstm.W_f"].shape, np.nan)
+                grads["lstm.W_f"] = np.full(grads["lstm.W_f"].shape, value)
             return grads
 
         monkeypatch.setattr(gan_mod, "_param_grads", poisoned)

@@ -173,8 +173,8 @@ def lstm_seq(p, x: Tensor) -> Tensor:
     """Hidden states of the scan over the timesteps of x [batch, timesteps,
     features], as [batch, timesteps, units]; x itself gets no gradient."""
     batch, steps, _ = x.shape
-    hs = nn._lstm_scan(p, [Tensor(x.data[:, t, :], requires_grad=False) for t in range(steps)])
-    return T.transpose(T.reshape(T.concat(hs, axis=0), (steps, batch, p.units)), (1, 0, 2))
+    hs = nn._lstm_scan(p, Tensor(x.data, requires_grad=False), steps)
+    return T.transpose(T.reshape(hs, (steps, batch, p.units)), (1, 0, 2))
 
 
 class TestLstmForward:
@@ -231,6 +231,83 @@ class TestLstmForward:
                 return float((out.data * w).sum())
 
             assert rel_err(gm[param].data, central_diff(f, W0)) < 1e-4, name
+
+
+GATES = ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")
+# input shape of a critic window [batch, steps, features] and of generator
+# noise [batch, features], which is fed at every step
+SCAN_INPUTS = {"window": (6, 7, 3), "noise": (6, 3)}
+
+
+def _scan_case(kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    p = _random_lstm(rng, 5, 3)
+    x = rng.normal(size=SCAN_INPUTS[kind])
+    w = rng.normal(size=(7 * 6, 5))   # unequal weights per unit and step
+    return p, x, w
+
+
+def _weighted_scan_grads(scan, p, x0, w):
+    x = Tensor(x0.copy())
+    with Graph() as g:
+        hs = scan(p, x, 7)
+        loss = T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False)))
+    gm = T.backward(g, loss)
+    return hs.data, [gm[x].data] + [gm[getattr(p, n)].data for n in GATES]
+
+
+class TestLstmScan:
+    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
+    def test_matches_primitive_composition(self, kind):
+        p, x0, w = _scan_case(kind, 41)
+        hs, grads = _weighted_scan_grads(nn.lstm_scan, p, x0, w)
+        ref_hs, ref_grads = _weighted_scan_grads(nn._lstm_scan, p, x0, w)
+        assert rel_err(hs, ref_hs) <= 1e-12
+        for name, got, want in zip(("x",) + GATES, grads, ref_grads):
+            assert got.shape == want.shape, name
+            assert rel_err(got, want) <= 1e-12, name
+        outside = nn.lstm_scan(p, Tensor(x0, requires_grad=False), 7)
+        assert np.array_equal(outside.data, hs)
+
+    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
+    def test_gradients_vs_finite_differences(self, kind):
+        p, x0, w = _scan_case(kind, 42)
+        _, grads = _weighted_scan_grads(nn.lstm_scan, p, x0, w)
+
+        def f_x(xv):
+            return float((nn.lstm_scan(p, Tensor(xv), 7).data * w).sum())
+
+        assert rel_err(grads[0], central_diff(f_x, x0.copy())) < 1e-4
+        for name, analytic in zip(GATES, grads[1:]):
+            param = getattr(p, name)
+            W0 = param.data.copy()
+
+            def f(wv):
+                param.data[...] = wv
+                val = f_x(x0)
+                param.data[...] = W0
+                return val
+
+            assert rel_err(analytic, central_diff(f, W0.copy())) < 1e-4, name
+
+    def test_second_order_gradient_raises(self):
+        p, x0, w = _scan_case("window", 43)
+        with Graph() as g:
+            x = Tensor(x0)
+            hs = nn.lstm_scan(p, x, 7)
+            gx = T.grad(T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False))), x)
+            outer = T.reduce("sum", T.square(gx))
+            with pytest.raises(NotImplementedError):
+                T.backward(g, outer, wrt=[p.W_o])
+
+    def test_shape_mismatch(self):
+        p, x0, _ = _scan_case("window", 44)
+        with pytest.raises(ValueError):
+            nn.lstm_scan(p, Tensor(x0), 6)
+        with pytest.raises(ValueError):
+            nn.lstm_scan(p, Tensor(x0[:, :, :2]), 7)
+        with pytest.raises(ValueError):
+            nn.lstm_scan(p, Tensor(x0[:, 0]), 0)
 
 
 class TestGenerator:
