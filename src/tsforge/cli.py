@@ -155,9 +155,12 @@ def _write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 def _read_matrix_csv(path) -> np.ndarray:
     try:
-        return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+        matrix = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("it holds a NaN or infinite value")
     except (OSError, ValueError) as e:
         raise DataError(f"cannot read numeric CSV {path}: {e}") from None
+    return matrix
 
 
 def _out_dir(arg: str | None, default_name: str) -> Path:
@@ -472,7 +475,7 @@ def _build_parser() -> _Parser:
     ge = sub.add_parser("generate", help="sample a trained generator")
     ge.add_argument("--checkpoint", required=True)
     ge.add_argument("--n", type=_positive(int), default=32)
-    ge.add_argument("--seed", type=int, default=0)
+    ge.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     ge.add_argument("--p0", type=_positive(float), default=100.0, help="starting price for paths")
     ge.add_argument("--real", help="price CSV to overlay a real window")
     ge.add_argument("--out")
@@ -489,7 +492,7 @@ def _build_parser() -> _Parser:
     co.add_argument("--synthetic", help="CSV of synthetic return rows")
     co.add_argument("--checkpoint", help="generate synthetic data from this checkpoint")
     co.add_argument("--n", type=_positive(int), default=64)
-    co.add_argument("--seed", type=int, default=0)
+    co.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     co.add_argument("--out")
     co.add_argument("--max-lag", dest="max_lag", type=_positive(int), default=50)
     co.add_argument("--bins", type=_positive(int), default=50)

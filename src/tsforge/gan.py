@@ -68,6 +68,8 @@ class TrainConfig:
                      "seq_len", "lstm_units", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.lambda_gp) and self.lambda_gp >= 0):
             raise ValueError(f"lambda_gp must be finite and non-negative, got {self.lambda_gp!r}")
         if self.loss_variant not in LOSS_VARIANTS:
@@ -144,8 +146,9 @@ def gradient_penalty(critic: Critic, x_hat: Tensor, lambda_gp: float) -> Tensor:
     critic parameters.
 
     The per-sample gradient norm is taken jointly over all timesteps;
-    the expectation is the batch mean. Requires an active graph and an
-    x_hat recorded with requires_grad.
+    the expectation is the batch mean. Requires an active graph; x_hat
+    needs only requires_grad, because the critic's input gradient from
+    ``nn.lstm_scan`` can itself be differentiated.
     """
     scores = critic(x_hat)
     # Samples are scored independently, so the gradient of the summed

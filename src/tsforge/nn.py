@@ -7,23 +7,24 @@ lives in (-1, 1) to match min-max scaled training windows. The critic
 projects each hidden state to one score and averages the scores over
 time; there is deliberately no sigmoid, so scores are unbounded.
 
-``lstm_scan`` runs the LSTM as one tape node whose vjp is a numpy BPTT;
-the generator, ``gan.generate`` and every first-order critic call use it.
-Its gradients cannot be differentiated again, so the critic call at the
-gradient penalty's interpolates, which trains through its own input
-gradient, runs ``_lstm_scan``: ``lstm_cell_step`` composed of recorded
-primitives. Both paths compute the same floating-point operations. The
-gate weights and biases are concatenated in column order [i | f | o | c~],
-so a step computes all gates with one matmul, one sigmoid and one tanh;
-the parameters, and so the checkpoint layout, stay the eight tensors
-``lstm.W_i`` ... ``lstm.b_o``.
+There is one LSTM: ``lstm_scan`` steps ``lstm_cell_step`` in numpy over
+the timesteps as one tape node whose vjp is a numpy BPTT. The gates are
+fused in column order [i | f | o | c~], one matmul, one sigmoid and one
+tanh per step; the parameters, and so the checkpoint layout, stay the
+eight tensors ``lstm.W_i`` ... ``lstm.b_o``. The gradient penalty
+differentiates the critic's input gradient again, by a complex step
+(Martins, Sturdza & Alonso 2003, ACM TOMS 29(3)): one pass at x + i h v,
+with v the upstream and h = 1e-20 / max|v|, gives Im f / h = f'(x) v +
+O(h^2) for every analytic f of the pass. No nearby values are subtracted,
+so nothing cancels, and the O(h^2) term lies some 40 orders of magnitude
+under the derivative: the result is exact to float64 rounding.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -170,67 +171,32 @@ def dense_forward(p: DenseParams, x: Tensor) -> Tensor:
     return T.add_row(T.matmul(x, p.W), p.b)
 
 
-def _fused_gates(p: LstmParams) -> tuple[Tensor, Tensor]:
-    """Gate weights [units+features, 4*units] and biases [4*units], [i|f|o|c~]."""
-    return (T.concat([p.W_i, p.W_f, p.W_o, p.W_c], axis=1),
-            T.concat([p.b_i, p.b_f, p.b_o, p.b_c], axis=0))
-
-
-def lstm_cell_step(p: LstmParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
-                   _fused: tuple[Tensor, Tensor] | None = None) -> tuple[Tensor, Tensor]:
-    """One step of the four-gate cell.
-
-    i = sigmoid(W_i [h, x] + b_i),  c~ = tanh(W_c [h, x] + b_c)
-    f = sigmoid(W_f [h, x] + b_f),  o  = sigmoid(W_o [h, x] + b_o)
-    c = f * c_prev + i * c~,        h  = o * tanh(c)
-
-    A scan passes ``_fused_gates(p)`` in, so it is built once per pass.
-    """
-    x_t, h_prev, c_prev = map(T._as_tensor, (x_t, h_prev, c_prev))
-    hx = T.concat([h_prev, x_t], axis=1)
-    if hx.shape[1] != p.W_i.shape[0]:
-        raise ValueError(f"lstm: concat width {hx.shape[1]} != gate rows {p.W_i.shape[0]}")
-    W, b = _fused if _fused is not None else _fused_gates(p)
-    u = p.units
-    z = T.add_row(T.matmul(hx, W), b)
-    sig = T.sigmoid(T.slice_(z, 1, 0, 3 * u))
-    c_tilde = T.tanh(T.slice_(z, 1, 3 * u, 4 * u))
-    i_t, f_t, o_t = (T.slice_(sig, 1, k * u, (k + 1) * u) for k in range(3))
-    c_t = T.add(T.mul(f_t, c_prev), T.mul(i_t, c_tilde))
-    h_t = T.mul(o_t, T.tanh(c_t))
-    return h_t, c_t
-
-
-def _lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
-    """``lstm_scan`` composed of recorded primitives, whose vjps are
-    recorded ops too: the path a second-order gradient can run through."""
-    batch = x.shape[0]
-    h = c = Tensor(np.zeros((batch, p.units)), requires_grad=False, op="const")
-    fused = _fused_gates(p)
-    hs = []
-    for t in range(steps):
-        x_t = x if x.rank == 2 else T.reshape(T.slice_(x, 1, t, t + 1), (batch, x.shape[2]))
-        h, c = lstm_cell_step(p, x_t, h, c, _fused=fused)
-        hs.append(h)
-    return T.concat(hs, axis=0)
+def lstm_cell_step(W: np.ndarray, b: np.ndarray, hx: np.ndarray,
+                   c_prev: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One cell step on hx = [h_prev, x_t] with the fused gates: i, f, o =
+    sigmoid(hx W + b) and c~ = tanh(hx W + b) by column block, c = f * c_prev
+    + i * c~ and h = o * tanh(c). Returns (sigmoid [i | f | o], c~, c, tanh c, h)."""
+    u = b.shape[0] // 4
+    z = hx @ W + b
+    sig = T._sigmoid(z[:, :3 * u])
+    c_tilde = np.tanh(z[:, 3 * u:])
+    c = sig[:, u:2 * u] * c_prev + sig[:, :u] * c_tilde
+    tanh_c = np.tanh(c)
+    return sig, c_tilde, c, tanh_c, sig[:, 2 * u:] * tanh_c
 
 
 def _scan_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
                   keep: bool) -> tuple[np.ndarray, list[tuple]]:
-    """``lstm_cell_step``'s equations in numpy, op for op: the hidden states
-    [steps, batch, units] and, if ``keep``, each step's ([h, x], gates, c~, c, tanh c)."""
+    """The hidden states [steps, batch, units] from the zero state and, if
+    ``keep``, each step's ([h, x], sigmoid gates, c~, c, tanh c)."""
     batch, u = x.shape[0], b.shape[0] // 4
-    hs = np.empty((steps, batch, u))
+    hs = np.empty((steps, batch, u), dtype=x.dtype)
     h = c = np.zeros((batch, u))
     saved = []
     for t in range(steps):
         hx = np.concatenate([h, x if x.ndim == 2 else x[:, t]], axis=1)
-        z = hx @ W + b
-        sig = T._sigmoid(z[:, :3 * u])
-        c_tilde = np.tanh(z[:, 3 * u:])
-        c = sig[:, u:2 * u] * c + sig[:, :u] * c_tilde
-        tanh_c = np.tanh(c)
-        h = hs[t] = sig[:, 2 * u:] * tanh_c
+        sig, c_tilde, c, tanh_c, h = lstm_cell_step(W, b, hx, c)
+        hs[t] = h
         if keep:
             saved.append((hx, sig, c_tilde, c, tanh_c))
     return hs, saved
@@ -238,11 +204,11 @@ def _scan_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
 
 def _scan_backward(W: np.ndarray, saved: list[tuple], x_shape: tuple[int, ...],
                    d_hs: np.ndarray, weights: bool) -> list[np.ndarray]:
-    """BPTT for ``_scan_forward`` with the products and summation order (latest
-    step first) of the recorded primitives: the gradients of x, then of the
-    weight and bias blocks in fused column order (zero unless ``weights``)."""
+    """BPTT for ``_scan_forward``, latest step first: the gradients of x, then
+    of the weight and bias blocks in fused column order (zero unless
+    ``weights``), in the dtype of the saved forward."""
     u = W.shape[1] // 4
-    dx, dW, db = np.zeros(x_shape), np.zeros_like(W), np.zeros(4 * u)
+    dx, dW, db = (np.zeros(shape, saved[0][0].dtype) for shape in (x_shape, W.shape, 4 * u))
     dh_next = dc_next = 0.0
     for t in range(len(saved) - 1, -1, -1):
         hx, sig, c_tilde, _, tanh_c = saved[t]
@@ -265,8 +231,35 @@ def _scan_backward(W: np.ndarray, saved: list[tuple], x_shape: tuple[int, ...],
     return [dx, *np.split(dW, 4, axis=1), *np.split(db, 4)]
 
 
-def _no_second_order(g: Tensor) -> Tensor:
-    raise NotImplementedError("lstm_scan gradients are first-order; use _lstm_scan")
+def _complex_step(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
+                  d_hs: np.ndarray, v: np.ndarray, weights: bool) -> list[np.ndarray]:
+    """The gradients of <v, dx>, with dx ``_scan_backward``'s x-gradient for
+    the upstream d_hs, with respect to d_hs, x and the weight and bias
+    blocks: the imaginary parts of one pass at x + i h v, over h."""
+    scale = np.max(np.abs(v)) or 1.0   # v = 0 has zero gradients at any step
+    hs, saved = _scan_forward(W, b, x + 1e-20j * (v / scale), steps, keep=True)
+    grads = _scan_backward(W, saved, x.shape, d_hs, weights)
+    return [g.imag * (scale / 1e-20) for g in (hs.reshape(-1, hs.shape[-1]), *grads)]
+
+
+def _not_differentiable(g: Tensor) -> Tensor:
+    raise NotImplementedError("this lstm_scan gradient cannot be differentiated again")
+
+
+def _one_pass_vjps(inputs: tuple, run: Callable, first_vjps: Callable | None = None) -> list:
+    """vjps of ``inputs`` whose results all come from one ``run(upstream)`` per
+    backward pass. Result 0 is recorded with ``first_vjps(upstream)``; the
+    others, and result 0 without it, raise if differentiated, not drop a term."""
+    memo: list = []
+
+    def vjp(g: Tensor, k: int) -> Tensor:
+        if not memo or memo[0] is not g:
+            memo[:] = [g, run(g.data)]
+        return T._record(memo[1][k], "lstm_scan_vjp", (g, *inputs),
+                         first_vjps(g) if k == 0 and first_vjps else
+                         lambda o: [(t, _not_differentiable) for t in (g, *inputs)])
+
+    return [(t, lambda g, k=k: vjp(g, k)) for k, t in enumerate(inputs)]
 
 
 def lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
@@ -275,9 +268,10 @@ def lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
     features] fed at every step, as one tape node on x and the 8 gates.
 
     Its vjp, a numpy BPTT, runs once per backward pass for all nine inputs;
-    per-step intermediates are kept only while a graph records. A recorded
-    backward records the vjp results as nodes whose own vjp raises
-    NotImplementedError, so a second-order pass fails, not drops a term."""
+    per-step intermediates are kept only while a graph records. Under a
+    recording backward the x-gradient can be differentiated again, by one
+    complex-step pass for all ten of its inputs; a weight gradient, or the
+    x-gradient's own gradients, raise NotImplementedError instead."""
     x = T._as_tensor(x)
     u = p.units
     if (x.rank not in (2, 3) or x.shape[-1] != p.W_i.shape[0] - u or steps <= 0
@@ -291,16 +285,15 @@ def lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
 
     def make_vjps(out):
         weights = any(t._vjps or t.requires_grad for t in gates)
-        memo: list = []
 
-        def vjp(g: Tensor, k: int) -> Tensor:
-            if not memo or memo[0] is not g:
-                memo[:] = [g, _scan_backward(W, saved, x.shape, g.data.reshape(hs.shape),
-                                             weights)]
-            return T._record(memo[1][k], "lstm_scan_vjp", (g, x, *gates),
-                             lambda o: [(t, _no_second_order) for t in (g, x, *gates)])
+        def x_grad_vjps(g: Tensor) -> Callable:
+            d_hs = g.data.reshape(hs.shape)
+            return lambda o: _one_pass_vjps(
+                (g, x, *gates), lambda v: _complex_step(W, b, x.data, steps, d_hs, v, weights))
 
-        return [(t, lambda g, k=k: vjp(g, k)) for k, t in enumerate((x, *gates))]
+        return _one_pass_vjps(
+            (x, *gates), lambda g: _scan_backward(W, saved, x.shape, g.reshape(hs.shape), weights),
+            x_grad_vjps)
 
     return T._record(hs.reshape(steps * x.shape[0], u), "lstm_scan", (x, *gates), make_vjps)
 
@@ -333,11 +326,6 @@ def critic_forward(d: ParamSet, x: Tensor) -> Tensor:
     if x.rank != 3:
         raise ValueError(f"critic: expected [batch, seq_len, features], got {x.shape}")
     batch, steps, _ = x.shape
-    # A leaf that asks for its own gradient and is not yet on the live graph,
-    # like the penalty's interpolates, has that gradient differentiated again.
-    graph = T.active_graph()
-    second_order = graph is not None and x.requires_grad and not x._vjps and x.graph is not graph
-    scan = _lstm_scan if second_order else lstm_scan
-    scores = dense_forward(d.proj(), scan(d.lstm(), x, steps))  # [steps*batch, 1], step-major
+    scores = dense_forward(d.proj(), lstm_scan(d.lstm(), x, steps))  # [steps*batch, 1], step-major
     per_step = T.reshape(scores, (steps, batch))
     return T.reduce("mean", per_step, axis=0)

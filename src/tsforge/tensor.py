@@ -265,7 +265,12 @@ def tanh(a) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from
-    e = exp(-|x|) <= 1, which cannot overflow, as max(e, x >= 0) / (1 + e)."""
+    e = exp(-|x|) <= 1, which cannot overflow, as max(e, x >= 0) / (1 + e).
+    Complex input (a complex step) takes the branches by the sign of the real
+    part, without abs and maximum, which are not analytic."""
+    if x.dtype.kind == "c":
+        e = np.exp(np.where(x.real >= 0, -x, x))
+        return np.where(x.real >= 0, 1.0, e) / (1.0 + e)
     e = np.exp(-np.abs(x))
     val = np.maximum(e, x >= 0)
     e += 1.0

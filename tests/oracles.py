@@ -2,11 +2,17 @@
 
 Central finite differences are computed straight from repeated forward
 evaluations, never through the autodiff path they are checking.
+``lstm_scan_reference`` builds the LSTM from recorded tensor primitives,
+whose vjps are recorded ops too, so it gives first- and second-order
+gradients without ``nn.lstm_scan``'s numpy BPTT or complex step.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from tsforge import tensor as T
+from tsforge.tensor import Tensor
 
 FD_STEP = 1e-5
 
@@ -65,3 +71,23 @@ def lstm_cell_reference(Wi, Wf, Wc, Wo, bi, bf, bc, bo, x_t, h_prev, c_prev):
     c_t = f_t * c_prev + i_t * c_tilde
     h_t = o_t * np.tanh(c_t)
     return h_t, c_t
+
+
+def lstm_scan_reference(p, x: Tensor, steps: int) -> Tensor:
+    """``nn.lstm_scan``'s hidden states [steps*batch, units] composed of
+    recorded primitives, the gates fused in column order [i | f | o | c~]."""
+    u, batch = p.units, x.shape[0]
+    W = T.concat([p.W_i, p.W_f, p.W_o, p.W_c], axis=1)
+    b = T.concat([p.b_i, p.b_f, p.b_o, p.b_c], axis=0)
+    h = c = Tensor(np.zeros((batch, u)), requires_grad=False, op="const")
+    hs = []
+    for t in range(steps):
+        x_t = x if x.rank == 2 else T.reshape(T.slice_(x, 1, t, t + 1), (batch, x.shape[2]))
+        z = T.add_row(T.matmul(T.concat([h, x_t], axis=1), W), b)
+        sig = T.sigmoid(T.slice_(z, 1, 0, 3 * u))
+        c_tilde = T.tanh(T.slice_(z, 1, 3 * u, 4 * u))
+        i_t, f_t, o_t = (T.slice_(sig, 1, k * u, (k + 1) * u) for k in range(3))
+        c = T.add(T.mul(f_t, c), T.mul(i_t, c_tilde))
+        h = T.mul(o_t, T.tanh(c))
+        hs.append(h)
+    return T.concat(hs, axis=0)

@@ -134,6 +134,12 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError):
             parse_config(f)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        f = tmp_path / "c.cfg"
+        f.write_text("seed = -1\n")
+        with pytest.raises(cli.ConfigError, match="seed"):
+            parse_config(f)
+
     def test_flag_overrides_file(self, tmp_path):
         f = tmp_path / "c.cfg"
         f.write_text("lambda = 10\n")
@@ -312,6 +318,7 @@ class TestTrain:
                    str(tmp_path / "o")] + FAST)
         assert rc == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_abort_exit_3(self, small_csv, tmp_path):
         rc = main(["train", "--data", str(small_csv), "--out", str(tmp_path / "o"),
                    "--lr", "1e307"] + FAST)
@@ -488,6 +495,15 @@ class TestCompare:
                    "--n", "8", "--seed", "1", "--out", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_synthetic_exit_2_before_any_write(self, small_csv, tmp_path, bad):
+        synth = tmp_path / "synth.csv"
+        synth.write_text(f"0.01,{bad},-0.02\n0.0,0.01,0.02\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--real", str(small_csv), "--synthetic", str(synth),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_source_exit_1(self, small_csv, tmp_path):
         assert main(["compare", "--real", str(small_csv),
                      "--out", str(tmp_path / "o")]) == 1
@@ -502,6 +518,7 @@ BAD_NUMBERS = [
     ("compare", ["--n", "-2"]), ("compare", ["--bins", "0"]), ("compare", ["--bins", "-1"]),
     ("train", ["--stride", "0"]), ("train", ["--lipschitz-pairs", "-1"]),
     ("evaluate", ["--max-lag", "-1"]), ("compare", ["--max-lag", "-1"]),
+    ("train", ["--seed", "-1"]), ("generate", ["--seed", "-1"]), ("compare", ["--seed", "-1"]),
 ]
 
 

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tsforge import gan, nn
+from tsforge import gan
 from tsforge import tensor as T
 from tsforge.data import fit_scale
 from tsforge.gan import (TrainConfig, TrainingDiverged, critic_loss_gan, critic_loss_wgan,
@@ -366,21 +366,24 @@ class TestTrainLoop:
         assert count[0] == 2 * calls
 
     @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
-    def test_only_the_interpolates_take_the_primitive_lstm(self, monkeypatch, variant):
-        # every first-order call runs nn.lstm_scan; only the penalty's x-hat
-        # call, whose input gradient is differentiated again, steps the cell
-        count = [0]
-        orig = nn.lstm_cell_step
+    def test_tape_length_does_not_depend_on_seq_len(self, monkeypatch, variant):
+        # every LSTM pass, the penalty's included, is one tape node, so a
+        # longer window records no more nodes in either step
+        clear = Graph.clear
+        cleared = []
 
-        def counting(*args, **kwargs):
-            count[0] += 1
-            return orig(*args, **kwargs)
+        def counting_clear(graph):
+            cleared.append(len(graph))
+            clear(graph)
 
-        monkeypatch.setattr(nn, "lstm_cell_step", counting)
-        cfg = self._cfg(epochs=2, loss_variant=variant, checkpoint_every=1)
-        gan.train(cfg, small_dataset())
-        per_epoch = cfg.n_critic * cfg.seq_len if variant == "wgan_gp" else 0
-        assert count[0] == cfg.epochs * per_epoch
+        monkeypatch.setattr(Graph, "clear", counting_clear)
+        tapes = []
+        for seq_len in (6, 12):
+            cleared.clear()
+            gan.train(self._cfg(epochs=1, seq_len=seq_len, loss_variant=variant,
+                                checkpoint_every=100), small_dataset(seq_len=seq_len))
+            tapes.append(list(cleared))
+        assert len(tapes[0]) == 6 and tapes[0] == tapes[1]
 
     def test_update_counts(self, monkeypatch):
         calls = {"critic": 0, "generator": 0}
@@ -458,6 +461,7 @@ class TestTrainLoop:
         assert tail.critic_loss == straight.critic_loss[4:]
         assert tail.generator_loss == straight.generator_loss[4:]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort(self):
         # the first step moves the weights by about 3x the learning rate, so
         # one near the float limit overflows the next critic loss

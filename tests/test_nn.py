@@ -10,7 +10,7 @@ from tsforge import tensor as T
 from tsforge.nn import ArchitectureSpec, DenseParams, LstmParams, ParamSet
 from tsforge.tensor import Graph, Tensor
 
-from oracles import central_diff, directional_diff, lstm_cell_reference, rel_err
+from oracles import central_diff, lstm_cell_reference, lstm_scan_reference, rel_err
 
 SMALL = ArchitectureSpec(noise_len=3, seq_len=6, features=1, lstm_units=4)
 
@@ -125,16 +125,27 @@ def _random_lstm(rng, units, features) -> LstmParams:
                       vecs["b_i"], vecs["b_f"], vecs["b_c"], vecs["b_o"])
 
 
+def _fused(p: LstmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Gate weights and biases in ``nn.lstm_cell_step``'s column order [i|f|o|c~]."""
+    return (np.concatenate([p.W_i.data, p.W_f.data, p.W_o.data, p.W_c.data], axis=1),
+            np.concatenate([p.b_i.data, p.b_f.data, p.b_o.data, p.b_c.data]))
+
+
+def _cell(p: LstmParams, x_t, h_prev, c_prev):
+    """(h, c) of one ``nn.lstm_cell_step``."""
+    *_, c, _, h = nn.lstm_cell_step(*_fused(p), np.concatenate([h_prev, x_t], axis=1), c_prev)
+    return h, c
+
+
 class TestLstmCell:
     def test_all_zero(self):
         units, features = 3, 2
         zeros = lambda *s: Tensor(np.zeros(s))
         p = LstmParams(*(zeros(units + features, units) for _ in range(4)),
                        *(zeros(units) for _ in range(4)))
-        h, c = nn.lstm_cell_step(p, Tensor(np.zeros((1, features))),
-                                 Tensor(np.zeros((1, units))), Tensor(np.zeros((1, units))))
-        np.testing.assert_array_equal(h.data, np.zeros((1, units)))
-        np.testing.assert_array_equal(c.data, np.zeros((1, units)))
+        h, c = _cell(p, np.zeros((1, features)), np.zeros((1, units)), np.zeros((1, units)))
+        np.testing.assert_array_equal(h, np.zeros((1, units)))
+        np.testing.assert_array_equal(c, np.zeros((1, units)))
 
     def test_gate_saturation_preserves_cell(self):
         units, features = 3, 2
@@ -143,9 +154,8 @@ class TestLstmCell:
                        b_i=Tensor(np.full(units, -20.0)), b_f=Tensor(np.full(units, 20.0)),
                        b_c=zeros(units), b_o=zeros(units))
         c_prev = np.array([[0.3, -0.7, 1.1]])
-        _, c = nn.lstm_cell_step(p, Tensor(np.zeros((1, features))),
-                                 Tensor(np.zeros((1, units))), Tensor(c_prev))
-        np.testing.assert_allclose(c.data, c_prev, atol=1e-8)
+        _, c = _cell(p, np.zeros((1, features)), np.zeros((1, units)), c_prev)
+        np.testing.assert_allclose(c, c_prev, atol=1e-8)
 
     def test_matches_scalar_transcription(self):
         rng = np.random.default_rng(21)
@@ -154,26 +164,25 @@ class TestLstmCell:
         x = rng.normal(size=(batch, features))
         h0 = rng.normal(size=(batch, units))
         c0 = rng.normal(size=(batch, units))
-        h, c = nn.lstm_cell_step(p, Tensor(x), Tensor(h0), Tensor(c0))
+        h, c = _cell(p, x, h0, c0)
         h_ref, c_ref = lstm_cell_reference(
             p.W_i.data, p.W_f.data, p.W_c.data, p.W_o.data,
             p.b_i.data, p.b_f.data, p.b_c.data, p.b_o.data, x, h0, c0)
-        np.testing.assert_allclose(h.data, h_ref, rtol=1e-12)
-        np.testing.assert_allclose(c.data, c_ref, rtol=1e-12)
+        np.testing.assert_allclose(h, h_ref, rtol=1e-12)
+        np.testing.assert_allclose(c, c_ref, rtol=1e-12)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(2)
         p = _random_lstm(rng, 3, 2)
         with pytest.raises(ValueError):
-            nn.lstm_cell_step(p, Tensor(np.zeros((1, 5))),
-                              Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
+            _cell(p, np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def lstm_seq(p, x: Tensor) -> Tensor:
     """Hidden states of the scan over the timesteps of x [batch, timesteps,
     features], as [batch, timesteps, units]; x itself gets no gradient."""
     batch, steps, _ = x.shape
-    hs = nn._lstm_scan(p, Tensor(x.data, requires_grad=False), steps)
+    hs = nn.lstm_scan(p, Tensor(x.data, requires_grad=False), steps)
     return T.transpose(T.reshape(hs, (steps, batch, p.units)), (1, 0, 2))
 
 
@@ -183,9 +192,8 @@ class TestLstmForward:
         p = _random_lstm(rng, 4, 2)
         x = rng.normal(size=(3, 1, 2))
         seq = lstm_seq(p, Tensor(x))
-        h, _ = nn.lstm_cell_step(p, Tensor(x[:, 0, :]),
-                                 Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
-        np.testing.assert_allclose(seq.data[:, 0, :], h.data, rtol=1e-12)
+        h, _ = _cell(p, x[:, 0, :], np.zeros((3, 4)), np.zeros((3, 4)))
+        np.testing.assert_allclose(seq.data[:, 0, :], h, rtol=1e-12)
 
     def test_three_steps_match_manual_unroll(self):
         rng = np.random.default_rng(32)
@@ -256,12 +264,23 @@ def _weighted_scan_grads(scan, p, x0, w):
     return hs.data, [gm[x].data] + [gm[getattr(p, n)].data for n in GATES]
 
 
+def _input_grad_grads(scan, p, x0, w, v):
+    """Gradients of <v, grad_x <hs, w>> with respect to w (the upstream of the
+    scan), x and the eight gates: the ten inputs of the x-gradient node."""
+    x, wt = Tensor(x0.copy()), Tensor(w.copy())
+    with Graph() as g:
+        gx = T.grad(T.reduce("sum", T.mul(scan(p, x, 7), wt)), x)
+        outer = T.reduce("sum", T.mul(gx, Tensor(v, requires_grad=False)))
+    gm = T.backward(g, outer)
+    return [gm[wt].data, gm[x].data] + [gm[getattr(p, n)].data for n in GATES]
+
+
 class TestLstmScan:
     @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
     def test_matches_primitive_composition(self, kind):
         p, x0, w = _scan_case(kind, 41)
         hs, grads = _weighted_scan_grads(nn.lstm_scan, p, x0, w)
-        ref_hs, ref_grads = _weighted_scan_grads(nn._lstm_scan, p, x0, w)
+        ref_hs, ref_grads = _weighted_scan_grads(lstm_scan_reference, p, x0, w)
         assert rel_err(hs, ref_hs) <= 1e-12
         for name, got, want in zip(("x",) + GATES, grads, ref_grads):
             assert got.shape == want.shape, name
@@ -290,15 +309,67 @@ class TestLstmScan:
 
             assert rel_err(analytic, central_diff(f, W0.copy())) < 1e-4, name
 
-    def test_second_order_gradient_raises(self):
+    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
+    def test_second_order_matches_primitive_composition(self, kind):
+        p, x0, w = _scan_case(kind, 45)
+        v = np.random.default_rng(46).normal(size=x0.shape)
+        got = _input_grad_grads(nn.lstm_scan, p, x0, w, v)
+        want = _input_grad_grads(lstm_scan_reference, p, x0, w, v)
+        for name, a, b in zip(("upstream", "x") + GATES, got, want):
+            assert a.shape == b.shape, name
+            assert rel_err(a, b) <= 1e-12, name
+
+    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
+    def test_second_order_vs_finite_differences(self, kind):
+        p, x0, w = _scan_case(kind, 47)
+        v = np.random.default_rng(48).normal(size=x0.shape)
+        got = _input_grad_grads(nn.lstm_scan, p, x0, w, v)
+
+        def f(xv, wv):
+            """<v, grad_x <hs, w>> from the first-order BPTT alone."""
+            x = Tensor(xv)
+            with Graph() as g:
+                hs = nn.lstm_scan(p, x, 7)
+                loss = T.reduce("sum", T.mul(hs, Tensor(wv, requires_grad=False)))
+            return float((T.backward(g, loss)[x].data * v).sum())
+
+        assert rel_err(got[0], central_diff(lambda wv: f(x0, wv), w.copy())) < 1e-4
+        assert rel_err(got[1], central_diff(lambda xv: f(xv, w), x0.copy())) < 1e-4
+        for name, analytic in zip(GATES, got[2:]):
+            param = getattr(p, name)
+            W0 = param.data.copy()
+
+            def f_gate(wv):
+                param.data[...] = wv
+                val = f(x0, w)
+                param.data[...] = W0
+                return val
+
+            assert rel_err(analytic, central_diff(f_gate, W0.copy())) < 1e-4, name
+
+    def test_second_order_through_a_weight_gradient_raises(self):
         p, x0, w = _scan_case("window", 43)
         with Graph() as g:
-            x = Tensor(x0)
-            hs = nn.lstm_scan(p, x, 7)
-            gx = T.grad(T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False))), x)
-            outer = T.reduce("sum", T.square(gx))
+            hs = nn.lstm_scan(p, Tensor(x0), 7)
+            gw = T.grad(T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False))), p.W_o)
+            outer = T.reduce("sum", T.square(gw))
             with pytest.raises(NotImplementedError):
-                T.backward(g, outer, wrt=[p.W_o])
+                T.backward(g, outer, wrt=[p.W_i])
+
+    def test_zero_upstream_has_zero_second_order_gradients(self):
+        p, x0, w = _scan_case("noise", 49)
+        got = _input_grad_grads(nn.lstm_scan, p, x0, w, np.zeros(x0.shape))
+        assert all(not np.any(g) for g in got)
+
+    def test_each_backward_pass_runs_its_own_bptt(self):
+        p, x0, w = _scan_case("window", 50)
+        x = Tensor(x0)
+        with Graph() as g:
+            hs = nn.lstm_scan(p, x, 7)
+            a = T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False)))
+            b = T.reduce("sum", T.mul(hs, Tensor(-2.0 * w, requires_grad=False)))
+        ga, gb = T.backward(g, a)[x].data, T.backward(g, b)[x].data
+        np.testing.assert_allclose(gb, -2.0 * ga, rtol=1e-12)
 
     def test_shape_mismatch(self):
         p, x0, _ = _scan_case("window", 44)
