@@ -9,15 +9,25 @@ time; there is deliberately no sigmoid, so scores are unbounded.
 
 There is one LSTM: ``lstm_scan`` steps ``lstm_cell_step`` in numpy over
 the timesteps as one tape node whose vjp is a numpy BPTT. The gates are
-fused in column order [i | f | o | c~], one matmul, one sigmoid and one
-tanh per step; the parameters, and so the checkpoint layout, stay the
-eight tensors ``lstm.W_i`` ... ``lstm.b_o``. The gradient penalty
-differentiates the critic's input gradient again, by a complex step
-(Martins, Sturdza & Alonso 2003, ACM TOMS 29(3)): one pass at x + i h v,
-with v the upstream and h = 1e-20 / max|v|, gives Im f / h = f'(x) v +
-O(h^2) for every analytic f of the pass. No nearby values are subtracted,
-so nothing cancels, and the O(h^2) term lies some 40 orders of magnitude
-under the derivative: the result is exact to float64 rounding.
+fused in column order [i | f | o | c~]; the parameters, and so the
+checkpoint layout, stay the eight tensors ``lstm.W_i`` ... ``lstm.b_o``.
+The kernel runs feature-major: each step computes W^T [h; x_t] + b as
+[4u, B], so every gate block is a contiguous slab, and every ufunc writes
+into buffers made once per call; h goes straight into the next step's
+[h; x] buffer. The BPTT keeps only the activated gates [T, 4u, B] and the
+cell states [T + 1, u, B], 5u floats per sample and step: it takes h_{t-1}
+from the scan's own output, x_t from its input, and recomputes tanh c.
+
+The gradient penalty differentiates the critic's input gradient again,
+by a complex step (Martins, Sturdza & Alonso 2003, ACM TOMS 29(3)): one
+pass at x + i h v, with v the upstream and h = 1e-20 / max|v|, gives
+Im f / h = f'(x) v + O(h^2) for every analytic f of the pass. No nearby
+values are subtracted, so nothing cancels, and the O(h^2) term lies some
+40 orders of magnitude under the derivative: the result is exact to
+float64 rounding. The pass runs in real arithmetic: real weights times
+complex activations are one real GEMM on the float64 view [K, 2B], and
+sigmoid and tanh at a + ib are f(a) + i b f'(a). That expansion drops
+only O(b^2) relative terms, so it needs |Im| << 1, which h guarantees.
 """
 
 from __future__ import annotations
@@ -171,92 +181,166 @@ def dense_forward(p: DenseParams, x: Tensor) -> Tensor:
     return T.add_row(T.matmul(x, p.W), p.b)
 
 
-def lstm_cell_step(W: np.ndarray, b: np.ndarray, hx: np.ndarray,
-                   c_prev: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One cell step on hx = [h_prev, x_t] with the fused gates: i, f, o =
-    sigmoid(hx W + b) and c~ = tanh(hx W + b) by column block, c = f * c_prev
-    + i * c~ and h = o * tanh(c). Returns (sigmoid [i | f | o], c~, c, tanh c, h)."""
-    u = b.shape[0] // 4
-    z = hx @ W + b
-    sig = T._sigmoid(z[:, :3 * u])
-    c_tilde = np.tanh(z[:, 3 * u:])
-    c = sig[:, u:2 * u] * c_prev + sig[:, :u] * c_tilde
-    tanh_c = np.tanh(c)
-    return sig, c_tilde, c, tanh_c, sig[:, 2 * u:] * tanh_c
+def _activate(z: np.ndarray, out: np.ndarray, n_sigmoid: int, scratch: np.ndarray) -> None:
+    """out = the sigmoid of z's first ``n_sigmoid`` rows and tanh of the rest;
+    out may be z, ``scratch`` is real [2, rows, B]. At a complex z = a + ib
+    (the complex step) this is f(a) + i b f'(a), with f' = f (1 - f) or
+    1 - f^2, in real arithmetic on a contiguous copy of a: the dropped
+    O(b^2) term lies some 40 orders of magnitude under b f'(a)."""
+    n, rows = n_sigmoid, z.shape[0]
+    s, d = scratch[0, :rows], scratch[1, :rows]
+    a, f = z, out
+    if z.dtype.kind == "c":
+        s[...] = z.real
+        a = f = s
+    if n:
+        T._sigmoid(a[:n], out=f[:n], e=d[:n])
+    np.tanh(a[n:], out=f[n:])
+    if f is out:
+        return
+    np.subtract(1.0, s[:n], out=d[:n])
+    d[:n] *= s[:n]
+    np.multiply(s[n:], s[n:], out=d[n:])
+    np.subtract(1.0, d[n:], out=d[n:])
+    np.multiply(z.imag, d, out=out.imag)
+    out.real = s
+
+
+def _matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
+    """out = A B for a real A and a real or complex B, as one real GEMM on
+    the float64 views: the imaginary parts ride along as extra columns."""
+    np.matmul(A, B.view(np.float64), out=out.view(np.float64))
+
+
+def lstm_cell_step(W: np.ndarray, bias: np.ndarray, hx: np.ndarray, c_prev: np.ndarray,
+                   gates: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
+    """One feature-major cell step on hx = [h_prev; x_t] [K, B], into the given
+    buffers: gates [4u, B] = [i; f; o; c~], the sigmoid of W^T hx + bias by row
+    block and tanh for c~; c = f * c_prev + i * c~; and h = o * tanh(c) over
+    hx's first u rows, where the next step reads it."""
+    u = c.shape[0]
+    h = hx[:u]
+    _matmul(W.T, hx, gates)
+    gates += bias
+    _activate(gates, gates, 3 * u, scratch)
+    np.multiply(gates[u:2 * u], c_prev, out=c)
+    np.multiply(gates[:u], gates[3 * u:], out=h)
+    c += h
+    _activate(c, h, 0, scratch)
+    h *= gates[2 * u:3 * u]
 
 
 def _scan_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
-                  keep: bool) -> tuple[np.ndarray, list[tuple]]:
+                  keep: bool) -> tuple[np.ndarray, tuple | None]:
     """The hidden states [steps, batch, units] from the zero state and, if
-    ``keep``, each step's ([h, x], sigmoid gates, c~, c, tanh c)."""
+    ``keep``, the saved set of the BPTT: the activated gates [steps, 4u, B]
+    and the cell states [steps + 1, u, B], the first one zero."""
     batch, u = x.shape[0], b.shape[0] // 4
-    hs = np.empty((steps, batch, u), dtype=x.dtype)
-    h = c = np.zeros((batch, u))
-    saved = []
+    hs = np.empty((steps, batch, u), x.dtype)
+    hx = np.zeros((W.shape[0], batch), x.dtype)
+    gates = np.empty((steps if keep else 1, 4 * u, batch), x.dtype)
+    cells = np.zeros((steps + 1 if keep else 2, u, batch), x.dtype)
+    scratch = np.empty((2, 4 * u, batch))
+    bias = np.repeat(b.astype(x.dtype)[:, None], batch, axis=1)
+    if x.ndim == 2:
+        hx[u:] = x.T
     for t in range(steps):
-        hx = np.concatenate([h, x if x.ndim == 2 else x[:, t]], axis=1)
-        sig, c_tilde, c, tanh_c, h = lstm_cell_step(W, b, hx, c)
-        hs[t] = h
-        if keep:
-            saved.append((hx, sig, c_tilde, c, tanh_c))
-    return hs, saved
+        if x.ndim == 3:
+            hx[u:] = x[:, t].T
+        c_prev, c = (t, t + 1) if keep else (t % 2, (t + 1) % 2)
+        lstm_cell_step(W, bias, hx, cells[c_prev], gates[t if keep else 0], cells[c], scratch)
+        hs[t] = hx[:u].T
+    return hs, (gates, cells) if keep else None
 
 
-def _scan_backward(W: np.ndarray, saved: list[tuple], x_shape: tuple[int, ...],
+def _scan_backward(W: np.ndarray, x: np.ndarray, hs: np.ndarray, saved: tuple,
                    d_hs: np.ndarray, weights: bool) -> list[np.ndarray]:
-    """BPTT for ``_scan_forward``, latest step first: the gradients of x, then
-    of the weight and bias blocks in fused column order (zero unless
-    ``weights``), in the dtype of the saved forward."""
-    u = W.shape[1] // 4
-    dx, dW, db = (np.zeros(shape, saved[0][0].dtype) for shape in (x_shape, W.shape, 4 * u))
-    dh_next = dc_next = 0.0
-    for t in range(len(saved) - 1, -1, -1):
-        hx, sig, c_tilde, _, tanh_c = saved[t]
-        dh = d_hs[t] + dh_next
-        dc = dc_next + (dh * sig[:, 2 * u:]) * (1.0 - tanh_c * tanh_c)
-        c_prev = saved[t - 1][3] if t else 0.0
-        d_sig = np.concatenate([dc * c_tilde, dc * c_prev, dh * tanh_c], axis=1)
-        dz = np.concatenate([d_sig * (sig * (1.0 - sig)),
-                             (dc * sig[:, :u]) * (1.0 - c_tilde * c_tilde)], axis=1)
-        dc_next = dc * sig[:, u:2 * u]
-        dhx = dz @ W.T
-        dh_next = dhx[:, :u]
-        if len(x_shape) == 3:
-            dx[:, t] = dhx[:, u:]
+    """BPTT for ``_scan_forward``, latest step first: the gradients of the
+    weight and bias blocks in fused column order (zero unless ``weights``),
+    then of x. h_{t-1} comes from ``hs`` and x_t from ``x``; tanh c is
+    recomputed. In a complex pass the weight and bias gradients hold only
+    the imaginary parts, the one part the complex step reads."""
+    gates, cells = saved
+    steps, batch, u = hs.shape
+    dtype, K = hs.dtype, W.shape[0]
+    parts = (lambda a: (a.imag, a.real)) if dtype.kind == "c" else (lambda a: (a,))
+    dx = np.zeros(x.shape, dtype)
+    dz, dhx = np.empty((4 * u, batch), dtype), np.zeros((K, batch), dtype)
+    dh, dc, work = (np.zeros((n, batch), dtype) for n in (u, u, 3 * u))
+    # [h_{t-1}, x_t, 1] by part, the real part last: dz times it gives the
+    # weight and bias gradients of a step, [4u, K + 1], in one GEMM
+    hx1 = np.zeros((batch, len(parts(dz)), K + 1))
+    hx1[:, -1, K] = 1.0
+    dWb, dWb_t = np.zeros((4 * u, K + 1)), np.empty((4 * u, K + 1))
+    scratch = np.empty((2, u, batch))
+    for t in range(steps - 1, -1, -1):
+        g = gates[t]
+        tanh_c, one_minus = work[:u], work[u:2 * u]
+        np.add(d_hs[t].T, dhx[:u], out=dh)
+        _activate(cells[t + 1], tanh_c, 0, scratch)
+        np.multiply(dh, tanh_c, out=dz[2 * u:3 * u])                # d o
+        np.multiply(tanh_c, tanh_c, out=one_minus)
+        np.subtract(1.0, one_minus, out=one_minus)
+        np.multiply(dh, g[2 * u:3 * u], out=tanh_c)
+        tanh_c *= one_minus
+        dc += tanh_c
+        np.multiply(dc, g[3 * u:], out=dz[:u])                      # d i
+        np.multiply(dc, cells[t], out=dz[u:2 * u])                  # d f
+        np.subtract(1.0, g[:3 * u], out=work)
+        work *= g[:3 * u]
+        dz[:3 * u] *= work
+        np.multiply(dc, g[:u], out=dz[3 * u:])                      # d c~
+        np.multiply(g[3 * u:], g[3 * u:], out=one_minus)
+        np.subtract(1.0, one_minus, out=one_minus)
+        dz[3 * u:] *= one_minus
+        dc *= g[u:2 * u]
+        _matmul(W, dz, dhx)                                         # [dh_next; dx_t]
+        if x.ndim == 3:
+            dx[:, t] = dhx[u:].T
         else:
-            dx += dhx[:, u:]
+            dx += dhx[u:].T
         if weights:
-            dW += hx.T @ dz
-            db += np.sum(dz, axis=0)
-    return [dx, *np.split(dW, 4, axis=1), *np.split(db, 4)]
+            x_t = x if x.ndim == 2 else x[:, t]
+            for k, (h_part, x_part) in enumerate(zip(parts(hs[t - 1]), parts(x_t))):
+                hx1[:, k, :u] = h_part if t else 0.0
+                hx1[:, k, u:K] = x_part
+            # Im(dz a) = Re dz Im a + Im dz Re a: one real GEMM by parts
+            np.matmul(dz.view(np.float64), hx1.reshape(-1, K + 1), out=dWb_t)
+            dWb += dWb_t
+    return [*np.split(dWb[:, :K].T, 4, axis=1), *np.split(dWb[:, K], 4), dx]
 
 
 def _complex_step(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
                   d_hs: np.ndarray, v: np.ndarray, weights: bool) -> list[np.ndarray]:
     """The gradients of <v, dx>, with dx ``_scan_backward``'s x-gradient for
-    the upstream d_hs, with respect to d_hs, x and the weight and bias
-    blocks: the imaginary parts of one pass at x + i h v, over h."""
+    the upstream d_hs, with respect to the weight and bias blocks, d_hs and
+    x: the imaginary parts of one pass at x + i h v, over h."""
     scale = np.max(np.abs(v)) or 1.0   # v = 0 has zero gradients at any step
-    hs, saved = _scan_forward(W, b, x + 1e-20j * (v / scale), steps, keep=True)
-    grads = _scan_backward(W, saved, x.shape, d_hs, weights)
-    return [g.imag * (scale / 1e-20) for g in (hs.reshape(-1, hs.shape[-1]), *grads)]
+    xc = x + 1e-20j * (v / scale)
+    hs, saved = _scan_forward(W, b, xc, steps, keep=True)
+    *wb, dx = _scan_backward(W, xc, hs, saved, d_hs, weights)
+    return [g * (scale / 1e-20) for g in (*wb, hs.imag.reshape(-1, hs.shape[-1]), dx.imag)]
 
 
 def _not_differentiable(g: Tensor) -> Tensor:
     raise NotImplementedError("this lstm_scan gradient cannot be differentiated again")
 
 
-def _one_pass_vjps(inputs: tuple, run: Callable, first_vjps: Callable | None = None) -> list:
-    """vjps of ``inputs`` whose results all come from one ``run(upstream)`` per
-    backward pass. Result 0 is recorded with ``first_vjps(upstream)``; the
-    others, and result 0 without it, raise if differentiated, not drop a term."""
+def _one_pass_vjps(inputs: tuple, run: Callable, x_vjps: Callable | None = None) -> list:
+    """vjps of ``inputs``, the eight gates then the rest, whose results all
+    come from one ``run(upstream, weights)`` per backward pass. The first vjp
+    the pass asks for decides ``weights``: the gates are listed first, so it
+    is a gate's unless no gate gradient is wanted. The last result is
+    recorded with ``x_vjps(upstream)``; the others, and the last without it,
+    raise if differentiated, not drop a term."""
     memo: list = []
 
     def vjp(g: Tensor, k: int) -> Tensor:
         if not memo or memo[0] is not g:
-            memo[:] = [g, run(g.data)]
+            memo[:] = [g, run(g.data, k < 8)]
+        last = k == len(inputs) - 1
         return T._record(memo[1][k], "lstm_scan_vjp", (g, *inputs),
-                         first_vjps(g) if k == 0 and first_vjps else
+                         x_vjps(g) if last and x_vjps else
                          lambda o: [(t, _not_differentiable) for t in (g, *inputs)])
 
     return [(t, lambda g, k=k: vjp(g, k)) for k, t in enumerate(inputs)]
@@ -267,11 +351,12 @@ def lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
     state over a window x [batch, steps, features], or a vector x [batch,
     features] fed at every step, as one tape node on x and the 8 gates.
 
-    Its vjp, a numpy BPTT, runs once per backward pass for all nine inputs;
-    per-step intermediates are kept only while a graph records. Under a
-    recording backward the x-gradient can be differentiated again, by one
-    complex-step pass for all ten of its inputs; a weight gradient, or the
-    x-gradient's own gradients, raise NotImplementedError instead."""
+    Its vjp, a numpy BPTT, runs once per backward pass for all nine inputs,
+    and accumulates weight gradients only if the pass wants one; the saved
+    set is kept only while a graph records. Under a recording backward the
+    x-gradient can be differentiated again, by one complex-step pass for all
+    ten of its inputs; a weight gradient, or the x-gradient's own gradients,
+    raise NotImplementedError instead."""
     x = T._as_tensor(x)
     u = p.units
     if (x.rank not in (2, 3) or x.shape[-1] != p.W_i.shape[0] - u or steps <= 0
@@ -284,15 +369,15 @@ def lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
     hs, saved = _scan_forward(W, b, x.data, steps, keep=T.active_graph() is not None)
 
     def make_vjps(out):
-        weights = any(t._vjps or t.requires_grad for t in gates)
-
         def x_grad_vjps(g: Tensor) -> Callable:
             d_hs = g.data.reshape(hs.shape)
             return lambda o: _one_pass_vjps(
-                (g, x, *gates), lambda v: _complex_step(W, b, x.data, steps, d_hs, v, weights))
+                (*gates, g, x), lambda v, weights: _complex_step(W, b, x.data, steps, d_hs, v,
+                                                                 weights))
 
         return _one_pass_vjps(
-            (x, *gates), lambda g: _scan_backward(W, saved, x.shape, g.reshape(hs.shape), weights),
+            (*gates, x), lambda g, weights: _scan_backward(W, x.data, hs, saved,
+                                                           g.reshape(hs.shape), weights),
             x_grad_vjps)
 
     return T._record(hs.reshape(steps * x.shape[0], u), "lstm_scan", (x, *gates), make_vjps)

@@ -263,19 +263,20 @@ def tanh(a) -> Tensor:
     ))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+             e: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from
-    e = exp(-|x|) <= 1, which cannot overflow, as max(e, x >= 0) / (1 + e).
-    Complex input (a complex step) takes the branches by the sign of the real
-    part, without abs and maximum, which are not analytic."""
-    if x.dtype.kind == "c":
-        e = np.exp(np.where(x.real >= 0, -x, x))
-        return np.where(x.real >= 0, 1.0, e) / (1.0 + e)
-    e = np.exp(-np.abs(x))
-    val = np.maximum(e, x >= 0)
-    e += 1.0
-    val /= e
-    return val
+    e = exp(-|x|) <= 1, which cannot overflow, as max(ceil(min(x, 1)), e) /
+    (1 + e): the ceiling is 1 above 0 and at most 0 below, and e = 1 at 0.
+    ``out`` (which may be x) and the scratch ``e`` let a caller run it in
+    place; np.sign for the numerator is as exact but twice as slow in place."""
+    exp_neg = np.abs(x, out=e)
+    num = np.ceil(np.minimum(x, 1.0, out=out), out=out)
+    exp_neg = np.exp(np.negative(exp_neg, out=e), out=e)
+    num = np.maximum(num, exp_neg, out=out)
+    exp_neg += 1.0
+    num /= exp_neg
+    return num
 
 
 def sigmoid(a) -> Tensor:

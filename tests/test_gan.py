@@ -1,11 +1,12 @@
 """Losses, gradient penalty analytics, and the training loop contract."""
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from tsforge import gan
+from tsforge import gan, nn
 from tsforge import tensor as T
 from tsforge.data import fit_scale
 from tsforge.gan import (TrainConfig, TrainingDiverged, critic_loss_gan, critic_loss_wgan,
@@ -143,6 +144,61 @@ class TestGradientPenalty:
             analytic = T.backward(g, pen, wrt=[critic[name]])[critic[name]].data
         fd = central_diff(penalty_value, W0)
         assert rel_err(analytic, fd, floor=1e-5) < 1e-3
+
+    def test_inner_gradient_accumulates_no_weight_gradients(self, monkeypatch):
+        # T.grad(total, x_hat) wants x alone, so its BPTT skips dW and db; the
+        # complex-step pass and the outer backward of the real/fake call need them
+        weights = []
+        scan_backward = nn._scan_backward
+
+        def recording(*args):
+            weights.append(args[-1])
+            return scan_backward(*args)
+
+        monkeypatch.setattr(nn, "_scan_backward", recording)
+        _critic_step(init_params(SMALL, "critic", 3), batch=4, seq_len=6)
+        assert weights == [False, True, True]
+
+
+def _critic_step(critic, batch: int, seq_len: int) -> None:
+    """One wgan_gp critic step's forward and outer backward, as in ``train``."""
+    rng = make_rng(5)
+    real, fake = (rng.normal(size=(batch, seq_len, 1)) * 0.1 for _ in range(2))
+    graph = Graph()
+    with graph:
+        loss, _, _ = critic_loss_wgan(lambda x: critic_forward(critic, x), real, fake, 10.0, rng)
+    T.backward(graph, loss, wrt=[critic[n] for n in critic])
+    graph.clear()
+
+
+def _peak_mb(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Python-heap peaks at paper widths (seq_len 50, 50 units), which the
+    LSTM's saved set dominates: deterministic on any machine."""
+
+    def test_critic_forward_backward_at_batch_256(self):
+        critic = init_params(ArchitectureSpec(), "critic", 1)
+        x = np.random.default_rng(2).normal(size=(256, 50, 1)) * 0.1
+
+        def step():
+            with Graph() as g:
+                loss = T.reduce("mean", critic_forward(critic, Tensor(x, requires_grad=False)))
+            T.backward(g, loss, wrt=[critic[n] for n in critic])
+            g.clear()
+
+        assert _peak_mb(step) <= 40.0
+
+    def test_wgan_gp_critic_step_at_batch_32(self):
+        critic = init_params(ArchitectureSpec(), "critic", 1)
+        assert _peak_mb(lambda: _critic_step(critic, batch=32, seq_len=50)) <= 23.0
 
 
 class TestCriticLoss:

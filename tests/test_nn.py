@@ -132,9 +132,14 @@ def _fused(p: LstmParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell(p: LstmParams, x_t, h_prev, c_prev):
-    """(h, c) of one ``nn.lstm_cell_step``."""
-    *_, c, _, h = nn.lstm_cell_step(*_fused(p), np.concatenate([h_prev, x_t], axis=1), c_prev)
-    return h, c
+    """(h, c) of one feature-major ``nn.lstm_cell_step``, batch-major."""
+    W, b = _fused(p)
+    hx = np.concatenate([h_prev, x_t], axis=1).T.copy()
+    units, batch = p.units, hx.shape[1]
+    c = np.empty((units, batch))
+    nn.lstm_cell_step(W, b[:, None], hx, c_prev.T, np.empty((4 * units, batch)), c,
+                      np.empty((2, 4 * units, batch)))
+    return hx[:units].T, c.T
 
 
 class TestLstmCell:
@@ -247,9 +252,18 @@ GATES = ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")
 SCAN_INPUTS = {"window": (6, 7, 3), "noise": (6, 3)}
 
 
-def _scan_case(kind: str, seed: int):
+# weight scale x4 drives many gates into saturation, where s (1 - s) and
+# 1 - tanh^2 lose relative digits
+SCALED_INPUTS = pytest.mark.parametrize("kind,scale", [
+    ("window", 1.0), ("noise", 1.0), ("window", 4.0), ("noise", 4.0)],
+    ids=["window", "noise", "window-x4", "noise-x4"])
+
+
+def _scan_case(kind: str, seed: int, scale: float = 1.0):
     rng = np.random.default_rng(seed)
     p = _random_lstm(rng, 5, 3)
+    for name in GATES:
+        getattr(p, name).data[...] *= scale
     x = rng.normal(size=SCAN_INPUTS[kind])
     w = rng.normal(size=(7 * 6, 5))   # unequal weights per unit and step
     return p, x, w
@@ -288,9 +302,9 @@ class TestLstmScan:
         outside = nn.lstm_scan(p, Tensor(x0, requires_grad=False), 7)
         assert np.array_equal(outside.data, hs)
 
-    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
-    def test_gradients_vs_finite_differences(self, kind):
-        p, x0, w = _scan_case(kind, 42)
+    @SCALED_INPUTS
+    def test_gradients_vs_finite_differences(self, kind, scale):
+        p, x0, w = _scan_case(kind, 42, scale)
         _, grads = _weighted_scan_grads(nn.lstm_scan, p, x0, w)
 
         def f_x(xv):
@@ -309,9 +323,9 @@ class TestLstmScan:
 
             assert rel_err(analytic, central_diff(f, W0.copy())) < 1e-4, name
 
-    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
-    def test_second_order_matches_primitive_composition(self, kind):
-        p, x0, w = _scan_case(kind, 45)
+    @SCALED_INPUTS
+    def test_second_order_matches_primitive_composition(self, kind, scale):
+        p, x0, w = _scan_case(kind, 45, scale)
         v = np.random.default_rng(46).normal(size=x0.shape)
         got = _input_grad_grads(nn.lstm_scan, p, x0, w, v)
         want = _input_grad_grads(lstm_scan_reference, p, x0, w, v)
@@ -370,6 +384,20 @@ class TestLstmScan:
             b = T.reduce("sum", T.mul(hs, Tensor(-2.0 * w, requires_grad=False)))
         ga, gb = T.backward(g, a)[x].data, T.backward(g, b)[x].data
         np.testing.assert_allclose(gb, -2.0 * ga, rtol=1e-12)
+
+    def test_every_step_calls_the_module_cell_step(self, monkeypatch):
+        # benchmarks/spans.py counts LSTM steps by rebinding nn.lstm_cell_step
+        p, x0, w = _scan_case("window", 51)
+        calls = []
+        step = nn.lstm_cell_step
+        monkeypatch.setattr(nn, "lstm_cell_step", lambda *args: calls.append(1) or step(*args))
+        x = Tensor(x0)
+        with Graph() as g:
+            gx = T.grad(T.reduce("sum", T.mul(nn.lstm_scan(p, x, 7), Tensor(w))), x)
+            outer = T.reduce("sum", T.square(gx))
+        assert len(calls) == 7
+        T.backward(g, outer)                 # one complex-step pass
+        assert len(calls) == 14
 
     def test_shape_mismatch(self):
         p, x0, _ = _scan_case("window", 44)

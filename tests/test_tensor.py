@@ -129,9 +129,13 @@ class TestActivations:
                   rng.standard_cauchy(size=4096)]
         inputs += [np.asarray(v) for v in self.SPECIAL]   # rank 0
         for x in inputs:
+            want = self.two_branch_sigmoid(x)
             got = T.sigmoid(Tensor(x)).data
-            self.assert_same_bits(got, self.two_branch_sigmoid(x))
+            self.assert_same_bits(got, want)
             assert got.ndim == x.ndim
+            in_place = x.copy()          # the LSTM scan's form, into its own buffers
+            T._sigmoid(in_place, out=in_place, e=np.empty_like(x))
+            self.assert_same_bits(in_place, want)
 
     def test_sigmoid_raises_no_floating_point_error_on_finite_inputs(self):
         finite = [v for v in self.SPECIAL if np.isfinite(v)]
