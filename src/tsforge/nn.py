@@ -267,6 +267,7 @@ def _scan_backward(W: np.ndarray, x: np.ndarray, hs: np.ndarray, saved: tuple,
     dx = np.zeros(x.shape, dtype)
     dz, dhx = np.empty((4 * u, batch), dtype), np.zeros((K, batch), dtype)
     dh, dc, work = (np.zeros((n, batch), dtype) for n in (u, u, 3 * u))
+    tanh_c, one_minus = work[:u], work[u:2 * u]
     # [h_{t-1}, x_t, 1] by part, the real part last: dz times it gives the
     # weight and bias gradients of a step, [4u, K + 1], in one GEMM
     hx1 = np.zeros((batch, len(parts(dz)), K + 1))
@@ -275,7 +276,6 @@ def _scan_backward(W: np.ndarray, x: np.ndarray, hs: np.ndarray, saved: tuple,
     scratch = np.empty((2, u, batch))
     for t in range(steps - 1, -1, -1):
         g = gates[t]
-        tanh_c, one_minus = work[:u], work[u:2 * u]
         np.add(d_hs[t].T, dhx[:u], out=dh)
         _activate(cells[t + 1], tanh_c, 0, scratch)
         np.multiply(dh, tanh_c, out=dz[2 * u:3 * u])                # d o
