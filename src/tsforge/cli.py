@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return f"{float(x):.17g}"     # the same text as "%.17g" % x, which the CSV rows use
 
 
 # configuration ------------------------------------------------------
@@ -139,18 +139,24 @@ def write_config(cfg: TrainConfig, path) -> None:
 # CSV helpers --------------------------------------------------------
 
 def _write_csv(path, header: list[str], rows) -> None:
+    """Numbers as ``_fmt`` writes them, anything else as ``str``; each row
+    through one %-template, made once per sequence of cell types."""
+    templates: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = ",".join("%.17g" if issubclass(k, (int, float, np.floating))
+                                            else "%s" for k in kinds) + "\n"
+            fh.write(templates[kinds] % tuple(row))
 
 
 def _write_matrix_csv(path, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(template % tuple(row) for row in matrix.tolist())
 
 
 def _read_matrix_csv(path) -> np.ndarray:
@@ -347,14 +353,14 @@ def cmd_evaluate(args) -> int:
 
     qq = stats.qq_points(returns, "normal")
     _write_csv(out / "qq.csv", ["theoretical", "sample"],
-               zip(qq.theoretical, qq.sample))
+               zip(qq.theoretical.tolist(), qq.sample.tolist()))
     qc = Chart("QQ plot of log returns vs normal", "normal quantile", "sample quantile",
                ref_line=(qq.slope, qq.intercept))
     qc.add("log returns", qq.theoretical, qq.sample, kind="scatter")
     write_svg(out / "qq.svg", render_chart(qc))
 
     _write_csv(out / "returns.csv", ["index", "log_return"],
-               enumerate(returns))
+               enumerate(returns.tolist()))
     rc = Chart("Log returns", "day", "log return")
     rc.add("", range(len(returns)), returns)
     write_svg(out / "returns.svg", render_chart(rc))
@@ -406,7 +412,7 @@ def cmd_compare(args) -> int:
     }
     rows = []
     for name, rep in qq_sets.items():
-        rows.extend((name, t, s) for t, s in zip(rep.theoretical, rep.sample))
+        rows.extend((name, t, s) for t, s in zip(rep.theoretical.tolist(), rep.sample.tolist()))
     _write_csv(out / "qq.csv", ["set", "theoretical", "sample"], rows)
     qq_panels = []
     for name, rep in qq_sets.items():

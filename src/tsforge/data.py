@@ -104,11 +104,25 @@ class WindowedDataset:
         return self.windows.shape[0]
 
 
+def _parse_date(text: str) -> date:
+    """``datetime.strptime(text, "%Y-%m-%d").date()``, with canonical dates read by the C
+    parser; the shape guard keeps fromisoformat's other forms (``20140917``) out."""
+    if len(text) == 10 and text[4] == text[7] == "-":
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass
+    return datetime.strptime(text, "%Y-%m-%d").date()
+
+
 def load_csv(path) -> PriceSeries:
     """Read Date and Close from a Yahoo-style daily price CSV.
 
-    Rows whose Close is missing, non-numeric or zero are dropped; the
-    drop count is logged and kept on the returned series.
+    A date is a year, month and day as ``datetime.strptime`` reads
+    ``%Y-%m-%d`` after stripping whitespace: ``2014-09-17``, and also
+    forms such as ``2014-9-7``. Any other date raises a ``DataError``
+    naming ``path:line``. Rows whose Close is missing, non-numeric or zero
+    are dropped; the drop count is logged and kept on the returned series.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -124,12 +138,13 @@ def load_csv(path) -> PriceSeries:
             rows: list[tuple[date, float]] = []
             dropped = 0
             for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
+                if not any(map(str.strip, row)):
                     continue
+                text = row[i_date] if len(row) > i_date else ""
                 try:
-                    d = datetime.strptime(row[i_date].strip(), "%Y-%m-%d").date()
-                except (ValueError, IndexError):
-                    raise DataError(f"{path}:{lineno}: bad date {row[i_date]!r}") from None
+                    d = _parse_date(text.strip())
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad date {text!r}") from None
                 raw = row[i_close].strip() if len(row) > i_close else ""
                 try:
                     close = float(raw)
@@ -177,11 +192,7 @@ def make_windows(r: np.ndarray, seq_len: int = 50, stride: int = 1) -> np.ndarra
     n = len(values)
     if n < seq_len:
         raise DataError(f"series of length {n} is shorter than seq_len {seq_len}")
-    count = (n - seq_len) // stride + 1
-    out = np.empty((count, seq_len))
-    for i in range(count):
-        out[i] = values[i * stride: i * stride + seq_len]
-    return out
+    return np.lib.stride_tricks.sliding_window_view(values, seq_len)[::stride].copy()
 
 
 def fit_scale(windows: np.ndarray, meta: dict | None = None) -> WindowedDataset:

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 800, 480
@@ -18,14 +20,14 @@ _ML, _MR, _MT, _MB = 64, 16, 36, 44
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+    return f"{x:.6g}"     # the same text as "%.6g" % x, which the point templates use
 
 
 @dataclass
 class Series:
     label: str
-    xs: list
-    ys: list
+    xs: np.ndarray
+    ys: np.ndarray
     kind: str = "line"        # line | scatter | bar | stem
     color: str | None = None
 
@@ -41,21 +43,19 @@ class Chart:
     annotations: list[str] = field(default_factory=list)
 
     def add(self, label, xs, ys, kind="line", color=None) -> "Chart":
-        self.series.append(Series(label, list(map(float, xs)), list(map(float, ys)),
-                                  kind, color))
+        self.series.append(Series(label, np.array(xs, dtype=np.float64),
+                                  np.array(ys, dtype=np.float64), kind, color))
         return self
 
 
 def _limits(chart: Chart) -> tuple[float, float, float, float]:
-    xs, ys = [], []
-    for s in chart.series:
-        xs.extend(x for x in s.xs if math.isfinite(x))
-        ys.extend(y for y in s.ys if math.isfinite(y))
-    ys.extend(y for y in chart.h_lines if math.isfinite(y))
-    if not xs or not ys:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    xs = np.concatenate([s.xs for s in chart.series] + [[]])
+    ys = np.concatenate([s.ys for s in chart.series] + [chart.h_lines])
+    xs, ys = xs[np.isfinite(xs)], ys[np.isfinite(ys)]
+    if not xs.size or not ys.size:
+        xs, ys = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
     if x0 == x1:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y0 == y1:
@@ -90,10 +90,10 @@ def render_chart(chart: Chart, width: int = _W, height: int = _H) -> str:
     pw = width - _ML - _MR
     ph = height - _MT - _MB
 
-    def sx(x: float) -> float:
+    def sx(x):     # a float, or an array of them
         return _ML + (x - x0) / (x1 - x0) * pw
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MT + (y1 - y) / (y1 - y0) * ph
 
     parts = [
@@ -134,32 +134,28 @@ def render_chart(chart: Chart, width: int = _W, height: int = _H) -> str:
 
     for i, s in enumerate(chart.series):
         color = s.color or PALETTE[i % len(PALETTE)]
-        pts = [(sx(x), sy(y)) for x, y in zip(s.xs, s.ys)
-               if math.isfinite(x) and math.isfinite(y)]
+        tint = color.replace("%", "%%")     # the color as a literal of a %-template
+        n = min(len(s.xs), len(s.ys))
+        keep = np.isfinite(s.xs[:n]) & np.isfinite(s.ys[:n])
+        px, py = sx(s.xs[:n][keep]), sy(s.ys[:n][keep])
+        xy = list(zip(px.tolist(), py.tolist()))
         if s.kind == "line":
-            coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+            coords = " ".join(["%.6g,%.6g" % p for p in xy])
             parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                          f'stroke-width="1.2"/>')
         elif s.kind == "scatter":
-            for px, py in pts:
-                parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.8" '
-                             f'fill="{color}" fill-opacity="0.7"/>')
+            row = f'<circle cx="%.6g" cy="%.6g" r="1.8" fill="{tint}" fill-opacity="0.7"/>'
+            parts.extend(row % p for p in xy)
         elif s.kind == "stem":
-            base = sy(0.0)
-            for px, py in pts:
-                parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(base)}" x2="{_fmt(px)}" '
-                             f'y2="{_fmt(py)}" stroke="{color}" stroke-width="2"/>')
+            row = (f'<line x1="%.6g" y1="{_fmt(sy(0.0))}" x2="%.6g" y2="%.6g" stroke="{tint}" '
+                   f'stroke-width="2"/>')
+            parts.extend(row % (x, x, y) for x, y in xy)
         elif s.kind == "bar":
             base = sy(0.0)
-            if len(pts) > 1:
-                bw = max(1.0, 0.8 * (pts[1][0] - pts[0][0]))
-            else:
-                bw = 6.0
-            for px, py in pts:
-                top = min(py, base)
-                parts.append(f'<rect x="{_fmt(px - bw / 2)}" y="{_fmt(top)}" '
-                             f'width="{_fmt(bw)}" height="{_fmt(abs(base - py))}" '
-                             f'fill="{color}" fill-opacity="0.55"/>')
+            bw = max(1.0, 0.8 * (xy[1][0] - xy[0][0])) if len(xy) > 1 else 6.0
+            row = (f'<rect x="%.6g" y="%.6g" width="{_fmt(bw)}" height="%.6g" fill="{tint}" '
+                   f'fill-opacity="0.55"/>')
+            parts.extend(row % (x - bw / 2, min(y, base), abs(base - y)) for x, y in xy)
     # legend
     lx, ly = _ML + 10, _MT + 14
     for i, s in enumerate(chart.series):

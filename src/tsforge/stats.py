@@ -102,6 +102,21 @@ def moments(x) -> MomentsReport:
     )
 
 
+def _acf_rows(rows: np.ndarray, max_lag: int) -> np.ndarray:
+    """acf values [rows, max_lag + 1] of a 2-D batch, whose rows are made contiguous
+    first: sums along a strided axis (``gan.generate``'s windows) round differently."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    n = rows.shape[1]
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    denom = np.sum(centered ** 2, axis=1)
+    if np.any(denom == 0.0):
+        raise StatsError("acf undefined for a constant series")
+    values = np.empty((len(rows), max_lag + 1))
+    for k in range(max_lag + 1):
+        values[:, k] = np.sum(centered[:, : n - k] * centered[:, k:], axis=1) / denom
+    return values
+
+
 def acf(x, max_lag: int) -> AcfReport:
     """Autocorrelation at lags 0..max_lag.
 
@@ -112,14 +127,7 @@ def acf(x, max_lag: int) -> AcfReport:
     n = x.size
     if not 0 <= max_lag < n:
         raise StatsError(f"max_lag {max_lag} must be < series length {n}")
-    centered = x - x.mean()
-    denom = float(np.sum(centered ** 2))
-    if denom == 0.0:
-        raise StatsError("acf undefined for a constant series")
-    values = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        values[k] = np.sum(centered[: n - k] * centered[k:]) / denom
-    return AcfReport(lags=np.arange(max_lag + 1), values=values,
+    return AcfReport(lags=np.arange(max_lag + 1), values=_acf_rows(x[None], max_lag)[0],
                      band=1.96 / np.sqrt(n))
 
 
@@ -130,6 +138,23 @@ def acf_absolute(x, max_lag: int) -> AcfReport:
 
 def _plotting_positions(n: int) -> np.ndarray:
     return (np.arange(1, n + 1) - 0.5) / n
+
+
+def _sorted_quantiles(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(a, q)`` of a sorted 1-D array, bit for bit, without
+    its partition: numpy's linear method and its lerp, which interpolates
+    from the upper neighbour where the weight is at least 0.5."""
+    if np.isnan(a[-1]):
+        return np.full(q.shape, np.nan)
+    virtual = (a.size - 1) * q
+    i = np.floor(virtual).astype(np.intp)
+    j = i + 1
+    top = virtual >= a.size - 1
+    i[top] = j[top] = -1
+    t = virtual - i
+    lo, hi = a[i], a[j]
+    d = hi - lo
+    return np.where(t >= 0.5, hi - d * (1 - t), lo + d * t)
 
 
 def qq_points(sample, reference="normal") -> QqReport:
@@ -160,8 +185,8 @@ def qq_points(sample, reference="normal") -> QqReport:
             raise StatsError("empirical reference needs at least 10 observations")
         m = min(n, ref.size)
         pos = _plotting_positions(m)
-        sample_q = np.quantile(x, pos)
-        theo_q = np.quantile(ref, pos)
+        sample_q = _sorted_quantiles(x, pos)
+        theo_q = _sorted_quantiles(np.sort(ref), pos)
     tx = np.quantile(theo_q, [0.25, 0.75])
     ty = np.quantile(sample_q, [0.25, 0.75])
     if tx[1] == tx[0]:
@@ -198,7 +223,7 @@ def _acf_any(x: np.ndarray, max_lag: int, absolute: bool) -> AcfReport:
         x = x[:, :, 0]
     rows = np.atleast_2d(np.abs(x) if absolute else x)
     lag = min(max_lag, rows.shape[1] - 1)
-    values = np.mean([acf(row, lag).values for row in rows], axis=0)
+    values = _acf_rows(rows, lag).mean(axis=0)
     return AcfReport(lags=np.arange(lag + 1), values=values, band=1.96 / np.sqrt(rows.shape[1]))
 
 

@@ -437,6 +437,13 @@ class TestEvaluate:
         for svg in ("acf.svg", "qq.svg", "returns.svg"):
             ET.fromstring((out / svg).read_text())
 
+    def test_row_shorter_than_its_date_column_exit_2(self, tmp_path, capsys):
+        csv = tmp_path / "short.csv"
+        csv.write_text("Open,Close,Date\n1,4\n", encoding="utf-8")
+        assert main(["evaluate", "--data", str(csv), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{csv}:2: bad date" in err and "Traceback" not in err
+
     def test_constant_prices_exit_2(self, tmp_path):
         lines = ["Date,Open,High,Low,Close,Adj Close,Volume"]
         from datetime import date, timedelta
@@ -446,6 +453,39 @@ class TestEvaluate:
         p = tmp_path / "flat.csv"
         p.write_text("\n".join(lines) + "\n")
         assert main(["evaluate", "--data", str(p), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestCsvWriters:
+    """The row templates write what the per-cell ``_fmt`` formula wrote."""
+
+    ROWS = [
+        (3, True, False, 0.1, np.float64(2.5), "text", np.nan, np.inf, -np.inf, -0.0, 1e300),
+        [np.int64(7), np.float32(0.1), -5, 2**70, "a b", None, np.bool_(True), 1 / 3, -1e-300],
+        ("count", 2416.0, np.float64(-0.0)),
+        (),
+    ]
+
+    @staticmethod
+    def per_cell(rows) -> str:
+        return "".join(",".join(cli._fmt(v) if isinstance(v, (int, float, np.floating))
+                                else str(v) for v in row) + "\n" for row in rows)
+
+    def test_write_csv_matches_per_cell_formula(self, tmp_path):
+        rows = self.ROWS + list(zip(range(3), np.linspace(-1.0, 1.0, 3), "xyz"))
+        path = tmp_path / "mixed.csv"
+        cli._write_csv(path, ["a", "b"], iter(rows))
+        assert path.read_bytes() == ("a,b\n" + self.per_cell(rows)).encode("utf-8")
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[0.1, -0.0, np.nan], [np.inf, -np.inf, 1e300]]),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7.0),
+        np.array([1.5, 2, -3]),
+        np.empty((2, 0)),
+    ], ids=["special", "fortran", "one_row", "no_columns"])
+    def test_write_matrix_csv_matches_per_cell_formula(self, tmp_path, matrix):
+        path = tmp_path / "m.csv"
+        cli._write_matrix_csv(path, matrix)
+        assert path.read_bytes() == self.per_cell(np.atleast_2d(matrix)).encode("utf-8")
 
 
 class TestCompare:

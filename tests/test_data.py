@@ -1,12 +1,18 @@
 """Data pipeline: CSV loading, returns, windows, scaling, batching."""
 
-from datetime import date
+import os
+import re
+import subprocess
+import sys
+from datetime import date, datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsforge import data
 from tsforge.data import (DataError, PriceSeries, Scaler, build_dataset, fit_scale, load_csv,
                           log_returns, make_windows, returns_to_prices, sample_real_batch)
 
@@ -78,6 +84,22 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv")
 
+    def test_row_shorter_than_its_date_column_names_the_line(self, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text("Open,Close,Date\n1,4,2020-01-01\n1,4\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{p}:3: bad date ''")):
+            load_csv(p)
+
+    def test_canonical_dates_leave_strptime_unloaded(self, btc_csv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = ("import sys\nfrom tsforge.data import load_csv\n"
+                f"load_csv({str(btc_csv)!r})\nprint('_strptime' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_fixture_has_2416_points(self, btc_prices):
         assert len(btc_prices) == 2416
         assert btc_prices.dropped == 4
@@ -101,6 +123,46 @@ class TestLogReturns:
         p = PriceSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([1.0, np.inf]))
         with pytest.raises(DataError, match="finite"):
             log_returns(p)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def _strptime_date(text):
+    return datetime.strptime(text, "%Y-%m-%d").date()
+
+
+# canonical dates, other forms strptime reads, forms only fromisoformat reads, and neither
+DATE_GRID = [
+    "2014-09-17", "2020-02-29", "0001-01-01", "9999-12-31", "2014-9-7", "2014-09- 7",
+    "2014- 9-07", "2014-9-07", "2014-09-7", "20140917", "2014-W38-3", "2014W383", "2014-W38",
+    "2019-02-29", "0000-01-01", "2014-13-01", "2014-00-10", "2014-09-31", "2014-09-00",
+    "2014-09-1a", "+014-09-17", "-014-09-17", "2014/09/17", "2014-09-17T00:00", "14-09-17",
+    "2014-09-170", "12345-01-01", "2014-09-17 ", " 2014-09-17", "2014--9-17", "2014-0x-17",
+    "٢٠١٤-٠٩-١٧", "２０１４-０９-１７", "2014-09-1７", "", "-", "2014-09-17\x00",
+]
+
+
+class TestParseDate:
+    """``_parse_date`` accepts, rejects and reads exactly what strptime does."""
+
+    @pytest.mark.parametrize("text", DATE_GRID)
+    def test_edge_grid_matches_strptime(self, text):
+        got = _outcome(data._parse_date, text)
+        assert got == _outcome(_strptime_date, text)
+        assert got is ValueError or type(got) is date
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(
+        st.dates().map(date.isoformat),
+        st.text(st.sampled_from("0123456789- WT+:/٣９"), max_size=12),
+        st.text(max_size=12)))
+    def test_any_text_matches_strptime(self, text):
+        assert _outcome(data._parse_date, text) == _outcome(_strptime_date, text)
 
 
 class TestWindows:
@@ -128,6 +190,13 @@ class TestWindows:
         w = make_windows(vals, seq_len=7, stride=3)
         for i in range(w.shape[0]):
             np.testing.assert_array_equal(w[i], vals[i * 3: i * 3 + 7])
+
+    def test_windows_are_an_owned_c_contiguous_copy(self):
+        vals = np.arange(30.0)
+        w = make_windows(vals, seq_len=4, stride=3)
+        assert w.flags.c_contiguous and w.flags.owndata and w.flags.writeable
+        w[0, 0] = -1.0
+        assert vals[0] == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(5, 200), seq=st.integers(1, 40), stride=st.integers(1, 10))

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tsforge import stats
 from tsforge.stats import StatsError
@@ -195,6 +198,17 @@ class TestQq:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=hnp.arrays(np.float64, st.integers(1, 80), elements=st.floats(-1e300, 1e300)),
+           q=hnp.arrays(np.float64, st.integers(1, 20), elements=st.floats(0.0, 1.0)))
+    def test_sorted_quantiles_equal_np_quantile_bit_for_bit(self, a, q):
+        a = np.sort(a)
+        assert stats._sorted_quantiles(a, q).tobytes() == np.quantile(a, q).tobytes()
+
+    def test_sorted_quantiles_of_nan_are_nan_like_np_quantile(self):
+        a, q = np.array([-1.0, 0.5, np.nan]), np.array([0.0, 0.3, 1.0])
+        assert stats._sorted_quantiles(a, q).tobytes() == np.quantile(a, q).tobytes()
+
     def test_degenerate_rejected(self):
         with pytest.raises(StatsError):
             stats.qq_points(np.ones(50), "normal")
@@ -267,6 +281,14 @@ class TestCompare:
         rep = stats.compare_distributions(rng.standard_normal(500), windows, max_lag=10)
         manual = np.mean([acf_reference(w, 10) for w in windows], axis=0)
         np.testing.assert_allclose(rep.acf_synthetic.values, manual, rtol=1e-12)
+        # bit for bit the mean of per-row acf, also over the strided rows of an
+        # F-ordered batch (the layout gan.generate returns)
+        for batch in (windows, np.asfortranarray(windows)):
+            rep = stats.compare_distributions(rng.standard_normal(500), batch, max_lag=10)
+            for got, absolute in ((rep.acf_synthetic, False), (rep.acf_abs_synthetic, True)):
+                rows = np.abs(batch) if absolute else batch
+                per_row = np.mean([stats.acf(w, 10).values for w in rows], axis=0)
+                assert got.values.tobytes() == per_row.tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(StatsError):
