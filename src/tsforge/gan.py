@@ -232,24 +232,28 @@ def generator_loss_gan(critic: Critic, fake_batch: Tensor,
     return T.reduce("mean", T.log(T.sub(1.0, p_fake)))
 
 
-def lipschitz_ratio_check(critic: Critic, x1, x2) -> float:
-    """|D(x1) - D(x2)| / ||x1 - x2||_2 for a single pair of inputs.
+def lipschitz_ratio_check(critic: Critic, x1, x2) -> np.ndarray:
+    """|D(x1[k]) - D(x2[k])| / ||x1[k] - x2[k]||_2 for each of n pairs.
 
-    Diagnostic only; a 1-Lipschitz critic keeps this at most 1.
+    ``x1`` and ``x2`` are stacks [n, seq_len, features] of equal shape; a
+    single [seq_len, features] pair is a stack of one. All 2n windows are
+    scored in one critic call on their concatenation, and the n ratios
+    come back as an array. Raises ``ValueError`` if any pair is identical.
+    Diagnostic only; a 1-Lipschitz critic keeps every ratio at most 1.
     """
     a = np.asarray(x1, dtype=np.float64)
     b = np.asarray(x2, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("inputs must share a shape")
-    dist = float(np.sqrt(np.sum((a - b) ** 2)))
-    if dist == 0.0:
-        raise ValueError("inputs are identical")
     if a.ndim == 2:
-        a = a[None, :, :]
-        b = b[None, :, :]
-    s1 = float(np.mean(critic(Tensor(a, requires_grad=False)).data))
-    s2 = float(np.mean(critic(Tensor(b, requires_grad=False)).data))
-    return abs(s1 - s2) / dist
+        a, b = a[None], b[None]
+    n = a.shape[0]
+    diff = (a - b).reshape(n, -1)
+    dist = np.sqrt(np.sum(diff * diff, axis=1))
+    if not np.all(dist):
+        raise ValueError(f"pair {int(np.argmin(dist))} has identical inputs")
+    scores = critic(Tensor(np.concatenate([a, b]), requires_grad=False)).data.reshape(2, n)
+    return np.abs(scores[0] - scores[1]) / dist
 
 
 def mode_collapse_score(batch: np.ndarray) -> float:

@@ -88,11 +88,12 @@ def moments(x) -> MomentsReport:
         raise StatsError(f"moments need at least 4 observations, got {n}")
     mean = float(x.mean())
     centered = x - mean
-    m2 = float(np.mean(centered ** 2))
+    sq = centered * centered      # products, not ``**``: a cube through libm pow is 100x slower
+    m2 = float(np.mean(sq))
     if m2 == 0.0:
         raise StatsError("skewness/kurtosis undefined for a constant series")
-    m3 = float(np.mean(centered ** 3))
-    m4 = float(np.mean(centered ** 4))
+    m3 = float(np.mean(sq * centered))
+    m4 = float(np.mean(sq * sq))
     q25, q50, q75 = np.quantile(x, [0.25, 0.5, 0.75])
     return MomentsReport(
         n=n, mean=mean, std=float(x.std(ddof=1)),

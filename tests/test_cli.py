@@ -8,9 +8,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from tsforge import cli
+from tsforge import cli, gan
 from tsforge.cli import main, parse_config, write_config
-from tsforge.gan import TrainConfig
+from tsforge.gan import TrainConfig, make_rng
 from tsforge.optim import OptimConfig
 
 from conftest import build_price_csv
@@ -203,6 +203,25 @@ class TestTrain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_windows"] > 0
         assert "median_lipschitz_ratio" in summary
+
+    def test_lipschitz_probe_is_one_critic_call(self, small_csv, tmp_path, monkeypatch):
+        calls, probe = [], gan.lipschitz_ratio_check
+
+        def counted(critic, x1, x2):
+            calls.append(len(x1))
+            return probe(critic, x1, x2)
+
+        monkeypatch.setattr(gan, "lipschitz_ratio_check", counted)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(small_csv), "--out", str(out)] + FAST) == 0
+        # the probe's pairs: 10 draws of two window indices from seed + 1; the random
+        # prices make two windows equal only at equal indices, and those are dropped
+        n_windows = json.loads((out / "summary.json").read_text())["n_windows"]
+        rng = make_rng(5 + 1)
+        draws = [rng.integers(0, n_windows, size=2) for _ in range(10)]
+        distinct = sum(int(i != j) for i, j in draws)
+        assert distinct == 9
+        assert calls == [distinct]
 
     def test_byte_identical_reruns(self, small_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -24,6 +24,16 @@ def write_csv(path, rows):
     return path
 
 
+def _fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports this checkout's tsforge."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestLoadCsv:
     def test_basic_load(self, tmp_path):
         p = write_csv(tmp_path / "p.csv", [
@@ -91,14 +101,16 @@ class TestLoadCsv:
             load_csv(p)
 
     def test_canonical_dates_leave_strptime_unloaded(self, btc_csv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        code = ("import sys\nfrom tsforge.data import load_csv\n"
-                f"load_csv({str(btc_csv)!r})\nprint('_strptime' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        out = _fresh_interpreter("import sys\nfrom tsforge.data import load_csv\n"
+                                 f"load_csv({str(btc_csv)!r})\nprint('_strptime' in sys.modules)")
+        assert out == "False"
+
+    def test_setup_import_loads_no_other_tsforge_module(self):
+        # the benchmark's set-up time is this import in a fresh interpreter
+        out = _fresh_interpreter(
+            "import sys\nfrom tsforge.data import build_dataset, load_csv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'tsforge'))")
+        assert out == "['tsforge', 'tsforge.data']"
 
     def test_fixture_has_2416_points(self, btc_prices):
         assert len(btc_prices) == 2416

@@ -379,6 +379,23 @@ class TestLipschitz:
         with pytest.raises(ValueError):
             lipschitz_ratio_check(constant_critic, a, a.copy())
 
+    def test_stack_matches_pairwise(self):
+        critic = init_params(SMALL, "critic", 25)
+        fn = lambda t: critic_forward(critic, t)
+        rng = np.random.default_rng(26)
+        a, b = rng.normal(size=(7, 6, 1)), rng.normal(size=(7, 6, 1))
+        stacked = lipschitz_ratio_check(fn, a, b)
+        assert stacked.shape == (7,)
+        pairwise = [lipschitz_ratio_check(fn, a[k], b[k]) for k in range(7)]
+        np.testing.assert_allclose(stacked, np.concatenate(pairwise), rtol=1e-12, atol=0)
+
+    def test_identical_pair_in_stack_rejected(self):
+        rng = np.random.default_rng(27)
+        a, b = rng.normal(size=(6, 6, 1)), rng.normal(size=(6, 6, 1))
+        b[3] = a[3]
+        with pytest.raises(ValueError, match="pair 3"):
+            lipschitz_ratio_check(constant_critic, a, b)
+
 
 class TestModeCollapse:
     def test_identical_samples_zero(self):

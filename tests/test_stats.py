@@ -1,5 +1,6 @@
 """Statistics instruments against independent oracles."""
 
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +68,14 @@ class TestMoments:
         assert a.mean == pytest.approx(b.mean, rel=1e-12)
         assert a.skewness == pytest.approx(b.skewness, rel=1e-9)
         assert a.kurtosis == pytest.approx(b.kurtosis, rel=1e-9)
+
+    def test_higher_moments_match_exact_sums(self):
+        x = np.random.Generator(np.random.Philox(7)).standard_t(df=3, size=20_000)
+        c = (x - math.fsum(x) / x.size).tolist()
+        m2, m3, m4 = (math.fsum(v ** k for v in c) / x.size for k in (2, 3, 4))
+        m = stats.moments(x)
+        assert m.skewness == pytest.approx(m3 / m2 ** 1.5, rel=1e-12)
+        assert m.kurtosis == pytest.approx(m4 / m2 ** 2, rel=1e-12)
 
 
 class TestAcf:
