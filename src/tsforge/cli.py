@@ -78,6 +78,8 @@ def _read_config_file(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,21 +140,20 @@ def write_config(cfg: TrainConfig, path) -> None:
 
 # CSV helpers --------------------------------------------------------
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """Numbers as ``_fmt`` writes them, anything else as ``str``; each row
-    through a %-template made once per sequence of cell types, and the
-    file formatted with one ``%`` over the rows' templates joined."""
-    templates: dict[tuple, str] = {}
-    parts: list[str] = []
-    cells: list = []
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            templates[kinds] = ",".join("%.17g" if issubclass(k, (int, float, np.floating))
-                                        else "%s" for k in kinds) + "\n"
-        parts.append(templates[kinds])
-        cells.extend(row)
-    Path(path).write_text(",".join(header) + "\n" + "".join(parts) % tuple(cells),
+def _write_csv(path, header: list[str], *columns) -> None:
+    """One CSV row per index of ``columns``: numpy arrays (one ``.tolist()``
+    each), ``range``s or lists, all of one length (``ValueError`` otherwise).
+    A column of str is written as ``%s``, any other as ``%.17g`` (``_fmt``'s
+    text); the file is one row template repeated and formatted with one ``%``."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    n = len(cols[0]) if cols else 0
+    if any(len(c) != n for c in cols):
+        raise ValueError(f"{path}: columns of unequal length {[len(c) for c in cols]}")
+    row = ",".join("%s" if n and isinstance(c[0], str) else "%.17g" for c in cols) + "\n"
+    cells: list = [None] * (n * len(cols))
+    for j, c in enumerate(cols):
+        cells[j::len(cols)] = c
+    Path(path).write_text(",".join(header) + "\n" + (row * n) % tuple(cells),
                           encoding="utf-8", newline="\n")
 
 
@@ -175,10 +176,7 @@ def _read_matrix_csv(path) -> np.ndarray:
 
 
 def _out_dir(arg: str | None, default_name: str) -> Path:
-    if arg:
-        root = Path(arg)
-    else:
-        root = Path(os.environ.get("TSFORGE_OUT", "runs")) / default_name
+    root = Path(arg) if arg else Path(os.environ.get("TSFORGE_OUT", "runs")) / default_name
     root.mkdir(parents=True, exist_ok=True)
     return root
 
@@ -188,8 +186,8 @@ def _out_dir(arg: str | None, default_name: str) -> Path:
 def _write_loss_artifacts(out: Path, history: gan.LossHistory) -> None:
     _write_csv(out / "loss.csv",
                ["epoch", "critic_loss", "generator_loss", "wasserstein", "gradient_penalty"],
-               zip(history.epochs, history.critic_loss, history.generator_loss,
-                   history.wasserstein, history.gradient_penalty))
+               history.epochs, history.critic_loss, history.generator_loss,
+               history.wasserstein, history.gradient_penalty)
     chart = Chart("Generator and critic loss", "epoch", "loss")
     chart.add("critic", history.epochs, history.critic_loss)
     chart.add("generator", history.epochs, history.generator_loss)
@@ -210,8 +208,8 @@ def _paths_chart(title: str, y_label: str, rows: np.ndarray,
 
 
 def _write_moments(path, real: stats.MomentsReport, synth: stats.MomentsReport) -> None:
-    _write_csv(path, ["metric", "real", "synthetic"],
-               [(k, rv, sv) for (k, rv), (_, sv) in zip(real.rows(), synth.rows())])
+    _write_csv(path, ["metric", "real", "synthetic"], *zip(*real.rows()),
+               [v for _, v in synth.rows()])
 
 
 def _check_resume(cp: Checkpoint, cfg: TrainConfig, dataset: WindowedDataset, path) -> None:
@@ -335,9 +333,8 @@ def cmd_generate(args) -> int:
 # evaluate -----------------------------------------------------------
 
 def _acf_chart(title: str, rep: stats.AcfReport) -> Chart:
-    chart = Chart(title, "lag", "acf", h_lines=[rep.band, -rep.band])
-    chart.add("", rep.lags[1:], rep.values[1:], kind="stem")
-    return chart
+    return Chart(title, "lag", "acf", h_lines=[rep.band, -rep.band]).add(
+        "", rep.lags[1:], rep.values[1:], kind="stem")
 
 
 def cmd_evaluate(args) -> int:
@@ -346,30 +343,27 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args.out, f"evaluate-{Path(args.data).stem}")
 
     report = stats.moments(returns)
-    _write_csv(out / "moments.csv", ["metric", "value"], report.rows())
+    _write_csv(out / "moments.csv", ["metric", "value"], *zip(*report.rows()))
 
     max_lag = min(args.max_lag, len(returns) - 1)
     plain = stats.acf(returns, max_lag)
     absolute = stats.acf_absolute(returns, max_lag)
     _write_csv(out / "acf.csv", ["lag", "acf", "acf_absolute"],
-               zip(plain.lags.tolist(), plain.values, absolute.values))
+               plain.lags, plain.values, absolute.values)
     write_svg(out / "acf.svg", render_panels([
         _acf_chart("ACF of log returns", plain),
         _acf_chart("ACF of absolute log returns", absolute)]))
 
     qq = stats.qq_points(returns, "normal")
-    _write_csv(out / "qq.csv", ["theoretical", "sample"],
-               zip(qq.theoretical.tolist(), qq.sample.tolist()))
+    _write_csv(out / "qq.csv", ["theoretical", "sample"], qq.theoretical, qq.sample)
     qc = Chart("QQ plot of log returns vs normal", "normal quantile", "sample quantile",
                ref_line=(qq.slope, qq.intercept))
     qc.add("log returns", qq.theoretical, qq.sample, kind="scatter")
     write_svg(out / "qq.svg", render_chart(qc))
 
-    _write_csv(out / "returns.csv", ["index", "log_return"],
-               enumerate(returns.tolist()))
-    rc = Chart("Log returns", "day", "log return")
-    rc.add("", range(len(returns)), returns)
-    write_svg(out / "returns.svg", render_chart(rc))
+    _write_csv(out / "returns.csv", ["index", "log_return"], range(len(returns)), returns)
+    write_svg(out / "returns.svg", render_chart(
+        Chart("Log returns", "day", "log return").add("", range(len(returns)), returns)))
     print(f"evaluation written to {out} ({report.n} returns)")
     return EXIT_OK
 
@@ -401,7 +395,7 @@ def cmd_compare(args) -> int:
     hist = report.histogram
     centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
     _write_csv(out / "histogram.csv", ["bin_center", "real_density", "synthetic_density"],
-               zip(centers, hist.densities["real"], hist.densities["synthetic"]))
+               centers, hist.densities["real"], hist.densities["synthetic"])
     hc = Chart("Log return densities", "log return", "density", annotations=[
         f"real skew {report.moments_real.skewness:.3f} kurt {report.moments_real.kurtosis:.2f}",
         f"synthetic skew {report.moments_synthetic.skewness:.3f} "
@@ -416,23 +410,21 @@ def cmd_compare(args) -> int:
         "real_vs_normal": report.qq_real_vs_normal,
         "synthetic_vs_real": report.qq_synthetic_vs_real,
     }
-    rows = []
-    for name, rep in qq_sets.items():
-        rows.extend((name, t, s) for t, s in zip(rep.theoretical.tolist(), rep.sample.tolist()))
-    _write_csv(out / "qq.csv", ["set", "theoretical", "sample"], rows)
-    qq_panels = []
-    for name, rep in qq_sets.items():
-        c = Chart(f"QQ {name.replace('_', ' ')}", "reference quantile", "sample quantile",
-                  ref_line=(rep.slope, rep.intercept))
-        c.add("", rep.theoretical, rep.sample, kind="scatter")
-        qq_panels.append(c)
-    write_svg(out / "qq.svg", render_panels(qq_panels))
+    reps = qq_sets.values()
+    _write_csv(out / "qq.csv", ["set", "theoretical", "sample"],
+               np.repeat(list(qq_sets), [rep.sample.size for rep in reps]),
+               np.concatenate([rep.theoretical for rep in reps]),
+               np.concatenate([rep.sample for rep in reps]))
+    write_svg(out / "qq.svg", render_panels([
+        Chart(f"QQ {name.replace('_', ' ')}", "reference quantile", "sample quantile",
+              ref_line=(rep.slope, rep.intercept)).add("", rep.theoretical, rep.sample,
+                                                       kind="scatter")
+        for name, rep in qq_sets.items()]))
 
     _write_csv(out / "acf.csv",
                ["lag", "real", "synthetic", "real_absolute", "synthetic_absolute"],
-               zip(report.acf_real.lags.tolist(),
-                   report.acf_real.values, report.acf_synthetic.values,
-                   report.acf_abs_real.values, report.acf_abs_synthetic.values))
+               report.acf_real.lags, report.acf_real.values, report.acf_synthetic.values,
+               report.acf_abs_real.values, report.acf_abs_synthetic.values)
     write_svg(out / "acf.svg", render_panels([
         _acf_chart("ACF of synthetic log returns", report.acf_synthetic),
         _acf_chart("ACF of real log returns", report.acf_real),
@@ -519,10 +511,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -123,9 +123,12 @@ def load_csv(path) -> PriceSeries:
     forms such as ``2014-9-7``. Any other date raises a ``DataError``
     naming ``path:line``. Rows whose Close is missing, non-numeric or zero
     are dropped; the drop count is logged and kept on the returned series.
+    The file is UTF-8 text, optionally after a byte order mark (as Excel's
+    "CSV UTF-8" writes it); an undecodable byte raises a ``DataError``
+    naming the path and the byte's offset in the file.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -157,6 +160,13 @@ def load_csv(path) -> PriceSeries:
                 rows.append((d, close))
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        with open(path, "rb") as fh:     # e.start counts from the chunk being decoded
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                e = whole
+        raise DataError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None
     if dropped:
         logger.warning("%s: dropped %d rows with missing/zero/non-numeric Close", path, dropped)
     if len(rows) < 2:

@@ -75,9 +75,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
+    ticks, t = [], math.ceil(lo / step) * step
     while t <= hi + 1e-12 * span:
         ticks.append(round(t, 12))
         t += step
@@ -138,24 +136,30 @@ def render_chart(chart: Chart, width: int = _W, height: int = _H) -> str:
         n = min(len(s.xs), len(s.ys))
         keep = np.isfinite(s.xs[:n]) & np.isfinite(s.ys[:n])
         px, py = sx(s.xs[:n][keep]), sy(s.ys[:n][keep])
-        xy = list(zip(px.tolist(), py.tolist()))
+        # one %-template per series: a row per point, over the flat coordinates
         if s.kind == "line":
-            coords = " ".join(["%.6g,%.6g" % p for p in xy])
-            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                         f'stroke-width="1.2"/>')
+            row, sep, cols = "%.6g,%.6g", " ", (px, py)
         elif s.kind == "scatter":
             row = f'<circle cx="%.6g" cy="%.6g" r="1.8" fill="{tint}" fill-opacity="0.7"/>'
-            parts.extend(row % p for p in xy)
+            sep, cols = "\n", (px, py)
         elif s.kind == "stem":
             row = (f'<line x1="%.6g" y1="{_fmt(sy(0.0))}" x2="%.6g" y2="%.6g" stroke="{tint}" '
                    f'stroke-width="2"/>')
-            parts.extend(row % (x, x, y) for x, y in xy)
+            sep, cols = "\n", (px, px, py)
         elif s.kind == "bar":
             base = sy(0.0)
-            bw = max(1.0, 0.8 * (xy[1][0] - xy[0][0])) if len(xy) > 1 else 6.0
+            bw = max(1.0, 0.8 * float(px[1] - px[0])) if px.size > 1 else 6.0
             row = (f'<rect x="%.6g" y="%.6g" width="{_fmt(bw)}" height="%.6g" fill="{tint}" '
                    f'fill-opacity="0.55"/>')
-            parts.extend(row % (x - bw / 2, min(y, base), abs(base - y)) for x, y in xy)
+            sep, cols = "\n", (px - bw / 2, np.minimum(py, base), np.abs(base - py))
+        else:
+            continue
+        body = sep.join([row] * px.size) % tuple(np.column_stack(cols).ravel().tolist())
+        if s.kind == "line":
+            parts.append(f'<polyline points="{body}" fill="none" stroke="{color}" '
+                         f'stroke-width="1.2"/>')
+        elif body:
+            parts.append(body)
     # legend
     lx, ly = _ML + 10, _MT + 14
     for i, s in enumerate(chart.series):

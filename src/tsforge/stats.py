@@ -209,23 +209,14 @@ def histogram(datasets: dict[str, np.ndarray], bins: int = 50) -> HistogramRepor
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, int(bins) + 1)
-    densities = {}
-    for k, v in arrays.items():
-        counts, _ = np.histogram(v, bins=edges, density=True)
-        densities[k] = counts
-    return HistogramReport(edges=edges, densities=densities)
+    return HistogramReport(edges=edges, densities={
+        k: np.histogram(v, bins=edges, density=True)[0] for k, v in arrays.items()})
 
 
-def _acf_any(x: np.ndarray, max_lag: int, absolute: bool) -> AcfReport:
-    """The ACF averaged over the rows of 2-D windows; a 1-D series is a
-    batch of one row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3 and x.shape[2] == 1:
-        x = x[:, :, 0]
-    rows = np.atleast_2d(np.abs(x) if absolute else x)
-    lag = min(max_lag, rows.shape[1] - 1)
-    values = _acf_rows(rows, lag).mean(axis=0)
-    return AcfReport(lags=np.arange(lag + 1), values=values, band=1.96 / np.sqrt(rows.shape[1]))
+def _acf_any(rows: np.ndarray, max_lag: int) -> AcfReport:
+    """The ACF at lags 0..max_lag averaged over the rows of 2-D windows."""
+    return AcfReport(lags=np.arange(max_lag + 1), values=_acf_rows(rows, max_lag).mean(axis=0),
+                     band=1.96 / np.sqrt(rows.shape[1]))
 
 
 def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,
@@ -233,7 +224,8 @@ def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,
     """Bundle every comparison instrument for one real/synthetic pair.
 
     Accepts 1-D return series or 2-D window batches; batched input gets
-    batch-averaged ACFs while moments, histogram and QQ flatten.
+    batch-averaged ACFs while moments, histogram and QQ flatten. All four
+    ACFs run to one lag: ``max_lag``, or the shorter row length less one.
     """
     real = np.asarray(real_returns, dtype=np.float64)
     synth = np.asarray(synthetic_returns, dtype=np.float64)
@@ -241,6 +233,10 @@ def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,
         raise StatsError("both datasets must be non-empty")
     real_flat = real.reshape(-1)
     synth_flat = synth.reshape(-1)
+    # window rows: a 1-D series is one row, [n, seq_len, 1] windows lose their last axis
+    real_rows, synth_rows = (np.atleast_2d(x[:, :, 0] if x.ndim == 3 and x.shape[2] == 1 else x)
+                             for x in (real, synth))
+    lag = min(max_lag, real_rows.shape[1] - 1, synth_rows.shape[1] - 1)
     return EvalReport(
         moments_real=moments(real_flat),
         moments_synthetic=moments(synth_flat),
@@ -248,8 +244,8 @@ def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,
         qq_synthetic_vs_normal=qq_points(synth_flat, "normal"),
         qq_real_vs_normal=qq_points(real_flat, "normal"),
         qq_synthetic_vs_real=qq_points(synth_flat, real_flat),
-        acf_real=_acf_any(real, max_lag, absolute=False),
-        acf_synthetic=_acf_any(synth, max_lag, absolute=False),
-        acf_abs_real=_acf_any(real, max_lag, absolute=True),
-        acf_abs_synthetic=_acf_any(synth, max_lag, absolute=True),
+        acf_real=_acf_any(real_rows, lag),
+        acf_synthetic=_acf_any(synth_rows, lag),
+        acf_abs_real=_acf_any(np.abs(real_rows), lag),
+        acf_abs_synthetic=_acf_any(np.abs(synth_rows), lag),
     )

@@ -1,8 +1,13 @@
 """CLI contract: flags, config precedence, artifacts, exit codes."""
 
+import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from dataclasses import fields, replace
 
 import numpy as np
@@ -102,6 +107,16 @@ class TestParseConfig:
         assert cfg.lstm_units == 50
         assert cfg.checkpoint_every == 500
         assert cfg.loss_variant == "wgan_gp"
+
+    def test_undecodable_config_exit_1(self, small_csv, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"epochs = 2\n# caf\xe9\n")
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(small_csv), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {cfg}: byte 16 is not UTF-8" in err
+        assert not out.exists()
 
     def test_empty_file_pure_defaults(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -463,6 +478,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"{csv}:2: bad date" in err and "Traceback" not in err
 
+    def test_undecodable_byte_exit_2(self, btc_csv, tmp_path, capsys):
+        # past the first 8 KiB, so the offset is counted from the file's start
+        raw = btc_csv.read_bytes()
+        at = raw.index(b"\n", 20000) + 1
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(raw[:at] + b"2020-01-01,caf\xe9" + raw[at:])
+        assert main(["evaluate", "--data", str(csv), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {csv}: byte {at + 14} is not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_constant_prices_exit_2(self, tmp_path):
         lines = ["Date,Open,High,Low,Close,Adj Close,Volume"]
         from datetime import date, timedelta
@@ -475,25 +501,42 @@ class TestEvaluate:
 
 
 class TestCsvWriters:
-    """The row templates write what the per-cell ``_fmt`` formula wrote."""
+    """The column and matrix templates write what the per-cell ``_fmt`` formula wrote."""
 
-    ROWS = [
-        (3, True, False, 0.1, np.float64(2.5), "text", np.nan, np.inf, -np.inf, -0.0, 1e300),
-        [np.int64(7), np.float32(0.1), -5, 2**70, "a b", None, np.bool_(True), 1 / 3, -1e-300],
-        ("count", 2416.0, np.float64(-0.0)),
-        (),
+    # one column per kind of cell; every column has one type, as _write_csv requires
+    COLUMNS = [
+        np.array([np.nan, np.inf, -np.inf, -0.0, 1e300, -1e-300, 1 / 3]),
+        np.array([0.1, -2.5, 1e-8, 3e38, 0.0, -0.0, 7.0], dtype=np.float32),
+        np.arange(-3, 4, dtype=np.int64) * 7,
+        np.array([True, False, True, True, False, False, True]),
+        range(2**70, 2**70 + 7),
+        ["a b", "text", "count", " lead", "x y z", "", "25%"],
+        [2416.0, np.float64(-0.0), 0.5, -1.25, 1e-300, np.float64(2.5), 3],
     ]
 
     @staticmethod
     def per_cell(rows) -> str:
-        return "".join(",".join(cli._fmt(v) if isinstance(v, (int, float, np.floating))
+        return "".join(",".join(cli._fmt(v) if isinstance(v, (int, float, np.number, np.bool_))
                                 else str(v) for v in row) + "\n" for row in rows)
 
     def test_write_csv_matches_per_cell_formula(self, tmp_path):
-        rows = self.ROWS + list(zip(range(3), np.linspace(-1.0, 1.0, 3), "xyz"))
         path = tmp_path / "mixed.csv"
-        cli._write_csv(path, ["a", "b"], iter(rows))
+        cli._write_csv(path, ["a", "b"], *self.COLUMNS)
+        rows = zip(*self.COLUMNS)
         assert path.read_bytes() == ("a,b\n" + self.per_cell(rows)).encode("utf-8")
+
+    @pytest.mark.parametrize("columns", [(), (np.empty(0), []), (range(0),)],
+                             ids=["none", "empty_array_and_list", "empty_range"])
+    def test_write_csv_without_rows_writes_the_header(self, tmp_path, columns):
+        path = tmp_path / "empty.csv"
+        cli._write_csv(path, ["a", "b"], *columns)
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_write_csv_rejects_unequal_columns(self, tmp_path):
+        path = tmp_path / "short.csv"
+        with pytest.raises(ValueError, match=r"unequal length \[3, 2\]"):
+            cli._write_csv(path, ["lag", "acf"], range(3), np.zeros(2))
+        assert not path.exists()
 
     @pytest.mark.parametrize("matrix", [
         np.array([[0.1, -0.0, np.nan], [np.inf, -np.inf, 1e300]]),
@@ -505,6 +548,52 @@ class TestCsvWriters:
         path = tmp_path / "m.csv"
         cli._write_matrix_csv(path, matrix)
         assert path.read_bytes() == self.per_cell(np.atleast_2d(matrix)).encode("utf-8")
+
+
+# SHA-256 of every CSV that train, generate, evaluate and compare --checkpoint write
+# on the GARCH fixture, recorded before the CSV writers took columns. Training and
+# sampling go through BLAS and libm, so another numpy build may round differently.
+CSV_SHA256 = {
+    "compare/acf.csv": "0fb3ede73765792425580e7e83f80def6fc53513c28dba40e6edf8dc97a71dea",
+    "compare/histogram.csv": "2ed43d810811250a361b9ad677a3cca539d73c89b7dc8c0ca619b6bcca7e7aa6",
+    "compare/moments.csv": "4d4d4436f760cda6ad5e65b0ba3d4fc5a7147a6586cdbfc37ed095f76f7c7f41",
+    "compare/qq.csv": "60e19811d5b592ebc1f45529cee2385780c6fc870c12d0ea40483a9e01a3409b",
+    "evaluate/acf.csv": "02d0505c85ca63001dfb334569fba92628328960bb855264c40de11efbedd01c",
+    "evaluate/moments.csv": "8bac406ec67c35f1f89e02255dc182ab1c3107d30ef18bbbe18636e497111779",
+    "evaluate/qq.csv": "a3891422b7ada28b6af8e5b8eb6ccd5e183f8868f88074d4e94b945b09434a8b",
+    "evaluate/returns.csv": "f72d53f6b8bec9f1f4877352de39cf5fc034b8858d8246a164da558e5e909137",
+    "generate/prices.csv": "5e5cf9c17710654dcf53f5fdf6173bead173893b3e5fdddaf543704b5833dd6a",
+    "generate/returns.csv": "d0111224624094948c9fe04ec8b81d04ddc86b5678ee8cdbbc026a1672c4182e",
+    "generate/returns_scaled.csv": "56b1a2dac666be22ea45a39b66c71f7cd49ea43e3852fa49d73b5f27e4d2428a",
+    "train/compare_epoch000002_moments.csv": "bee4e314bed1b20e573f1f4e826132072b4a28076dd15141666deb3cdaf6b562",
+    "train/loss.csv": "f51cb65aa7d1257657fe8e7f7ddcc13cc86657cb7e4f6c8606646f7d009477d0",
+    "train/samples_epoch000002.csv": "4f62011e807c6473256fd9afa1f62ee64a52b66d2e6d08dd6d83d9cf5b85db79",
+}
+
+
+@pytest.fixture(scope="module")
+def command_csvs(btc_csv, tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("goldens")
+    ckpt = str(out / "train" / "checkpoint_epoch000002.ckpt")
+    for argv in (["train", "--data", str(btc_csv), "--out", str(out / "train")] + FAST,
+                 ["generate", "--checkpoint", ckpt, "--n", "6", "--seed", "3",
+                  "--out", str(out / "generate")],
+                 ["evaluate", "--data", str(btc_csv), "--out", str(out / "evaluate")],
+                 ["compare", "--real", str(btc_csv), "--checkpoint", ckpt, "--n", "8",
+                  "--seed", "1", "--out", str(out / "compare")]):
+        assert main(argv) == 0
+    return out
+
+
+class TestCsvGoldens:
+    def test_every_csv_is_pinned(self, command_csvs):
+        assert sorted(p.relative_to(command_csvs).as_posix()
+                      for p in command_csvs.glob("*/*.csv")) == sorted(CSV_SHA256)
+
+    @pytest.mark.parametrize("name", sorted(CSV_SHA256))
+    def test_csv_bytes(self, command_csvs, name):
+        digest = hashlib.sha256((command_csvs / name).read_bytes()).hexdigest()
+        assert digest == CSV_SHA256[name]
 
 
 class TestCompare:
@@ -529,6 +618,21 @@ class TestCompare:
             assert title in svg
         ET.fromstring((out / "qq.svg").read_text())
         ET.fromstring((out / "histogram.svg").read_text())
+
+    def test_acf_csv_and_svg_share_one_lag_range(self, trained_run, tmp_path):
+        # synthetic windows of 10 returns against a real series of 159: lags 0..9 in both
+        run, csv_path = trained_run
+        out = tmp_path / "cmp"
+        assert main(["compare", "--real", str(csv_path),
+                     "--checkpoint", str(run / "checkpoint_epoch000002.ckpt"),
+                     "--n", "8", "--out", str(out)]) == 0
+        lags = [row.split(",")[0] for row in (out / "acf.csv").read_text().splitlines()[1:]]
+        assert lags == [str(k) for k in range(10)]
+        panels = ET.fromstring((out / "acf.svg").read_text()).findall(
+            "{http://www.w3.org/2000/svg}g")
+        stems = [sum(line.get("stroke-width") == "2" for line in g.iter() if line.tag.endswith(
+            "line")) for g in panels]
+        assert stems == [9, 9, 9, 9]
 
     def test_real_vs_real_identity(self, small_csv, tmp_path):
         # feed the real returns back as a single synthetic window row
@@ -606,3 +710,16 @@ class TestExitCodes:
         rc = main(["evaluate", "--data", str(small_csv)])
         assert rc == 0
         assert (tmp_path / "envroot").exists()
+
+
+def test_python_m_tsforge_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "tsforge", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, f"tsforge {cli.__version__}\n"), done.stderr
+    done = subprocess.run([sys.executable, "-c", "import sys, tsforge\n"
+                           "print(sorted(m for m in sys.modules if m.startswith('tsforge')))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout == "['tsforge']\n", done.stderr

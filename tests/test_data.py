@@ -46,6 +46,24 @@ class TestLoadCsv:
         assert series.dates[0] == date(2020, 1, 1)
         np.testing.assert_array_equal(series.closes, [100.0, 101.0, 99.5])
 
+    def test_utf8_bom_before_the_header(self, btc_csv, btc_prices, tmp_path):
+        # Excel's "CSV UTF-8" export starts with EF BB BF
+        p = tmp_path / "excel.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + btc_csv.read_bytes())
+        series = load_csv(p)
+        assert series.dates == btc_prices.dates and series.dropped == btc_prices.dropped
+        assert series.closes.tobytes() == btc_prices.closes.tobytes()
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("rows", [1, 900], ids=["first_chunk", "later_chunk"])
+    def test_undecodable_byte_names_its_offset(self, tmp_path, bom, rows):
+        good = "".join(f"2020-01-{d % 28 + 1:02d},1,1,1,100.0,100.0,5\n" for d in range(rows))
+        head = bom + (HEADER + "\n" + good).encode("utf-8")
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(head + b"2021-01-01,1,1,1,99.5,99.5,\xa35\n")
+        with pytest.raises(DataError, match=re.escape(f"{p}: byte {len(head) + 27} is not UTF-8")):
+            load_csv(p)
+
     def test_null_close_dropped_and_counted(self, tmp_path, caplog):
         p = write_csv(tmp_path / "p.csv", [
             "2020-01-01,1,1,1,100.0,100.0,5",

@@ -284,6 +284,22 @@ class TestCompare:
         rep = stats.compare_distributions(r, synth, max_lag=30)
         assert len(rep.acf_synthetic.values) == 20  # capped at window length - 1 + 1
 
+    def test_four_acfs_share_one_lag(self, btc_prices):
+        # short synthetic windows cap every ACF, and the real ones keep their
+        # bits: each lag's sum does not depend on the largest lag asked for
+        from tsforge.data import log_returns
+        r = log_returns(btc_prices)
+        windows = np.random.Generator(np.random.Philox(26)).standard_normal((16, 20)) * 0.02
+        rep = stats.compare_distributions(r, windows, max_lag=50)
+        for got in (rep.acf_real, rep.acf_synthetic, rep.acf_abs_real, rep.acf_abs_synthetic):
+            np.testing.assert_array_equal(got.lags, np.arange(20))
+        assert rep.acf_real.values.tobytes() == stats.acf(r, 50).values[:20].tobytes()
+        assert (rep.acf_abs_real.values.tobytes()
+                == stats.acf_absolute(r, 50).values[:20].tobytes())
+        assert rep.acf_real.band == stats.acf(r, 50).band
+        short = stats.compare_distributions(windows, r, max_lag=50)   # either side caps
+        assert len(short.acf_real.values) == len(short.acf_synthetic.values) == 20
+
     def test_batched_acf_averaging(self):
         rng = np.random.Generator(np.random.Philox(25))
         windows = rng.standard_normal((30, 40))
