@@ -159,7 +159,8 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back; bad magic, truncation, unknown format
-    versions and malformed metadata all raise CheckpointError."""
+    versions, malformed metadata and a NaN or Inf in any tensor record
+    all raise CheckpointError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as e:
@@ -193,6 +194,9 @@ def _decode(blob: bytes, path) -> Checkpoint:
         n = math.prod(dims)
         payload = r.take(8 * n)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        if not np.all(np.isfinite(tensors[name])):
+            raise CheckpointError(f"{path}: tensor record {name!r} holds a NaN or "
+                                  f"infinite value")
     meta_len = r.u64()
     try:
         meta = json.loads(r.take(meta_len).decode("utf-8"))

@@ -75,7 +75,8 @@ _KEYS = {_RENAMED.get(f.name, f.name): type(f.default)
 def _read_config_file(path) -> dict:
     values: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # decoded whole, so an undecodable byte's offset counts from the first byte
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except UnicodeDecodeError as e:
@@ -140,11 +141,12 @@ def write_config(cfg: TrainConfig, path) -> None:
 
 # CSV helpers --------------------------------------------------------
 
-def _write_csv(path, header: list[str], *columns) -> None:
+def _write_csv(path, header: list[str] | None, *columns) -> None:
     """One CSV row per index of ``columns``: numpy arrays (one ``.tolist()``
     each), ``range``s or lists, all of one length (``ValueError`` otherwise).
     A column of str is written as ``%s``, any other as ``%.17g`` (``_fmt``'s
-    text); the file is one row template repeated and formatted with one ``%``."""
+    text); the file is one row template repeated and formatted with one ``%``.
+    A ``None`` header writes no header line: a matrix goes in as ``*matrix.T``."""
     cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
     n = len(cols[0]) if cols else 0
     if any(len(c) != n for c in cols):
@@ -153,16 +155,8 @@ def _write_csv(path, header: list[str], *columns) -> None:
     cells: list = [None] * (n * len(cols))
     for j, c in enumerate(cols):
         cells[j::len(cols)] = c
-    Path(path).write_text(",".join(header) + "\n" + (row * n) % tuple(cells),
-                          encoding="utf-8", newline="\n")
-
-
-def _write_matrix_csv(path, matrix: np.ndarray) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    rows, cols = matrix.shape
-    template = (",".join(["%.17g"] * cols) + "\n") * rows
-    Path(path).write_text(template % tuple(matrix.ravel().tolist()),
-                          encoding="utf-8", newline="\n")
+    head = "" if header is None else ",".join(header) + "\n"
+    Path(path).write_text(head + (row * n) % tuple(cells), encoding="utf-8", newline="\n")
 
 
 def _read_matrix_csv(path) -> np.ndarray:
@@ -252,7 +246,7 @@ def cmd_train(args) -> int:
         tag = f"epoch{cp.epoch:06d}"
         save_checkpoint(out / f"checkpoint_{tag}.ckpt", cp)
         samples = gan.generate(cp.generator, args.grid_samples, cfg.seed + cp.epoch)[:, :, 0]
-        _write_matrix_csv(out / f"samples_{tag}.csv", samples)
+        _write_csv(out / f"samples_{tag}.csv", None, *samples.T)
         write_svg(out / f"samples_{tag}.svg", render_chart(_paths_chart(
             f"Generated samples at epoch {cp.epoch}", "scaled return", samples,
             dataset.windows[0, :, 0])))
@@ -307,15 +301,15 @@ def cmd_generate(args) -> int:
     out = _out_dir(args.out, f"generate-seed{args.seed}")
     samples = gan.generate(cp.generator, args.n, args.seed)   # [n, seq, 1]
     scaled = samples[:, :, 0]
-    _write_matrix_csv(out / "returns_scaled.csv", scaled)
+    _write_csv(out / "returns_scaled.csv", None, *scaled.T)
     if cp.scaler is not None:
         returns = cp.scaler.inverse(scaled)
     else:
         logger.warning("checkpoint has no scaler; emitting scaled values as returns")
         returns = scaled
-    _write_matrix_csv(out / "returns.csv", returns)
+    _write_csv(out / "returns.csv", None, *returns.T)
     prices = np.stack([returns_to_prices(row, args.p0) for row in returns])
-    _write_matrix_csv(out / "prices.csv", prices)
+    _write_csv(out / "prices.csv", None, *prices.T)
 
     real_path = None
     if args.real:

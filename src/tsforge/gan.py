@@ -305,8 +305,11 @@ def train(config: TrainConfig, data: WindowedDataset, *,
     """Run the alternating training loop.
 
     One epoch = n_critic critic updates (fresh real batch and fresh
-    noise each, generator frozen) followed by one generator update
-    (critic frozen). Real batches are drawn uniformly with replacement.
+    noise each; the fakes are plain arrays, so the generator gets no
+    gradient) followed by one generator update, whose backward is taken
+    with respect to the generator's parameters only: the critic's weight
+    edges are pruned, so its BPTT computes the input gradient alone.
+    Real batches are drawn uniformly with replacement.
     Deterministic given (seed, config, data); on NaN/Inf raises
     TrainingDiverged carrying the crash checkpoint.
     """
@@ -388,12 +391,11 @@ def train(config: TrainConfig, data: WindowedDataset, *,
         graph = Graph()
         with graph:
             fake_t = generator_forward(gen, Tensor(z, requires_grad=False))
-            with critic.frozen():
-                if config.loss_variant == "gan":
-                    g_loss = generator_loss_gan(critic_fn, fake_t,
-                                                nonsaturating=config.g_loss_nonsaturating)
-                else:
-                    g_loss = generator_loss_wgan(critic_fn, fake_t)
+            if config.loss_variant == "gan":
+                g_loss = generator_loss_gan(critic_fn, fake_t,
+                                            nonsaturating=config.g_loss_nonsaturating)
+            else:
+                g_loss = generator_loss_wgan(critic_fn, fake_t)
         grads = _param_grads(T.backward(graph, g_loss, wrt=gen_wrt), gen)
         g_val = g_loss.item()
         graph.clear()

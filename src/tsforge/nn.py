@@ -32,7 +32,6 @@ only O(b^2) relative terms, so it needs |Im| << 1, which h guarantees.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -59,35 +58,10 @@ class ArchitectureSpec:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
 
 
-@dataclass
-class DenseParams:
-    """Weight matrix [in, out] and bias [out] of one dense layer."""
-
-    W: Tensor
-    b: Tensor
-
-
-@dataclass
-class LstmParams:
-    """Gate weights over the concatenated [h_prev, x_t] and gate biases."""
-
-    W_i: Tensor
-    W_f: Tensor
-    W_c: Tensor
-    W_o: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_c: Tensor
-    b_o: Tensor
-
-    @property
-    def units(self) -> int:
-        return self.W_i.shape[1]
-
-
 class ParamSet:
     """Ordered, named collection of trainable tensors for one network.
 
+    ``lstm_scan`` and the dense heads read their tensors from it by name.
     Carries the architecture it was initialized for, so a generator
     knows its own output length.
     """
@@ -96,8 +70,6 @@ class ParamSet:
                  arch: ArchitectureSpec | None = None):
         if kind not in ("generator", "critic"):
             raise ValueError(f"unknown network kind {kind!r}")
-        if len(set(params)) != len(params):
-            raise ValueError("parameter names must be unique")
         self.kind = kind
         self.arch = arch
         self._params = dict(params)
@@ -125,26 +97,6 @@ class ParamSet:
         return ParamSet(self.kind, {k: Tensor(v.data.copy()) for k, v in self.items()},
                         arch=self.arch)
 
-    @contextlib.contextmanager
-    def frozen(self):
-        """Treat every parameter as a constant inside the block: ops
-        recorded there carry no gradient edge into this network."""
-        state = {k: t.requires_grad for k, t in self.items()}
-        for t in self._params.values():
-            t.requires_grad = False
-        try:
-            yield self
-        finally:
-            for k, t in self.items():
-                t.requires_grad = state[k]
-
-    def lstm(self) -> LstmParams:
-        return LstmParams(*(self[f"lstm.{n}"] for n in
-                            ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")))
-
-    def proj(self) -> DenseParams:
-        return DenseParams(self["proj.W"], self["proj.b"])
-
 
 def param_shapes(spec: ArchitectureSpec, kind: str) -> dict[str, tuple[int, ...]]:
     """Names and shapes of one network's parameters, in order, without
@@ -171,14 +123,6 @@ def init_params(spec: ArchitectureSpec, kind: str, seed: int) -> ParamSet:
         else:
             params[name] = Tensor(np.full(shape, 1.0 if name == "lstm.b_f" else 0.0))
     return ParamSet(kind, params, arch=spec)
-
-
-def dense_forward(p: DenseParams, x: Tensor) -> Tensor:
-    """x [n, in] -> x W + b, activation left to the caller."""
-    x = T._as_tensor(x)
-    if x.rank != 2 or x.shape[1] != p.W.shape[0]:
-        raise ValueError(f"dense: input {x.shape} incompatible with weights {p.W.shape}")
-    return T.add_row(T.matmul(x, p.W), p.b)
 
 
 def _activate(z: np.ndarray, out: np.ndarray, n_sigmoid: int, scratch: np.ndarray) -> None:
@@ -346,10 +290,14 @@ def _one_pass_vjps(inputs: tuple, run: Callable, x_vjps: Callable | None = None)
     return [(t, lambda g, k=k: vjp(g, k)) for k, t in enumerate(inputs)]
 
 
-def lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
+# the gate tensors in the kernel's column order [i | f | o | c~]
+_GATES = tuple(f"lstm.{kind}_{gate}" for kind in "Wb" for gate in "ifoc")
+
+
+def lstm_scan(p: ParamSet, x: Tensor, steps: int) -> Tensor:
     """Step-major hidden states [steps*batch, units] of one pass from zero
     state over a window x [batch, steps, features], or a vector x [batch,
-    features] fed at every step, as one tape node on x and the 8 gates.
+    features] fed at every step, as one tape node on x and p's 8 gates.
 
     Its vjp, a numpy BPTT, runs once per backward pass for all nine inputs,
     and accumulates weight gradients only if the pass wants one; the saved
@@ -358,12 +306,12 @@ def lstm_scan(p: LstmParams, x: Tensor, steps: int) -> Tensor:
     ten of its inputs; a weight gradient, or the x-gradient's own gradients,
     raise NotImplementedError instead."""
     x = T._as_tensor(x)
-    u = p.units
-    if (x.rank not in (2, 3) or x.shape[-1] != p.W_i.shape[0] - u or steps <= 0
+    gates = tuple(p[name] for name in _GATES)
+    rows, u = gates[0].shape
+    if (x.rank not in (2, 3) or x.shape[-1] != rows - u or steps <= 0
             or (x.rank == 3 and x.shape[1] != steps)):
         raise ValueError(f"lstm: {steps} steps over input {x.shape} with gate rows "
-                         f"{p.W_i.shape[0]} (units {u})")
-    gates = (p.W_i, p.W_f, p.W_o, p.W_c, p.b_i, p.b_f, p.b_o, p.b_c)  # [i | f | o | c~]
+                         f"{rows} (units {u})")
     W = np.concatenate([t.data for t in gates[:4]], axis=1)
     b = np.concatenate([t.data for t in gates[4:]])
     hs, saved = _scan_forward(W, b, x.data, steps, keep=T.active_graph() is not None)
@@ -396,7 +344,8 @@ def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
     if z.rank != 2:
         raise ValueError(f"generator: expected noise [batch, noise_len], got {z.shape}")
     batch, seq_len = z.shape[0], g.arch.seq_len
-    y = T.tanh(dense_forward(g.proj(), lstm_scan(g.lstm(), z, seq_len)))  # [seq*batch, 1]
+    hs = lstm_scan(g, z, seq_len)
+    y = T.tanh(T.add_row(T.matmul(hs, g["proj.W"]), g["proj.b"]))  # [seq*batch, 1]
     y = T.reshape(y, (seq_len, batch, 1))
     return T.transpose(y, (1, 0, 2))
 
@@ -411,6 +360,7 @@ def critic_forward(d: ParamSet, x: Tensor) -> Tensor:
     if x.rank != 3:
         raise ValueError(f"critic: expected [batch, seq_len, features], got {x.shape}")
     batch, steps, _ = x.shape
-    scores = dense_forward(d.proj(), lstm_scan(d.lstm(), x, steps))  # [steps*batch, 1], step-major
+    hs = lstm_scan(d, x, steps)
+    scores = T.add_row(T.matmul(hs, d["proj.W"]), d["proj.b"])  # [steps*batch, 1], step-major
     per_step = T.reshape(scores, (steps, batch))
     return T.reduce("mean", per_step, axis=0)

@@ -188,8 +188,9 @@ def qq_points(sample, reference="normal") -> QqReport:
         pos = _plotting_positions(m)
         sample_q = _sorted_quantiles(x, pos)
         theo_q = _sorted_quantiles(np.sort(ref), pos)
-    tx = np.quantile(theo_q, [0.25, 0.75])
-    ty = np.quantile(sample_q, [0.25, 0.75])
+    quartiles = np.array([0.25, 0.75])
+    tx = _sorted_quantiles(theo_q, quartiles)   # both sides are sorted
+    ty = _sorted_quantiles(sample_q, quartiles)
     if tx[1] == tx[0]:
         raise StatsError("degenerate reference quantiles")
     slope = (ty[1] - ty[0]) / (tx[1] - tx[0])

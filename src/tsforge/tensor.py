@@ -83,8 +83,8 @@ class Tensor:
     """A rank-0..3 float64 array, optionally recorded on a graph.
 
     ``requires_grad`` is only consulted for leaves: a leaf with
-    ``requires_grad=False`` is treated as a constant and receives no
-    gradient (used to freeze one network while the other trains).
+    ``requires_grad=False`` (input data, noise) is treated as a constant
+    and receives no gradient.
     """
 
     __slots__ = ("data", "graph", "node_id", "requires_grad", "op", "_vjps")
@@ -141,7 +141,7 @@ def _record(data: np.ndarray, op: str, inputs: Sequence[Tensor],
         g._enlist(inp)
     g._enlist(out)
     if make_vjps is not None:
-        # A leaf with requires_grad=False is a frozen constant: no edge.
+        # A leaf with requires_grad=False is a constant: no edge.
         out._vjps = tuple((inp, fn) for inp, fn in make_vjps(out)
                           if inp._vjps or inp.requires_grad)
     return out

@@ -74,11 +74,12 @@ def lstm_cell_reference(Wi, Wf, Wc, Wo, bi, bf, bc, bo, x_t, h_prev, c_prev):
 
 
 def lstm_scan_reference(p, x: Tensor, steps: int) -> Tensor:
-    """``nn.lstm_scan``'s hidden states [steps*batch, units] composed of
-    recorded primitives, the gates fused in column order [i | f | o | c~]."""
-    u, batch = p.units, x.shape[0]
-    W = T.concat([p.W_i, p.W_f, p.W_o, p.W_c], axis=1)
-    b = T.concat([p.b_i, p.b_f, p.b_o, p.b_c], axis=0)
+    """``nn.lstm_scan``'s hidden states [steps*batch, units] from the gates of
+    the ParamSet ``p``, composed of recorded primitives, the gates fused in
+    column order [i | f | o | c~]."""
+    u, batch = p["lstm.W_i"].shape[1], x.shape[0]
+    W = T.concat([p[f"lstm.W_{gate}"] for gate in "ifoc"], axis=1)
+    b = T.concat([p[f"lstm.b_{gate}"] for gate in "ifoc"], axis=0)
     h = c = Tensor(np.zeros((batch, u)), requires_grad=False, op="const")
     hs = []
     for t in range(steps):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tsforge import cli, gan
+from tsforge.checkpoint import load_checkpoint, save_checkpoint
 from tsforge.cli import main, parse_config, write_config
 from tsforge.gan import TrainConfig, make_rng
 from tsforge.optim import OptimConfig
@@ -117,6 +118,17 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert f"configuration error: {cfg}: byte 16 is not UTF-8" in err
         assert not out.exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfepochs = 2\n")
+        assert parse_config(cfg) == TrainConfig(epochs=2)
+
+    def test_undecodable_offset_counts_the_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfab\xff")
+        with pytest.raises(cli.ConfigError, match="byte 5 is not UTF-8"):
+            parse_config(cfg)
 
     def test_empty_file_pure_defaults(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -545,9 +557,12 @@ class TestCsvWriters:
         np.empty((2, 0)),
     ], ids=["special", "fortran", "one_row", "no_columns"])
     def test_write_matrix_csv_matches_per_cell_formula(self, tmp_path, matrix):
+        # a matrix goes in column by column, without a header; a matrix
+        # without columns gives no rows
+        columns = np.atleast_2d(matrix).T
         path = tmp_path / "m.csv"
-        cli._write_matrix_csv(path, matrix)
-        assert path.read_bytes() == self.per_cell(np.atleast_2d(matrix)).encode("utf-8")
+        cli._write_csv(path, None, *columns)
+        assert path.read_bytes() == self.per_cell(zip(*columns)).encode("utf-8")
 
 
 # SHA-256 of every CSV that train, generate, evaluate and compare --checkpoint write
@@ -701,6 +716,27 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([command, "--out", str(out)] + source + bad) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("record,array,value", [
+        ("gen/proj.W", lambda cp: cp.generator["proj.W"].data, np.nan),
+        ("critic/lstm.W_f", lambda cp: cp.critic["lstm.W_f"].data, np.inf),
+        ("opt_c/lstm.b_i", lambda cp: cp.opt_critic.cache["lstm.b_i"], np.nan),
+    ], ids=["generator-nan", "critic-inf", "optimizer-nan"])
+    def test_non_finite_checkpoint_exit_2_before_any_write(self, trained_run, tmp_path, capsys,
+                                                            record, array, value):
+        run, csv_path = trained_run
+        cp = load_checkpoint(run / "checkpoint_epoch000002.ckpt")
+        array(cp).flat[0] = value
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, cp)
+        out = tmp_path / "o"
+        for command in (["generate", "--checkpoint", str(bad)],
+                        ["compare", "--real", str(csv_path), "--checkpoint", str(bad)],
+                        ["train", "--data", str(csv_path), "--resume", str(bad)] + FAST):
+            assert main(command + ["--out", str(out)]) == 2, command[0]
+            assert f"tensor record {record!r} holds a NaN or infinite value" in \
+                capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_required_flag(self):
         assert main(["train"]) == 1

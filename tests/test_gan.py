@@ -278,9 +278,8 @@ class TestGeneratorLoss:
         z = np.random.default_rng(14).standard_normal((2, SMALL.noise_len))
         with Graph() as g:
             fake = generator_forward(gen, Tensor(z, requires_grad=False))
-            with critic.frozen():
-                loss = generator_loss_wgan(lambda x: critic_forward(critic, x), fake)
-            gm = T.backward(g, loss)
+            loss = generator_loss_wgan(lambda x: critic_forward(critic, x), fake)
+            gm = T.backward(g, loss, wrt=[t for _, t in gen.items()])   # as train does
         for _, t in critic.items():
             assert np.all(gm[t].data == 0.0)
         assert any(np.any(gm[t].data != 0.0) for _, t in gen.items())
@@ -457,6 +456,31 @@ class TestTrainLoop:
                                 checkpoint_every=100), small_dataset(seq_len=seq_len))
             tapes.append(list(cleared))
         assert len(tapes[0]) == 6 and tapes[0] == tapes[1]
+
+    @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
+    def test_generator_step_runs_one_weight_bptt(self, monkeypatch, variant):
+        # the generator step's backward is taken with respect to the generator's
+        # parameters, so every critic weight edge is pruned: the critic's BPTT
+        # gives the input gradient alone, and only the generator's has weights
+        log = []
+        scan_backward, rmsprop_step = nn._scan_backward, gan.rmsprop_step
+
+        def recording(W, *args):
+            # gate rows: units + noise_len (4 + 3) in the generator, 4 + 1 in the critic
+            log.append(("generator" if W.shape[0] == 7 else "critic", args[-1]))
+            return scan_backward(W, *args)
+
+        def marking(params, *args):
+            log.append(params.kind)
+            return rmsprop_step(params, *args)
+
+        monkeypatch.setattr(nn, "_scan_backward", recording)
+        monkeypatch.setattr(gan, "rmsprop_step", marking)
+        gan.train(self._cfg(epochs=1, n_critic=1, loss_variant=variant, checkpoint_every=100),
+                  small_dataset())
+        assert ("critic", True) in log[:log.index("critic")]
+        assert log[log.index("critic") + 1:] == [("critic", False), ("generator", True),
+                                                 "generator"]
 
     def test_update_counts(self, monkeypatch):
         calls = {"critic": 0, "generator": 0}

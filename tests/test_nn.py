@@ -7,7 +7,7 @@ import pytest
 
 from tsforge import nn
 from tsforge import tensor as T
-from tsforge.nn import ArchitectureSpec, DenseParams, LstmParams, ParamSet
+from tsforge.nn import ArchitectureSpec, ParamSet
 from tsforge.tensor import Graph, Tensor
 
 from oracles import central_diff, lstm_cell_reference, lstm_scan_reference, rel_err
@@ -84,58 +84,40 @@ class TestInit:
             ArchitectureSpec(noise_len=0)
 
 
-class TestDense:
-    def test_identity_weights(self):
-        p = DenseParams(W=Tensor(np.eye(3)), b=Tensor(np.zeros(3)))
-        x = np.random.default_rng(0).normal(size=(4, 3))
-        np.testing.assert_allclose(nn.dense_forward(p, Tensor(x)).data, x)
-
-    def test_small_example(self):
-        p = DenseParams(W=Tensor(np.array([[1.0], [1.0]])), b=Tensor(np.array([0.5])))
-        out = nn.dense_forward(p, Tensor(np.array([[1.0, 1.0]])))
-        assert out.data[0, 0] == pytest.approx(2.5)
-
-    def test_shape_mismatch(self):
-        p = DenseParams(W=Tensor(np.zeros((3, 2))), b=Tensor(np.zeros(2)))
-        with pytest.raises(ValueError):
-            nn.dense_forward(p, Tensor(np.zeros((4, 5))))
-
-    def test_gradients_vs_finite_differences(self):
-        rng = np.random.default_rng(3)
-        W0 = rng.normal(size=(3, 2))
-        b0 = rng.normal(size=2)
-        x0 = rng.normal(size=(4, 3))
-
-        def f(wv):
-            return float((x0 @ wv + b0).sum())
-
-        with Graph() as g:
-            W = Tensor(W0.copy())
-            p = DenseParams(W=W, b=Tensor(b0.copy()))
-            out = T.reduce("sum", nn.dense_forward(p, Tensor(x0)))
-            gw = T.backward(g, out)[W].data
-        assert rel_err(gw, central_diff(f, W0)) < 1e-4
+# the eight gate tensors, in lstm_cell_reference's argument order
+GATES = ("lstm.W_i", "lstm.W_f", "lstm.W_c", "lstm.W_o",
+         "lstm.b_i", "lstm.b_f", "lstm.b_c", "lstm.b_o")
 
 
-def _random_lstm(rng, units, features) -> LstmParams:
-    mats = {f"W_{k}": Tensor(rng.normal(size=(units + features, units)) * 0.4)
-            for k in "ifco"}
-    vecs = {f"b_{k}": Tensor(rng.normal(size=units) * 0.2) for k in "ifco"}
-    return LstmParams(mats["W_i"], mats["W_f"], mats["W_c"], mats["W_o"],
-                      vecs["b_i"], vecs["b_f"], vecs["b_c"], vecs["b_o"])
+def _lstm(units, features, **arrays) -> ParamSet:
+    """The gate tensors of one LSTM, zero except the named ``arrays``."""
+    zeros = {name: np.zeros((units + features, units) if "W" in name else units)
+             for name in GATES}
+    return ParamSet("critic", {name: Tensor(arrays.get(name[5:], zero))
+                               for name, zero in zeros.items()})
 
 
-def _fused(p: LstmParams) -> tuple[np.ndarray, np.ndarray]:
+def _random_lstm(rng, units, features) -> ParamSet:
+    mats = {f"W_{k}": rng.normal(size=(units + features, units)) * 0.4 for k in "ifco"}
+    vecs = {f"b_{k}": rng.normal(size=units) * 0.2 for k in "ifco"}
+    return _lstm(units, features, **mats, **vecs)
+
+
+def _units(p: ParamSet) -> int:
+    return p["lstm.W_i"].shape[1]
+
+
+def _fused(p: ParamSet) -> tuple[np.ndarray, np.ndarray]:
     """Gate weights and biases in ``nn.lstm_cell_step``'s column order [i|f|o|c~]."""
-    return (np.concatenate([p.W_i.data, p.W_f.data, p.W_o.data, p.W_c.data], axis=1),
-            np.concatenate([p.b_i.data, p.b_f.data, p.b_o.data, p.b_c.data]))
+    return (np.concatenate([p[f"lstm.W_{k}"].data for k in "ifoc"], axis=1),
+            np.concatenate([p[f"lstm.b_{k}"].data for k in "ifoc"]))
 
 
-def _cell(p: LstmParams, x_t, h_prev, c_prev):
+def _cell(p: ParamSet, x_t, h_prev, c_prev):
     """(h, c) of one feature-major ``nn.lstm_cell_step``, batch-major."""
     W, b = _fused(p)
     hx = np.concatenate([h_prev, x_t], axis=1).T.copy()
-    units, batch = p.units, hx.shape[1]
+    units, batch = _units(p), hx.shape[1]
     c = np.empty((units, batch))
     nn.lstm_cell_step(W, b[:, None], hx, c_prev.T, np.empty((4 * units, batch)), c,
                       np.empty((2, 4 * units, batch)))
@@ -145,19 +127,14 @@ def _cell(p: LstmParams, x_t, h_prev, c_prev):
 class TestLstmCell:
     def test_all_zero(self):
         units, features = 3, 2
-        zeros = lambda *s: Tensor(np.zeros(s))
-        p = LstmParams(*(zeros(units + features, units) for _ in range(4)),
-                       *(zeros(units) for _ in range(4)))
+        p = _lstm(units, features)
         h, c = _cell(p, np.zeros((1, features)), np.zeros((1, units)), np.zeros((1, units)))
         np.testing.assert_array_equal(h, np.zeros((1, units)))
         np.testing.assert_array_equal(c, np.zeros((1, units)))
 
     def test_gate_saturation_preserves_cell(self):
         units, features = 3, 2
-        zeros = lambda *s: Tensor(np.zeros(s))
-        p = LstmParams(*(zeros(units + features, units) for _ in range(4)),
-                       b_i=Tensor(np.full(units, -20.0)), b_f=Tensor(np.full(units, 20.0)),
-                       b_c=zeros(units), b_o=zeros(units))
+        p = _lstm(units, features, b_i=np.full(units, -20.0), b_f=np.full(units, 20.0))
         c_prev = np.array([[0.3, -0.7, 1.1]])
         _, c = _cell(p, np.zeros((1, features)), np.zeros((1, units)), c_prev)
         np.testing.assert_allclose(c, c_prev, atol=1e-8)
@@ -170,9 +147,7 @@ class TestLstmCell:
         h0 = rng.normal(size=(batch, units))
         c0 = rng.normal(size=(batch, units))
         h, c = _cell(p, x, h0, c0)
-        h_ref, c_ref = lstm_cell_reference(
-            p.W_i.data, p.W_f.data, p.W_c.data, p.W_o.data,
-            p.b_i.data, p.b_f.data, p.b_c.data, p.b_o.data, x, h0, c0)
+        h_ref, c_ref = lstm_cell_reference(*(p[name].data for name in GATES), x, h0, c0)
         np.testing.assert_allclose(h, h_ref, rtol=1e-12)
         np.testing.assert_allclose(c, c_ref, rtol=1e-12)
 
@@ -188,7 +163,7 @@ def lstm_seq(p, x: Tensor) -> Tensor:
     features], as [batch, timesteps, units]; x itself gets no gradient."""
     batch, steps, _ = x.shape
     hs = nn.lstm_scan(p, Tensor(x.data, requires_grad=False), steps)
-    return T.transpose(T.reshape(hs, (steps, batch, p.units)), (1, 0, 2))
+    return T.transpose(T.reshape(hs, (steps, batch, _units(p))), (1, 0, 2))
 
 
 class TestLstmForward:
@@ -208,16 +183,11 @@ class TestLstmForward:
         h = np.zeros((2, 4))
         c = np.zeros((2, 4))
         for t in range(3):
-            h, c = lstm_cell_reference(
-                p.W_i.data, p.W_f.data, p.W_c.data, p.W_o.data,
-                p.b_i.data, p.b_f.data, p.b_c.data, p.b_o.data, x[:, t, :], h, c)
+            h, c = lstm_cell_reference(*(p[name].data for name in GATES), x[:, t, :], h, c)
             np.testing.assert_allclose(seq.data[:, t, :], h, rtol=1e-10)
 
     def test_zero_weights_zero_hidden(self):
-        units, features = 3, 1
-        zeros = lambda *s: Tensor(np.zeros(s))
-        p = LstmParams(*(zeros(units + features, units) for _ in range(4)),
-                       *(zeros(units) for _ in range(4)))
+        p = _lstm(3, 1)
         x = np.ones((2, 5, 1))
         out = lstm_seq(p, Tensor(x))
         np.testing.assert_array_equal(out.data, np.zeros((2, 5, 3)))
@@ -233,8 +203,8 @@ class TestLstmForward:
             out = lstm_seq(p, Tensor(x0, requires_grad=False))
             gm = T.backward(g, T.reduce("sum", T.mul(out, Tensor(w))))
 
-        for name in ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o"):
-            param = getattr(p, name)
+        for name in GATES:
+            param = p[name]
             W0 = param.data.copy()
 
             def f(wv):
@@ -246,7 +216,6 @@ class TestLstmForward:
             assert rel_err(gm[param].data, central_diff(f, W0)) < 1e-4, name
 
 
-GATES = ("W_i", "W_f", "W_c", "W_o", "b_i", "b_f", "b_c", "b_o")
 # input shape of a critic window [batch, steps, features] and of generator
 # noise [batch, features], which is fed at every step
 SCAN_INPUTS = {"window": (6, 7, 3), "noise": (6, 3)}
@@ -263,7 +232,7 @@ def _scan_case(kind: str, seed: int, scale: float = 1.0):
     rng = np.random.default_rng(seed)
     p = _random_lstm(rng, 5, 3)
     for name in GATES:
-        getattr(p, name).data[...] *= scale
+        p[name].data[...] *= scale
     x = rng.normal(size=SCAN_INPUTS[kind])
     w = rng.normal(size=(7 * 6, 5))   # unequal weights per unit and step
     return p, x, w
@@ -275,7 +244,7 @@ def _weighted_scan_grads(scan, p, x0, w):
         hs = scan(p, x, 7)
         loss = T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False)))
     gm = T.backward(g, loss)
-    return hs.data, [gm[x].data] + [gm[getattr(p, n)].data for n in GATES]
+    return hs.data, [gm[x].data] + [gm[p[n]].data for n in GATES]
 
 
 def _input_grad_grads(scan, p, x0, w, v):
@@ -286,7 +255,7 @@ def _input_grad_grads(scan, p, x0, w, v):
         gx = T.grad(T.reduce("sum", T.mul(scan(p, x, 7), wt)), x)
         outer = T.reduce("sum", T.mul(gx, Tensor(v, requires_grad=False)))
     gm = T.backward(g, outer)
-    return [gm[wt].data, gm[x].data] + [gm[getattr(p, n)].data for n in GATES]
+    return [gm[wt].data, gm[x].data] + [gm[p[n]].data for n in GATES]
 
 
 class TestLstmScan:
@@ -312,7 +281,7 @@ class TestLstmScan:
 
         assert rel_err(grads[0], central_diff(f_x, x0.copy())) < 1e-4
         for name, analytic in zip(GATES, grads[1:]):
-            param = getattr(p, name)
+            param = p[name]
             W0 = param.data.copy()
 
             def f(wv):
@@ -350,7 +319,7 @@ class TestLstmScan:
         assert rel_err(got[0], central_diff(lambda wv: f(x0, wv), w.copy())) < 1e-4
         assert rel_err(got[1], central_diff(lambda xv: f(xv, w), x0.copy())) < 1e-4
         for name, analytic in zip(GATES, got[2:]):
-            param = getattr(p, name)
+            param = p[name]
             W0 = param.data.copy()
 
             def f_gate(wv):
@@ -365,10 +334,10 @@ class TestLstmScan:
         p, x0, w = _scan_case("window", 43)
         with Graph() as g:
             hs = nn.lstm_scan(p, Tensor(x0), 7)
-            gw = T.grad(T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False))), p.W_o)
+            gw = T.grad(T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False))), p["lstm.W_o"])
             outer = T.reduce("sum", T.square(gw))
             with pytest.raises(NotImplementedError):
-                T.backward(g, outer, wrt=[p.W_i])
+                T.backward(g, outer, wrt=[p["lstm.W_i"]])
 
     def test_zero_upstream_has_zero_second_order_gradients(self):
         p, x0, w = _scan_case("noise", 49)
@@ -492,9 +461,8 @@ class TestEndToEnd:
 
         with Graph() as g:
             fake = nn.generator_forward(gen, Tensor(z0, requires_grad=False))
-            with critic.frozen():
-                loss = T.reduce("mean", nn.critic_forward(critic, fake))
-            gm = T.backward(g, loss)
+            loss = T.reduce("mean", nn.critic_forward(critic, fake))
+            gm = T.backward(g, loss, wrt=[t for _, t in gen.items()])   # as gan.train does
             analytic = {k: gm[t].data.copy() for k, t in gen.items()}
 
         vec0 = _flatten_params(gen)
@@ -510,15 +478,15 @@ class TestEndToEnd:
         assert rel_err(flat_analytic, fd) < 1e-4
 
     def test_frozen_network_params_unchanged_and_zero_grads(self):
+        # a backward with respect to the generator's parameters holds the critic fixed
         gen = nn.init_params(SMALL, "generator", 21)
         critic = nn.init_params(SMALL, "critic", 22)
         z0 = np.random.default_rng(23).standard_normal((2, SMALL.noise_len))
         before = {k: critic[k].data.copy() for k in critic.names()}
         with Graph() as g:
             fake = nn.generator_forward(gen, Tensor(z0, requires_grad=False))
-            with critic.frozen():
-                loss = T.negate(T.reduce("mean", nn.critic_forward(critic, fake)))
-            gm = T.backward(g, loss)
+            loss = T.negate(T.reduce("mean", nn.critic_forward(critic, fake)))
+            gm = T.backward(g, loss, wrt=[t for _, t in gen.items()])
         for k, t in critic.items():
             assert np.array_equal(t.data, before[k])
             assert np.all(gm[t].data == 0.0)

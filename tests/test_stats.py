@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -217,6 +217,23 @@ class TestQq:
     def test_sorted_quantiles_of_nan_are_nan_like_np_quantile(self):
         a, q = np.array([-1.0, 0.5, np.nan]), np.array([0.0, 0.3, 1.0])
         assert stats._sorted_quantiles(a, q).tobytes() == np.quantile(a, q).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.integers(10, 300), elements=st.floats(-1e3, 1e3)),
+           ref=st.just("normal") | hnp.arrays(np.float64, st.integers(10, 300),
+                                              elements=st.floats(-1e3, 1e3)))
+    def test_reference_line_equals_np_quantile_bit_for_bit(self, x, ref):
+        # the quartiles come from the report's quantiles without a partition,
+        # which is exact because both sides are sorted
+        try:
+            rep = stats.qq_points(x, ref)
+        except StatsError:     # zero variance or equal reference quartiles
+            reject()
+        assert np.all(np.diff(rep.theoretical) >= 0) and np.all(np.diff(rep.sample) >= 0)
+        tx, ty = (np.quantile(q, [0.25, 0.75]) for q in (rep.theoretical, rep.sample))
+        slope = (ty[1] - ty[0]) / (tx[1] - tx[0])
+        want = np.array([slope, ty[0] - slope * tx[0]])
+        assert np.array([rep.slope, rep.intercept]).tobytes() == want.tobytes()
 
     def test_degenerate_rejected(self):
         with pytest.raises(StatsError):
