@@ -9,7 +9,8 @@ Subcommands::
 
 Every plot is written as minimal SVG with a CSV twin carrying the same
 numbers. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-abort. ``TSFORGE_OUT`` overrides the default output root.
+abort. ``TSFORGE_OUT`` overrides the default output root, and
+``TSFORGE_LOG`` names the log level in any case (default WARNING).
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def _write_csv(path, header: list[str] | None, *columns) -> None:
 
 def _read_matrix_csv(path) -> np.ndarray:
     try:
-        matrix = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+        # ndmin=2: one column is n windows of one return, one row is one window
+        matrix = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
         if not np.all(np.isfinite(matrix)):
             raise ValueError("it holds a NaN or infinite value")
     except (OSError, ValueError) as e:
@@ -171,7 +173,10 @@ def _read_matrix_csv(path) -> np.ndarray:
 
 def _out_dir(arg: str | None, default_name: str) -> Path:
     root = Path(arg) if arg else Path(os.environ.get("TSFORGE_OUT", "runs")) / default_name
-    root.mkdir(parents=True, exist_ok=True)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot use {root} as the output directory: {e.strerror}") from None
     return root
 
 
@@ -500,10 +505,18 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _log_level() -> int:
+    name, levels = os.environ.get("TSFORGE_LOG", "WARNING"), logging.getLevelNamesMapping()
+    if name.upper() not in levels:
+        raise ConfigError(f"TSFORGE_LOG={name!r} is not a log level name "
+                          f"(one of {', '.join(levels)})")
+    return levels[name.upper()]
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("TSFORGE_LOG", "WARNING"))
     parser = _build_parser()
     try:
+        logging.basicConfig(level=_log_level())
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as e:

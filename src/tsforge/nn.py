@@ -11,12 +11,15 @@ There is one LSTM: ``lstm_scan`` steps ``lstm_cell_step`` in numpy over
 the timesteps as one tape node whose vjp is a numpy BPTT. The gates are
 fused in column order [i | f | o | c~]; the parameters, and so the
 checkpoint layout, stay the eight tensors ``lstm.W_i`` ... ``lstm.b_o``.
-The kernel runs feature-major: each step computes W^T [h; x_t] + b as
-[4u, B], so every gate block is a contiguous slab, and every ufunc writes
-into buffers made once per call; h goes straight into the next step's
-[h; x] buffer. The BPTT keeps only the activated gates [T, 4u, B] and the
-cell states [T + 1, u, B], 5u floats per sample and step: it takes h_{t-1}
-from the scan's own output, x_t from its input, and recomputes tanh c.
+The kernel runs feature-major: each critic step computes W^T [h; x_t] + b
+as [4u, B], so every gate block is a contiguous slab, and every ufunc
+writes into buffers made once per call; h goes straight into the next
+step's [h; x] buffer. The generator's noise z is the same at every step,
+so its steps compute W_h^T h + (b + W_x^T z), the bracket made once per
+call: the input projection that RNN kernels hoist out of the recurrence.
+The BPTT keeps only the activated gates [T, 4u, B] and the cell states
+[T + 1, u, B], 5u floats per sample and step: it takes h_{t-1} from the
+scan's own output, x_t from its input, and recomputes tanh c.
 
 The gradient penalty differentiates the critic's input gradient again,
 by a complex step (Martins, Sturdza & Alonso 2003, ACM TOMS 29(3)): one
@@ -131,17 +134,17 @@ def _activate(z: np.ndarray, out: np.ndarray, n_sigmoid: int, scratch: np.ndarra
     (the complex step) this is f(a) + i b f'(a), with f' = f (1 - f) or
     1 - f^2, in real arithmetic on a contiguous copy of a: the dropped
     O(b^2) term lies some 40 orders of magnitude under b f'(a)."""
-    n, rows = n_sigmoid, z.shape[0]
-    s, d = scratch[0, :rows], scratch[1, :rows]
-    a, f = z, out
-    if z.dtype.kind == "c":
-        s[...] = z.real
-        a = f = s
-    if n:
-        T._sigmoid(a[:n], out=f[:n], e=d[:n])
-    np.tanh(a[n:], out=f[n:])
-    if f is out:
+    n = n_sigmoid
+    if z.dtype.kind != "c":
+        if n:
+            T._sigmoid(z[:n], out=out[:n], e=scratch[1, :n])
+        np.tanh(z[n:], out=out[n:])
         return
+    s, d = scratch[0, :z.shape[0]], scratch[1, :z.shape[0]]
+    s[...] = z.real
+    if n:
+        T._sigmoid(s[:n], out=s[:n], e=d[:n])
+    np.tanh(s[n:], out=s[n:])
     np.subtract(1.0, s[:n], out=d[:n])
     d[:n] *= s[:n]
     np.multiply(s[n:], s[n:], out=d[n:])
@@ -158,10 +161,11 @@ def _matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
 
 def lstm_cell_step(W: np.ndarray, bias: np.ndarray, hx: np.ndarray, c_prev: np.ndarray,
                    gates: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
-    """One feature-major cell step on hx = [h_prev; x_t] [K, B], into the given
-    buffers: gates [4u, B] = [i; f; o; c~], the sigmoid of W^T hx + bias by row
-    block and tanh for c~; c = f * c_prev + i * c~; and h = o * tanh(c) over
-    hx's first u rows, where the next step reads it."""
+    """One feature-major cell step on hx = [h_prev; x_t] [K, B], or h_prev
+    alone when the input's part is already in ``bias``, into the given
+    buffers: gates [4u, B] = [i; f; o; c~], the sigmoid of W^T hx + bias by
+    row block and tanh for c~; c = f * c_prev + i * c~; and h = o * tanh(c)
+    over hx's first u rows, where the next step reads it."""
     u = c.shape[0]
     h = hx[:u]
     _matmul(W.T, hx, gates)
@@ -178,16 +182,25 @@ def _scan_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
                   keep: bool) -> tuple[np.ndarray, tuple | None]:
     """The hidden states [steps, batch, units] from the zero state and, if
     ``keep``, the saved set of the BPTT: the activated gates [steps, 4u, B]
-    and the cell states [steps + 1, u, B], the first one zero."""
+    and the cell states [steps + 1, u, B], the first one zero.
+
+    A window x [B, T, F] steps on hx = [h; x_t] through all of W. Noise
+    x [B, F] is the same at every step, so its part W_x^T z joins the
+    per-call bias once, and each step computes W_h^T h + (b + W_x^T z)
+    on hx = h through W's first u rows alone."""
     batch, u = x.shape[0], b.shape[0] // 4
+    bias = np.empty((4 * u, batch), x.dtype)
+    if x.ndim == 2:
+        _matmul(W[u:].T, np.ascontiguousarray(x.T), bias)
+        bias += b[:, None]
+        W = W[:u]
+    else:
+        bias[...] = b[:, None]
     hs = np.empty((steps, batch, u), x.dtype)
     hx = np.zeros((W.shape[0], batch), x.dtype)
     gates = np.empty((steps if keep else 1, 4 * u, batch), x.dtype)
     cells = np.zeros((steps + 1 if keep else 2, u, batch), x.dtype)
     scratch = np.empty((2, 4 * u, batch))
-    bias = np.repeat(b.astype(x.dtype)[:, None], batch, axis=1)
-    if x.ndim == 2:
-        hx[u:] = x.T
     for t in range(steps):
         if x.ndim == 3:
             hx[u:] = x[:, t].T

@@ -566,23 +566,25 @@ class TestCsvWriters:
 
 
 # SHA-256 of every CSV that train, generate, evaluate and compare --checkpoint write
-# on the GARCH fixture, recorded before the CSV writers took columns. Training and
+# on the GARCH fixture, recorded before the CSV writers took columns. The files a
+# generator writes into were re-pinned when its scan folded the noise part W_x^T z
+# into the bias (every value within 3.3e-15 relative of before). Training and
 # sampling go through BLAS and libm, so another numpy build may round differently.
 CSV_SHA256 = {
-    "compare/acf.csv": "0fb3ede73765792425580e7e83f80def6fc53513c28dba40e6edf8dc97a71dea",
+    "compare/acf.csv": "54caa13f42fcdc0330b86137cffa41e230ee3e2d88c1a33601d73a473c4015e0",
     "compare/histogram.csv": "2ed43d810811250a361b9ad677a3cca539d73c89b7dc8c0ca619b6bcca7e7aa6",
-    "compare/moments.csv": "4d4d4436f760cda6ad5e65b0ba3d4fc5a7147a6586cdbfc37ed095f76f7c7f41",
-    "compare/qq.csv": "60e19811d5b592ebc1f45529cee2385780c6fc870c12d0ea40483a9e01a3409b",
+    "compare/moments.csv": "b75f7d0ecfe36a0047cd070d6e8f60cb7eca4fd04ea9464eed634266e91f264a",
+    "compare/qq.csv": "bcb828e5480115a157fdf049c19797ab086d90ce5e9ef42551474bfb19f85745",
     "evaluate/acf.csv": "02d0505c85ca63001dfb334569fba92628328960bb855264c40de11efbedd01c",
     "evaluate/moments.csv": "8bac406ec67c35f1f89e02255dc182ab1c3107d30ef18bbbe18636e497111779",
     "evaluate/qq.csv": "a3891422b7ada28b6af8e5b8eb6ccd5e183f8868f88074d4e94b945b09434a8b",
     "evaluate/returns.csv": "f72d53f6b8bec9f1f4877352de39cf5fc034b8858d8246a164da558e5e909137",
-    "generate/prices.csv": "5e5cf9c17710654dcf53f5fdf6173bead173893b3e5fdddaf543704b5833dd6a",
-    "generate/returns.csv": "d0111224624094948c9fe04ec8b81d04ddc86b5678ee8cdbbc026a1672c4182e",
-    "generate/returns_scaled.csv": "56b1a2dac666be22ea45a39b66c71f7cd49ea43e3852fa49d73b5f27e4d2428a",
-    "train/compare_epoch000002_moments.csv": "bee4e314bed1b20e573f1f4e826132072b4a28076dd15141666deb3cdaf6b562",
-    "train/loss.csv": "f51cb65aa7d1257657fe8e7f7ddcc13cc86657cb7e4f6c8606646f7d009477d0",
-    "train/samples_epoch000002.csv": "4f62011e807c6473256fd9afa1f62ee64a52b66d2e6d08dd6d83d9cf5b85db79",
+    "generate/prices.csv": "82c3acc78abe200772506899a15a8486fce24a840ca9fc36f4444fe1ca8b52bf",
+    "generate/returns.csv": "ffe32296869b40a3095424ea20735cdd874b1a8b168a787167e62a3fad47c66d",
+    "generate/returns_scaled.csv": "2550a12201fd4d23e91b568f1ea249a7157ff6f8fcb50c07ee7da4146b24b820",
+    "train/compare_epoch000002_moments.csv": "30c028bec0655d4d96f2a0be715aedd511d77e8330ecb5042bb767705c3db2e7",
+    "train/loss.csv": "0f6eda798f0ec9b2401b2d42c9177cc0c2851f6d4c7a85c03b323efb85794779",
+    "train/samples_epoch000002.csv": "5739b2b4bb5217287685418daf1a5966786995a1fd3be0a5d070287bcf9ec868",
 }
 
 
@@ -686,6 +688,16 @@ class TestCompare:
         assert main(["compare", "--real", str(small_csv),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_one_column_synthetic_is_windows_of_one_return(self, small_csv, tmp_path, capsys):
+        # what generate writes for a --seq-len 1 checkpoint: n windows, not one
+        # window of n returns, so there is no ACF across independent samples
+        synth = tmp_path / "synth.csv"
+        cli._write_csv(synth, None, np.random.default_rng(3).normal(0.0, 0.02, 12))
+        assert cli._read_matrix_csv(synth).shape == (12, 1)
+        assert main(["compare", "--real", str(small_csv), "--synthetic", str(synth),
+                     "--out", str(tmp_path / "cmp")]) == 2
+        assert "acf undefined" in capsys.readouterr().err
+
 
 # a subcommand and bad numbers for it: each must be a usage error before any write
 BAD_NUMBERS = [
@@ -700,6 +712,16 @@ BAD_NUMBERS = [
 ]
 
 
+def _inputs(command: str, trained_run) -> list[str]:
+    """The flags naming a subcommand's inputs, on the trained run's files."""
+    run, csv_path = trained_run
+    ckpt = str(run / "checkpoint_epoch000002.ckpt")
+    return {"train": ["--data", str(csv_path)] + FAST,
+            "generate": ["--checkpoint", ckpt],
+            "evaluate": ["--data", str(csv_path)],
+            "compare": ["--real", str(csv_path), "--checkpoint", ckpt]}[command]
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
@@ -707,12 +729,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,bad", BAD_NUMBERS,
                              ids=["_".join([c] + b) for c, b in BAD_NUMBERS])
     def test_bad_number_exit_1_before_any_write(self, trained_run, tmp_path, command, bad):
-        run, csv_path = trained_run
-        ckpt = str(run / "checkpoint_epoch000002.ckpt")
-        source = {"train": ["--data", str(csv_path)] + FAST,
-                  "generate": ["--checkpoint", ckpt],
-                  "evaluate": ["--data", str(csv_path)],
-                  "compare": ["--real", str(csv_path), "--checkpoint", ckpt]}[command]
+        source = _inputs(command, trained_run)
         out = tmp_path / "o"
         assert main([command, "--out", str(out)] + source + bad) == 1
         assert not out.exists()
@@ -741,6 +758,17 @@ class TestExitCodes:
     def test_missing_required_flag(self):
         assert main(["train"]) == 1
 
+    @pytest.mark.parametrize("command", ["train", "generate", "evaluate", "compare"])
+    def test_out_at_a_file_exit_1(self, trained_run, tmp_path, capsys, command):
+        source = _inputs(command, trained_run)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        for out, reason in ((blocker, "File exists"), (blocker / "sub", "Not a directory")):
+            assert main([command, "--out", str(out)] + source) == 1
+            assert f"cannot use {out} as the output directory: {reason}" in \
+                capsys.readouterr().err
+        assert blocker.read_text() == "keep\n"
+
     def test_tsforge_out_env(self, small_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("TSFORGE_OUT", str(tmp_path / "envroot"))
         rc = main(["evaluate", "--data", str(small_csv)])
@@ -748,14 +776,38 @@ class TestExitCodes:
         assert (tmp_path / "envroot").exists()
 
 
-def test_python_m_tsforge_runs_the_cli():
+def _run_python(*args, **env_vars) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's src on its path, so that the
+    process-wide logging set-up runs as it does from a shell."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-m", "tsforge", "--version"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_python_m_tsforge_runs_the_cli():
+    done = _run_python("-m", "tsforge", "--version")
     assert (done.returncode, done.stdout) == (0, f"tsforge {cli.__version__}\n"), done.stderr
-    done = subprocess.run([sys.executable, "-c", "import sys, tsforge\n"
-                           "print(sorted(m for m in sys.modules if m.startswith('tsforge')))"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = _run_python("-c", "import sys, tsforge\n"
+                       "print(sorted(m for m in sys.modules if m.startswith('tsforge')))")
     assert done.stdout == "['tsforge']\n", done.stderr
+
+
+def test_tsforge_log_takes_level_names_in_any_case(small_csv, tmp_path):
+    train = ["-m", "tsforge", "train", "--data", str(small_csv)] + FAST
+    done = _run_python(*train, "--out", str(tmp_path / "info"), TSFORGE_LOG="info")
+    assert (done.returncode, done.stderr) == (0, "")
+    done = _run_python(*train, "--out", str(tmp_path / "debug"), TSFORGE_LOG="DeBuG")
+    assert done.returncode == 0, done.stderr
+    assert "DEBUG:tsforge.gan:epoch 1: critic=" in done.stderr
+
+
+def test_unknown_tsforge_log_exit_1(small_csv, tmp_path):
+    out = tmp_path / "o"
+    done = _run_python("-m", "tsforge", "evaluate", "--data", str(small_csv), "--out", str(out),
+                       TSFORGE_LOG="bogus")
+    assert done.returncode == 1
+    assert done.stderr.startswith("configuration error: TSFORGE_LOG='bogus' is not a log level")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()

@@ -259,9 +259,9 @@ def _input_grad_grads(scan, p, x0, w, v):
 
 
 class TestLstmScan:
-    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
-    def test_matches_primitive_composition(self, kind):
-        p, x0, w = _scan_case(kind, 41)
+    @SCALED_INPUTS
+    def test_matches_primitive_composition(self, kind, scale):
+        p, x0, w = _scan_case(kind, 41, scale)
         hs, grads = _weighted_scan_grads(nn.lstm_scan, p, x0, w)
         ref_hs, ref_grads = _weighted_scan_grads(lstm_scan_reference, p, x0, w)
         assert rel_err(hs, ref_hs) <= 1e-12
@@ -367,6 +367,19 @@ class TestLstmScan:
         assert len(calls) == 7
         T.backward(g, outer)                 # one complex-step pass
         assert len(calls) == 14
+
+    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
+    def test_noise_steps_multiply_the_hidden_state_alone(self, kind, monkeypatch):
+        # noise is the same at every step, so its part W_x^T z is in the bias
+        # and a step's hx holds h alone; a window step's holds [h; x_t]
+        p, x0, _ = _scan_case(kind, 52)
+        rows = []
+        step = nn.lstm_cell_step
+        monkeypatch.setattr(nn, "lstm_cell_step",
+                            lambda *args: rows.append(args[2].shape[0]) or step(*args))
+        nn.lstm_scan(p, Tensor(x0, requires_grad=False), 7)
+        units, features = 5, x0.shape[-1]
+        assert rows == [units if kind == "noise" else units + features] * 7
 
     def test_shape_mismatch(self):
         p, x0, _ = _scan_case("window", 44)
