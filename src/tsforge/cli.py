@@ -506,11 +506,14 @@ def _build_parser() -> _Parser:
 
 
 def _log_level() -> int:
-    name, levels = os.environ.get("TSFORGE_LOG", "WARNING"), logging.getLevelNamesMapping()
-    if name.upper() not in levels:
+    # getLevelName maps a registered name to its number on every supported
+    # Python; an unknown name comes back as the string "Level <NAME>".
+    name = os.environ.get("TSFORGE_LOG", "WARNING")
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
         raise ConfigError(f"TSFORGE_LOG={name!r} is not a log level name "
-                          f"(one of {', '.join(levels)})")
-    return levels[name.upper()]
+                          "(one of CRITICAL, ERROR, WARNING, INFO, DEBUG, NOTSET)")
+    return level
 
 
 def main(argv=None) -> int:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -801,6 +802,20 @@ def test_tsforge_log_takes_level_names_in_any_case(small_csv, tmp_path):
     done = _run_python(*train, "--out", str(tmp_path / "debug"), TSFORGE_LOG="DeBuG")
     assert done.returncode == 0, done.stderr
     assert "DEBUG:tsforge.gan:epoch 1: critic=" in done.stderr
+
+
+def test_tsforge_log_needs_no_python_3_11_logging_api(monkeypatch):
+    # logging.getLevelNamesMapping first appeared in 3.11; the project supports 3.10.
+    monkeypatch.delattr(logging, "getLevelNamesMapping", raising=False)
+    for value, level in (("info", logging.INFO), ("Warn", logging.WARNING),
+                         ("DEBUG", logging.DEBUG)):
+        monkeypatch.setenv("TSFORGE_LOG", value)
+        assert cli._log_level() == level
+    monkeypatch.delenv("TSFORGE_LOG")
+    assert cli._log_level() == logging.WARNING
+    monkeypatch.setenv("TSFORGE_LOG", "bogus")
+    with pytest.raises(cli.ConfigError, match="TSFORGE_LOG='bogus' is not a log level"):
+        cli._log_level()
 
 
 def test_unknown_tsforge_log_exit_1(small_csv, tmp_path):
