@@ -339,21 +339,20 @@ def _acf_chart(title: str, rep: stats.AcfReport) -> Chart:
 def cmd_evaluate(args) -> int:
     prices = load_csv(args.data)
     returns = log_returns(prices)
-    out = _out_dir(args.out, f"evaluate-{Path(args.data).stem}")
-
     report = stats.moments(returns)
-    _write_csv(out / "moments.csv", ["metric", "value"], *zip(*report.rows()))
-
     max_lag = min(args.max_lag, len(returns) - 1)
     plain = stats.acf(returns, max_lag)
     absolute = stats.acf_absolute(returns, max_lag)
+    qq = stats.qq_points(returns, "normal")
+    out = _out_dir(args.out, f"evaluate-{Path(args.data).stem}")
+
+    _write_csv(out / "moments.csv", ["metric", "value"], *zip(*report.rows()))
     _write_csv(out / "acf.csv", ["lag", "acf", "acf_absolute"],
                plain.lags, plain.values, absolute.values)
     write_svg(out / "acf.svg", render_panels([
         _acf_chart("ACF of log returns", plain),
         _acf_chart("ACF of absolute log returns", absolute)]))
 
-    qq = stats.qq_points(returns, "normal")
     _write_csv(out / "qq.csv", ["theoretical", "sample"], qq.theoretical, qq.sample)
     qc = Chart("QQ plot of log returns vs normal", "normal quantile", "sample quantile",
                ref_line=(qq.slope, qq.intercept))
@@ -385,10 +384,9 @@ def cmd_compare(args) -> int:
     prices = load_csv(args.real)
     real = log_returns(prices)
     synth = _load_synthetic(args)
-    out = _out_dir(args.out, f"compare-{Path(args.real).stem}")
-
     report = stats.compare_distributions(real, synth, max_lag=args.max_lag,
                                          bins=args.bins)
+    out = _out_dir(args.out, f"compare-{Path(args.real).stem}")
     _write_moments(out / "moments.csv", report.moments_real, report.moments_synthetic)
 
     hist = report.histogram

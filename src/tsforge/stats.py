@@ -108,6 +108,8 @@ def _acf_rows(rows: np.ndarray, max_lag: int) -> np.ndarray:
     first: sums along a strided axis (``gan.generate``'s windows) round differently."""
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     n = rows.shape[1]
+    if n < 2:
+        raise StatsError(f"acf needs windows of at least 2 returns, got {n}")
     centered = rows - rows.mean(axis=1, keepdims=True)
     denom = np.sum(centered ** 2, axis=1)
     if np.any(denom == 0.0):

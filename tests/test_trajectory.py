@@ -13,7 +13,7 @@ depends on the sequence length.
 import numpy as np
 import pytest
 
-from tsforge import gan, tensor
+from tsforge import gan, nn, tensor
 from tsforge.data import fit_scale
 from tsforge.optim import OptimConfig
 
@@ -107,3 +107,21 @@ def test_tape_nodes_per_step(variant, monkeypatch):
     assert all(before == after for before, after in outer)
     critic, generator = TAPE_NODES[variant]
     assert cleared == [critic] * 5 + [generator]
+
+
+# variant: LSTM steps (nn.lstm_cell_step calls) in one epoch. Each scan of T
+# steps calls it T times and no BPTT calls it, so wgan_gp makes 22 scans: five
+# critic steps of four each (the generator, the critic on [real; fake], the
+# critic on x-hat and the penalty's complex step) and a generator step of two.
+# wgan_clip and gan make 12: two per critic step and two for the generator.
+# That is 22 T and 12 T, 1,100 and 600 at the paper's T = 50; here T = 6.
+LSTM_STEPS = {"wgan_gp": 132, "wgan_clip": 72, "gan": 72}
+
+
+@pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
+def test_lstm_steps_per_epoch(variant, monkeypatch):
+    calls = []
+    step = nn.lstm_cell_step
+    monkeypatch.setattr(nn, "lstm_cell_step", lambda *args: calls.append(1) or step(*args))
+    gan.train(tiny_config(variant, epochs=1), tiny_dataset())
+    assert len(calls) == LSTM_STEPS[variant]
