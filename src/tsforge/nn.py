@@ -130,20 +130,20 @@ def init_params(spec: ArchitectureSpec, kind: str, seed: int) -> ParamSet:
 
 def _activate(z: np.ndarray, out: np.ndarray, n_sigmoid: int, scratch: np.ndarray) -> None:
     """out = the sigmoid of z's first ``n_sigmoid`` rows and tanh of the rest;
-    out may be z, ``scratch`` is real [2, rows, B]. At a complex z = a + ib
-    (the complex step) this is f(a) + i b f'(a), with f' = f (1 - f) or
-    1 - f^2, in real arithmetic on a contiguous copy of a: the dropped
-    O(b^2) term lies some 40 orders of magnitude under b f'(a)."""
+    out may be z. ``scratch`` is real [2, rows, B] and serves a complex z only.
+    At a complex z = a + ib (the complex step) this is f(a) + i b f'(a), with
+    f' = f (1 - f) or 1 - f^2, in real arithmetic on a contiguous copy of a:
+    the dropped O(b^2) term lies some 40 orders of magnitude under b f'(a)."""
     n = n_sigmoid
     if z.dtype.kind != "c":
         if n:
-            T._sigmoid(z[:n], out=out[:n], e=scratch[1, :n])
+            T._sigmoid(z[:n], out=out[:n])
         np.tanh(z[n:], out=out[n:])
         return
     s, d = scratch[0, :z.shape[0]], scratch[1, :z.shape[0]]
     s[...] = z.real
     if n:
-        T._sigmoid(s[:n], out=s[:n], e=d[:n])
+        T._sigmoid(s[:n], out=s[:n])
     np.tanh(s[n:], out=s[n:])
     np.subtract(1.0, s[:n], out=d[:n])
     d[:n] *= s[:n]

@@ -104,15 +104,12 @@ class TestActivations:
                800.0, -800.0, np.inf, -np.inf, np.nan)
 
     @staticmethod
-    def two_branch_sigmoid(x) -> np.ndarray:
-        """Masked reference: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
-        flat = np.asarray(x, dtype=np.float64).reshape(-1)
-        out = np.empty_like(flat)
-        pos = flat >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-        ex = np.exp(flat[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out.reshape(np.shape(x))
+    def one_over_one_plus_exp(x) -> np.ndarray:
+        """The reference: 1 / (1 + exp(-x)), out of place, one operation at a time."""
+        x = np.asarray(x, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            e = np.exp(-x)
+        return np.asarray(1.0 / (1.0 + e))
 
     @staticmethod
     def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -122,20 +119,39 @@ class TestActivations:
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
-    def test_sigmoid_matches_two_branch_formula_bit_for_bit(self):
+    def test_sigmoid_matches_one_over_one_plus_exp_bit_for_bit(self):
         rng = np.random.default_rng(31)
         inputs = [np.array(self.SPECIAL), np.linspace(-800.0, 800.0, 20001),
                   rng.normal(size=(64, 150)) * 10.0, rng.normal(size=(3, 7, 5)) * 300.0,
                   rng.standard_cauchy(size=4096)]
         inputs += [np.asarray(v) for v in self.SPECIAL]   # rank 0
         for x in inputs:
-            want = self.two_branch_sigmoid(x)
+            want = self.one_over_one_plus_exp(x)
             got = T.sigmoid(Tensor(x)).data
             self.assert_same_bits(got, want)
             assert got.ndim == x.ndim
             in_place = x.copy()          # the LSTM scan's form, into its own buffers
-            T._sigmoid(in_place, out=in_place, e=np.empty_like(x))
+            T._sigmoid(in_place, out=in_place)
             self.assert_same_bits(in_place, want)
+
+    def test_sigmoid_is_within_2_ulp_of_a_60_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(33)
+        x = np.concatenate([np.linspace(-800.0, 800.0, 4001), rng.normal(size=2000) * 10.0,
+                            rng.uniform(-800.0, 800.0, 2000), [np.nan]])
+        got = T._sigmoid(x)
+        with mpmath.workdps(60):
+            exact = [mpmath.mpf(1) / (1 + mpmath.exp(-mpmath.mpf(v))) for v in x[:-1]]
+        want = np.array([float(v) for v in exact])
+        assert np.isnan(got[-1])
+        got, x = got[:-1], x[:-1]
+        inside = (x >= -700.0) & (x <= 700.0)
+        ulps = np.abs(got[inside].view(np.int64) - want[inside].view(np.int64))
+        assert ulps.max() <= 2
+        below = x < -700.0
+        errors = [abs(mpmath.mpf(g) - e) for g, e, b in zip(got, exact, below) if b]
+        assert max(errors) < 1e-304
+
 
     def test_sigmoid_raises_no_floating_point_error_on_finite_inputs(self):
         finite = [v for v in self.SPECIAL if np.isfinite(v)]
