@@ -238,6 +238,10 @@ def _check_resume(cp: Checkpoint, cfg: TrainConfig, dataset: WindowedDataset, pa
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config, {key: getattr(args, key) for key in _KEYS})
+    if args.grid_samples * cfg.seq_len < 4:
+        raise ConfigError(f"grid_samples {args.grid_samples} x seq_len {cfg.seq_len} = "
+                          f"{args.grid_samples * cfg.seq_len} returns per checkpoint grid, "
+                          f"fewer than the 4 its moments need")
     resume = load_checkpoint(args.resume) if args.resume else None
     prices = load_csv(args.data)
     dataset = build_dataset(prices, seq_len=cfg.seq_len, stride=args.stride)
@@ -342,7 +346,7 @@ def cmd_evaluate(args) -> int:
     report = stats.moments(returns)
     max_lag = min(args.max_lag, len(returns) - 1)
     plain = stats.acf(returns, max_lag)
-    absolute = stats.acf_absolute(returns, max_lag)
+    absolute = stats.acf(np.abs(returns), max_lag)
     qq = stats.qq_points(returns, "normal")
     out = _out_dir(args.out, f"evaluate-{Path(args.data).stem}")
 
@@ -379,8 +383,6 @@ def _load_synthetic(args) -> np.ndarray:
 
 
 def cmd_compare(args) -> int:
-    if not args.synthetic and not args.checkpoint:
-        raise _UsageError("compare needs --synthetic or --checkpoint")
     prices = load_csv(args.real)
     real = log_returns(prices)
     synth = _load_synthetic(args)
@@ -492,8 +494,9 @@ def _build_parser() -> _Parser:
 
     co = sub.add_parser("compare", help="real vs synthetic distribution report")
     co.add_argument("--real", required=True, help="real price CSV")
-    co.add_argument("--synthetic", help="CSV of synthetic return rows")
-    co.add_argument("--checkpoint", help="generate synthetic data from this checkpoint")
+    source = co.add_mutually_exclusive_group(required=True)
+    source.add_argument("--synthetic", help="CSV of synthetic return rows")
+    source.add_argument("--checkpoint", help="generate synthetic data from this checkpoint")
     co.add_argument("--n", type=_positive(int), default=64)
     co.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     co.add_argument("--out")

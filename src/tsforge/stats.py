@@ -1,15 +1,18 @@
 """Descriptive statistics for comparing return distributions.
 
 Covers the usual instruments for stylized facts of asset returns:
-moment tables (with Pearson kurtosis, normal = 3), autocorrelation of
-plain and absolute returns (volatility clustering shows up in the
-latter), quantile-quantile points against a normal or an empirical
-reference, and density-normalized histograms.
+moment tables (with Pearson kurtosis, normal = 3), autocorrelation of a
+series or of window rows (pass ``np.abs(x)`` for the absolute returns,
+where volatility clustering shows up), quantile-quantile points against
+a normal or an empirical reference, and density-normalized histograms.
+numpy and the standard library are all it needs: the normal quantiles
+come from ``statistics.NormalDist``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -103,11 +106,21 @@ def moments(x) -> MomentsReport:
     )
 
 
-def _acf_rows(rows: np.ndarray, max_lag: int) -> np.ndarray:
-    """acf values [rows, max_lag + 1] of a 2-D batch, whose rows are made contiguous
-    first: sums along a strided axis (``gan.generate``'s windows) round differently."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
+def acf(x, max_lag: int) -> AcfReport:
+    """Autocorrelation at lags 0..max_lag of a 1-D series, or averaged over
+    the rows of 2-D windows, with the band 1.96/sqrt(row length).
+
+    Biased estimator with each row's own mean:
+    acf[k] = sum_t (x_t - xbar)(x_{t+k} - xbar) / sum_t (x_t - xbar)^2.
+    Rows are made contiguous first: sums along a strided axis (``gan.generate``'s
+    windows) round differently.
+    """
+    rows = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
+    if rows.ndim != 2:
+        raise StatsError(f"acf takes a series or 2-D window rows, got {rows.ndim} dimensions")
     n = rows.shape[1]
+    if not 0 <= max_lag < n:
+        raise StatsError(f"max_lag {max_lag} must be < series length {n}")
     if n < 2:
         raise StatsError(f"acf needs windows of at least 2 returns, got {n}")
     centered = rows - rows.mean(axis=1, keepdims=True)
@@ -117,26 +130,8 @@ def _acf_rows(rows: np.ndarray, max_lag: int) -> np.ndarray:
     values = np.empty((len(rows), max_lag + 1))
     for k in range(max_lag + 1):
         values[:, k] = np.sum(centered[:, : n - k] * centered[:, k:], axis=1) / denom
-    return values
-
-
-def acf(x, max_lag: int) -> AcfReport:
-    """Autocorrelation at lags 0..max_lag.
-
-    Biased estimator with whole-series mean:
-    acf[k] = sum_t (x_t - xbar)(x_{t+k} - xbar) / sum_t (x_t - xbar)^2.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    n = x.size
-    if not 0 <= max_lag < n:
-        raise StatsError(f"max_lag {max_lag} must be < series length {n}")
-    return AcfReport(lags=np.arange(max_lag + 1), values=_acf_rows(x[None], max_lag)[0],
+    return AcfReport(lags=np.arange(max_lag + 1), values=values.mean(axis=0),
                      band=1.96 / np.sqrt(n))
-
-
-def acf_absolute(x, max_lag: int) -> AcfReport:
-    """acf of |x|; positive slow decay here is the volatility-clustering signature."""
-    return acf(np.abs(np.asarray(x, dtype=np.float64)), max_lag)
 
 
 def _plotting_positions(n: int) -> np.ndarray:
@@ -165,7 +160,9 @@ def qq_points(sample, reference="normal") -> QqReport:
 
     With the normal reference, the standardized sample's order
     statistics are set against inverse-normal plotting positions
-    (i-0.5)/n. With an empirical reference (any array), both datasets
+    (i-0.5)/n, from ``statistics.NormalDist().inv_cdf`` (Wichura's AS241:
+    within a few ulp, and strictly increasing as the quartile line below
+    needs; tested for every n to 2,999 and at 47,920). With an empirical reference (any array), both datasets
     are interpolated at shared positions, so sample sizes may differ.
     The reference line passes through the quartile pair.
     """
@@ -180,8 +177,8 @@ def qq_points(sample, reference="normal") -> QqReport:
         if std == 0.0:
             raise StatsError("degenerate sample: zero variance")
         sample_q = (x - x.mean()) / std
-        from scipy.special import ndtri   # here: importing scipy is most of `import tsforge`
-        theo_q = ndtri(_plotting_positions(n))
+        theo_q = np.fromiter(map(NormalDist().inv_cdf, _plotting_positions(n).tolist()),
+                             np.float64, n)
     else:
         ref = np.asarray(reference, dtype=np.float64).reshape(-1)
         if ref.size < 10:
@@ -193,10 +190,11 @@ def qq_points(sample, reference="normal") -> QqReport:
     quartiles = np.array([0.25, 0.75])
     tx = _sorted_quantiles(theo_q, quartiles)   # both sides are sorted
     ty = _sorted_quantiles(sample_q, quartiles)
-    if tx[1] == tx[0]:
+    with np.errstate(all="ignore"):     # an equal or subnormal quartile gap: no line
+        slope = (ty[1] - ty[0]) / (tx[1] - tx[0])
+        intercept = ty[0] - slope * tx[0]
+    if not (np.isfinite(slope) and np.isfinite(intercept)):
         raise StatsError("degenerate reference quantiles")
-    slope = (ty[1] - ty[0]) / (tx[1] - tx[0])
-    intercept = ty[0] - slope * tx[0]
     return QqReport(theoretical=theo_q, sample=sample_q, slope=float(slope),
                     intercept=float(intercept))
 
@@ -214,12 +212,6 @@ def histogram(datasets: dict[str, np.ndarray], bins: int = 50) -> HistogramRepor
     edges = np.linspace(lo, hi, int(bins) + 1)
     return HistogramReport(edges=edges, densities={
         k: np.histogram(v, bins=edges, density=True)[0] for k, v in arrays.items()})
-
-
-def _acf_any(rows: np.ndarray, max_lag: int) -> AcfReport:
-    """The ACF at lags 0..max_lag averaged over the rows of 2-D windows."""
-    return AcfReport(lags=np.arange(max_lag + 1), values=_acf_rows(rows, max_lag).mean(axis=0),
-                     band=1.96 / np.sqrt(rows.shape[1]))
 
 
 def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,
@@ -247,8 +239,8 @@ def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,
         qq_synthetic_vs_normal=qq_points(synth_flat, "normal"),
         qq_real_vs_normal=qq_points(real_flat, "normal"),
         qq_synthetic_vs_real=qq_points(synth_flat, real_flat),
-        acf_real=_acf_any(real_rows, lag),
-        acf_synthetic=_acf_any(synth_rows, lag),
-        acf_abs_real=_acf_any(np.abs(real_rows), lag),
-        acf_abs_synthetic=_acf_any(np.abs(synth_rows), lag),
+        acf_real=acf(real_rows, lag),
+        acf_synthetic=acf(synth_rows, lag),
+        acf_abs_real=acf(np.abs(real_rows), lag),
+        acf_abs_synthetic=acf(np.abs(synth_rows), lag),
     )

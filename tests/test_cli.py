@@ -571,12 +571,13 @@ class TestCsvWriters:
 
 # The CSVs that train, generate, evaluate and compare --checkpoint write on the
 # GARCH fixture. Files that do not pass through BLAS are pinned by SHA-256,
-# recorded before the CSV writers took columns.
+# recorded before the CSV writers took columns; evaluate/qq.csv again when its
+# normal quantiles came from statistics.NormalDist (moved by <= 7.9e-16 relative).
 CSV_SHA256 = {
     "compare/histogram.csv": "2ed43d810811250a361b9ad677a3cca539d73c89b7dc8c0ca619b6bcca7e7aa6",
     "evaluate/acf.csv": "02d0505c85ca63001dfb334569fba92628328960bb855264c40de11efbedd01c",
     "evaluate/moments.csv": "8bac406ec67c35f1f89e02255dc182ab1c3107d30ef18bbbe18636e497111779",
-    "evaluate/qq.csv": "a3891422b7ada28b6af8e5b8eb6ccd5e183f8868f88074d4e94b945b09434a8b",
+    "evaluate/qq.csv": "ba77e6aadfb33897bd755e50bae8d13e710b4429ca843cc86074e7f4d95d04ac",
     "evaluate/returns.csv": "f72d53f6b8bec9f1f4877352de39cf5fc034b8858d8246a164da558e5e909137",
 }
 # Training and sampling go through BLAS, and a GEMM kernel without FMA rounds
@@ -721,9 +722,22 @@ class TestCompare:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_missing_source_exit_1(self, small_csv, tmp_path):
-        assert main(["compare", "--real", str(small_csv),
-                     "--out", str(tmp_path / "o")]) == 1
+    def test_missing_source_exit_1(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["compare", "--real", str(small_csv), "--out", str(out)]) == 1
+        assert "one of the arguments --synthetic --checkpoint is required" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_both_sources_exit_1(self, small_csv, tmp_path, capsys):
+        # the checkpoint need not exist: the two sources are refused before any read
+        synth = tmp_path / "synth.csv"
+        synth.write_text("0.01,-0.02,0.005\n")
+        out = tmp_path / "o"
+        assert main(["compare", "--real", str(small_csv), "--synthetic", str(synth),
+                     "--checkpoint", str(tmp_path / "missing.ckpt"), "--out", str(out)]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_column_synthetic_is_windows_of_one_return(self, small_csv, tmp_path, capsys):
         # what generate writes for a --seq-len 1 checkpoint: n windows, not one
@@ -748,6 +762,8 @@ BAD_NUMBERS = [
     ("train", ["--stride", "0"]), ("train", ["--lipschitz-pairs", "-1"]),
     ("evaluate", ["--max-lag", "-1"]), ("compare", ["--max-lag", "-1"]),
     ("train", ["--seed", "-1"]), ("generate", ["--seed", "-1"]), ("compare", ["--seed", "-1"]),
+    # a checkpoint grid of 2 returns is too few for its moments table
+    ("train", ["--seq-len", "2", "--grid-samples", "1"]),
 ]
 
 

@@ -124,12 +124,23 @@ class TestAcf:
         b = stats.acf(2.5 * x - 7.0, 20).values
         np.testing.assert_allclose(a, b, atol=1e-9)
 
+    def test_window_rows_average_the_per_row_acf(self):
+        # bit for bit, and a series is one row of itself
+        rows = np.random.Generator(np.random.Philox(27)).standard_normal((7, 30))
+        rep = stats.acf(rows, 12)
+        per_row = np.mean([stats.acf(w, 12).values for w in rows], axis=0)
+        assert rep.values.tobytes() == per_row.tobytes()
+        assert rep.band == stats.acf(rows[0], 12).band == 1.96 / np.sqrt(30)
+        assert stats.acf(rows[:1], 12).values.tobytes() == stats.acf(rows[0], 12).values.tobytes()
+        with pytest.raises(StatsError, match="got 3 dimensions"):
+            stats.acf(rows[:, :, None], 5)
+
 
 class TestAcfAbsolute:
     def test_nonnegative_series_identical(self):
         rng = np.random.Generator(np.random.Philox(12))
         x = np.abs(rng.standard_normal(300))
-        np.testing.assert_allclose(stats.acf_absolute(x, 10).values,
+        np.testing.assert_allclose(stats.acf(np.abs(x), 10).values,
                                    stats.acf(x, 10).values, rtol=1e-12)
 
     def test_two_regime_volatility_clustering(self):
@@ -140,13 +151,13 @@ class TestAcfAbsolute:
             sigma = 0.3 if i % 2 == 0 else 3.0
             blocks.append(rng.standard_normal(50) * sigma)
         x = np.concatenate(blocks)
-        rep = stats.acf_absolute(x, 10)
+        rep = stats.acf(np.abs(x), 10)
         assert np.all(rep.values[1:] > 0.0)
 
     def test_real_fixture_slow_decay(self, btc_prices):
         from tsforge.data import log_returns
         r = log_returns(btc_prices)
-        rep = stats.acf_absolute(r, 20)
+        rep = stats.acf(np.abs(r), 20)
         assert np.mean(rep.values[1:]) > 0.03
 
 
@@ -196,16 +207,44 @@ class TestQq:
         rep = stats.qq_points(rng.standard_normal(333), "normal")
         assert np.all(np.diff(rep.sample) >= 0)
 
-    def test_import_leaves_scipy_unloaded(self):
-        # scipy.special is most of the import time; only the normal QQ reference needs it
+    def test_normal_qq_and_compare_load_no_scipy(self):
+        # numpy and the standard library are the only run-time dependencies
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        code = ("import sys, tsforge\n"
+        code = ("import sys\nimport numpy as np\nimport tsforge.cli\n"
+                "from tsforge import stats\n"
+                "x = np.random.default_rng(1).standard_normal(300)\n"
+                "stats.qq_points(x, 'normal')\n"
+                "stats.compare_distributions(x, x[:200].reshape(10, 20), max_lag=10)\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_normal_reference_strictly_increasing(self):
+        # the precondition under which the quartile line takes _sorted_quantiles
+        for n in [*range(10, 3000), 47_920]:
+            theo = stats.qq_points(np.arange(n, dtype=np.float64), "normal").theoretical
+            assert np.all(np.diff(theo) > 0), n
+
+    def test_normal_reference_within_5_ulp_of_a_40_digit_reference(self):
+        """The worst over every point of n = 10, 11, 1280, 2415 and 47,920 is
+        4.75 ulp (scipy's ndtri: 4.36); 47,920 is checked at every 4th point,
+        which holds that worst one. The reference is one Newton step on the
+        normal cdf from the float64 value at 40 digits: from an error near
+        1e-15, the step lands within about 1e-29."""
+        mpmath = pytest.importorskip("mpmath")
+        for n, step in ((10, 1), (11, 1), (1280, 1), (2415, 1), (47_920, 4)):
+            theo = stats.qq_points(np.arange(n, dtype=np.float64), "normal").theoretical
+            got, p = theo[::step].tolist(), stats._plotting_positions(n)[::step].tolist()
+            with mpmath.workdps(40):
+                ulps = []
+                for g, q in zip(got, p):
+                    x = mpmath.mpf(g)
+                    exact = x - (mpmath.ncdf(x) - q) / mpmath.npdf(x)
+                    ulps.append(float(abs(x - exact)) / np.spacing(abs(float(exact))))
+            assert max(ulps) <= 5.0, n
 
     @settings(max_examples=200, deadline=None)
     @given(a=hnp.arrays(np.float64, st.integers(1, 80), elements=st.floats(-1e300, 1e300)),
@@ -238,6 +277,11 @@ class TestQq:
     def test_degenerate_rejected(self):
         with pytest.raises(StatsError):
             stats.qq_points(np.ones(50), "normal")
+
+    def test_subnormal_quartile_gap_rejected(self):
+        # the slope overflows, so there is no finite reference line
+        with pytest.raises(StatsError, match="degenerate reference quantiles"):
+            stats.qq_points(np.arange(40.0), np.repeat([0.0, 5e-324], 20))
         with pytest.raises(StatsError):
             stats.qq_points(np.arange(5.0), "normal")
 
@@ -312,7 +356,7 @@ class TestCompare:
             np.testing.assert_array_equal(got.lags, np.arange(20))
         assert rep.acf_real.values.tobytes() == stats.acf(r, 50).values[:20].tobytes()
         assert (rep.acf_abs_real.values.tobytes()
-                == stats.acf_absolute(r, 50).values[:20].tobytes())
+                == stats.acf(np.abs(r), 50).values[:20].tobytes())
         assert rep.acf_real.band == stats.acf(r, 50).band
         short = stats.compare_distributions(windows, r, max_lag=50)   # either side caps
         assert len(short.acf_real.values) == len(short.acf_synthetic.values) == 20
