@@ -307,6 +307,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     cp = load_checkpoint(args.checkpoint)
+    real = log_returns(load_csv(args.real)) if args.real else None
     out = _out_dir(args.out, f"generate-seed{args.seed}")
     samples = gan.generate(cp.generator, args.n, args.seed)   # [n, seq, 1]
     scaled = samples[:, :, 0]
@@ -321,12 +322,9 @@ def cmd_generate(args) -> int:
     _write_csv(out / "prices.csv", None, *prices.T)
 
     real_path = None
-    if args.real:
-        series = load_csv(args.real)
-        r = log_returns(series)
-        seq = scaled.shape[1]
-        if len(r) >= seq:
-            real_path = returns_to_prices(r[-seq:], args.p0)
+    seq = scaled.shape[1]
+    if real is not None and len(real) >= seq:
+        real_path = returns_to_prices(real[-seq:], args.p0)
     write_svg(out / "prices.svg",
               render_chart(_paths_chart("Generated price paths", "price", prices, real_path)))
     print(f"wrote {args.n} samples to {out}")

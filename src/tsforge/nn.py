@@ -1,25 +1,29 @@
 """LSTM and dense layers composed into the generator and critic networks.
 
 Both networks are a single LSTM block followed by a time-shared dense
-projection. The generator feeds the same noise vector into every
-timestep and squashes the per-step projection with tanh, so its output
-lives in (-1, 1) to match min-max scaled training windows. The critic
-projects each hidden state to one score and averages the scores over
-time; there is deliberately no sigmoid, so scores are unbounded.
+head with one output. The generator feeds the same noise vector into
+every timestep and squashes the per-step head value with tanh, so its
+output lives in (-1, 1) to match min-max scaled training windows. The
+critic averages its per-step head values over time into one score;
+there is deliberately no sigmoid, so scores are unbounded.
 
 There is one LSTM: ``lstm_scan`` steps ``lstm_cell_step`` in numpy over
-the timesteps as one tape node whose vjp is a numpy BPTT. The gates are
-fused in column order [i | f | o | c~]; the parameters, and so the
-checkpoint layout, stay the eight tensors ``lstm.W_i`` ... ``lstm.b_o``.
-The kernel runs feature-major: each critic step computes W^T [h; x_t] + b
-as [4u, B], so every gate block is a contiguous slab, and every ufunc
-writes into buffers made once per call; h goes straight into the next
-step's [h; x] buffer. The generator's noise z is the same at every step,
-so its steps compute W_h^T h + (b + W_x^T z), the bracket made once per
-call: the input projection that RNN kernels hoist out of the recurrence.
-The BPTT keeps only the activated gates [T, 4u, B] and the cell states
-[T + 1, u, B], 5u floats per sample and step: it takes h_{t-1} from the
-scan's own output, x_t from its input, and recomputes tanh c.
+the timesteps and applies the head inside the scan, as one tape node
+whose vjp is a numpy BPTT. It returns the head values h_t proj.W + proj.b,
+and no hidden state outlives its step. The gates are fused in column
+order [i | f | o | c~]; the checkpoint layout stays the ten tensors
+``lstm.W_i`` ... ``lstm.b_o``, ``proj.W`` and ``proj.b``. The kernel runs
+feature-major: each critic step computes W^T [h; x_t] + b as [4u, B], so
+every gate block is a contiguous slab, and every ufunc writes into
+buffers made once per call; h goes straight into the next step's [h; x]
+buffer, where the head reads it. The generator's noise z is the same at
+every step, so its steps compute W_h^T h + (b + W_x^T z), the bracket
+made once per call: the input projection that RNN kernels hoist out of
+the recurrence. The BPTT keeps only the activated gates [T, 4u, B] and
+the cell states [T + 1, u, B], 5u floats per sample and step. h's
+upstream enters as proj.W ds_t, and h_{t-1} = o_{t-1} tanh c_{t-1} is
+recomputed, one multiply per step on the tanh c the BPTT recomputes
+anyway (Chen et al. 2016, arXiv:1604.06174); x_t comes from the input.
 
 The gradient penalty differentiates the critic's input gradient again,
 by a complex step (Martins, Sturdza & Alonso 2003, ACM TOMS 29(3)): one
@@ -31,6 +35,8 @@ float64 rounding. The pass runs in real arithmetic: real weights times
 complex activations are one real GEMM on the float64 view [K, 2B], and
 sigmoid and tanh at a + ib are f(a) + i b f'(a). That expansion drops
 only O(b^2) relative terms, so it needs |Im| << 1, which h guarantees.
+The pass's head values give the upstream's gradient, and its recomputed
+h_t give proj.W's.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class ArchitectureSpec:
 class ParamSet:
     """Ordered, named collection of trainable tensors for one network.
 
-    ``lstm_scan`` and the dense heads read their tensors from it by name.
+    ``lstm_scan`` reads the LSTM's and the head's tensors from it by name.
     Carries the architecture it was initialized for, so a generator
     knows its own output length.
     """
@@ -178,9 +184,9 @@ def lstm_cell_step(W: np.ndarray, bias: np.ndarray, hx: np.ndarray, c_prev: np.n
     h *= gates[2 * u:3 * u]
 
 
-def _scan_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
+def _scan_forward(W: np.ndarray, b: np.ndarray, w: np.ndarray, x: np.ndarray, steps: int,
                   keep: bool) -> tuple[np.ndarray, tuple | None]:
-    """The hidden states [steps, batch, units] from the zero state and, if
+    """The head values w^T h_t [steps, 1, batch] from the zero state and, if
     ``keep``, the saved set of the BPTT: the activated gates [steps, 4u, B]
     and the cell states [steps + 1, u, B], the first one zero.
 
@@ -196,7 +202,7 @@ def _scan_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
         W = W[:u]
     else:
         bias[...] = b[:, None]
-    hs = np.empty((steps, batch, u), x.dtype)
+    heads = np.empty((steps, 1, batch), x.dtype)
     hx = np.zeros((W.shape[0], batch), x.dtype)
     gates = np.empty((steps if keep else 1, 4 * u, batch), x.dtype)
     cells = np.zeros((steps + 1 if keep else 2, u, batch), x.dtype)
@@ -206,41 +212,49 @@ def _scan_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
             hx[u:] = x[:, t].T
         c_prev, c = (t, t + 1) if keep else (t % 2, (t + 1) % 2)
         lstm_cell_step(W, bias, hx, cells[c_prev], gates[t if keep else 0], cells[c], scratch)
-        hs[t] = hx[:u].T
-    return hs, (gates, cells) if keep else None
+        _matmul(w.T, hx[:u], heads[t])
+    return heads, (gates, cells) if keep else None
 
 
-def _scan_backward(W: np.ndarray, x: np.ndarray, hs: np.ndarray, saved: tuple,
-                   d_hs: np.ndarray, weights: bool) -> list[np.ndarray]:
-    """BPTT for ``_scan_forward``, latest step first: the gradients of the
-    weight and bias blocks in fused column order (zero unless ``weights``),
-    then of x. h_{t-1} comes from ``hs`` and x_t from ``x``; tanh c is
-    recomputed. In a complex pass the weight and bias gradients hold only
-    the imaginary parts, the one part the complex step reads."""
+def _scan_backward(W: np.ndarray, w: np.ndarray, x: np.ndarray, saved: tuple,
+                   ds: np.ndarray, weights: bool) -> list[np.ndarray]:
+    """BPTT for ``_scan_forward`` from the head's upstream ds [steps, B],
+    latest step first: the gradients of the weight and bias blocks in fused
+    column order, then of the head's w [u, 1] (all zero unless ``weights``),
+    then of x. h's upstream is w ds_t + dh_next. tanh c_{t-1} is recomputed
+    one step early, and with it h_{t-1} = o_{t-1} tanh c_{t-1} for the
+    weight GEMM and w's gradient; x_t comes from ``x``. In a complex pass
+    the weight and bias gradients hold only the imaginary parts, the one
+    part the complex step reads."""
     gates, cells = saved
-    steps, batch, u = hs.shape
-    dtype, K = hs.dtype, W.shape[0]
+    steps, _, batch = gates.shape
+    u, dtype, K = cells.shape[1], gates.dtype, W.shape[0]
     parts = (lambda a: (a.imag, a.real)) if dtype.kind == "c" else (lambda a: (a,))
     dx = np.zeros(x.shape, dtype)
     dz, dhx = np.empty((4 * u, batch), dtype), np.zeros((K, batch), dtype)
-    dh, dc, work = (np.zeros((n, batch), dtype) for n in (u, u, 3 * u))
-    tanh_c, one_minus = work[:u], work[u:2 * u]
+    dh, dc, tanh_c, h = (np.zeros((u, batch), dtype) for _ in range(4))
+    work = np.empty((3 * u, batch), dtype)
+    one_minus = work[u:2 * u]
     # [h_{t-1}, x_t, 1] by part, the real part last: dz times it gives the
     # weight and bias gradients of a step, [4u, K + 1], in one GEMM
     hx1 = np.zeros((batch, len(parts(dz)), K + 1))
     hx1[:, -1, K] = 1.0
     dWb, dWb_t = np.zeros((4 * u, K + 1)), np.empty((4 * u, K + 1))
+    dw = np.zeros(u)
     scratch = np.empty((2, u, batch))
+    _activate(cells[steps], tanh_c, 0, scratch)
+    if weights:
+        np.multiply(tanh_c, gates[-1, 2 * u:3 * u], out=h)
     for t in range(steps - 1, -1, -1):
         g = gates[t]
-        np.add(d_hs[t].T, dhx[:u], out=dh)
-        _activate(cells[t + 1], tanh_c, 0, scratch)
+        np.multiply(w, ds[t], out=dh)
+        dh += dhx[:u]
         np.multiply(dh, tanh_c, out=dz[2 * u:3 * u])                # d o
         np.multiply(tanh_c, tanh_c, out=one_minus)
         np.subtract(1.0, one_minus, out=one_minus)
-        np.multiply(dh, g[2 * u:3 * u], out=tanh_c)
-        tanh_c *= one_minus
-        dc += tanh_c
+        dh *= g[2 * u:3 * u]
+        dh *= one_minus
+        dc += dh
         np.multiply(dc, g[3 * u:], out=dz[:u])                      # d i
         np.multiply(dc, cells[t], out=dz[u:2 * u])                  # d f
         np.subtract(1.0, g[:3 * u], out=work)
@@ -256,27 +270,33 @@ def _scan_backward(W: np.ndarray, x: np.ndarray, hs: np.ndarray, saved: tuple,
             dx[:, t] = dhx[u:].T
         else:
             dx += dhx[u:].T
+        if t:
+            _activate(cells[t], tanh_c, 0, scratch)                 # tanh c_{t-1}
         if weights:
+            dw += parts(h)[0] @ ds[t]                               # h = h_t
+            if t:
+                np.multiply(tanh_c, gates[t - 1, 2 * u:3 * u], out=h)
             x_t = x if x.ndim == 2 else x[:, t]
-            for k, (h_part, x_part) in enumerate(zip(parts(hs[t - 1]), parts(x_t))):
-                hx1[:, k, :u] = h_part if t else 0.0
+            for k, (h_part, x_part) in enumerate(zip(parts(h), parts(x_t))):
+                hx1[:, k, :u] = h_part.T if t else 0.0
                 hx1[:, k, u:K] = x_part
             # Im(dz a) = Re dz Im a + Im dz Re a: one real GEMM by parts
             np.matmul(dz.view(np.float64), hx1.reshape(-1, K + 1), out=dWb_t)
             dWb += dWb_t
-    return [*np.split(dWb[:, :K].T, 4, axis=1), *np.split(dWb[:, K], 4), dx]
+    return [*np.split(dWb[:, :K].T, 4, axis=1), *np.split(dWb[:, K], 4), dw[:, None], dx]
 
 
-def _complex_step(W: np.ndarray, b: np.ndarray, x: np.ndarray, steps: int,
-                  d_hs: np.ndarray, v: np.ndarray, weights: bool) -> list[np.ndarray]:
+def _complex_step(W: np.ndarray, b: np.ndarray, w: np.ndarray, x: np.ndarray, steps: int,
+                  ds: np.ndarray, v: np.ndarray, weights: bool) -> list[np.ndarray]:
     """The gradients of <v, dx>, with dx ``_scan_backward``'s x-gradient for
-    the upstream d_hs, with respect to the weight and bias blocks, d_hs and
-    x: the imaginary parts of one pass at x + i h v, over h."""
+    the upstream ds, with respect to the weight and bias blocks, the head's
+    w, ds and x: the imaginary parts of one pass at x + i h v, over h. The
+    head values' imaginary parts are ds's gradient."""
     scale = np.max(np.abs(v)) or 1.0   # v = 0 has zero gradients at any step
     xc = x + 1e-20j * (v / scale)
-    hs, saved = _scan_forward(W, b, xc, steps, keep=True)
-    *wb, dx = _scan_backward(W, xc, hs, saved, d_hs, weights)
-    return [g * (scale / 1e-20) for g in (*wb, hs.imag.reshape(-1, hs.shape[-1]), dx.imag)]
+    heads, saved = _scan_forward(W, b, w, xc, steps, keep=True)
+    *wb, dx = _scan_backward(W, w, xc, saved, ds, weights)
+    return [g * (scale / 1e-20) for g in (*wb, heads.imag.reshape(-1, 1), dx.imag)]
 
 
 def _not_differentiable(g: Tensor) -> Tensor:
@@ -284,17 +304,17 @@ def _not_differentiable(g: Tensor) -> Tensor:
 
 
 def _one_pass_vjps(inputs: tuple, run: Callable, x_vjps: Callable | None = None) -> list:
-    """vjps of ``inputs``, the eight gates then the rest, whose results all
-    come from one ``run(upstream, weights)`` per backward pass. The first vjp
-    the pass asks for decides ``weights``: the gates are listed first, so it
-    is a gate's unless no gate gradient is wanted. The last result is
-    recorded with ``x_vjps(upstream)``; the others, and the last without it,
-    raise if differentiated, not drop a term."""
+    """vjps of ``inputs``, the eight gates and proj.W then the rest, whose
+    results all come from one ``run(upstream, weights)`` per backward pass.
+    The first vjp the pass asks for decides ``weights``: the weights are
+    listed first, so it is a weight's unless no weight gradient is wanted.
+    The last result is recorded with ``x_vjps(upstream)``; the others, and
+    the last without it, raise if differentiated, not drop a term."""
     memo: list = []
 
     def vjp(g: Tensor, k: int) -> Tensor:
         if not memo or memo[0] is not g:
-            memo[:] = [g, run(g.data, k < 8)]
+            memo[:] = [g, run(g.data, k < 9)]
         last = k == len(inputs) - 1
         return T._record(memo[1][k], "lstm_scan_vjp", (g, *inputs),
                          x_vjps(g) if last and x_vjps else
@@ -303,45 +323,50 @@ def _one_pass_vjps(inputs: tuple, run: Callable, x_vjps: Callable | None = None)
     return [(t, lambda g, k=k: vjp(g, k)) for k, t in enumerate(inputs)]
 
 
-# the gate tensors in the kernel's column order [i | f | o | c~]
-_GATES = tuple(f"lstm.{kind}_{gate}" for kind in "Wb" for gate in "ifoc")
+# the gate tensors in the kernel's column order [i | f | o | c~], then the head
+_PARAMS = (*(f"lstm.{kind}_{gate}" for kind in "Wb" for gate in "ifoc"), "proj.W", "proj.b")
 
 
 def lstm_scan(p: ParamSet, x: Tensor, steps: int) -> Tensor:
-    """Step-major hidden states [steps*batch, units] of one pass from zero
-    state over a window x [batch, steps, features], or a vector x [batch,
-    features] fed at every step, as one tape node on x and p's 8 gates.
+    """Step-major head values h_t proj.W + proj.b [steps*batch, 1] of one
+    pass from zero state over a window x [batch, steps, features], or a
+    vector x [batch, features] fed at every step, as one tape node on x and
+    p's ten tensors. No hidden state outlives its step.
 
-    Its vjp, a numpy BPTT, runs once per backward pass for all nine inputs,
-    and accumulates weight gradients only if the pass wants one; the saved
-    set is kept only while a graph records. Under a recording backward the
-    x-gradient can be differentiated again, by one complex-step pass for all
-    ten of its inputs; a weight gradient, or the x-gradient's own gradients,
-    raise NotImplementedError instead."""
+    Its vjp, a numpy BPTT, runs once per backward pass for all eleven
+    inputs, and accumulates weight gradients only if the pass wants one;
+    the saved set, gates and cells alone, is kept only while a graph
+    records. Under a recording backward the x-gradient can be
+    differentiated again, by one complex-step pass for the gates, proj.W,
+    the upstream and x (it does not depend on proj.b); a weight gradient,
+    or the x-gradient's own gradients, raise NotImplementedError instead."""
     x = T._as_tensor(x)
-    gates = tuple(p[name] for name in _GATES)
-    rows, u = gates[0].shape
+    params = tuple(p[name] for name in _PARAMS)
+    rows, u = params[0].shape
     if (x.rank not in (2, 3) or x.shape[-1] != rows - u or steps <= 0
             or (x.rank == 3 and x.shape[1] != steps)):
         raise ValueError(f"lstm: {steps} steps over input {x.shape} with gate rows "
                          f"{rows} (units {u})")
-    W = np.concatenate([t.data for t in gates[:4]], axis=1)
-    b = np.concatenate([t.data for t in gates[4:]])
-    hs, saved = _scan_forward(W, b, x.data, steps, keep=T.active_graph() is not None)
+    W = np.concatenate([t.data for t in params[:4]], axis=1)
+    b = np.concatenate([t.data for t in params[4:8]])
+    w, batch = p["proj.W"].data, x.shape[0]
+    heads, saved = _scan_forward(W, b, w, x.data, steps, keep=T.active_graph() is not None)
+
+    def backward(g: np.ndarray, weights: bool) -> list[np.ndarray]:
+        *grads, dx = _scan_backward(W, w, x.data, saved, g.reshape(steps, batch), weights)
+        return [*grads, np.sum(g, axis=0), dx]
 
     def make_vjps(out):
         def x_grad_vjps(g: Tensor) -> Callable:
-            d_hs = g.data.reshape(hs.shape)
+            ds = g.data.reshape(steps, batch)
             return lambda o: _one_pass_vjps(
-                (*gates, g, x), lambda v, weights: _complex_step(W, b, x.data, steps, d_hs, v,
-                                                                 weights))
+                (*params[:9], g, x), lambda v, weights: _complex_step(W, b, w, x.data, steps, ds,
+                                                                      v, weights))
 
-        return _one_pass_vjps(
-            (*gates, x), lambda g, weights: _scan_backward(W, x.data, hs, saved,
-                                                           g.reshape(hs.shape), weights),
-            x_grad_vjps)
+        return _one_pass_vjps((*params, x), backward, x_grad_vjps)
 
-    return T._record(hs.reshape(steps * x.shape[0], u), "lstm_scan", (x, *gates), make_vjps)
+    return T._record(heads.reshape(steps * batch, 1) + p["proj.b"].data, "lstm_scan",
+                     (x, *params), make_vjps)
 
 
 def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
@@ -357,8 +382,7 @@ def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
     if z.rank != 2:
         raise ValueError(f"generator: expected noise [batch, noise_len], got {z.shape}")
     batch, seq_len = z.shape[0], g.arch.seq_len
-    hs = lstm_scan(g, z, seq_len)
-    y = T.tanh(T.add_row(T.matmul(hs, g["proj.W"]), g["proj.b"]))  # [seq*batch, 1]
+    y = T.tanh(lstm_scan(g, z, seq_len))                            # [seq*batch, 1]
     y = T.reshape(y, (seq_len, batch, 1))
     return T.transpose(y, (1, 0, 2))
 
@@ -373,7 +397,5 @@ def critic_forward(d: ParamSet, x: Tensor) -> Tensor:
     if x.rank != 3:
         raise ValueError(f"critic: expected [batch, seq_len, features], got {x.shape}")
     batch, steps, _ = x.shape
-    hs = lstm_scan(d, x, steps)
-    scores = T.add_row(T.matmul(hs, d["proj.W"]), d["proj.b"])  # [steps*batch, 1], step-major
-    per_step = T.reshape(scores, (steps, batch))
-    return T.reduce("mean", per_step, axis=0)
+    scores = lstm_scan(d, x, steps)                                 # [steps*batch, 1], step-major
+    return T.reduce("mean", T.reshape(scores, (steps, batch)), axis=0)

@@ -3,8 +3,9 @@
 Central finite differences are computed straight from repeated forward
 evaluations, never through the autodiff path they are checking.
 ``lstm_scan_reference`` builds the LSTM from recorded tensor primitives,
-whose vjps are recorded ops too, so it gives first- and second-order
-gradients without ``nn.lstm_scan``'s numpy BPTT or complex step.
+whose vjps are recorded ops too, and ``lstm_head_reference`` puts the dense
+head on it, so they give first- and second-order gradients without
+``nn.lstm_scan``'s numpy BPTT or complex step.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def lstm_cell_reference(Wi, Wf, Wc, Wo, bi, bf, bc, bo, x_t, h_prev, c_prev):
 
 
 def lstm_scan_reference(p, x: Tensor, steps: int) -> Tensor:
-    """``nn.lstm_scan``'s hidden states [steps*batch, units] from the gates of
-    the ParamSet ``p``, composed of recorded primitives, the gates fused in
+    """The hidden states [steps*batch, units], step-major, of the LSTM in the
+    ParamSet ``p``, composed of recorded primitives, the gates fused in
     column order [i | f | o | c~]."""
     u, batch = p["lstm.W_i"].shape[1], x.shape[0]
     W = T.concat([p[f"lstm.W_{gate}"] for gate in "ifoc"], axis=1)
@@ -92,3 +93,9 @@ def lstm_scan_reference(p, x: Tensor, steps: int) -> Tensor:
         h = T.mul(o_t, T.tanh(c))
         hs.append(h)
     return T.concat(hs, axis=0)
+
+
+def lstm_head_reference(p, x: Tensor, steps: int) -> Tensor:
+    """``nn.lstm_scan``'s head values h_t proj.W + proj.b [steps*batch, 1]:
+    the dense head as recorded primitives on ``lstm_scan_reference``."""
+    return T.add_row(T.matmul(lstm_scan_reference(p, x, steps), p["proj.W"]), p["proj.b"])

@@ -424,6 +424,16 @@ class TestGenerate:
         main(["generate", "--checkpoint", ck, "--n", "4", "--seed", "9", "--out", str(b)])
         assert (a / "returns.csv").read_bytes() == (b / "returns.csv").read_bytes()
 
+    def test_bad_real_exit_2_before_any_write(self, trained_run, tmp_path, capsys):
+        run, _ = trained_run
+        bad = tmp_path / "bad.csv"
+        bad.write_text("Open,Close,Date\n1,4\n", encoding="utf-8")
+        out = tmp_path / "gen"
+        assert main(["generate", "--checkpoint", str(run / "checkpoint_epoch000002.ckpt"),
+                     "--real", str(bad), "--out", str(out)]) == 2
+        assert f"{bad}:2: bad date" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_exit_2(self, trained_run, tmp_path):
         run, _ = trained_run
         bad = tmp_path / "bad.ckpt"

@@ -10,7 +10,7 @@ from tsforge import tensor as T
 from tsforge.nn import ArchitectureSpec, ParamSet
 from tsforge.tensor import Graph, Tensor
 
-from oracles import central_diff, lstm_cell_reference, lstm_scan_reference, rel_err
+from oracles import central_diff, lstm_cell_reference, lstm_head_reference, rel_err
 
 SMALL = ArchitectureSpec(noise_len=3, seq_len=6, features=1, lstm_units=4)
 
@@ -87,20 +87,23 @@ class TestInit:
 # the eight gate tensors, in lstm_cell_reference's argument order
 GATES = ("lstm.W_i", "lstm.W_f", "lstm.W_c", "lstm.W_o",
          "lstm.b_i", "lstm.b_f", "lstm.b_c", "lstm.b_o")
+# every tensor nn.lstm_scan reads: the gates and the dense head
+PARAMS = GATES + ("proj.W", "proj.b")
 
 
 def _lstm(units, features, **arrays) -> ParamSet:
-    """The gate tensors of one LSTM, zero except the named ``arrays``."""
-    zeros = {name: np.zeros((units + features, units) if "W" in name else units)
-             for name in GATES}
-    return ParamSet("critic", {name: Tensor(arrays.get(name[5:], zero))
-                               for name, zero in zeros.items()})
+    """One LSTM and its head, zero except the named ``arrays``, keyed by the
+    name after its dot: W_i ... b_o for the gates, W and b for the head."""
+    shapes = nn.param_shapes(ArchitectureSpec(features=features, lstm_units=units), "critic")
+    return ParamSet("critic", {name: Tensor(arrays.get(name.split(".")[1], np.zeros(shape)))
+                               for name, shape in shapes.items()})
 
 
 def _random_lstm(rng, units, features) -> ParamSet:
     mats = {f"W_{k}": rng.normal(size=(units + features, units)) * 0.4 for k in "ifco"}
     vecs = {f"b_{k}": rng.normal(size=units) * 0.2 for k in "ifco"}
-    return _lstm(units, features, **mats, **vecs)
+    head = {"W": rng.normal(size=(units, 1)), "b": rng.normal(size=1) * 0.2}
+    return _lstm(units, features, **mats, **vecs, **head)
 
 
 def _units(p: ParamSet) -> int:
@@ -159,11 +162,16 @@ class TestLstmCell:
 
 
 def lstm_seq(p, x: Tensor) -> Tensor:
-    """Hidden states of the scan over the timesteps of x [batch, timesteps,
-    features], as [batch, timesteps, units]; x itself gets no gradient."""
+    """Head values of the scan over the timesteps of x [batch, timesteps,
+    features], as [batch, timesteps]; x itself gets no gradient."""
     batch, steps, _ = x.shape
-    hs = nn.lstm_scan(p, Tensor(x.data, requires_grad=False), steps)
-    return T.transpose(T.reshape(hs, (steps, batch, _units(p))), (1, 0, 2))
+    heads = nn.lstm_scan(p, Tensor(x.data, requires_grad=False), steps)
+    return T.transpose(T.reshape(heads, (steps, batch)), (1, 0))
+
+
+def _head(p: ParamSet, h: np.ndarray) -> np.ndarray:
+    """h proj.W + proj.b [batch] for hidden states h [batch, units]."""
+    return (h @ p["proj.W"].data + p["proj.b"].data)[:, 0]
 
 
 class TestLstmForward:
@@ -173,7 +181,7 @@ class TestLstmForward:
         x = rng.normal(size=(3, 1, 2))
         seq = lstm_seq(p, Tensor(x))
         h, _ = _cell(p, x[:, 0, :], np.zeros((3, 4)), np.zeros((3, 4)))
-        np.testing.assert_allclose(seq.data[:, 0, :], h, rtol=1e-12)
+        assert rel_err(seq.data[:, 0], _head(p, h)) <= 1e-12
 
     def test_three_steps_match_manual_unroll(self):
         rng = np.random.default_rng(32)
@@ -184,26 +192,28 @@ class TestLstmForward:
         c = np.zeros((2, 4))
         for t in range(3):
             h, c = lstm_cell_reference(*(p[name].data for name in GATES), x[:, t, :], h, c)
-            np.testing.assert_allclose(seq.data[:, t, :], h, rtol=1e-10)
+            assert rel_err(seq.data[:, t], _head(p, h)) <= 1e-10
 
     def test_zero_weights_zero_hidden(self):
-        p = _lstm(3, 1)
+        # every h is exactly 0, so every head value is exactly proj.b
+        p = _lstm(3, 1, W=np.ones((3, 1)), b=np.array([0.5]))
         x = np.ones((2, 5, 1))
         out = lstm_seq(p, Tensor(x))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 5, 3)))
+        np.testing.assert_array_equal(out.data, np.full((2, 5), 0.5))
 
     def test_gradients_through_time(self):
         rng = np.random.default_rng(33)
         units, features, steps = 4, 2, 5
         p = _random_lstm(rng, units, features)
         x0 = rng.normal(size=(2, steps, features))
-        # unequal weights per unit, so swapped gate columns change the gradient
-        w = rng.normal(size=(2, steps, units))
+        # unequal weights per sample and step; proj.W weighs the units unequally,
+        # so swapped gate columns change the gradient
+        w = rng.normal(size=(2, steps))
         with Graph() as g:
             out = lstm_seq(p, Tensor(x0, requires_grad=False))
             gm = T.backward(g, T.reduce("sum", T.mul(out, Tensor(w))))
 
-        for name in GATES:
+        for name in PARAMS:
             param = p[name]
             W0 = param.data.copy()
 
@@ -213,7 +223,7 @@ class TestLstmForward:
                 param.data[...] = W0
                 return float((out.data * w).sum())
 
-            assert rel_err(gm[param].data, central_diff(f, W0)) < 1e-4, name
+            assert rel_err(gm[param].data, central_diff(f, W0.copy())) < 1e-4, name
 
 
 # input shape of a critic window [batch, steps, features] and of generator
@@ -234,42 +244,44 @@ def _scan_case(kind: str, seed: int, scale: float = 1.0):
     for name in GATES:
         p[name].data[...] *= scale
     x = rng.normal(size=SCAN_INPUTS[kind])
-    w = rng.normal(size=(7 * 6, 5))   # unequal weights per unit and step
+    w = rng.normal(size=(7 * 6, 1))   # unequal weights per step and sample
     return p, x, w
 
 
 def _weighted_scan_grads(scan, p, x0, w):
     x = Tensor(x0.copy())
     with Graph() as g:
-        hs = scan(p, x, 7)
-        loss = T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False)))
+        heads = scan(p, x, 7)
+        loss = T.reduce("sum", T.mul(heads, Tensor(w, requires_grad=False)))
     gm = T.backward(g, loss)
-    return hs.data, [gm[x].data] + [gm[p[n]].data for n in GATES]
+    return heads.data, [gm[x].data] + [gm[p[n]].data for n in PARAMS]
 
 
 def _input_grad_grads(scan, p, x0, w, v):
-    """Gradients of <v, grad_x <hs, w>> with respect to w (the upstream of the
-    scan), x and the eight gates: the ten inputs of the x-gradient node."""
+    """Gradients of <v, grad_x <heads, w>> with respect to w (the upstream of
+    the scan), x, the eight gates and the head: the x-gradient node's inputs,
+    and proj.b, on which the x-gradient does not depend."""
     x, wt = Tensor(x0.copy()), Tensor(w.copy())
     with Graph() as g:
         gx = T.grad(T.reduce("sum", T.mul(scan(p, x, 7), wt)), x)
         outer = T.reduce("sum", T.mul(gx, Tensor(v, requires_grad=False)))
     gm = T.backward(g, outer)
-    return [gm[wt].data, gm[x].data] + [gm[p[n]].data for n in GATES]
+    return [gm[wt].data, gm[x].data] + [gm[p[n]].data for n in PARAMS]
 
 
 class TestLstmScan:
     @SCALED_INPUTS
     def test_matches_primitive_composition(self, kind, scale):
         p, x0, w = _scan_case(kind, 41, scale)
-        hs, grads = _weighted_scan_grads(nn.lstm_scan, p, x0, w)
-        ref_hs, ref_grads = _weighted_scan_grads(lstm_scan_reference, p, x0, w)
-        assert rel_err(hs, ref_hs) <= 1e-12
-        for name, got, want in zip(("x",) + GATES, grads, ref_grads):
+        heads, grads = _weighted_scan_grads(nn.lstm_scan, p, x0, w)
+        ref_heads, ref_grads = _weighted_scan_grads(lstm_head_reference, p, x0, w)
+        assert heads.shape == ref_heads.shape == (7 * 6, 1)
+        assert rel_err(heads, ref_heads) <= 1e-12
+        for name, got, want in zip(("x",) + PARAMS, grads, ref_grads):
             assert got.shape == want.shape, name
             assert rel_err(got, want) <= 1e-12, name
         outside = nn.lstm_scan(p, Tensor(x0, requires_grad=False), 7)
-        assert np.array_equal(outside.data, hs)
+        assert np.array_equal(outside.data, heads)
 
     @SCALED_INPUTS
     def test_gradients_vs_finite_differences(self, kind, scale):
@@ -280,7 +292,7 @@ class TestLstmScan:
             return float((nn.lstm_scan(p, Tensor(xv), 7).data * w).sum())
 
         assert rel_err(grads[0], central_diff(f_x, x0.copy())) < 1e-4
-        for name, analytic in zip(GATES, grads[1:]):
+        for name, analytic in zip(PARAMS, grads[1:]):
             param = p[name]
             W0 = param.data.copy()
 
@@ -297,28 +309,29 @@ class TestLstmScan:
         p, x0, w = _scan_case(kind, 45, scale)
         v = np.random.default_rng(46).normal(size=x0.shape)
         got = _input_grad_grads(nn.lstm_scan, p, x0, w, v)
-        want = _input_grad_grads(lstm_scan_reference, p, x0, w, v)
-        for name, a, b in zip(("upstream", "x") + GATES, got, want):
+        want = _input_grad_grads(lstm_head_reference, p, x0, w, v)
+        for name, a, b in zip(("upstream", "x") + PARAMS, got, want):
             assert a.shape == b.shape, name
             assert rel_err(a, b) <= 1e-12, name
+        assert np.all(got[-1] == 0.0)          # proj.b
 
-    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
-    def test_second_order_vs_finite_differences(self, kind):
-        p, x0, w = _scan_case(kind, 47)
+    @SCALED_INPUTS
+    def test_second_order_vs_finite_differences(self, kind, scale):
+        p, x0, w = _scan_case(kind, 47, scale)
         v = np.random.default_rng(48).normal(size=x0.shape)
         got = _input_grad_grads(nn.lstm_scan, p, x0, w, v)
 
         def f(xv, wv):
-            """<v, grad_x <hs, w>> from the first-order BPTT alone."""
+            """<v, grad_x <heads, w>> from the first-order BPTT alone."""
             x = Tensor(xv)
             with Graph() as g:
-                hs = nn.lstm_scan(p, x, 7)
-                loss = T.reduce("sum", T.mul(hs, Tensor(wv, requires_grad=False)))
+                heads = nn.lstm_scan(p, x, 7)
+                loss = T.reduce("sum", T.mul(heads, Tensor(wv, requires_grad=False)))
             return float((T.backward(g, loss)[x].data * v).sum())
 
         assert rel_err(got[0], central_diff(lambda wv: f(x0, wv), w.copy())) < 1e-4
         assert rel_err(got[1], central_diff(lambda xv: f(xv, w), x0.copy())) < 1e-4
-        for name, analytic in zip(GATES, got[2:]):
+        for name, analytic in zip(PARAMS, got[2:]):
             param = p[name]
             W0 = param.data.copy()
 
@@ -333,8 +346,9 @@ class TestLstmScan:
     def test_second_order_through_a_weight_gradient_raises(self):
         p, x0, w = _scan_case("window", 43)
         with Graph() as g:
-            hs = nn.lstm_scan(p, Tensor(x0), 7)
-            gw = T.grad(T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False))), p["lstm.W_o"])
+            heads = nn.lstm_scan(p, Tensor(x0), 7)
+            gw = T.grad(T.reduce("sum", T.mul(heads, Tensor(w, requires_grad=False))),
+                        p["lstm.W_o"])
             outer = T.reduce("sum", T.square(gw))
             with pytest.raises(NotImplementedError):
                 T.backward(g, outer, wrt=[p["lstm.W_i"]])
@@ -348,9 +362,9 @@ class TestLstmScan:
         p, x0, w = _scan_case("window", 50)
         x = Tensor(x0)
         with Graph() as g:
-            hs = nn.lstm_scan(p, x, 7)
-            a = T.reduce("sum", T.mul(hs, Tensor(w, requires_grad=False)))
-            b = T.reduce("sum", T.mul(hs, Tensor(-2.0 * w, requires_grad=False)))
+            heads = nn.lstm_scan(p, x, 7)
+            a = T.reduce("sum", T.mul(heads, Tensor(w, requires_grad=False)))
+            b = T.reduce("sum", T.mul(heads, Tensor(-2.0 * w, requires_grad=False)))
         ga, gb = T.backward(g, a)[x].data, T.backward(g, b)[x].data
         np.testing.assert_allclose(gb, -2.0 * ga, rtol=1e-12)
 

@@ -4,10 +4,10 @@ The golden values were recorded from the unfused implementation (one
 matmul per LSTM gate, separate critic calls for real and fake windows,
 every LSTM step on the tape). Fused ops may reorder floating-point sums,
 so they are compared with a relative tolerance, but any change to the
-maths moves them far past it. Every LSTM pass now runs through
-``nn.lstm_scan``, one tape node with a numpy BPTT, and the gradient
-penalty's second order through its complex-step vjp, so no tape pin
-depends on the sequence length.
+maths moves them far past it. Every LSTM pass and its dense head now
+run through ``nn.lstm_scan``, one tape node with a numpy BPTT, and the
+gradient penalty's second order through its complex-step vjp, so no tape
+pin depends on the sequence length.
 """
 
 import numpy as np
@@ -71,7 +71,7 @@ def test_golden_trajectory(variant):
 
 
 # variant: tape length at Graph.clear of (each critic step, the generator step)
-TAPE_NODES = {"wgan_gp": (60, 38), "wgan_clip": (29, 38), "gan": (38, 42)}
+TAPE_NODES = {"wgan_gp": (54, 34), "wgan_clip": (27, 34), "gan": (36, 38)}
 
 
 @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
