@@ -159,8 +159,8 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back; bad magic, truncation, unknown format
-    versions, malformed metadata and a NaN or Inf in any tensor record
-    all raise CheckpointError."""
+    versions, malformed metadata, a NaN or Inf in any tensor record and
+    a negative optimizer cache entry all raise CheckpointError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as e:
@@ -226,6 +226,9 @@ def _decode(blob: bytes, path) -> Checkpoint:
             if arr.shape != params[n].shape:
                 raise ValueError(f"{prefix}/{n} has shape {arr.shape}, "
                                  f"its parameter {params[n].shape}")
+            # a running mean of squares; RMSprop divides by its square root
+            if np.any(arr < 0):
+                raise ValueError(f"{prefix}/{n} holds a negative RMSprop cache entry")
         return RmspropState(cache=cache, step=step)
 
     gen = network("gen", "generator")

@@ -3,9 +3,10 @@
 The critic is trained n_critic times per generator update, each time on
 a fresh real batch and fresh noise, while the other network's weights
 stay fixed. Three loss variants are supported. The gradient-penalty
-Wasserstein loss (default) and the weight-clipping one share
-``critic_loss_wgan``, the latter with lambda_gp = 0, and
-``generator_loss_wgan``. The original log-loss GAN uses
+Wasserstein loss (default) and the weight-clipping one share the
+Wasserstein term ``critic_loss_wgan`` and ``generator_loss_wgan``; the
+former adds ``gradient_penalty``, which ``critic_gradients``
+differentiates in a graph of its own. The original log-loss GAN uses
 ``critic_loss_gan`` and ``generator_loss_gan``; only it squashes the
 scores through a sigmoid.
 
@@ -167,27 +168,16 @@ def _score_pair(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, Tensor]
     return T.slice_(scores, 0, 0, n), T.slice_(scores, 0, n, scores.shape[0])
 
 
-def critic_loss_wgan(critic: Critic, real_batch, fake_batch, lambda_gp: float,
-                     rng: np.random.Generator, eps=None) -> tuple[Tensor, float, float]:
-    """mean D(fake) - mean D(real) + gradient penalty at interpolates.
+def critic_loss_wgan(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, float]:
+    """The Wasserstein term mean D(fake) - mean D(real) of the critic loss.
 
-    Returns the loss tensor, the Wasserstein estimate mean D(real) -
-    mean D(fake) and the penalty value. With lambda_gp = 0 (the
-    weight-clipping variant) the penalty term and its interpolation draw
-    are skipped entirely, leaving the plain Wasserstein critic loss.
+    Returns the loss tensor and the Wasserstein estimate mean D(real) -
+    mean D(fake). The gradient-penalty variant adds ``gradient_penalty``
+    at interpolates; the weight-clipping variant trains on this term alone.
     """
-    real = np.asarray(real_batch, dtype=np.float64)
-    fake = np.asarray(fake_batch, dtype=np.float64)
-    s_real, s_fake = _score_pair(critic, real, fake)
+    s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
     mean_real, mean_fake = T.reduce("mean", s_real), T.reduce("mean", s_fake)
-    loss = T.sub(mean_fake, mean_real)
-    gp_val = 0.0
-    if lambda_gp > 0:
-        x_hat = Tensor(interpolate(real, fake, rng, eps=eps), op="x-hat")
-        penalty = gradient_penalty(critic, x_hat, lambda_gp)
-        gp_val = penalty.item()
-        loss = T.add(loss, penalty)
-    return loss, mean_real.item() - mean_fake.item(), gp_val
+    return T.sub(mean_fake, mean_real), mean_real.item() - mean_fake.item()
 
 
 def generator_loss_wgan(critic: Critic, fake_batch: Tensor) -> Tensor:
@@ -298,14 +288,52 @@ def _nonfinite(grads: dict[str, np.ndarray]) -> list[str]:
         return [name for name, g in grads.items() if not np.all(np.isfinite(g * g))]
 
 
+def critic_gradients(critic: ParamSet, real: np.ndarray, fake: np.ndarray, variant: str,
+                     lambda_gp: float, rng: np.random.Generator,
+                     ) -> tuple[dict[str, np.ndarray], float, float, float]:
+    """Gradients of one critic update, and its loss, Wasserstein estimate
+    and penalty.
+
+    With the penalty (wgan_gp, lambda_gp > 0) the interpolates are drawn
+    and the penalty is differentiated first, in a graph that is cleared
+    before the [real; fake] scan runs; the Wasserstein term follows in a
+    graph of its own. The loss is their sum, so the gradients are the
+    per-tensor sums, and the two scans' saved sets are never alive
+    together. No backward records on a tape.
+    """
+    critic_fn: Critic = lambda x: critic_forward(critic, x)
+    wrt = [t for _, t in critic.items()]
+    penalty_grads, gp_val = None, 0.0
+    if variant == "wgan_gp" and lambda_gp > 0:
+        x_hat = Tensor(interpolate(real, fake, rng), op="x-hat")
+        with Graph() as graph:
+            penalty = gradient_penalty(critic_fn, x_hat, lambda_gp)
+        penalty_grads = _param_grads(T.backward(graph, penalty, wrt=wrt), critic)
+        gp_val = penalty.item()
+        graph.clear()
+    with Graph() as graph:
+        if variant == "gan":
+            loss, w_est = critic_loss_gan(critic_fn, real, fake)
+        else:
+            loss, w_est = critic_loss_wgan(critic_fn, real, fake)
+    grads = _param_grads(T.backward(graph, loss, wrt=wrt), critic)
+    c_loss = loss.item()
+    graph.clear()
+    if penalty_grads is not None:
+        grads = {name: g + penalty_grads[name] for name, g in grads.items()}
+        c_loss += gp_val
+    return grads, c_loss, w_est, gp_val
+
+
 def train(config: TrainConfig, data: WindowedDataset, *,
           resume: Checkpoint | None = None,
           on_checkpoint: Callable[[Checkpoint], None] | None = None,
           ) -> tuple[ParamSet, ParamSet, LossHistory, list[Checkpoint]]:
     """Run the alternating training loop.
 
-    One epoch = n_critic critic updates (fresh real batch and fresh
-    noise each; the fakes are plain arrays, so the generator gets no
+    One epoch = n_critic critic updates (``critic_gradients`` on a fresh
+    real batch and fresh noise each, two backward passes with the
+    penalty; the fakes are plain arrays, so the generator gets no
     gradient) followed by one generator update, whose backward is taken
     with respect to the generator's parameters only: the critic's weight
     edges are pruned, so its BPTT computes the input gradient alone.
@@ -339,7 +367,6 @@ def train(config: TrainConfig, data: WindowedDataset, *,
     history = LossHistory()
     checkpoints: list[Checkpoint] = []
     B = config.batch_size
-    lambda_gp = config.lambda_gp if config.loss_variant == "wgan_gp" else 0.0
 
     def checkpoint(epoch: int, batch: np.ndarray | None = None) -> Checkpoint:
         mc = mode_collapse_score(batch) if batch is not None and batch.shape[0] >= 2 else 0.0
@@ -350,7 +377,6 @@ def train(config: TrainConfig, data: WindowedDataset, *,
                           extra={"config": asdict(config), "n_windows": len(data),
                                  "mode_collapse": mc})
 
-    critic_wrt = [t for _, t in critic.items()]
     gen_wrt = [t for _, t in gen.items()]
 
     for epoch in range(start_epoch + 1, config.epochs + 1):
@@ -368,16 +394,8 @@ def train(config: TrainConfig, data: WindowedDataset, *,
             z = sample_noise(B, config.noise_len, rng)
             fake = generator_forward(gen, Tensor(z, requires_grad=False)).data
             last_fake = fake
-            graph = Graph()
-            with graph:
-                if config.loss_variant == "gan":
-                    loss, w_est = critic_loss_gan(critic_fn, real, fake)
-                else:
-                    loss, w_est, gp_val = critic_loss_wgan(critic_fn, real, fake, lambda_gp, rng)
-            # Outside ``with graph:`` the backward records nothing on the tape.
-            grads = _param_grads(T.backward(graph, loss, wrt=critic_wrt), critic)
-            c_loss = loss.item()
-            graph.clear()
+            grads, c_loss, w_est, gp_val = critic_gradients(
+                critic, real, fake, config.loss_variant, config.lambda_gp, rng)
             # checked before the step, so the crash checkpoint holds finite weights
             bad = _nonfinite(grads)
             if bad or not all(np.isfinite(v) for v in (c_loss, w_est, gp_val)):

@@ -135,6 +135,15 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="opt_c/proj.W"):
             load_checkpoint(tmp_path / "x.ckpt")
 
+    def test_negative_optimizer_cache_rejected(self, tmp_path):
+        # RMSprop takes the square root of its cache: a negative entry would
+        # put a NaN into the weights at the first step after a resume
+        cp = make_checkpoint()
+        cp.opt_critic.cache["lstm.W_i"].flat[0] = -1.0
+        save_checkpoint(tmp_path / "x.ckpt", cp)
+        with pytest.raises(CheckpointError, match="opt_c/lstm.W_i holds a negative"):
+            load_checkpoint(tmp_path / "x.ckpt")
+
 
 @functools.cache
 def saved_blob() -> bytes:

@@ -820,6 +820,19 @@ class TestExitCodes:
                 capsys.readouterr().err
             assert not out.exists()
 
+    def test_negative_optimizer_cache_exit_2_before_any_write(self, trained_run, tmp_path,
+                                                              capsys):
+        run, csv_path = trained_run
+        cp = load_checkpoint(run / "checkpoint_epoch000002.ckpt")
+        cp.opt_critic.cache["lstm.W_i"].flat[0] = -1.0
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, cp)
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(csv_path), "--resume", str(bad), "--out",
+                     str(out)] + FAST) == 2
+        assert "opt_c/lstm.W_i holds a negative RMSprop cache entry" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_flag(self):
         assert main(["train"]) == 1
 

@@ -161,14 +161,10 @@ class TestGradientPenalty:
 
 
 def _critic_step(critic, batch: int, seq_len: int) -> None:
-    """One wgan_gp critic step's forward and outer backward, as in ``train``."""
+    """One wgan_gp critic step's gradients, through the function ``train`` calls."""
     rng = make_rng(5)
     real, fake = (rng.normal(size=(batch, seq_len, 1)) * 0.1 for _ in range(2))
-    graph = Graph()
-    with graph:
-        loss, _, _ = critic_loss_wgan(lambda x: critic_forward(critic, x), real, fake, 10.0, rng)
-    T.backward(graph, loss, wrt=[critic[n] for n in critic])
-    graph.clear()
+    gan.critic_gradients(critic, real, fake, "wgan_gp", 10.0, rng)
 
 
 def _peak_mb(run) -> float:
@@ -197,8 +193,21 @@ class TestPeakMemory:
         assert _peak_mb(step) <= 30.0
 
     def test_wgan_gp_critic_step_at_batch_32(self):
+        # the penalty's graph is cleared before the [real; fake] scan runs,
+        # so the two saved sets are never alive together
         critic = init_params(ArchitectureSpec(), "critic", 1)
-        assert _peak_mb(lambda: _critic_step(critic, batch=32, seq_len=50)) <= 18.2
+        assert _peak_mb(lambda: _critic_step(critic, batch=32, seq_len=50)) <= 11.6
+
+
+def _one_graph_critic_step(critic, real, fake, lambda_gp, rng):
+    """Reference: the Wasserstein term plus the penalty on one tape, one backward."""
+    fn = lambda x: critic_forward(critic, x)
+    with Graph() as g:
+        wasserstein, w = critic_loss_wgan(fn, real, fake)
+        penalty = gradient_penalty(fn, Tensor(interpolate(real, fake, rng)), lambda_gp)
+        loss = T.add(wasserstein, penalty)
+    gmap = T.backward(g, loss, wrt=[t for _, t in critic.items()])
+    return {n: gmap[t].data for n, t in critic.items()}, loss.item(), w, penalty.item()
 
 
 class TestCriticLoss:
@@ -207,45 +216,63 @@ class TestCriticLoss:
         real = np.random.default_rng(1).normal(size=(4, 6, 1))
         fake = np.random.default_rng(2).normal(size=(4, 6, 1))
         with Graph():
-            loss, w, gp = critic_loss_wgan(constant_critic, real, fake, 10.0, rng)
-        assert loss.item() == pytest.approx(10.0)
-        assert (w, gp) == (0.0, loss.item())
+            loss, w = critic_loss_wgan(constant_critic, real, fake)
+            gp = gradient_penalty(constant_critic, Tensor(interpolate(real, fake, rng)), 10.0)
+        assert (loss.item(), w) == (0.0, 0.0)
+        assert loss.item() + gp.item() == pytest.approx(10.0)
 
     def test_lambda_zero_reduces_to_wasserstein(self):
         rng = make_rng(3)
         critic = init_params(SMALL, "critic", 4)
         real = np.random.default_rng(5).normal(size=(4, 6, 1))
         fake = np.random.default_rng(6).normal(size=(4, 6, 1))
+        _, loss, w, gp = gan.critic_gradients(critic, real, fake, "wgan_gp", 0.0, rng)
         fn = lambda x: critic_forward(critic, x)
-        with Graph():
-            loss, w, gp = critic_loss_wgan(fn, real, fake, 0.0, rng)
         s_real, s_fake = (fn(Tensor(x, requires_grad=False)).data for x in (real, fake))
-        assert loss.item() == pytest.approx(np.mean(s_fake) - np.mean(s_real))
-        assert w == -loss.item() and gp == 0.0
+        assert loss == pytest.approx(np.mean(s_fake) - np.mean(s_real))
+        assert w == -loss and gp == 0.0
         assert rng.random() == make_rng(3).random()   # no interpolation draw
 
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_split_step_equals_one_graph_bit_for_bit(self, seed, scale):
+        # the penalty and the Wasserstein term are added, and each critic
+        # tensor gets one contribution from each, so differentiating them in
+        # two graphs and summing changes no bit
+        critic = init_params(SMALL, "critic", 10 + seed)
+        for _, t in critic.items():
+            t.data *= scale
+        data = np.random.default_rng(20 + seed)
+        real, fake = (data.normal(size=(5, 6, 1)) * 0.5 for _ in range(2))
+        grads, loss, w, gp = gan.critic_gradients(critic, real, fake, "wgan_gp", 10.0,
+                                                  make_rng(seed))
+        ref_grads, ref_loss, ref_w, ref_gp = _one_graph_critic_step(critic, real, fake, 10.0,
+                                                                    make_rng(seed))
+        assert (loss, w, gp) == (ref_loss, ref_w, ref_gp)
+        for name in critic.names():
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
     def test_loss_gradient_vs_finite_differences(self):
+        # the summed penalty + Wasserstein gradient of one critic step, every tensor
         critic = init_params(SMALL, "critic", 7)
         real = np.random.default_rng(8).normal(size=(3, 6, 1)) * 0.5
         fake = np.random.default_rng(9).normal(size=(3, 6, 1)) * 0.5
-        eps = np.array([0.3, 0.6, 0.9])
-        lam = 10.0
-        name = "proj.W"
-        W0 = critic[name].data.copy()
 
-        def loss_value(wv) -> float:
-            critic[name].data[...] = wv
-            with Graph():
-                val = critic_loss_wgan(lambda x: critic_forward(critic, x),
-                                       real, fake, lam, make_rng(0), eps=eps)[0].item()
-            critic[name].data[...] = W0
-            return val
+        def step():
+            return gan.critic_gradients(critic, real, fake, "wgan_gp", 10.0, make_rng(0))
 
-        with Graph() as g:
-            loss, _, _ = critic_loss_wgan(lambda x: critic_forward(critic, x),
-                                          real, fake, lam, make_rng(0), eps=eps)
-            analytic = T.backward(g, loss, wrt=[critic[name]])[critic[name]].data
-        assert rel_err(analytic, central_diff(loss_value, W0), floor=1e-5) < 1e-3
+        analytic = step()[0]
+        for name, t in critic.items():
+            w0 = t.data.copy()
+
+            def loss_value(wv) -> float:
+                t.data[...] = wv
+                val = step()[1]
+                t.data[...] = w0
+                return val
+
+            fd = central_diff(loss_value, w0.copy())   # perturbs its argument in place
+            assert rel_err(analytic[name], fd, floor=1e-5) < 1e-3, name
 
 
 class TestGeneratorLoss:
@@ -458,7 +485,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
     def test_tape_length_does_not_depend_on_seq_len(self, monkeypatch, variant):
         # every LSTM pass, the penalty's included, is one tape node, so a
-        # longer window records no more nodes in either step
+        # longer window records no more nodes in any graph; a wgan_gp critic
+        # step clears two, the penalty's and the Wasserstein term's
         clear = Graph.clear
         cleared = []
 
@@ -473,7 +501,8 @@ class TestTrainLoop:
             gan.train(self._cfg(epochs=1, seq_len=seq_len, loss_variant=variant,
                                 checkpoint_every=100), small_dataset(seq_len=seq_len))
             tapes.append(list(cleared))
-        assert len(tapes[0]) == 6 and tapes[0] == tapes[1]
+        assert len(tapes[0]) == (11 if variant == "wgan_gp" else 6)
+        assert tapes[0] == tapes[1]
 
     @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
     def test_generator_step_runs_one_weight_bptt(self, monkeypatch, variant):
