@@ -1,9 +1,10 @@
 """A tour of the autodiff engine.
 
 Build expressions on rank-0..3 tensors inside a Graph, run one backward
-pass, and read gradients out of the GradientMap. The engine records its
-own backward rules on the same tape, which is what makes second-order
-gradients possible (demo 02 shows why the GAN needs them).
+pass, and read gradients out of the GradientMap as numpy arrays. The
+tape is first-order: a backward pass records nothing. The gradient
+penalty's second order is taken off the tape, by one complex-step pass
+(demo 02).
 
 Run:  python demos/01_autodiff_basics.py
 """
@@ -27,42 +28,25 @@ with Graph() as g:
     print(f"d(xy)/dx, d(xy)/dy    -> {grads[x].item()}, {grads[y].item()}   (expect 5, 2)")
 
 print()
-print("== matrices ==")
+print("== tensors ==")
 rng = np.random.default_rng(0)
-A = Tensor(rng.normal(size=(2, 3)))
-B = Tensor(rng.normal(size=(3, 2)))
+X = Tensor(rng.normal(size=(2, 3)))
 with Graph() as g:
-    out = T.reduce("sum", T.matmul(A, B))
-    grads = T.backward(g, out)
-    print("grad of sum(A @ B) wrt A equals row sums of B^T broadcast:")
-    print(grads[A].data)
-    print("(each row is the column sums of B)")
+    out = T.reduce("sum", T.square(T.reduce("sum", X, axis=1)))
+grads = T.backward(g, out)
+print("grad of sum_i (sum_j X_ij)^2 wrt X:")
+print(grads[X])
+print("(each row holds twice its row sum:", 2.0 * X.data.sum(axis=1), ")")
 
 print()
-print("== second order ==")
-# f(x) = x^3. The first backward produces df/dx = 3x^2 as a graph node,
-# so a second backward differentiates it again: d2f/dx2 = 6x.
-with Graph() as g:
-    x = Tensor(np.asarray(2.0))
-    y = T.mul(T.mul(x, x), x)
-    dy_dx = T.grad(y, x, g)
-    d2y_dx2 = T.backward(g, dy_dx)[x]
-    print(f"f=x^3 at x=2: df/dx={dy_dx.item()} (expect 12), "
-          f"d2f/dx2={d2y_dx2.item()} (expect 12)")
-
-print()
-print("== the pattern the gradient penalty uses ==")
-# A scalar function of a *gradient norm*, differentiated w.r.t. a weight.
-xv = np.array([3.0, 4.0])
+print("== an input gradient ==")
+# The gradient penalty starts from the critic's gradient with respect to
+# its input; T.grad returns it as a plain array, and the graph is unchanged.
 with Graph() as g:
     w = Tensor(np.asarray(0.7))
-    x = Tensor(xv)
-    score = T.reduce("sum", T.mul(x, w))          # "critic" score
-    gx = T.grad(score, x, g)                      # gradient w.r.t. input
-    norm = T.sqrt(T.reduce("sum", T.square(gx)))  # ||grad||
-    penalty = T.square(T.sub(norm, 1.0))          # (||grad|| - 1)^2
-    dpen_dw = T.backward(g, penalty)[w].item()
-norm_value = abs(0.7) * np.sqrt(2.0)
-analytic = 2 * (norm_value - 1) * np.sqrt(2.0)
-print(f"d penalty / d weight  -> {dpen_dw:.12f}")
-print(f"closed form           -> {analytic:.12f}")
+    x = Tensor(np.array([3.0, 4.0]))
+    score = T.reduce("sum", T.mul(x, w))
+n = len(g)
+gx = T.grad(score, x, g)
+print(f"d score / d x         -> {gx}   (expect [0.7 0.7])")
+print(f"tape nodes before and after the backward: {n}, {len(g)}")

@@ -2,7 +2,7 @@
 
 The package is organized as a small library:
 
-- :mod:`tsforge.tensor`   reverse-mode autodiff with second-order support
+- :mod:`tsforge.tensor`   first-order reverse-mode autodiff on a tape
 - :mod:`tsforge.nn`       dense/LSTM layers, generator and critic
 - :mod:`tsforge.optim`    RMSprop and weight clipping
 - :mod:`tsforge.gan`      adversarial losses and the training loop

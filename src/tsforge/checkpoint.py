@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,7 +124,11 @@ class _Reader:
 
 
 def save_checkpoint(path, cp: Checkpoint) -> None:
-    """Serialize a checkpoint; see the module docstring for the layout."""
+    """Serialize a checkpoint; see the module docstring for the layout.
+
+    The bytes go to a temporary file in the target's directory, which
+    ``os.replace`` then moves into place, so a run killed mid-write leaves
+    the previous file at ``path`` whole."""
     records: list[tuple[str, np.ndarray]] = []
     for prefix, ps in (("gen", cp.generator), ("critic", cp.critic)):
         for name, t in ps.items():
@@ -154,7 +159,14 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
         _write_record(out, name, arr)
     out += struct.pack("<Q", len(meta_bytes))
     out += meta_bytes
-    Path(path).write_bytes(bytes(out))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(out)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -5,14 +5,16 @@ a fresh real batch and fresh noise, while the other network's weights
 stay fixed. Three loss variants are supported. The gradient-penalty
 Wasserstein loss (default) and the weight-clipping one share the
 Wasserstein term ``critic_loss_wgan`` and ``generator_loss_wgan``; the
-former adds ``gradient_penalty``, which ``critic_gradients``
-differentiates in a graph of its own. The original log-loss GAN uses
-``critic_loss_gan`` and ``generator_loss_gan``; only it squashes the
-scores through a sigmoid.
+former adds ``gradient_penalty``, which returns the penalty together
+with its gradients: a first-order input gradient on the tape, then one
+complex-step pass (``nn.critic_input_grad_vjp``) for the second order.
+The original log-loss GAN uses ``critic_loss_gan`` and
+``generator_loss_gan``; only it squashes the scores through a sigmoid.
 
-Critic arguments below are callables mapping a [batch, seq_len, 1]
-tensor to one score per sample, so losses work for any scoring
-function; ``train`` wires in ``critic_forward`` over its ParamSet.
+Critic arguments of the losses are callables mapping a [batch, seq_len,
+1] tensor to one score per sample, so they work for any scoring
+function; ``train`` wires in ``critic_forward`` over its ParamSet. The
+penalty takes the critic's ParamSet itself.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint
 from .data import WindowedDataset, sample_real_batch
-from .nn import ArchitectureSpec, ParamSet, critic_forward, generator_forward, init_params
+from .nn import (ArchitectureSpec, ParamSet, critic_forward, critic_input_grad_vjp,
+                 generator_forward, init_params)
 from .optim import OptimConfig, RmspropState, clip_weights, rmsprop_step
 from .tensor import Graph, Tensor
 
@@ -134,30 +137,35 @@ def interpolate(real: np.ndarray, fake: np.ndarray, rng: np.random.Generator,
 Critic = Callable[[Tensor], Tensor]
 
 
-def _per_sample_sq_norm(g: Tensor) -> Tensor:
-    """Squared L2 norm per sample over all non-batch axes."""
-    sq = T.square(g)
-    for _ in range(g.rank - 1):
-        sq = T.reduce("sum", sq, axis=1)
-    return sq
+def gradient_penalty(critic: ParamSet, x_hat: np.ndarray, lambda_gp: float,
+                     ) -> tuple[float, dict[str, np.ndarray]]:
+    """lambda * E[(||grad_x D(x_hat)||_2 - 1)^2] and its gradients with
+    respect to the critic's tensors.
 
-
-def gradient_penalty(critic: Critic, x_hat: Tensor, lambda_gp: float) -> Tensor:
-    """lambda * E[(||grad_x D(x_hat)||_2 - 1)^2], differentiable in the
-    critic parameters.
-
-    The per-sample gradient norm is taken jointly over all timesteps;
-    the expectation is the batch mean. Requires an active graph; x_hat
-    needs only requires_grad, because the critic's input gradient from
-    ``nn.lstm_scan`` can itself be differentiated.
+    The per-sample gradient norm is taken jointly over all timesteps; the
+    expectation is the batch mean. The input gradient g comes from one
+    first-order ``T.grad`` on a graph of its own, cleared before the
+    penalty's gradient is taken, so the x-hat scan's saved set is freed
+    first. That gradient is ``nn.critic_input_grad_vjp`` in the direction
+    v = dpenalty/dg = 2 lambda (||g|| - 1) g / (B ||g||), with v = 0 where
+    ||g|| = 0. v is formed factor by factor, back through the mean, the
+    square, the sqrt and the sum of squares.
     """
-    scores = critic(x_hat)
-    # Samples are scored independently, so the gradient of the summed
-    # scores stacks the per-sample input gradients.
-    total = T.reduce("sum", scores)
-    g = T.grad(total, x_hat)
-    norms = T.sqrt(_per_sample_sq_norm(g))
-    return T.mul(T.reduce("mean", T.square(T.sub(norms, 1.0))), float(lambda_gp))
+    x = Tensor(x_hat, op="x-hat")
+    with Graph() as graph:
+        # Samples are scored independently, so the gradient of the summed
+        # scores stacks the per-sample input gradients.
+        total = T.reduce("sum", critic_forward(critic, x))
+    g = T.grad(total, x, graph)
+    graph.clear()
+    norms = np.sqrt(np.sum(np.sum(g * g, axis=1), axis=1))      # over steps, then features
+    dev = norms - 1.0
+    batch, lam = g.shape[0], float(lambda_gp)
+    penalty = np.sum(dev * dev) * (1.0 / batch) * lam
+    d_norms = (lam * (1.0 / batch)) * (dev * 2.0)
+    d_sq_norms = np.divide(d_norms * 0.5, norms, out=np.zeros(batch), where=norms != 0.0)
+    v = d_sq_norms[:, None, None] * (g * 2.0)
+    return float(penalty), critic_input_grad_vjp(critic, x_hat, v)
 
 
 def _score_pair(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, Tensor]:
@@ -278,7 +286,7 @@ def generate(generator: ParamSet, n_samples: int, seed: int) -> np.ndarray:
 
 
 def _param_grads(gmap: T.GradientMap, params: ParamSet) -> dict[str, np.ndarray]:
-    return {name: gmap[t].data for name, t in params.items()}
+    return {name: gmap[t] for name, t in params.items()}
 
 
 def _nonfinite(grads: dict[str, np.ndarray]) -> list[str]:
@@ -295,28 +303,22 @@ def critic_gradients(critic: ParamSet, real: np.ndarray, fake: np.ndarray, varia
     and penalty.
 
     With the penalty (wgan_gp, lambda_gp > 0) the interpolates are drawn
-    and the penalty is differentiated first, in a graph that is cleared
-    before the [real; fake] scan runs; the Wasserstein term follows in a
-    graph of its own. The loss is their sum, so the gradients are the
-    per-tensor sums, and the two scans' saved sets are never alive
-    together. No backward records on a tape.
+    and ``gradient_penalty`` runs first: its x-hat graph is cleared before
+    its complex-step pass, and that pass ends before the [real; fake] scan
+    runs, so no two scans' saved sets are alive together. The Wasserstein
+    term follows in a graph of its own. The loss is their sum, so the
+    gradients are the per-tensor sums.
     """
     critic_fn: Critic = lambda x: critic_forward(critic, x)
-    wrt = [t for _, t in critic.items()]
     penalty_grads, gp_val = None, 0.0
     if variant == "wgan_gp" and lambda_gp > 0:
-        x_hat = Tensor(interpolate(real, fake, rng), op="x-hat")
-        with Graph() as graph:
-            penalty = gradient_penalty(critic_fn, x_hat, lambda_gp)
-        penalty_grads = _param_grads(T.backward(graph, penalty, wrt=wrt), critic)
-        gp_val = penalty.item()
-        graph.clear()
+        gp_val, penalty_grads = gradient_penalty(critic, interpolate(real, fake, rng), lambda_gp)
     with Graph() as graph:
         if variant == "gan":
             loss, w_est = critic_loss_gan(critic_fn, real, fake)
         else:
             loss, w_est = critic_loss_wgan(critic_fn, real, fake)
-    grads = _param_grads(T.backward(graph, loss, wrt=wrt), critic)
+    grads = _param_grads(T.backward(graph, loss, wrt=[t for _, t in critic.items()]), critic)
     c_loss = loss.item()
     graph.clear()
     if penalty_grads is not None:
@@ -332,9 +334,8 @@ def train(config: TrainConfig, data: WindowedDataset, *,
     """Run the alternating training loop.
 
     One epoch = n_critic critic updates (``critic_gradients`` on a fresh
-    real batch and fresh noise each, two backward passes with the
-    penalty; the fakes are plain arrays, so the generator gets no
-    gradient) followed by one generator update, whose backward is taken
+    real batch and fresh noise each; the fakes are plain arrays, so the
+    generator gets no gradient) followed by one generator update, whose backward is taken
     with respect to the generator's parameters only: the critic's weight
     edges are pruned, so its BPTT computes the input gradient alone.
     Real batches are drawn uniformly with replacement.

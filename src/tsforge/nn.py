@@ -9,8 +9,8 @@ there is deliberately no sigmoid, so scores are unbounded.
 
 There is one LSTM: ``lstm_scan`` steps ``lstm_cell_step`` in numpy over
 the timesteps and applies the head inside the scan, as one tape node
-whose vjp is a numpy BPTT. It returns the head values h_t proj.W + proj.b,
-and no hidden state outlives its step. The gates are fused in column
+whose vjp is a first-order numpy BPTT. It returns the head values
+h_t proj.W + proj.b, and no hidden state outlives its step. The gates are fused in column
 order [i | f | o | c~]; the checkpoint layout stays the ten tensors
 ``lstm.W_i`` ... ``lstm.b_o``, ``proj.W`` and ``proj.b``. The kernel runs
 feature-major: each critic step computes W^T [h; x_t] + b as [4u, B], so
@@ -26,23 +26,23 @@ recomputed, one multiply per step on the tanh c the BPTT recomputes
 anyway (Chen et al. 2016, arXiv:1604.06174); x_t comes from the input.
 
 The gradient penalty differentiates the critic's input gradient again,
-by a complex step (Martins, Sturdza & Alonso 2003, ACM TOMS 29(3)): one
-pass at x + i h v, with v the upstream and h = 1e-20 / max|v|, gives
-Im f / h = f'(x) v + O(h^2) for every analytic f of the pass. No nearby
-values are subtracted, so nothing cancels, and the O(h^2) term lies some
-40 orders of magnitude under the derivative: the result is exact to
-float64 rounding. The pass runs in real arithmetic: real weights times
-complex activations are one real GEMM on the float64 view [K, 2B], and
-sigmoid and tanh at a + ib are f(a) + i b f'(a). That expansion drops
-only O(b^2) relative terms, so it needs |Im| << 1, which h guarantees.
-The pass's head values give the upstream's gradient, and its recomputed
-h_t give proj.W's.
+outside the tape: ``critic_input_grad_vjp`` takes the weight gradients of
+<v, grad_x D> by a complex step (Martins, Sturdza & Alonso 2003, ACM
+TOMS 29(3)): one forward and BPTT at x + i h v, with h = 1e-20 / max|v|,
+gives Im f / h = f'(x) v + O(h^2) for every analytic f of the pass. No
+nearby values are subtracted, so nothing cancels, and the O(h^2) term
+lies some 40 orders of magnitude under the derivative: the result is
+exact to float64 rounding. The pass runs in real arithmetic: real
+weights times complex activations are one real GEMM on the float64 view
+[K, 2B], and sigmoid and tanh at a + ib are f(a) + i b f'(a). That
+expansion drops only O(b^2) relative terms, so it needs |Im| << 1, which
+h guarantees. The pass's recomputed h_t give proj.W's gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -287,44 +287,26 @@ def _scan_backward(W: np.ndarray, w: np.ndarray, x: np.ndarray, saved: tuple,
 
 
 def _complex_step(W: np.ndarray, b: np.ndarray, w: np.ndarray, x: np.ndarray, steps: int,
-                  ds: np.ndarray, v: np.ndarray, weights: bool) -> list[np.ndarray]:
+                  ds: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
     """The gradients of <v, dx>, with dx ``_scan_backward``'s x-gradient for
-    the upstream ds, with respect to the weight and bias blocks, the head's
-    w, ds and x: the imaginary parts of one pass at x + i h v, over h. The
-    head values' imaginary parts are ds's gradient."""
+    the upstream ds, with respect to the weight and bias blocks and the
+    head's w: the imaginary parts of one pass at x + i h v, over h."""
     scale = np.max(np.abs(v)) or 1.0   # v = 0 has zero gradients at any step
     xc = x + 1e-20j * (v / scale)
-    heads, saved = _scan_forward(W, b, w, xc, steps, keep=True)
-    *wb, dx = _scan_backward(W, w, xc, saved, ds, weights)
-    return [g * (scale / 1e-20) for g in (*wb, heads.imag.reshape(-1, 1), dx.imag)]
-
-
-def _not_differentiable(g: Tensor) -> Tensor:
-    raise NotImplementedError("this lstm_scan gradient cannot be differentiated again")
-
-
-def _one_pass_vjps(inputs: tuple, run: Callable, x_vjps: Callable | None = None) -> list:
-    """vjps of ``inputs``, the eight gates and proj.W then the rest, whose
-    results all come from one ``run(upstream, weights)`` per backward pass.
-    The first vjp the pass asks for decides ``weights``: the weights are
-    listed first, so it is a weight's unless no weight gradient is wanted.
-    The last result is recorded with ``x_vjps(upstream)``; the others, and
-    the last without it, raise if differentiated, not drop a term."""
-    memo: list = []
-
-    def vjp(g: Tensor, k: int) -> Tensor:
-        if not memo or memo[0] is not g:
-            memo[:] = [g, run(g.data, k < 9)]
-        last = k == len(inputs) - 1
-        return T._record(memo[1][k], "lstm_scan_vjp", (g, *inputs),
-                         x_vjps(g) if last and x_vjps else
-                         lambda o: [(t, _not_differentiable) for t in (g, *inputs)])
-
-    return [(t, lambda g, k=k: vjp(g, k)) for k, t in enumerate(inputs)]
+    _, saved = _scan_forward(W, b, w, xc, steps, keep=True)
+    *wb, _ = _scan_backward(W, w, xc, saved, ds, True)
+    return [g * (scale / 1e-20) for g in wb]
 
 
 # the gate tensors in the kernel's column order [i | f | o | c~], then the head
 _PARAMS = (*(f"lstm.{kind}_{gate}" for kind in "Wb" for gate in "ifoc"), "proj.W", "proj.b")
+
+
+def _fused(p: ParamSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gates' weights and biases fused in the kernel's column order,
+    and the head's proj.W."""
+    return (np.concatenate([p[name].data for name in _PARAMS[:4]], axis=1),
+            np.concatenate([p[name].data for name in _PARAMS[4:8]]), p["proj.W"].data)
 
 
 def lstm_scan(p: ParamSet, x: Tensor, steps: int) -> Tensor:
@@ -336,10 +318,7 @@ def lstm_scan(p: ParamSet, x: Tensor, steps: int) -> Tensor:
     Its vjp, a numpy BPTT, runs once per backward pass for all eleven
     inputs, and accumulates weight gradients only if the pass wants one;
     the saved set, gates and cells alone, is kept only while a graph
-    records. Under a recording backward the x-gradient can be
-    differentiated again, by one complex-step pass for the gates, proj.W,
-    the upstream and x (it does not depend on proj.b); a weight gradient,
-    or the x-gradient's own gradients, raise NotImplementedError instead."""
+    records."""
     x = T._as_tensor(x)
     params = tuple(p[name] for name in _PARAMS)
     rows, u = params[0].shape
@@ -347,26 +326,36 @@ def lstm_scan(p: ParamSet, x: Tensor, steps: int) -> Tensor:
             or (x.rank == 3 and x.shape[1] != steps)):
         raise ValueError(f"lstm: {steps} steps over input {x.shape} with gate rows "
                          f"{rows} (units {u})")
-    W = np.concatenate([t.data for t in params[:4]], axis=1)
-    b = np.concatenate([t.data for t in params[4:8]])
-    w, batch = p["proj.W"].data, x.shape[0]
+    W, b, w = _fused(p)
+    batch = x.shape[0]
     heads, saved = _scan_forward(W, b, w, x.data, steps, keep=T.active_graph() is not None)
+    memo: list = []
 
-    def backward(g: np.ndarray, weights: bool) -> list[np.ndarray]:
-        *grads, dx = _scan_backward(W, w, x.data, saved, g.reshape(steps, batch), weights)
-        return [*grads, np.sum(g, axis=0), dx]
-
-    def make_vjps(out):
-        def x_grad_vjps(g: Tensor) -> Callable:
-            ds = g.data.reshape(steps, batch)
-            return lambda o: _one_pass_vjps(
-                (*params[:9], g, x), lambda v, weights: _complex_step(W, b, w, x.data, steps, ds,
-                                                                      v, weights))
-
-        return _one_pass_vjps((*params, x), backward, x_grad_vjps)
+    def vjp(g: np.ndarray, k: int) -> np.ndarray:
+        # The first vjp a backward pass asks for runs the BPTT for all of
+        # them and decides ``weights``: the gates and proj.W are listed
+        # first, so it is a weight's unless no weight gradient is wanted.
+        if not memo or memo[0] is not g:
+            *grads, dx = _scan_backward(W, w, x.data, saved, g.reshape(steps, batch), k < 9)
+            memo[:] = [g, [*grads, np.sum(g, axis=0), dx]]
+        return memo[1][k]
 
     return T._record(heads.reshape(steps * batch, 1) + p["proj.b"].data, "lstm_scan",
-                     (x, *params), make_vjps)
+                     (x, *params), lambda out: [(t, lambda g, k=k: vjp(g, k))
+                                                for k, t in enumerate((*params, x))])
+
+
+def critic_input_grad_vjp(d: ParamSet, x: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
+    """The gradients of <v, grad_x sum(critic_forward(d, x))> with respect
+    to d's ten tensors, for windows x and a direction v [batch, seq_len,
+    features]: the mixed second derivative that the gradient penalty trains
+    through, from one complex-step pass at the upstream 1/seq_len of the
+    critic's time mean. The input gradient does not depend on proj.b, whose
+    gradient is an exact 0."""
+    batch, steps, _ = x.shape
+    W, b, w = _fused(d)
+    grads = _complex_step(W, b, w, x, steps, np.full((steps, batch), 1.0 / steps), v)
+    return dict(zip(_PARAMS, [*grads, np.zeros(d["proj.b"].shape)]))
 
 
 def generator_forward(g: ParamSet, z: Tensor) -> Tensor:

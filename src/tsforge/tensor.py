@@ -4,12 +4,12 @@ Values are rank-0..3 numpy arrays wrapped in :class:`Tensor`. Operations
 executed while a :class:`Graph` is active are recorded on an append-only
 tape, topologically ordered by construction (every input is recorded
 before its consumer). :func:`backward` replays the tape once in reverse
-and returns a :class:`GradientMap`.
+and returns a :class:`GradientMap` of numpy arrays.
 
-Backward rules are themselves expressed through the same recorded
-operations, so a gradient extracted with :func:`grad` is an ordinary
-graph node and can be differentiated again. That single mechanism is
-what makes penalties on gradient norms trainable.
+The tape is first-order: each backward rule maps an upstream array to
+the input's gradient array in plain numpy, so no backward pass records
+anything. The gradient penalty's second order is taken outside the tape,
+by ``nn.critic_input_grad_vjp``.
 
 Only scalar-vs-tensor broadcasting is supported; anything else must be
 reshaped explicitly and fails loudly otherwise.
@@ -17,30 +17,19 @@ reshaped explicitly and fails loudly otherwise.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
 
 MAX_RANK = 3
 
-# Innermost last; None marks a block that records nothing. One stack per
-# process: graphs are built and differentiated on one thread only.
-_graphs: list["Graph | None"] = []
+# Innermost last. One stack per process: graphs are built and
+# differentiated on one thread only.
+_graphs: list["Graph"] = []
 
 
 def active_graph() -> "Graph | None":
     return _graphs[-1] if _graphs else None
-
-
-@contextlib.contextmanager
-def _unrecorded():
-    """Run ops with no active graph, even inside another graph's block."""
-    _graphs.append(None)
-    try:
-        yield
-    finally:
-        _graphs.pop()
 
 
 class Graph:
@@ -120,6 +109,7 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, data={self.data!r})"
 
+
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -131,7 +121,7 @@ def _record(data: np.ndarray, op: str, inputs: Sequence[Tensor],
     """Create the result tensor; record it (and its inputs) if a graph is live.
 
     ``make_vjps(out)`` returns (input, fn) pairs where ``fn(upstream)``
-    yields the input's gradient contribution, built from recorded ops.
+    maps the upstream array to the input's gradient contribution.
     """
     out = Tensor(data, op=op)
     g = active_graph()
@@ -147,10 +137,10 @@ def _record(data: np.ndarray, op: str, inputs: Sequence[Tensor],
     return out
 
 
-def _unbroadcast(g: Tensor, operand: Tensor) -> Tensor:
+def _unbroadcast(g: np.ndarray, operand: Tensor) -> np.ndarray:
     """Reduce a gradient back to a scalar operand's shape after broadcasting."""
-    if operand.rank == 0 and g.rank > 0:
-        return reduce("sum", g)
+    if operand.rank == 0 and g.ndim > 0:
+        return np.asarray(np.sum(g))
     return g
 
 
@@ -175,7 +165,7 @@ def sub(a, b) -> Tensor:
     _check_binary_shapes(a, b, "sub")
     return _record(a.data - b.data, "sub", (a, b), lambda out: (
         (a, lambda g: _unbroadcast(g, a)),
-        (b, lambda g: _unbroadcast(negate(g), b)),
+        (b, lambda g: _unbroadcast(-g, b)),
     ))
 
 
@@ -183,56 +173,35 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary_shapes(a, b, "mul")
     return _record(a.data * b.data, "mul", (a, b), lambda out: (
-        (a, lambda g: _unbroadcast(mul(g, b), a)),
-        (b, lambda g: _unbroadcast(mul(g, a), b)),
-    ))
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_binary_shapes(a, b, "div")
-    if np.any(b.data == 0.0):
-        raise ValueError("div: division by exact zero")
-    return _record(a.data / b.data, "div", (a, b), lambda out: (
-        (a, lambda g: _unbroadcast(div(g, b), a)),
-        (b, lambda g: _unbroadcast(negate(mul(g, div(out, b))), b)),
+        (a, lambda g: _unbroadcast(g * b.data, a)),
+        (b, lambda g: _unbroadcast(g * a.data, b)),
     ))
 
 
 def negate(a) -> Tensor:
     a = _as_tensor(a)
     return _record(-a.data, "negate", (a,), lambda out: (
-        (a, lambda g: negate(g)),
+        (a, lambda g: -g),
     ))
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
     return _record(a.data * a.data, "square", (a,), lambda out: (
-        (a, lambda g: mul(g, mul(a, 2.0))),
+        (a, lambda g: g * (a.data * 2.0)),
     ))
 
 
 def sqrt(a) -> Tensor:
     """Elementwise square root; the backward at exactly 0 is guarded to 0
-    (a subgradient choice) so saturated gradients do not blow up the outer
-    pass."""
+    (a subgradient choice), so a zero norm gets a zero gradient, not an Inf."""
     a = _as_tensor(a)
     if np.any(a.data < 0.0):
         raise ValueError("sqrt: negative input")
-
-    def make_vjps(out):
-        def vjp(g):
-            if np.any(out.data == 0.0):
-                keep = Tensor((out.data != 0.0).astype(np.float64),
-                              requires_grad=False, op="const")
-                fill = Tensor((out.data == 0.0).astype(np.float64),
-                              requires_grad=False, op="const")
-                return mul(keep, div(mul(g, 0.5), add(out, fill)))
-            return div(mul(g, 0.5), out)
-        return ((a, vjp),)
-
-    return _record(np.sqrt(a.data), "sqrt", (a,), make_vjps)
+    return _record(np.sqrt(a.data), "sqrt", (a,), lambda out: (
+        (a, lambda g: np.divide(g * 0.5, out.data, out=np.zeros(out.shape),
+                                where=out.data != 0.0)),
+    ))
 
 
 def log(a) -> Tensor:
@@ -240,17 +209,16 @@ def log(a) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError("log: non-positive input")
     return _record(np.log(a.data), "log", (a,), lambda out: (
-        (a, lambda g: div(g, a)),
+        (a, lambda g: g / a.data),
     ))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only where unclipped."""
     a = _as_tensor(a)
-    mask = Tensor(((a.data >= lo) & (a.data <= hi)).astype(np.float64),
-                  requires_grad=False, op="const")
+    mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
     return _record(np.clip(a.data, lo, hi), "clip", (a,), lambda out: (
-        (a, lambda g: mul(g, mask)),
+        (a, lambda g: g * mask),
     ))
 
 
@@ -259,7 +227,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     return _record(np.tanh(a.data), "tanh", (a,), lambda out: (
-        (a, lambda g: mul(g, sub(1.0, square(out)))),
+        (a, lambda g: g * (1.0 - out.data * out.data)),
     ))
 
 
@@ -280,44 +248,11 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     return _record(_sigmoid(a.data), "sigmoid", (a,), lambda out: (
-        (a, lambda g: mul(g, mul(out, sub(1.0, out)))),
-    ))
-
-
-# linear algebra -----------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.rank != 2 or b.rank != 2:
-        raise ValueError(f"matmul: requires rank-2 operands, got ranks {a.rank} and {b.rank}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions {a.shape} x {b.shape} disagree")
-    return _record(a.data @ b.data, "matmul", (a, b), lambda out: (
-        (a, lambda g: matmul(g, transpose(b))),
-        (b, lambda g: matmul(transpose(a), g)),
-    ))
-
-
-def add_row(x, b) -> Tensor:
-    """x [n, k] + b [k]: the same row vector added to every row."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if x.rank != 2 or b.rank != 1 or x.shape[1] != b.shape[0]:
-        raise ValueError(f"add_row: cannot add row {b.shape} to rows of {x.shape}")
-    return _record(x.data + b.data, "add_row", (x, b), lambda out: (
-        (x, lambda g: g),
-        (b, lambda g: reduce("sum", g, 0)),
+        (a, lambda g: g * (out.data * (1.0 - out.data))),
     ))
 
 
 # reductions ---------------------------------------------------------
-
-def _expand_axis(g: Tensor, axis: int, n: int) -> Tensor:
-    """Repeat `g` n times along a new axis (adjoint of an axis sum)."""
-    data = np.repeat(np.expand_dims(g.data, axis), n, axis=axis)
-    return _record(data, "expand_axis", (g,), lambda out: (
-        (g, lambda gg: reduce("sum", gg, axis)),
-    ))
-
 
 def reduce(kind: str, x, axis: int | None = None) -> Tensor:
     if kind not in ("sum", "mean"):
@@ -328,13 +263,12 @@ def reduce(kind: str, x, axis: int | None = None) -> Tensor:
             raise ValueError(f"reduce: axis {axis} invalid for rank {x.rank}")
         n = x.shape[axis]
         out = _record(np.sum(x.data, axis=axis), "sum", (x,), lambda o: (
-            (x, lambda g, ax=axis, nn=n: _expand_axis(g, ax, nn)),
+            (x, lambda g: np.repeat(np.expand_dims(g, axis), n, axis=axis)),
         ))
     else:
         n = x.size
-        ones = Tensor(np.ones(x.shape), requires_grad=False, op="const")
         out = _record(np.asarray(np.sum(x.data)), "sum", (x,), lambda o: (
-            (x, lambda g: mul(ones, g)),
+            (x, lambda g: np.full(x.shape, g)),
         ))
     if kind == "mean":
         if n == 0:
@@ -355,7 +289,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
         raise ValueError(f"reshape: rank {len(shape)} exceeds max {MAX_RANK}")
     old = x.shape
     return _record(x.data.reshape(shape), "reshape", (x,), lambda out: (
-        (x, lambda g: reshape(g, old)),
+        (x, lambda g: g.reshape(old)),
     ))
 
 
@@ -368,7 +302,7 @@ def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
         raise ValueError(f"transpose: {axes} is not a permutation of rank-{x.rank} axes")
     inv = tuple(int(i) for i in np.argsort(axes))
     return _record(np.transpose(x.data, axes), "transpose", (x,), lambda out: (
-        (x, lambda g: transpose(g, inv)),
+        (x, lambda g: np.transpose(g, inv)),
     ))
 
 
@@ -392,7 +326,9 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
         off = 0
         for t in ts:
             ext = t.shape[axis]
-            entries.append((t, lambda g, o=off, e=ext: slice_(g, axis, o, o + e)))
+            idx = tuple(slice(off, off + ext) if ax == axis else slice(None)
+                        for ax in range(rank))
+            entries.append((t, lambda g, idx=idx: g[idx]))
             off += ext
         return entries
 
@@ -406,28 +342,19 @@ def slice_(x, axis: int, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= x.shape[axis]:
         raise ValueError(f"slice: [{start}:{stop}] out of range for extent {x.shape[axis]}")
     idx = tuple(slice(start, stop) if ax == axis else slice(None) for ax in range(x.rank))
-    full = x.shape
-    return _record(x.data[idx], "slice", (x,), lambda out: (
-        (x, lambda g: _scatter(g, axis, start, full)),
-    ))
 
+    def scatter(g: np.ndarray) -> np.ndarray:
+        full = np.zeros(x.shape)
+        full[idx] = g
+        return full
 
-def _scatter(g: Tensor, axis: int, start: int, full_shape: tuple[int, ...]) -> Tensor:
-    """Embed `g` into zeros of `full_shape` at offset `start` (adjoint of slice)."""
-    data = np.zeros(full_shape)
-    idx = tuple(slice(start, start + g.shape[ax]) if ax == axis else slice(None)
-                for ax in range(len(full_shape)))
-    data[idx] = g.data
-    stop = start + g.shape[axis]
-    return _record(data, "scatter", (g,), lambda out: (
-        (g, lambda gg: slice_(gg, axis, start, stop)),
-    ))
+    return _record(x.data[idx], "slice", (x,), lambda out: ((x, scatter),))
 
 
 # backward pass ------------------------------------------------------
 
 class GradientMap:
-    """Gradients of one scalar output with respect to reachable nodes.
+    """Gradient arrays of one scalar output with respect to reachable nodes.
 
     Lookup is by tensor object; nodes off every path to the output map
     to an exact-zero gradient of matching shape.
@@ -436,11 +363,9 @@ class GradientMap:
     def __init__(self, grads: dict):
         self._grads = grads
 
-    def __getitem__(self, t: Tensor) -> Tensor:
+    def __getitem__(self, t: Tensor) -> np.ndarray:
         got = self._grads.get(t)
-        if got is None:
-            return Tensor(np.zeros(t.shape), requires_grad=False, op="zero-grad")
-        return got
+        return np.zeros(t.shape) if got is None else got
 
     def __len__(self) -> int:
         return len(self._grads)
@@ -468,15 +393,10 @@ def _path_nodes(graph: Graph, output: Tensor, wrt: Sequence[Tensor]) -> set[int]
 
 
 def backward(graph: Graph, output: Tensor, wrt: Sequence[Tensor] | None = None) -> GradientMap:
-    """Single reverse pass over the tape from a scalar output.
-
-    The vector-Jacobian products are recorded on the graph only when the
-    caller is inside ``with graph:`` (``active_graph() is graph``), so
-    that the returned gradients can be differentiated again; otherwise
-    the pass adds nothing to any tape. With ``wrt``
-    given, accumulation is restricted to nodes that can influence the
-    output through one of those tensors (a pure work-skipping device;
-    the gradients produced are identical).
+    """Single reverse pass over the tape from a scalar output; it adds
+    nothing to any tape. With ``wrt`` given, accumulation is restricted
+    to nodes that can influence the output through one of those tensors
+    (a pure work-skipping device; the gradients produced are identical).
     """
     if output.rank != 0:
         raise ValueError(f"backward: output must be scalar, got shape {output.shape}")
@@ -485,28 +405,25 @@ def backward(graph: Graph, output: Tensor, wrt: Sequence[Tensor] | None = None) 
     needed: set[int] | None = None
     if wrt is not None:
         needed = _path_nodes(graph, output, wrt)
-    seed = Tensor(np.asarray(1.0), requires_grad=False, op="seed")
-    pending: dict[int, Tensor] = {output.node_id: seed}
-    visited: dict[int, Tensor] = {}
-    with graph if active_graph() is graph else _unrecorded():
-        for nid in range(output.node_id, -1, -1):
-            g = pending.pop(nid, None)
-            if g is None:
+    pending: dict[int, np.ndarray] = {output.node_id: np.asarray(1.0)}
+    visited: dict[int, np.ndarray] = {}
+    for nid in range(output.node_id, -1, -1):
+        g = pending.pop(nid, None)
+        if g is None:
+            continue
+        visited[nid] = g
+        for inp, fn in graph.nodes[nid]._vjps:
+            if needed is not None and inp.node_id not in needed:
                 continue
-            visited[nid] = g
-            for inp, fn in graph.nodes[nid]._vjps:
-                if needed is not None and inp.node_id not in needed:
-                    continue
-                gi = fn(g)
-                prev = pending.get(inp.node_id)
-                pending[inp.node_id] = gi if prev is None else add(prev, gi)
+            gi = fn(g)
+            prev = pending.get(inp.node_id)
+            pending[inp.node_id] = gi if prev is None else prev + gi
     return GradientMap({graph.nodes[nid]: g for nid, g in visited.items()})
 
 
-def grad(output: Tensor, wrt: Tensor, graph: Graph | None = None) -> Tensor:
-    """Differentiable gradient of a scalar output with respect to one tensor."""
+def grad(output: Tensor, wrt: Tensor, graph: Graph | None = None) -> np.ndarray:
+    """Gradient array of a scalar output with respect to one tensor."""
     g = graph if graph is not None else active_graph()
     if g is None:
         raise ValueError("grad: no active graph")
     return backward(g, output, wrt=[wrt])[wrt]
-

@@ -3,9 +3,10 @@
 Central finite differences are computed straight from repeated forward
 evaluations, never through the autodiff path they are checking.
 ``lstm_scan_reference`` builds the LSTM from recorded tensor primitives,
-whose vjps are recorded ops too, and ``lstm_head_reference`` puts the dense
-head on it, so they give first- and second-order gradients without
-``nn.lstm_scan``'s numpy BPTT or complex step.
+with ``matmul`` and ``add_row`` defined here, and ``lstm_head_reference``
+puts the dense head on it, so they give first-order gradients without
+``nn.lstm_scan``'s numpy BPTT. Central differences of those gradients
+give the second order without ``nn.critic_input_grad_vjp``'s complex step.
 """
 
 from __future__ import annotations
@@ -58,6 +59,29 @@ def acf_reference(x: np.ndarray, max_lag: int) -> np.ndarray:
     return np.array([np.sum(c[: len(x) - k] * c[k:]) / denom for k in range(max_lag + 1)])
 
 
+def matmul(a, b) -> Tensor:
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    if a.rank != 2 or b.rank != 2:
+        raise ValueError(f"matmul: requires rank-2 operands, got ranks {a.rank} and {b.rank}")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul: inner dimensions {a.shape} x {b.shape} disagree")
+    return T._record(a.data @ b.data, "matmul", (a, b), lambda out: (
+        (a, lambda g: g @ b.data.T),
+        (b, lambda g: a.data.T @ g),
+    ))
+
+
+def add_row(x, b) -> Tensor:
+    """x [n, k] + b [k]: the same row vector added to every row."""
+    x, b = T._as_tensor(x), T._as_tensor(b)
+    if x.rank != 2 or b.rank != 1 or x.shape[1] != b.shape[0]:
+        raise ValueError(f"add_row: cannot add row {b.shape} to rows of {x.shape}")
+    return T._record(x.data + b.data, "add_row", (x, b), lambda out: (
+        (x, lambda g: g),
+        (b, lambda g: np.sum(g, axis=0)),
+    ))
+
+
 def lstm_cell_reference(Wi, Wf, Wc, Wo, bi, bf, bc, bo, x_t, h_prev, c_prev):
     """Scalar-level transcription of the four gate equations (numpy only)."""
     hx = np.concatenate([h_prev, x_t], axis=-1)
@@ -85,7 +109,7 @@ def lstm_scan_reference(p, x: Tensor, steps: int) -> Tensor:
     hs = []
     for t in range(steps):
         x_t = x if x.rank == 2 else T.reshape(T.slice_(x, 1, t, t + 1), (batch, x.shape[2]))
-        z = T.add_row(T.matmul(T.concat([h, x_t], axis=1), W), b)
+        z = add_row(matmul(T.concat([h, x_t], axis=1), W), b)
         sig = T.sigmoid(T.slice_(z, 1, 0, 3 * u))
         c_tilde = T.tanh(T.slice_(z, 1, 3 * u, 4 * u))
         i_t, f_t, o_t = (T.slice_(sig, 1, k * u, (k + 1) * u) for k in range(3))
@@ -98,4 +122,4 @@ def lstm_scan_reference(p, x: Tensor, steps: int) -> Tensor:
 def lstm_head_reference(p, x: Tensor, steps: int) -> Tensor:
     """``nn.lstm_scan``'s head values h_t proj.W + proj.b [steps*batch, 1]:
     the dense head as recorded primitives on ``lstm_scan_reference``."""
-    return T.add_row(T.matmul(lstm_scan_reference(p, x, steps), p["proj.W"]), p["proj.b"])
+    return add_row(matmul(lstm_scan_reference(p, x, steps), p["proj.W"]), p["proj.b"])

@@ -1,6 +1,7 @@
 """Checkpoint container: bit-exact round trips and corruption handling."""
 
 import functools
+import os
 import tempfile
 from pathlib import Path
 
@@ -143,6 +144,42 @@ class TestCorruption:
         save_checkpoint(tmp_path / "x.ckpt", cp)
         with pytest.raises(CheckpointError, match="opt_c/lstm.W_i holds a negative"):
             load_checkpoint(tmp_path / "x.ckpt")
+
+
+class TestAtomicSave:
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failure_before_the_replace_keeps_the_old_file(self, tmp_path, monkeypatch, stage):
+        # a write cut short (a full disk, a kill) or a failed rename leaves
+        # the previous checkpoint byte-identical and no temporary file behind
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, make_checkpoint(seed=0))
+        old = path.read_bytes()
+
+        def cut_short(self, data):
+            write_bytes(self, bytes(data)[:100])
+            raise OSError("No space left on device")
+
+        def no_rename(*args):
+            raise OSError("rename failed")
+
+        write_bytes = Path.write_bytes
+        if stage == "write":
+            monkeypatch.setattr(Path, "write_bytes", cut_short)
+        else:
+            monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError):
+            save_checkpoint(path, make_checkpoint(seed=1))
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
+    def test_overwrites_in_place(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, make_checkpoint(seed=0))
+        save_checkpoint(path, make_checkpoint(seed=1))
+        back = load_checkpoint(path)
+        assert back.extra["seed"] == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
 
 
 @functools.cache

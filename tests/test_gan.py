@@ -1,6 +1,7 @@
 """Losses, gradient penalty analytics, and the training loop contract."""
 
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -39,12 +40,6 @@ def constant_critic(x: Tensor) -> Tensor:
     """Scores structurally depend on x but with exactly zero gradient."""
     s = T.reduce("sum", T.reduce("sum", x, axis=2), axis=1)
     return T.mul(s, 0.0)
-
-
-def double_sum_critic(x: Tensor) -> Tensor:
-    """D(x) = 2*sum(x) per sample."""
-    s = T.reduce("sum", T.reduce("sum", x, axis=2), axis=1)
-    return T.mul(s, 2.0)
 
 
 class TestNoise:
@@ -92,58 +87,91 @@ class TestInterpolate:
             interpolate(np.zeros((2, 3, 1)), np.zeros((2, 4, 1)), make_rng(0))
 
 
+def linear_lstm_critic(norm: float, seq_len: int = 6, a: float = 1e-9) -> nn.ParamSet:
+    """An LSTM critic of one unit in its linear regime, whose input gradient
+    has the L2 norm ``norm`` in every sample, to rounding.
+
+    The input, forget and output gates sit at exactly 1: sigmoid(40)
+    rounds to 1, with a zero derivative. So c_t sums c~_s = tanh(a x_s) over
+    s <= t, h_t = tanh(c_t), and for a tiny a, D(x) = (w a / T) sum_s
+    (T - s) x_s over s = 0..T-1, whose gradient has the norm
+    |w a| sqrt(1^2 + ... + T^2) / T; proj.W = w is set to make it ``norm``.
+    """
+    spec = ArchitectureSpec(seq_len=seq_len, features=1, lstm_units=1)
+    params = {name: Tensor(np.zeros(shape))
+              for name, shape in nn.param_shapes(spec, "critic").items()}
+    for gate in "ifo":
+        params[f"lstm.b_{gate}"].data[...] = 40.0
+    params["lstm.W_c"].data[1, 0] = a                  # row 0 reads h, row 1 reads x
+    params["proj.W"].data[...] = norm * seq_len / (a * np.sqrt(np.sum(
+        np.arange(1.0, seq_len + 1) ** 2)))
+    return nn.ParamSet("critic", params, arch=spec)
+
+
+def input_blind_critic(seed: int) -> nn.ParamSet:
+    """A random critic whose gates read no input: every x row of the gate
+    weights is zero, so D(x) is one constant and grad_x D is exactly 0."""
+    critic = init_params(SMALL, "critic", seed)
+    for gate in "ifco":
+        critic[f"lstm.W_{gate}"].data[SMALL.lstm_units:] = 0.0
+    return critic
+
+
 class TestGradientPenalty:
     def test_unit_gradient_critic_zero_penalty(self):
-        with Graph():
-            x_hat = Tensor(np.random.default_rng(0).normal(size=(4, 6, 1)))
-            pen = gradient_penalty(unit_norm_critic, x_hat, 10.0)
-        assert pen.item() == pytest.approx(0.0, abs=1e-10)
+        x_hat = np.random.default_rng(0).normal(size=(4, 6, 1))
+        pen, _ = gradient_penalty(linear_lstm_critic(1.0), x_hat, 10.0)
+        assert pen == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_critic_penalty_is_lambda(self):
-        with Graph():
-            x_hat = Tensor(np.random.default_rng(1).normal(size=(4, 6, 1)))
-            pen = gradient_penalty(constant_critic, x_hat, 10.0)
-        assert pen.item() == 10.0
+        x_hat = np.random.default_rng(1).normal(size=(4, 6, 1))
+        pen, _ = gradient_penalty(input_blind_critic(1), x_hat, 10.0)
+        assert pen == 10.0
 
     def test_linear_critic_closed_form(self):
         lam = 10.0
         n = 6
-        with Graph():
-            x_hat = Tensor(np.random.default_rng(2).normal(size=(4, n, 1)))
-            pen = gradient_penalty(double_sum_critic, x_hat, lam)
-        assert pen.item() == pytest.approx(lam * (2 * np.sqrt(n) - 1) ** 2, abs=1e-9)
+        x_hat = np.random.default_rng(2).normal(size=(4, n, 1))
+        pen, _ = gradient_penalty(linear_lstm_critic(2 * np.sqrt(n), seq_len=n), x_hat, lam)
+        assert pen == pytest.approx(lam * (2 * np.sqrt(n) - 1) ** 2, rel=1e-12)
+
+    def test_zero_input_gradient_gives_lambda_and_exact_zero_gradients(self):
+        # proj.W = 0 makes grad_x D exactly 0, where the norm's derivative is
+        # guarded to 0: no division by zero, and no NaN in any gradient
+        critic = init_params(SMALL, "critic", 6)
+        critic["proj.W"].data[...] = 0.0
+        x_hat = np.random.default_rng(7).normal(size=(4, 6, 1))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            pen, grads = gradient_penalty(critic, x_hat, 10.0)
+        assert pen == 10.0
+        assert sorted(grads) == sorted(critic.names())
+        for name, g in grads.items():
+            assert g.shape == critic[name].shape and np.all(g == 0.0), name
 
     def test_penalty_nonnegative_random_critics(self):
         for seed in range(5):
             critic = init_params(SMALL, "critic", seed)
-            with Graph():
-                x_hat = Tensor(np.random.default_rng(seed).normal(size=(3, 6, 1)))
-                pen = gradient_penalty(lambda x: critic_forward(critic, x), x_hat, 10.0)
-            assert pen.item() >= 0.0
+            x_hat = np.random.default_rng(seed).normal(size=(3, 6, 1))
+            assert gradient_penalty(critic, x_hat, 10.0)[0] >= 0.0
 
     def test_penalty_gradient_vs_finite_differences(self):
-        """Second-order oracle on a small real critic."""
+        """Second-order oracle on a small real critic, every tensor."""
         critic = init_params(SMALL, "critic", 77)
-        x_hat_v = np.random.default_rng(78).normal(size=(4, 6, 1)) * 0.5
+        x_hat = np.random.default_rng(78).normal(size=(4, 6, 1)) * 0.5
         lam = 10.0
-        name = "lstm.W_o"
-        W0 = critic[name].data.copy()
+        analytic = gradient_penalty(critic, x_hat, lam)[1]
+        for name, t in critic.items():
+            w0 = t.data.copy()
 
-        def penalty_value(wv) -> float:
-            critic[name].data[...] = wv
-            with Graph():
-                x_hat = Tensor(x_hat_v.copy())
-                val = gradient_penalty(lambda x: critic_forward(critic, x),
-                                       x_hat, lam).item()
-            critic[name].data[...] = W0
-            return val
+            def penalty_value(wv) -> float:
+                t.data[...] = wv
+                val = gradient_penalty(critic, x_hat, lam)[0]
+                t.data[...] = w0
+                return val
 
-        with Graph() as g:
-            x_hat = Tensor(x_hat_v.copy())
-            pen = gradient_penalty(lambda x: critic_forward(critic, x), x_hat, lam)
-            analytic = T.backward(g, pen, wrt=[critic[name]])[critic[name]].data
-        fd = central_diff(penalty_value, W0)
-        assert rel_err(analytic, fd, floor=1e-5) < 1e-3
+            fd = central_diff(penalty_value, w0.copy())   # perturbs its argument in place
+            assert rel_err(analytic[name], fd, floor=1e-5) < 1e-3, name
 
     def test_inner_gradient_accumulates_no_weight_gradients(self, monkeypatch):
         # T.grad(total, x_hat) wants x alone, so its BPTT skips dW and db; the
@@ -193,33 +221,27 @@ class TestPeakMemory:
         assert _peak_mb(step) <= 30.0
 
     def test_wgan_gp_critic_step_at_batch_32(self):
-        # the penalty's graph is cleared before the [real; fake] scan runs,
-        # so the two saved sets are never alive together
+        # the x-hat graph is cleared before the penalty's complex-step pass,
+        # and that pass ends before the [real; fake] scan runs, so no two
+        # saved sets are alive together: 7.35 MB measured, 10.65 MB with the
+        # complex pass run before the clear
         critic = init_params(ArchitectureSpec(), "critic", 1)
-        assert _peak_mb(lambda: _critic_step(critic, batch=32, seq_len=50)) <= 11.6
-
-
-def _one_graph_critic_step(critic, real, fake, lambda_gp, rng):
-    """Reference: the Wasserstein term plus the penalty on one tape, one backward."""
-    fn = lambda x: critic_forward(critic, x)
-    with Graph() as g:
-        wasserstein, w = critic_loss_wgan(fn, real, fake)
-        penalty = gradient_penalty(fn, Tensor(interpolate(real, fake, rng)), lambda_gp)
-        loss = T.add(wasserstein, penalty)
-    gmap = T.backward(g, loss, wrt=[t for _, t in critic.items()])
-    return {n: gmap[t].data for n, t in critic.items()}, loss.item(), w, penalty.item()
+        assert _peak_mb(lambda: _critic_step(critic, batch=32, seq_len=50)) <= 8.4
 
 
 class TestCriticLoss:
     def test_constant_critic_loss_is_lambda(self):
-        rng = make_rng(0)
+        # proj.W = 0: every score is proj.b, and grad_x D is exactly 0
+        critic = init_params(SMALL, "critic", 0)
+        critic["proj.W"].data[...] = 0.0
+        critic["proj.b"].data[...] = 0.7
         real = np.random.default_rng(1).normal(size=(4, 6, 1))
         fake = np.random.default_rng(2).normal(size=(4, 6, 1))
         with Graph():
-            loss, w = critic_loss_wgan(constant_critic, real, fake)
-            gp = gradient_penalty(constant_critic, Tensor(interpolate(real, fake, rng)), 10.0)
+            loss, w = critic_loss_wgan(lambda x: critic_forward(critic, x), real, fake)
+        gp, _ = gradient_penalty(critic, interpolate(real, fake, make_rng(0)), 10.0)
         assert (loss.item(), w) == (0.0, 0.0)
-        assert loss.item() + gp.item() == pytest.approx(10.0)
+        assert loss.item() + gp == 10.0
 
     def test_lambda_zero_reduces_to_wasserstein(self):
         rng = make_rng(3)
@@ -232,25 +254,6 @@ class TestCriticLoss:
         assert loss == pytest.approx(np.mean(s_fake) - np.mean(s_real))
         assert w == -loss and gp == 0.0
         assert rng.random() == make_rng(3).random()   # no interpolation draw
-
-    @pytest.mark.parametrize("scale", [1.0, 4.0])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_split_step_equals_one_graph_bit_for_bit(self, seed, scale):
-        # the penalty and the Wasserstein term are added, and each critic
-        # tensor gets one contribution from each, so differentiating them in
-        # two graphs and summing changes no bit
-        critic = init_params(SMALL, "critic", 10 + seed)
-        for _, t in critic.items():
-            t.data *= scale
-        data = np.random.default_rng(20 + seed)
-        real, fake = (data.normal(size=(5, 6, 1)) * 0.5 for _ in range(2))
-        grads, loss, w, gp = gan.critic_gradients(critic, real, fake, "wgan_gp", 10.0,
-                                                  make_rng(seed))
-        ref_grads, ref_loss, ref_w, ref_gp = _one_graph_critic_step(critic, real, fake, 10.0,
-                                                                    make_rng(seed))
-        assert (loss, w, gp) == (ref_loss, ref_w, ref_gp)
-        for name in critic.names():
-            assert np.array_equal(grads[name], ref_grads[name]), name
 
     def test_loss_gradient_vs_finite_differences(self):
         # the summed penalty + Wasserstein gradient of one critic step, every tensor
@@ -308,8 +311,8 @@ class TestGeneratorLoss:
             loss = generator_loss_wgan(lambda x: critic_forward(critic, x), fake)
             gm = T.backward(g, loss, wrt=[t for _, t in gen.items()])   # as train does
         for _, t in critic.items():
-            assert np.all(gm[t].data == 0.0)
-        assert any(np.any(gm[t].data != 0.0) for _, t in gen.items())
+            assert np.all(gm[t] == 0.0)
+        assert any(np.any(gm[t] != 0.0) for _, t in gen.items())
 
 
 class TestStandardGanLosses:

@@ -110,15 +110,9 @@ def _units(p: ParamSet) -> int:
     return p["lstm.W_i"].shape[1]
 
 
-def _fused(p: ParamSet) -> tuple[np.ndarray, np.ndarray]:
-    """Gate weights and biases in ``nn.lstm_cell_step``'s column order [i|f|o|c~]."""
-    return (np.concatenate([p[f"lstm.W_{k}"].data for k in "ifoc"], axis=1),
-            np.concatenate([p[f"lstm.b_{k}"].data for k in "ifoc"]))
-
-
 def _cell(p: ParamSet, x_t, h_prev, c_prev):
     """(h, c) of one feature-major ``nn.lstm_cell_step``, batch-major."""
-    W, b = _fused(p)
+    W, b, _ = nn._fused(p)
     hx = np.concatenate([h_prev, x_t], axis=1).T.copy()
     units, batch = _units(p), hx.shape[1]
     c = np.empty((units, batch))
@@ -223,7 +217,7 @@ class TestLstmForward:
                 param.data[...] = W0
                 return float((out.data * w).sum())
 
-            assert rel_err(gm[param].data, central_diff(f, W0.copy())) < 1e-4, name
+            assert rel_err(gm[param], central_diff(f, W0.copy())) < 1e-4, name
 
 
 # input shape of a critic window [batch, steps, features] and of generator
@@ -254,19 +248,33 @@ def _weighted_scan_grads(scan, p, x0, w):
         heads = scan(p, x, 7)
         loss = T.reduce("sum", T.mul(heads, Tensor(w, requires_grad=False)))
     gm = T.backward(g, loss)
-    return heads.data, [gm[x].data] + [gm[p[n]].data for n in PARAMS]
+    return heads.data, [gm[x]] + [gm[p[n]] for n in PARAMS]
 
 
-def _input_grad_grads(scan, p, x0, w, v):
-    """Gradients of <v, grad_x <heads, w>> with respect to w (the upstream of
-    the scan), x, the eight gates and the head: the x-gradient node's inputs,
-    and proj.b, on which the x-gradient does not depend."""
-    x, wt = Tensor(x0.copy()), Tensor(w.copy())
+def _time_mean_total(scan, p, x: Tensor) -> tuple[Graph, Tensor]:
+    """S = the head values summed over the batch and averaged over the 7
+    steps, as the critic's summed scores are, on a graph of its own."""
     with Graph() as g:
-        gx = T.grad(T.reduce("sum", T.mul(scan(p, x, 7), wt)), x)
-        outer = T.reduce("sum", T.mul(gx, Tensor(v, requires_grad=False)))
-    gm = T.backward(g, outer)
-    return [gm[wt].data, gm[x].data] + [gm[p[n]].data for n in PARAMS]
+        s = T.mul(T.reduce("sum", scan(p, x, 7)), 1.0 / 7)
+    return g, s
+
+
+def _input_grad_grads(p, x0, v) -> dict[str, np.ndarray]:
+    """Gradients of <v, grad_x S> with respect to p's ten tensors:
+    ``nn.critic_input_grad_vjp`` for a window, and the complex-step kernel
+    it runs for noise."""
+    if x0.ndim == 3:
+        return nn.critic_input_grad_vjp(p, x0, v)
+    W, b, w = nn._fused(p)
+    grads = nn._complex_step(W, b, w, x0, 7, np.full((7, x0.shape[0]), 1.0 / 7), v)
+    return {**dict(zip(nn._PARAMS, grads)), "proj.b": np.zeros(1)}
+
+
+def _reference_param_grads(p, x0) -> dict[str, np.ndarray]:
+    """grad S with respect to p's ten tensors, through the primitive composition."""
+    g, s = _time_mean_total(lstm_head_reference, p, Tensor(x0, requires_grad=False))
+    gm = T.backward(g, s)
+    return {name: gm[p[name]] for name in PARAMS}
 
 
 class TestLstmScan:
@@ -306,57 +314,47 @@ class TestLstmScan:
 
     @SCALED_INPUTS
     def test_second_order_matches_primitive_composition(self, kind, scale):
-        p, x0, w = _scan_case(kind, 45, scale)
+        # mixed partials commute: the gradient of <v, grad_x S> is the
+        # derivative of grad S along v, here by central differences of the
+        # primitive composition's first-order gradients
+        p, x0, _ = _scan_case(kind, 45, scale)
         v = np.random.default_rng(46).normal(size=x0.shape)
-        got = _input_grad_grads(nn.lstm_scan, p, x0, w, v)
-        want = _input_grad_grads(lstm_head_reference, p, x0, w, v)
-        for name, a, b in zip(("upstream", "x") + PARAMS, got, want):
-            assert a.shape == b.shape, name
-            assert rel_err(a, b) <= 1e-12, name
-        assert np.all(got[-1] == 0.0)          # proj.b
+        got = _input_grad_grads(p, x0, v)
+        eps = 1e-5
+        plus, minus = (_reference_param_grads(p, x0 + sign * eps * v) for sign in (1.0, -1.0))
+        for name in PARAMS:
+            assert got[name].shape == p[name].shape, name
+            assert rel_err(got[name], (plus[name] - minus[name]) / (2.0 * eps)) <= 1e-5, name
+        assert np.all(got["proj.b"] == 0.0)
 
     @SCALED_INPUTS
     def test_second_order_vs_finite_differences(self, kind, scale):
-        p, x0, w = _scan_case(kind, 47, scale)
+        p, x0, _ = _scan_case(kind, 47, scale)
         v = np.random.default_rng(48).normal(size=x0.shape)
-        got = _input_grad_grads(nn.lstm_scan, p, x0, w, v)
+        got = _input_grad_grads(p, x0, v)
 
-        def f(xv, wv):
-            """<v, grad_x <heads, w>> from the first-order BPTT alone."""
-            x = Tensor(xv)
-            with Graph() as g:
-                heads = nn.lstm_scan(p, x, 7)
-                loss = T.reduce("sum", T.mul(heads, Tensor(wv, requires_grad=False)))
-            return float((T.backward(g, loss)[x].data * v).sum())
+        def f() -> float:
+            """<v, grad_x S> from the first-order BPTT alone."""
+            x = Tensor(x0)
+            g, s = _time_mean_total(nn.lstm_scan, p, x)
+            return float((T.backward(g, s)[x] * v).sum())
 
-        assert rel_err(got[0], central_diff(lambda wv: f(x0, wv), w.copy())) < 1e-4
-        assert rel_err(got[1], central_diff(lambda xv: f(xv, w), x0.copy())) < 1e-4
-        for name, analytic in zip(PARAMS, got[2:]):
+        for name in PARAMS[:-1]:             # the gates and proj.W
             param = p[name]
             W0 = param.data.copy()
 
-            def f_gate(wv):
+            def f_param(wv):
                 param.data[...] = wv
-                val = f(x0, w)
+                val = f()
                 param.data[...] = W0
                 return val
 
-            assert rel_err(analytic, central_diff(f_gate, W0.copy())) < 1e-4, name
-
-    def test_second_order_through_a_weight_gradient_raises(self):
-        p, x0, w = _scan_case("window", 43)
-        with Graph() as g:
-            heads = nn.lstm_scan(p, Tensor(x0), 7)
-            gw = T.grad(T.reduce("sum", T.mul(heads, Tensor(w, requires_grad=False))),
-                        p["lstm.W_o"])
-            outer = T.reduce("sum", T.square(gw))
-            with pytest.raises(NotImplementedError):
-                T.backward(g, outer, wrt=[p["lstm.W_i"]])
+            assert rel_err(got[name], central_diff(f_param, W0.copy())) < 1e-4, name
 
     def test_zero_upstream_has_zero_second_order_gradients(self):
-        p, x0, w = _scan_case("noise", 49)
-        got = _input_grad_grads(nn.lstm_scan, p, x0, w, np.zeros(x0.shape))
-        assert all(not np.any(g) for g in got)
+        p, x0, _ = _scan_case("noise", 49)
+        got = _input_grad_grads(p, x0, np.zeros(x0.shape))
+        assert all(not np.any(g) for g in got.values())
 
     def test_each_backward_pass_runs_its_own_bptt(self):
         p, x0, w = _scan_case("window", 50)
@@ -365,21 +363,18 @@ class TestLstmScan:
             heads = nn.lstm_scan(p, x, 7)
             a = T.reduce("sum", T.mul(heads, Tensor(w, requires_grad=False)))
             b = T.reduce("sum", T.mul(heads, Tensor(-2.0 * w, requires_grad=False)))
-        ga, gb = T.backward(g, a)[x].data, T.backward(g, b)[x].data
+        ga, gb = T.backward(g, a)[x], T.backward(g, b)[x]
         np.testing.assert_allclose(gb, -2.0 * ga, rtol=1e-12)
 
     def test_every_step_calls_the_module_cell_step(self, monkeypatch):
         # benchmarks/spans.py counts LSTM steps by rebinding nn.lstm_cell_step
-        p, x0, w = _scan_case("window", 51)
+        p, x0, _ = _scan_case("window", 51)
         calls = []
         step = nn.lstm_cell_step
         monkeypatch.setattr(nn, "lstm_cell_step", lambda *args: calls.append(1) or step(*args))
-        x = Tensor(x0)
-        with Graph() as g:
-            gx = T.grad(T.reduce("sum", T.mul(nn.lstm_scan(p, x, 7), Tensor(w))), x)
-            outer = T.reduce("sum", T.square(gx))
+        nn.lstm_scan(p, Tensor(x0), 7)
         assert len(calls) == 7
-        T.backward(g, outer)                 # one complex-step pass
+        nn.critic_input_grad_vjp(p, x0, np.ones(x0.shape))      # one complex-step pass
         assert len(calls) == 14
 
     @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
@@ -490,7 +485,7 @@ class TestEndToEnd:
             fake = nn.generator_forward(gen, Tensor(z0, requires_grad=False))
             loss = T.reduce("mean", nn.critic_forward(critic, fake))
             gm = T.backward(g, loss, wrt=[t for _, t in gen.items()])   # as gan.train does
-            analytic = {k: gm[t].data.copy() for k, t in gen.items()}
+            analytic = {k: gm[t].copy() for k, t in gen.items()}
 
         vec0 = _flatten_params(gen)
 
@@ -516,5 +511,5 @@ class TestEndToEnd:
             gm = T.backward(g, loss, wrt=[t for _, t in gen.items()])
         for k, t in critic.items():
             assert np.array_equal(t.data, before[k])
-            assert np.all(gm[t].data == 0.0)
-        assert any(np.any(gm[t].data != 0.0) for _, t in gen.items())
+            assert np.all(gm[t] == 0.0)
+        assert any(np.any(gm[t] != 0.0) for _, t in gen.items())

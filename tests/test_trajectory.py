@@ -6,8 +6,8 @@ every LSTM step on the tape). Fused ops may reorder floating-point sums,
 so they are compared with a relative tolerance, but any change to the
 maths moves them far past it. Every LSTM pass and its dense head now
 run through ``nn.lstm_scan``, one tape node with a numpy BPTT, and the
-gradient penalty's second order through its complex-step vjp, so no tape
-pin depends on the sequence length.
+gradient penalty's second order runs off the tape, in one complex-step
+pass, so no tape pin depends on the sequence length.
 """
 
 import numpy as np
@@ -71,43 +71,33 @@ def test_golden_trajectory(variant):
 
 
 # variant: tape lengths at Graph.clear of (each critic step's graphs, the
-# generator step). A wgan_gp critic step differentiates the penalty (36 nodes)
-# and then the Wasserstein term (27) in graphs of their own.
-TAPE_NODES = {"wgan_gp": ((36, 27), 34), "wgan_clip": ((27,), 34), "gan": ((36,), 38)}
+# generator step). A wgan_gp critic step records the penalty's input-gradient
+# graph (17 nodes) and then the Wasserstein term's (27), each on its own tape.
+TAPE_NODES = {"wgan_gp": ((17, 27), 34), "wgan_clip": ((27,), 34), "gan": ((36,), 38)}
 
 
 @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
 def test_tape_nodes_per_step(variant, monkeypatch):
-    """The outer backward adds nothing to the tape; the tape sizes are pinned."""
-    backward, grad, clear = tensor.backward, tensor.grad, tensor.Graph.clear
-    inner = [0]
-    outer, cleared = [], []
-
-    def counting_grad(*args, **kwargs):
-        inner[0] += 1
-        try:
-            return grad(*args, **kwargs)
-        finally:
-            inner[0] -= 1
+    """One backward per graph, and none adds to a tape; the tape sizes are pinned."""
+    backward, clear = tensor.backward, tensor.Graph.clear
+    passes, cleared = [], []
 
     def counting_backward(graph, *args, **kwargs):
         before = len(graph)
         out = backward(graph, *args, **kwargs)
-        if not inner[0]:
-            outer.append((before, len(graph)))
+        passes.append((before, len(graph)))
         return out
 
     def counting_clear(graph):
         cleared.append(len(graph))
         clear(graph)
 
-    monkeypatch.setattr(tensor, "grad", counting_grad)
     monkeypatch.setattr(tensor, "backward", counting_backward)
     monkeypatch.setattr(tensor.Graph, "clear", counting_clear)
     gan.train(tiny_config(variant, epochs=1), tiny_dataset())
     critic, generator = TAPE_NODES[variant]
-    assert len(outer) == 5 * len(critic) + 1
-    assert all(before == after for before, after in outer)
+    assert len(passes) == 5 * len(critic) + 1
+    assert all(before == after for before, after in passes)
     assert cleared == list(critic) * 5 + [generator]
 
 
