@@ -13,7 +13,26 @@ The package is organized as a small library:
 - :mod:`tsforge.cli`      the ``tsforge`` command line front end
 
 Import names from these modules; the package imports none of them, so
-importing one module loads only what that module needs.
+importing one module loads only what that module needs. It holds one
+helper they share, ``atomic_write``, through which every artifact is
+written.
 """
 
+import os
+from pathlib import Path
+
 __version__ = "0.1.0"
+
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write ``data`` (a str as UTF-8) to a temporary file beside ``path``,
+    then ``os.replace`` it into place: a write cut short (a full disk, a
+    kill) leaves the previous file at ``path`` whole and no temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

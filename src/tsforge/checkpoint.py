@@ -8,6 +8,11 @@ Layout (all integers little-endian):
     records name_len u64, name utf8, rank u64, dims u64*rank,
             payload float64*prod(dims)
     meta    len u64, UTF-8 JSON key-value block
+    crc     u32                      zlib.crc32 of every byte before it
+
+Version 1 files have no crc trailer and still load. The trailer is checked
+after the body parses, so a cut or a damaged length still reports where
+it went wrong, and any other damage fails the checksum.
 
 Tensor names are namespaced: ``gen/<param>``, ``critic/<param>``,
 ``opt_g/<param>``, ``opt_c/<param>``. Round-trips are bit-exact.
@@ -25,20 +30,21 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import atomic_write
 from .data import Scaler
 from .nn import ArchitectureSpec, ParamSet, param_shapes
 from .optim import RmspropState
 from .tensor import Tensor
 
 MAGIC = b"WGTS1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -126,9 +132,8 @@ class _Reader:
 def save_checkpoint(path, cp: Checkpoint) -> None:
     """Serialize a checkpoint; see the module docstring for the layout.
 
-    The bytes go to a temporary file in the target's directory, which
-    ``os.replace`` then moves into place, so a run killed mid-write leaves
-    the previous file at ``path`` whole."""
+    It is written by ``atomic_write``, so a run killed mid-write leaves the
+    previous file at ``path`` whole."""
     records: list[tuple[str, np.ndarray]] = []
     for prefix, ps in (("gen", cp.generator), ("critic", cp.critic)):
         for name, t in ps.items():
@@ -159,20 +164,15 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
         _write_record(out, name, arr)
     out += struct.pack("<Q", len(meta_bytes))
     out += meta_bytes
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(out)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    out += struct.pack("<I", zlib.crc32(out))
+    atomic_write(path, bytes(out))
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back; bad magic, truncation, unknown format
-    versions, malformed metadata, a NaN or Inf in any tensor record and
-    a negative optimizer cache entry all raise CheckpointError."""
+    versions, a checksum mismatch, malformed metadata, a NaN or Inf in any
+    tensor record and a negative optimizer cache entry all raise
+    CheckpointError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as e:
@@ -193,9 +193,11 @@ def _decode(blob: bytes, path) -> Checkpoint:
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
     version = r.u32()
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise CheckpointError(f"{path}: unsupported format version {version} "
-                              f"(expected {FORMAT_VERSION})")
+                              f"(expected 1 or {FORMAT_VERSION})")
+    if version == FORMAT_VERSION:
+        r.blob = blob[:-4]                  # the body, before the crc trailer
     count = r.u64()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -214,8 +216,10 @@ def _decode(blob: bytes, path) -> Checkpoint:
         meta = json.loads(r.take(meta_len).decode("utf-8"))
     except json.JSONDecodeError as e:
         raise CheckpointError(f"{path}: corrupt metadata block: {e}") from None
-    if r.pos != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - r.pos} trailing bytes at offset {r.pos}")
+    if r.pos != len(r.blob):
+        raise CheckpointError(f"{path}: {len(r.blob) - r.pos} trailing bytes at offset {r.pos}")
+    if version == FORMAT_VERSION and zlib.crc32(r.blob) != struct.unpack("<I", blob[-4:])[0]:
+        raise CheckpointError(f"{path}: checksum mismatch (the file is damaged)")
 
     arch = ArchitectureSpec(**meta["arch"])
 

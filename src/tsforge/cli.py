@@ -27,12 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, gan, stats
+from . import __version__, atomic_write, gan, stats
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (DataError, WindowedDataset, build_dataset, load_csv, log_returns,
                    returns_to_prices)
 from .gan import TrainConfig, TrainingDiverged, make_rng
-from .nn import critic_forward
 from .optim import OptimConfig
 from .plot import Chart, render_chart, render_panels, write_svg
 from .stats import StatsError
@@ -137,7 +136,7 @@ def write_config(cfg: TrainConfig, path) -> None:
     for key, value in _by_key(asdict(cfg)).items():
         text = _fmt(value) if _KEYS[key] is float else str(value)
         lines.append(f"{key} = {text.lower() if _KEYS[key] is bool else text}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 # CSV helpers --------------------------------------------------------
@@ -157,7 +156,7 @@ def _write_csv(path, header: list[str] | None, *columns) -> None:
     for j, c in enumerate(cols):
         cells[j::len(cols)] = c
     head = "" if header is None else ",".join(header) + "\n"
-    Path(path).write_text(head + (row * n) % tuple(cells), encoding="utf-8", newline="\n")
+    atomic_write(path, head + (row * n) % tuple(cells))
 
 
 def _read_matrix_csv(path) -> np.ndarray:
@@ -282,8 +281,7 @@ def cmd_train(args) -> int:
     median_ratio = None
     if pairs:
         i, j = np.array(pairs).T
-        median_ratio = float(np.median(gan.lipschitz_ratio_check(
-            lambda x: critic_forward(critic, x), w[i], w[j])))
+        median_ratio = float(np.median(gan.lipschitz_ratio_check(critic, w[i], w[j])))
     final_sample = gan.generate(gen, max(2, cfg.batch_size), cfg.seed + cfg.epochs + 1)
     summary = {
         "epochs": cfg.epochs,
@@ -297,8 +295,7 @@ def cmd_train(args) -> int:
         "dropped_rows": prices.dropped,
         "n_windows": len(dataset),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                                      encoding="utf-8")
+    atomic_write(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"run artifacts written to {out}")
     return EXIT_OK
 

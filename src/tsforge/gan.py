@@ -6,15 +6,16 @@ stay fixed. Three loss variants are supported. The gradient-penalty
 Wasserstein loss (default) and the weight-clipping one share the
 Wasserstein term ``critic_loss_wgan`` and ``generator_loss_wgan``; the
 former adds ``gradient_penalty``, which returns the penalty together
-with its gradients: a first-order input gradient on the tape, then one
-complex-step pass (``nn.critic_input_grad_vjp``) for the second order.
-The original log-loss GAN uses ``critic_loss_gan`` and
-``generator_loss_gan``; only it squashes the scores through a sigmoid.
+with its gradients: the critic's input gradient from its BPTT, the
+penalty's direction from the tape, then one complex-step pass
+(``nn.critic_input_grad_vjp``) for the second order. The original
+log-loss GAN uses ``critic_loss_gan`` and ``generator_loss_gan``; only it
+squashes the scores through a sigmoid.
 
-Critic arguments of the losses are callables mapping a [batch, seq_len,
-1] tensor to one score per sample, so they work for any scoring
-function; ``train`` wires in ``critic_forward`` over its ParamSet. The
-penalty takes the critic's ParamSet itself.
+The networks run as plain numpy calls, each backward called explicitly
+(``nn.critic_backward``, ``nn.generator_backward``). The losses take the
+critic's scores as tape leaves, so a step's tape holds its loss head
+alone, and one ``T.backward`` gives the scores' gradient.
 """
 
 from __future__ import annotations
@@ -29,15 +30,12 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint
 from .data import WindowedDataset, sample_real_batch
-from .nn import (ArchitectureSpec, ParamSet, critic_forward, critic_input_grad_vjp,
-                 generator_forward, init_params)
+from .nn import (ArchitectureSpec, ParamSet, critic_backward, critic_forward,
+                 critic_input_grad_vjp, generator_backward, generator_forward, init_params)
 from .optim import OptimConfig, RmspropState, clip_weights, rmsprop_step
 from .tensor import Graph, Tensor
 
 logger = logging.getLogger(__name__)
-
-LABEL_REAL = 1.0
-LABEL_FAKE = -1.0
 
 LOSS_VARIANTS = ("wgan_gp", "wgan_clip", "gan")
 
@@ -134,63 +132,48 @@ def interpolate(real: np.ndarray, fake: np.ndarray, rng: np.random.Generator,
     return eps * real + (1.0 - eps) * fake
 
 
-Critic = Callable[[Tensor], Tensor]
-
-
 def gradient_penalty(critic: ParamSet, x_hat: np.ndarray, lambda_gp: float,
                      ) -> tuple[float, dict[str, np.ndarray]]:
     """lambda * E[(||grad_x D(x_hat)||_2 - 1)^2] and its gradients with
     respect to the critic's tensors.
 
     The per-sample gradient norm is taken jointly over all timesteps; the
-    expectation is the batch mean. The input gradient g comes from one
-    first-order ``T.grad`` on a graph of its own, cleared before the
-    penalty's gradient is taken, so the x-hat scan's saved set is freed
-    first. That gradient is ``nn.critic_input_grad_vjp`` in the direction
-    v = dpenalty/dg = 2 lambda (||g|| - 1) g / (B ||g||), with v = 0 where
-    ||g|| = 0. v is formed factor by factor, back through the mean, the
-    square, the sqrt and the sum of squares.
+    expectation is the batch mean. The input gradient g is the critic's
+    BPTT without weights at an all-ones upstream: samples are scored
+    independently, so the gradient of the summed scores stacks the
+    per-sample input gradients. The penalty is recorded on g as a tape
+    leaf, ``T.grad`` gives its direction v = dpenalty/dg (the sqrt's
+    backward guards a zero norm to 0), and the penalty's gradients are
+    ``nn.critic_input_grad_vjp`` in that direction. The x-hat scan's saved
+    set is freed before that complex-step pass runs.
     """
-    x = Tensor(x_hat, op="x-hat")
+    _, saved = critic_forward(critic, x_hat, keep=True)
+    _, dx = critic_backward(x_hat, saved, np.ones(x_hat.shape[0]), weights=False)
+    del saved
     with Graph() as graph:
-        # Samples are scored independently, so the gradient of the summed
-        # scores stacks the per-sample input gradients.
-        total = T.reduce("sum", critic_forward(critic, x))
-    g = T.grad(total, x, graph)
+        g = Tensor(dx)
+        norms = T.sqrt(T.reduce("sum", T.reduce("sum", T.square(g), axis=1), axis=1))
+        penalty = T.mul(T.reduce("mean", T.square(T.sub(norms, 1.0))), float(lambda_gp))
+    v = T.grad(penalty, g, graph)
     graph.clear()
-    norms = np.sqrt(np.sum(np.sum(g * g, axis=1), axis=1))      # over steps, then features
-    dev = norms - 1.0
-    batch, lam = g.shape[0], float(lambda_gp)
-    penalty = np.sum(dev * dev) * (1.0 / batch) * lam
-    d_norms = (lam * (1.0 / batch)) * (dev * 2.0)
-    d_sq_norms = np.divide(d_norms * 0.5, norms, out=np.zeros(batch), where=norms != 0.0)
-    v = d_sq_norms[:, None, None] * (g * 2.0)
-    return float(penalty), critic_input_grad_vjp(critic, x_hat, v)
+    return penalty.item(), critic_input_grad_vjp(critic, x_hat, v)
 
 
-def _score_pair(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, Tensor]:
-    """Scores of the real and the fake windows from one critic call on both."""
-    real_t = T._as_tensor(real_batch)
-    scores = critic(T.concat([real_t, fake_batch], axis=0))
-    n = real_t.shape[0]
-    return T.slice_(scores, 0, 0, n), T.slice_(scores, 0, n, scores.shape[0])
-
-
-def critic_loss_wgan(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, float]:
-    """The Wasserstein term mean D(fake) - mean D(real) of the critic loss.
+def critic_loss_wgan(s_real: Tensor, s_fake: Tensor) -> tuple[Tensor, float]:
+    """The Wasserstein term mean D(fake) - mean D(real) of the critic loss,
+    from the critic's scores.
 
     Returns the loss tensor and the Wasserstein estimate mean D(real) -
     mean D(fake). The gradient-penalty variant adds ``gradient_penalty``
     at interpolates; the weight-clipping variant trains on this term alone.
     """
-    s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
     mean_real, mean_fake = T.reduce("mean", s_real), T.reduce("mean", s_fake)
     return T.sub(mean_fake, mean_real), mean_real.item() - mean_fake.item()
 
 
-def generator_loss_wgan(critic: Critic, fake_batch: Tensor) -> Tensor:
+def generator_loss_wgan(s_fake: Tensor) -> Tensor:
     """-mean D(fake): the generator climbs the critic's scores."""
-    return T.negate(T.reduce("mean", critic(fake_batch)))
+    return T.negate(T.reduce("mean", s_fake))
 
 
 _PROB_FLOOR = 1e-7
@@ -206,31 +189,29 @@ def wasserstein_estimate(s_real: Tensor, s_fake: Tensor) -> float:
     return float(np.mean(s_real.data) - np.mean(s_fake.data))
 
 
-def critic_loss_gan(critic: Critic, real_batch, fake_batch) -> tuple[Tensor, float]:
-    """The original log loss -mean log D(real) - mean log(1 - D(fake));
-    only this variant squashes the scores.
+def critic_loss_gan(s_real: Tensor, s_fake: Tensor) -> tuple[Tensor, float]:
+    """The original log loss -mean log D(real) - mean log(1 - D(fake)) of
+    the critic's scores; only this variant squashes the scores.
 
     Returns the loss tensor and the Wasserstein estimate of the same
     scores, so the diagnostic costs no second critic call.
     """
-    s_real, s_fake = _score_pair(critic, real_batch, fake_batch)
     p_real, p_fake = _probs(s_real), _probs(s_fake)
     loss = T.sub(T.negate(T.reduce("mean", T.log(p_real))),
                  T.reduce("mean", T.log(T.sub(1.0, p_fake))))
     return loss, wasserstein_estimate(s_real, s_fake)
 
 
-def generator_loss_gan(critic: Critic, fake_batch: Tensor,
-                       nonsaturating: bool = False) -> Tensor:
+def generator_loss_gan(s_fake: Tensor, nonsaturating: bool = False) -> Tensor:
     """mean log(1 - D(fake)), or -mean log D(fake) when the
     non-saturating alternative is selected."""
-    p_fake = _probs(critic(fake_batch))
+    p_fake = _probs(s_fake)
     if nonsaturating:
         return T.negate(T.reduce("mean", T.log(p_fake)))
     return T.reduce("mean", T.log(T.sub(1.0, p_fake)))
 
 
-def lipschitz_ratio_check(critic: Critic, x1, x2) -> np.ndarray:
+def lipschitz_ratio_check(critic: ParamSet, x1, x2) -> np.ndarray:
     """|D(x1[k]) - D(x2[k])| / ||x1[k] - x2[k]||_2 for each of n pairs.
 
     ``x1`` and ``x2`` are stacks [n, seq_len, features] of equal shape; a
@@ -250,7 +231,7 @@ def lipschitz_ratio_check(critic: Critic, x1, x2) -> np.ndarray:
     dist = np.sqrt(np.sum(diff * diff, axis=1))
     if not np.all(dist):
         raise ValueError(f"pair {int(np.argmin(dist))} has identical inputs")
-    scores = critic(Tensor(np.concatenate([a, b]), requires_grad=False)).data.reshape(2, n)
+    scores = critic_forward(critic, np.concatenate([a, b]))[0].reshape(2, n)
     return np.abs(scores[0] - scores[1]) / dist
 
 
@@ -281,12 +262,7 @@ def generate(generator: ParamSet, n_samples: int, seed: int) -> np.ndarray:
         raise ValueError("generator ParamSet carries no architecture")
     rng = make_rng(seed)
     z = sample_noise(n_samples, generator.arch.noise_len, rng)
-    out = generator_forward(generator, Tensor(z, requires_grad=False))
-    return np.array(out.data)
-
-
-def _param_grads(gmap: T.GradientMap, params: ParamSet) -> dict[str, np.ndarray]:
-    return {name: gmap[t] for name, t in params.items()}
+    return np.array(generator_forward(generator, z)[0])
 
 
 def _nonfinite(grads: dict[str, np.ndarray]) -> list[str]:
@@ -303,28 +279,48 @@ def critic_gradients(critic: ParamSet, real: np.ndarray, fake: np.ndarray, varia
     and penalty.
 
     With the penalty (wgan_gp, lambda_gp > 0) the interpolates are drawn
-    and ``gradient_penalty`` runs first: its x-hat graph is cleared before
-    its complex-step pass, and that pass ends before the [real; fake] scan
-    runs, so no two scans' saved sets are alive together. The Wasserstein
-    term follows in a graph of its own. The loss is their sum, so the
+    and ``gradient_penalty`` runs first, and its passes end before the
+    [real; fake] scan runs, so no two scans' saved sets are alive together.
+    The Wasserstein term follows: one critic pass on [real; fake], its
+    loss head on the two halves' scores as tape leaves, and one BPTT with
+    weights from the scores' gradient. The loss is their sum, so the
     gradients are the per-tensor sums.
     """
-    critic_fn: Critic = lambda x: critic_forward(critic, x)
     penalty_grads, gp_val = None, 0.0
     if variant == "wgan_gp" and lambda_gp > 0:
         gp_val, penalty_grads = gradient_penalty(critic, interpolate(real, fake, rng), lambda_gp)
+    x = np.concatenate([real, fake])
+    scores, saved = critic_forward(critic, x, keep=True)
     with Graph() as graph:
-        if variant == "gan":
-            loss, w_est = critic_loss_gan(critic_fn, real, fake)
-        else:
-            loss, w_est = critic_loss_wgan(critic_fn, real, fake)
-    grads = _param_grads(T.backward(graph, loss, wrt=[t for _, t in critic.items()]), critic)
+        s_real, s_fake = Tensor(scores[:len(real)]), Tensor(scores[len(real):])
+        loss, w_est = (critic_loss_gan if variant == "gan" else critic_loss_wgan)(s_real, s_fake)
+    gm = T.backward(graph, loss)
     c_loss = loss.item()
     graph.clear()
+    grads, _ = critic_backward(x, saved, np.concatenate([gm[s_real], gm[s_fake]]), weights=True)
     if penalty_grads is not None:
         grads = {name: g + penalty_grads[name] for name, g in grads.items()}
         c_loss += gp_val
     return grads, c_loss, w_est, gp_val
+
+
+def generator_gradients(gen: ParamSet, critic: ParamSet, z: np.ndarray, variant: str,
+                        nonsaturating: bool) -> tuple[dict[str, np.ndarray], float]:
+    """Gradients of one generator update, and its loss: the generator and
+    critic passes on the noise z, the loss head on the fakes' scores as a
+    tape leaf, then the critic's BPTT without weights for the fakes'
+    gradient and the generator's BPTT with them."""
+    fake, gen_saved = generator_forward(gen, z, keep=True)
+    scores, critic_saved = critic_forward(critic, fake, keep=True)
+    with Graph() as graph:
+        s_fake = Tensor(scores)
+        loss = (generator_loss_gan(s_fake, nonsaturating) if variant == "gan"
+                else generator_loss_wgan(s_fake))
+    gm = T.backward(graph, loss)
+    g_loss = loss.item()
+    graph.clear()
+    _, dx = critic_backward(fake, critic_saved, gm[s_fake], weights=False)
+    return generator_backward(z, gen_saved, dx), g_loss
 
 
 def train(config: TrainConfig, data: WindowedDataset, *,
@@ -335,9 +331,9 @@ def train(config: TrainConfig, data: WindowedDataset, *,
 
     One epoch = n_critic critic updates (``critic_gradients`` on a fresh
     real batch and fresh noise each; the fakes are plain arrays, so the
-    generator gets no gradient) followed by one generator update, whose backward is taken
-    with respect to the generator's parameters only: the critic's weight
-    edges are pruned, so its BPTT computes the input gradient alone.
+    generator gets no gradient) followed by one generator update
+    (``generator_gradients``), whose critic BPTT computes the input
+    gradient alone.
     Real batches are drawn uniformly with replacement.
     Deterministic given (seed, config, data); on NaN/Inf raises
     TrainingDiverged carrying the crash checkpoint.
@@ -364,7 +360,6 @@ def train(config: TrainConfig, data: WindowedDataset, *,
         rng = make_rng(int(seeds[2]))
         start_epoch = 0
 
-    critic_fn: Critic = lambda x: critic_forward(critic, x)
     history = LossHistory()
     checkpoints: list[Checkpoint] = []
     B = config.batch_size
@@ -377,8 +372,6 @@ def train(config: TrainConfig, data: WindowedDataset, *,
                           rng_state=rng.bit_generator.state,
                           extra={"config": asdict(config), "n_windows": len(data),
                                  "mode_collapse": mc})
-
-    gen_wrt = [t for _, t in gen.items()]
 
     for epoch in range(start_epoch + 1, config.epochs + 1):
         c_loss = w_est = gp_val = 0.0
@@ -393,7 +386,7 @@ def train(config: TrainConfig, data: WindowedDataset, *,
         for _ in range(config.n_critic):
             real = sample_real_batch(data, B, rng)
             z = sample_noise(B, config.noise_len, rng)
-            fake = generator_forward(gen, Tensor(z, requires_grad=False)).data
+            fake, _ = generator_forward(gen, z)
             last_fake = fake
             grads, c_loss, w_est, gp_val = critic_gradients(
                 critic, real, fake, config.loss_variant, config.lambda_gp, rng)
@@ -407,17 +400,8 @@ def train(config: TrainConfig, data: WindowedDataset, *,
                 clip_weights(critic, config.optim.clip_c)
 
         z = sample_noise(B, config.noise_len, rng)
-        graph = Graph()
-        with graph:
-            fake_t = generator_forward(gen, Tensor(z, requires_grad=False))
-            if config.loss_variant == "gan":
-                g_loss = generator_loss_gan(critic_fn, fake_t,
-                                            nonsaturating=config.g_loss_nonsaturating)
-            else:
-                g_loss = generator_loss_wgan(critic_fn, fake_t)
-        grads = _param_grads(T.backward(graph, g_loss, wrt=gen_wrt), gen)
-        g_val = g_loss.item()
-        graph.clear()
+        grads, g_val = generator_gradients(gen, critic, z, config.loss_variant,
+                                           config.g_loss_nonsaturating)
 
         history.append(epoch, c_loss, g_val, w_est, gp_val)
         bad = _nonfinite(grads)

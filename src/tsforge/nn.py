@@ -8,15 +8,19 @@ critic averages its per-step head values over time into one score;
 there is deliberately no sigmoid, so scores are unbounded.
 
 There is one LSTM: ``lstm_scan`` steps ``lstm_cell_step`` in numpy over
-the timesteps and applies the head inside the scan, as one tape node
-whose vjp is a first-order numpy BPTT. It returns the head values
-h_t proj.W + proj.b, and no hidden state outlives its step. The gates are fused in column
-order [i | f | o | c~]; the checkpoint layout stays the ten tensors
-``lstm.W_i`` ... ``lstm.b_o``, ``proj.W`` and ``proj.b``. The kernel runs
-feature-major: each critic step computes W^T [h; x_t] + b as [4u, B], so
-every gate block is a contiguous slab, and every ufunc writes into
-buffers made once per call; h goes straight into the next step's [h; x]
-buffer, where the head reads it. The generator's noise z is the same at
+the timesteps and applies the head inside the scan. It returns the head
+values h_t proj.W + proj.b, and no hidden state outlives its step. Nothing
+here records on a tape: each forward takes ``keep`` and returns its values
+with the saved set (or None), and its backward is called explicitly with
+that set and the upstream gradient: ``lstm_vjp``, ``critic_backward`` and
+``generator_backward``, the first two with an explicit ``weights`` flag,
+since a BPTT for the input gradient alone skips the weight GEMMs. The
+gates are fused in column order [i | f | o | c~]; the checkpoint layout
+stays the ten tensors ``lstm.W_i`` ... ``lstm.b_o``, ``proj.W`` and
+``proj.b``. The kernel runs feature-major: each critic step computes
+W^T [h; x_t] + b as [4u, B], so every gate block is a contiguous slab,
+and every ufunc writes into buffers made once per call; h goes straight
+into the next step's [h; x] buffer, where the head reads it. The generator's noise z is the same at
 every step, so its steps compute W_h^T h + (b + W_x^T z), the bracket
 made once per call: the input projection that RNN kernels hoist out of
 the recurrence. The BPTT keeps only the activated gates [T, 4u, B] and
@@ -25,9 +29,9 @@ upstream enters as proj.W ds_t, and h_{t-1} = o_{t-1} tanh c_{t-1} is
 recomputed, one multiply per step on the tanh c the BPTT recomputes
 anyway (Chen et al. 2016, arXiv:1604.06174); x_t comes from the input.
 
-The gradient penalty differentiates the critic's input gradient again,
-outside the tape: ``critic_input_grad_vjp`` takes the weight gradients of
-<v, grad_x D> by a complex step (Martins, Sturdza & Alonso 2003, ACM
+The gradient penalty differentiates the critic's input gradient again:
+``critic_input_grad_vjp`` takes the weight gradients of <v, grad_x D> by
+a complex step (Martins, Sturdza & Alonso 2003, ACM
 TOMS 29(3)): one forward and BPTT at x + i h v, with h = 1e-20 / max|v|,
 gives Im f / h = f'(x) v + O(h^2) for every analytic f of the pass. No
 nearby values are subtracted, so nothing cancels, and the O(h^2) term
@@ -309,40 +313,32 @@ def _fused(p: ParamSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([p[name].data for name in _PARAMS[4:8]]), p["proj.W"].data)
 
 
-def lstm_scan(p: ParamSet, x: Tensor, steps: int) -> Tensor:
-    """Step-major head values h_t proj.W + proj.b [steps*batch, 1] of one
-    pass from zero state over a window x [batch, steps, features], or a
-    vector x [batch, features] fed at every step, as one tape node on x and
-    p's ten tensors. No hidden state outlives its step.
-
-    Its vjp, a numpy BPTT, runs once per backward pass for all eleven
-    inputs, and accumulates weight gradients only if the pass wants one;
-    the saved set, gates and cells alone, is kept only while a graph
-    records."""
-    x = T._as_tensor(x)
-    params = tuple(p[name] for name in _PARAMS)
-    rows, u = params[0].shape
-    if (x.rank not in (2, 3) or x.shape[-1] != rows - u or steps <= 0
-            or (x.rank == 3 and x.shape[1] != steps)):
+def lstm_scan(p: ParamSet, x: np.ndarray, steps: int, keep: bool = False,
+              ) -> tuple[np.ndarray, tuple | None]:
+    """Step-major head values h_t proj.W + proj.b [steps, batch] of one pass
+    from zero state over a window x [batch, steps, features], or a vector x
+    [batch, features] fed at every step, and, if ``keep``, the saved set
+    that ``lstm_vjp`` takes. No hidden state outlives its step."""
+    rows, u = p["lstm.W_i"].shape
+    if (x.ndim not in (2, 3) or x.shape[-1] != rows - u or steps <= 0
+            or (x.ndim == 3 and x.shape[1] != steps)):
         raise ValueError(f"lstm: {steps} steps over input {x.shape} with gate rows "
                          f"{rows} (units {u})")
     W, b, w = _fused(p)
-    batch = x.shape[0]
-    heads, saved = _scan_forward(W, b, w, x.data, steps, keep=T.active_graph() is not None)
-    memo: list = []
+    heads, saved = _scan_forward(W, b, w, x, steps, keep)
+    return heads.reshape(steps, x.shape[0]) + p["proj.b"].data, (W, w, saved) if keep else None
 
-    def vjp(g: np.ndarray, k: int) -> np.ndarray:
-        # The first vjp a backward pass asks for runs the BPTT for all of
-        # them and decides ``weights``: the gates and proj.W are listed
-        # first, so it is a weight's unless no weight gradient is wanted.
-        if not memo or memo[0] is not g:
-            *grads, dx = _scan_backward(W, w, x.data, saved, g.reshape(steps, batch), k < 9)
-            memo[:] = [g, [*grads, np.sum(g, axis=0), dx]]
-        return memo[1][k]
 
-    return T._record(heads.reshape(steps * batch, 1) + p["proj.b"].data, "lstm_scan",
-                     (x, *params), lambda out: [(t, lambda g, k=k: vjp(g, k))
-                                                for k, t in enumerate((*params, x))])
+def lstm_vjp(x: np.ndarray, saved: tuple, g: np.ndarray, weights: bool,
+             ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
+    """The BPTT of ``lstm_scan`` from the upstream g [steps, batch] of its
+    head values: the gradients of p's ten tensors by name, or None unless
+    ``weights``, and the gradient of x."""
+    W, w, state = saved
+    *grads, dx = _scan_backward(W, w, x, state, g, weights)
+    if not weights:
+        return None, dx
+    return dict(zip(_PARAMS, [*grads, np.sum(g.reshape(-1, 1), axis=0)])), dx
 
 
 def critic_input_grad_vjp(d: ParamSet, x: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
@@ -358,33 +354,50 @@ def critic_input_grad_vjp(d: ParamSet, x: np.ndarray, v: np.ndarray) -> dict[str
     return dict(zip(_PARAMS, [*grads, np.zeros(d["proj.b"].shape)]))
 
 
-def generator_forward(g: ParamSet, z: Tensor) -> Tensor:
-    """Noise [batch, noise_len] -> return windows [batch, seq_len, 1].
+def generator_forward(g: ParamSet, z: np.ndarray, keep: bool = False,
+                      ) -> tuple[np.ndarray, tuple | None]:
+    """Noise [batch, noise_len] -> return windows [batch, seq_len, 1], and,
+    if ``keep``, the saved set that ``generator_backward`` takes.
 
     The noise vector is the input feature set of every timestep; the
     sequence length comes from the architecture, and tanh keeps the
     output inside (-1, 1).
     """
-    z = T._as_tensor(z)
     if g.arch is None:
         raise ValueError("generator ParamSet carries no architecture")
-    if z.rank != 2:
+    if z.ndim != 2:
         raise ValueError(f"generator: expected noise [batch, noise_len], got {z.shape}")
-    batch, seq_len = z.shape[0], g.arch.seq_len
-    y = T.tanh(lstm_scan(g, z, seq_len))                            # [seq*batch, 1]
-    y = T.reshape(y, (seq_len, batch, 1))
-    return T.transpose(y, (1, 0, 2))
+    heads, saved = lstm_scan(g, z, g.arch.seq_len, keep)
+    y = np.tanh(heads)                                              # [seq_len, batch]
+    return y[:, :, None].transpose(1, 0, 2), (saved, y) if keep else None
 
 
-def critic_forward(d: ParamSet, x: Tensor) -> Tensor:
-    """Windows [batch, seq_len, 1] -> one unbounded score per sample.
+def generator_backward(z: np.ndarray, saved: tuple, dy: np.ndarray) -> dict[str, np.ndarray]:
+    """The gradients of the generator's ten tensors from the upstream dy
+    [batch, seq_len, 1] of ``generator_forward``'s windows."""
+    scan_saved, y = saved
+    g = dy.transpose(1, 0, 2).reshape(y.shape) * (1.0 - y * y)
+    return lstm_vjp(z, scan_saved, g, True)[0]
+
+
+def critic_forward(d: ParamSet, x: np.ndarray, keep: bool = False,
+                   ) -> tuple[np.ndarray, tuple | None]:
+    """Windows [batch, seq_len, 1] -> one unbounded score per sample, and,
+    if ``keep``, the saved set that ``critic_backward`` takes.
 
     Per-step scores from the time-shared dense head are averaged over
     the timesteps; no sigmoid anywhere.
     """
-    x = T._as_tensor(x)
-    if x.rank != 3:
+    if x.ndim != 3:
         raise ValueError(f"critic: expected [batch, seq_len, features], got {x.shape}")
-    batch, steps, _ = x.shape
-    scores = lstm_scan(d, x, steps)                                 # [steps*batch, 1], step-major
-    return T.reduce("mean", T.reshape(scores, (steps, batch)), axis=0)
+    heads, saved = lstm_scan(d, x, x.shape[1], keep)
+    return np.sum(heads, axis=0) * (1.0 / x.shape[1]), saved
+
+
+def critic_backward(x: np.ndarray, saved: tuple, ds: np.ndarray, weights: bool,
+                    ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
+    """``lstm_vjp`` of the critic from the upstream ds [batch] of its
+    scores: the gradients of its ten tensors (None unless ``weights``) and
+    of the windows x."""
+    steps = x.shape[1]
+    return lstm_vjp(x, saved, np.repeat((ds * (1.0 / steps))[None], steps, axis=0), weights)

@@ -13,6 +13,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from . import atomic_write
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 800, 480
@@ -196,5 +198,4 @@ def render_panels(charts: list[Chart], columns: int = 2,
 
 
 def write_svg(path, svg: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    atomic_write(path, svg)

@@ -107,13 +107,16 @@ def moments(x) -> MomentsReport:
 
 
 def acf(x, max_lag: int) -> AcfReport:
-    """Autocorrelation at lags 0..max_lag of a 1-D series, or averaged over
-    the rows of 2-D windows, with the band 1.96/sqrt(row length).
+    """Autocorrelation at lags 0..max_lag of a 1-D series, or pooled over
+    the rows of 2-D windows, with the band 1.96/sqrt(number of returns).
 
-    Biased estimator with each row's own mean:
-    acf[k] = sum_t (x_t - xbar)(x_{t+k} - xbar) / sum_t (x_t - xbar)^2.
-    Rows are made contiguous first: sums along a strided axis (``gan.generate``'s
-    windows) round differently.
+    Biased estimator with one mean xbar over every row, the lagged
+    products summed within rows and over them:
+    acf[k] = sum_rows sum_t (x_t - xbar)(x_{t+k} - xbar) / sum_rows sum_t (x_t - xbar)^2.
+    A series is one row. Pooling keeps a short row's own mean from biasing
+    every lag by about -1/L, so windows of a series and the series itself
+    estimate the same ACF. Rows are made contiguous first: sums along a
+    strided axis (``gan.generate``'s windows) round differently.
     """
     rows = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
     if rows.ndim != 2:
@@ -123,15 +126,13 @@ def acf(x, max_lag: int) -> AcfReport:
         raise StatsError(f"max_lag {max_lag} must be < series length {n}")
     if n < 2:
         raise StatsError(f"acf needs windows of at least 2 returns, got {n}")
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    denom = np.sum(centered ** 2, axis=1)
-    if np.any(denom == 0.0):
+    centered = rows - rows.mean()
+    denom = np.sum(centered ** 2)
+    if denom == 0.0:
         raise StatsError("acf undefined for a constant series")
-    values = np.empty((len(rows), max_lag + 1))
-    for k in range(max_lag + 1):
-        values[:, k] = np.sum(centered[:, : n - k] * centered[:, k:], axis=1) / denom
-    return AcfReport(lags=np.arange(max_lag + 1), values=values.mean(axis=0),
-                     band=1.96 / np.sqrt(n))
+    values = np.array([np.sum(centered[:, : n - k] * centered[:, k:]) for k in range(max_lag + 1)])
+    return AcfReport(lags=np.arange(max_lag + 1), values=values / denom,
+                     band=1.96 / np.sqrt(rows.size))
 
 
 def _plotting_positions(n: int) -> np.ndarray:
@@ -218,9 +219,12 @@ def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,
                           bins: int = 50) -> EvalReport:
     """Bundle every comparison instrument for one real/synthetic pair.
 
-    Accepts 1-D return series or 2-D window batches; batched input gets
-    batch-averaged ACFs while moments, histogram and QQ flatten. All four
-    ACFs run to one lag: ``max_lag``, or the shorter row length less one.
+    Accepts 1-D return series or 2-D window batches; moments, histogram
+    and QQ flatten, and the ACFs pool the rows. A real series is cut into
+    non-overlapping rows of the synthetic row length (its last partial row
+    dropped), so both sides' ACFs come from one estimator on rows of one
+    length. All four ACFs run to one lag: ``max_lag``, or the shorter row
+    length less one.
     """
     real = np.asarray(real_returns, dtype=np.float64)
     synth = np.asarray(synthetic_returns, dtype=np.float64)
@@ -231,6 +235,9 @@ def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,
     # window rows: a 1-D series is one row, [n, seq_len, 1] windows lose their last axis
     real_rows, synth_rows = (np.atleast_2d(x[:, :, 0] if x.ndim == 3 and x.shape[2] == 1 else x)
                              for x in (real, synth))
+    length = synth_rows.shape[1]
+    if real.ndim == 1 and length <= real.size:
+        real_rows = real[: real.size // length * length].reshape(-1, length)
     lag = min(max_lag, real_rows.shape[1] - 1, synth_rows.shape[1] - 1)
     return EvalReport(
         moments_real=moments(real_flat),

@@ -3,13 +3,18 @@
 Central finite differences are computed straight from repeated forward
 evaluations, never through the autodiff path they are checking.
 ``lstm_scan_reference`` builds the LSTM from recorded tensor primitives,
-with ``matmul`` and ``add_row`` defined here, and ``lstm_head_reference``
-puts the dense head on it, so they give first-order gradients without
-``nn.lstm_scan``'s numpy BPTT. Central differences of those gradients
-give the second order without ``nn.critic_input_grad_vjp``'s complex step.
+and ``lstm_head_reference`` puts the dense head on it, so they give
+first-order gradients without ``nn.lstm_vjp``'s numpy BPTT. The
+primitives that ``src/`` does not record (``add``, ``tanh``, ``reshape``,
+``transpose``, ``concat``, ``slice_``, ``matmul`` and ``add_row``) are
+defined here, on the tape's ``_record``. Central differences of those
+gradients give the second order without ``nn.critic_input_grad_vjp``'s
+complex step.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -52,11 +57,103 @@ def rel_err(a, b, floor: float = 1e-6) -> float:
 
 
 def acf_reference(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Direct transcription of the biased ACF estimator."""
-    x = np.asarray(x, dtype=np.float64)
-    c = x - x.mean()
+    """Direct transcription of the biased ACF estimator, pooled over the
+    rows of a 2-D x: one mean, and the lagged products of every row over
+    the squares of every row. A 1-D x is one row."""
+    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    c = rows - rows.mean()
     denom = float(np.sum(c * c))
-    return np.array([np.sum(c[: len(x) - k] * c[k:]) / denom for k in range(max_lag + 1)])
+    n = rows.shape[1]
+    return np.array([sum(float(np.sum(r[: n - k] * r[k:])) for r in c) / denom
+                     for k in range(max_lag + 1)])
+
+
+def add(a, b) -> Tensor:
+    a, b = T._as_tensor(a), T._as_tensor(b)
+    T._check_binary_shapes(a, b, "add")
+    return T._record(a.data + b.data, "add", (a, b), lambda out: (
+        (a, lambda g: T._unbroadcast(g, a)),
+        (b, lambda g: T._unbroadcast(g, b)),
+    ))
+
+
+def tanh(a) -> Tensor:
+    a = T._as_tensor(a)
+    return T._record(np.tanh(a.data), "tanh", (a,), lambda out: (
+        (a, lambda g: g * (1.0 - out.data * out.data)),
+    ))
+
+
+def reshape(x, shape: Sequence[int]) -> Tensor:
+    x = T._as_tensor(x)
+    shape = tuple(int(s) for s in shape)
+    n = int(np.prod(shape)) if shape else 1
+    if n != x.size:
+        raise ValueError(f"reshape: cannot view {x.shape} as {shape}")
+    if len(shape) > T.MAX_RANK:
+        raise ValueError(f"reshape: rank {len(shape)} exceeds max {T.MAX_RANK}")
+    old = x.shape
+    return T._record(x.data.reshape(shape), "reshape", (x,), lambda out: (
+        (x, lambda g: g.reshape(old)),
+    ))
+
+
+def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
+    x = T._as_tensor(x)
+    if axes is None:
+        axes = tuple(reversed(range(x.rank)))
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.rank)):
+        raise ValueError(f"transpose: {axes} is not a permutation of rank-{x.rank} axes")
+    inv = tuple(int(i) for i in np.argsort(axes))
+    return T._record(np.transpose(x.data, axes), "transpose", (x,), lambda out: (
+        (x, lambda g: np.transpose(g, inv)),
+    ))
+
+
+def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+    ts = [T._as_tensor(t) for t in tensors]
+    if not ts:
+        raise ValueError("concat: no tensors")
+    rank = ts[0].rank
+    if rank == 0 or not 0 <= axis < rank:
+        raise ValueError(f"concat: axis {axis} invalid for rank {rank}")
+    for t in ts[1:]:
+        if t.rank != rank:
+            raise ValueError("concat: rank mismatch")
+        for ax in range(rank):
+            if ax != axis and t.shape[ax] != ts[0].shape[ax]:
+                raise ValueError(f"concat: shapes {ts[0].shape} and {t.shape} disagree off-axis")
+    data = np.concatenate([t.data for t in ts], axis=axis)
+
+    def vjps(out):
+        entries = []
+        off = 0
+        for t in ts:
+            ext = t.shape[axis]
+            idx = tuple(slice(off, off + ext) if ax == axis else slice(None)
+                        for ax in range(rank))
+            entries.append((t, lambda g, idx=idx: g[idx]))
+            off += ext
+        return entries
+
+    return T._record(data, "concat", ts, vjps)
+
+
+def slice_(x, axis: int, start: int, stop: int) -> Tensor:
+    x = T._as_tensor(x)
+    if not 0 <= axis < x.rank:
+        raise ValueError(f"slice: axis {axis} invalid for rank {x.rank}")
+    if not 0 <= start < stop <= x.shape[axis]:
+        raise ValueError(f"slice: [{start}:{stop}] out of range for extent {x.shape[axis]}")
+    idx = tuple(slice(start, stop) if ax == axis else slice(None) for ax in range(x.rank))
+
+    def scatter(g: np.ndarray) -> np.ndarray:
+        full = np.zeros(x.shape)
+        full[idx] = g
+        return full
+
+    return T._record(x.data[idx], "slice", (x,), lambda out: ((x, scatter),))
 
 
 def matmul(a, b) -> Tensor:
@@ -103,23 +200,24 @@ def lstm_scan_reference(p, x: Tensor, steps: int) -> Tensor:
     ParamSet ``p``, composed of recorded primitives, the gates fused in
     column order [i | f | o | c~]."""
     u, batch = p["lstm.W_i"].shape[1], x.shape[0]
-    W = T.concat([p[f"lstm.W_{gate}"] for gate in "ifoc"], axis=1)
-    b = T.concat([p[f"lstm.b_{gate}"] for gate in "ifoc"], axis=0)
+    W = concat([p[f"lstm.W_{gate}"] for gate in "ifoc"], axis=1)
+    b = concat([p[f"lstm.b_{gate}"] for gate in "ifoc"], axis=0)
     h = c = Tensor(np.zeros((batch, u)), requires_grad=False, op="const")
     hs = []
     for t in range(steps):
-        x_t = x if x.rank == 2 else T.reshape(T.slice_(x, 1, t, t + 1), (batch, x.shape[2]))
-        z = add_row(matmul(T.concat([h, x_t], axis=1), W), b)
-        sig = T.sigmoid(T.slice_(z, 1, 0, 3 * u))
-        c_tilde = T.tanh(T.slice_(z, 1, 3 * u, 4 * u))
-        i_t, f_t, o_t = (T.slice_(sig, 1, k * u, (k + 1) * u) for k in range(3))
-        c = T.add(T.mul(f_t, c), T.mul(i_t, c_tilde))
-        h = T.mul(o_t, T.tanh(c))
+        x_t = x if x.rank == 2 else reshape(slice_(x, 1, t, t + 1), (batch, x.shape[2]))
+        z = add_row(matmul(concat([h, x_t], axis=1), W), b)
+        sig = T.sigmoid(slice_(z, 1, 0, 3 * u))
+        c_tilde = tanh(slice_(z, 1, 3 * u, 4 * u))
+        i_t, f_t, o_t = (slice_(sig, 1, k * u, (k + 1) * u) for k in range(3))
+        c = add(T.mul(f_t, c), T.mul(i_t, c_tilde))
+        h = T.mul(o_t, tanh(c))
         hs.append(h)
-    return T.concat(hs, axis=0)
+    return concat(hs, axis=0)
 
 
 def lstm_head_reference(p, x: Tensor, steps: int) -> Tensor:
-    """``nn.lstm_scan``'s head values h_t proj.W + proj.b [steps*batch, 1]:
+    """``nn.lstm_scan``'s head values h_t proj.W + proj.b [steps*batch, 1]
+    (step-major, as ``lstm_scan``'s [steps, batch] flattened):
     the dense head as recorded primitives on ``lstm_scan_reference``."""
     return add_row(matmul(lstm_scan_reference(p, x, steps), p["proj.W"]), p["proj.b"])

@@ -189,6 +189,46 @@ def saved_blob() -> bytes:
         return (Path(d) / "x.ckpt").read_bytes()
 
 
+class TestChecksum:
+    def test_flipped_payload_bit_fails_the_checksum(self, tmp_path):
+        # a float's low mantissa bit: the body still parses, to a finite value
+        blob = bytearray(saved_blob())
+        blob[blob.index(b"gen/lstm.W_i") + 12 + 8 + 16] ^= 0x01
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(path)
+
+    def test_version_1_without_the_trailer_still_loads(self, tmp_path):
+        blob = saved_blob()
+        assert blob[5:9] == (2).to_bytes(4, "little")
+        v1 = (blob[:5] + (1).to_bytes(4, "little") + blob[9:-4]).replace(
+            b'"format_version": 2', b'"format_version": 1')
+        (tmp_path / "v1.ckpt").write_bytes(v1)
+        (tmp_path / "v2.ckpt").write_bytes(blob)
+        old, new = (load_checkpoint(tmp_path / name) for name in ("v1.ckpt", "v2.ckpt"))
+        for a, b in ((old.generator, new.generator), (old.critic, new.critic)):
+            assert all(np.array_equal(a[k].data, b[k].data) for k in a.names())
+        assert (old.epoch, old.extra, old.scaler) == (new.epoch, new.extra, new.scaler)
+
+    def test_every_seventh_damaged_byte_or_cut_fails_to_load(self, tmp_path):
+        """Every 7th offset of the sweep: the file cut there, and its byte
+        XORed with 0x01, 0x20 and 0xFF. The full sweep, every offset of this
+        6,311-byte file (25,244 cases, 5.6 s), loads none; format version 1,
+        without the trailer, loaded 11,766 of 25,228 of its own."""
+        blob, path = saved_blob(), tmp_path / "x.ckpt"
+        for at in range(0, len(blob), 7):
+            cases = [blob[:at]]
+            for mask in (0x01, 0x20, 0xFF):
+                damaged = bytearray(blob)
+                damaged[at] ^= mask
+                cases.append(bytes(damaged))
+            for case in cases:
+                path.write_bytes(case)
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(path)
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_damaged_file_loads_whole_or_raises(tmp_path_factory, data):

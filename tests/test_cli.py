@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+import zlib
 from pathlib import Path
 from dataclasses import fields, replace
 
@@ -21,6 +22,7 @@ from tsforge.checkpoint import load_checkpoint, save_checkpoint
 from tsforge.cli import main, parse_config, write_config
 from tsforge.gan import TrainConfig, make_rng
 from tsforge.optim import OptimConfig
+from tsforge.plot import write_svg
 
 from conftest import build_price_csv
 
@@ -88,13 +90,15 @@ def every_field_changed() -> TrainConfig:
 
 
 def edit_checkpoint_meta(src, dest, edit):
-    """Copy a checkpoint with ``edit`` applied to its JSON metadata."""
-    blob = src.read_bytes()
+    """Copy a checkpoint with ``edit`` applied to its JSON metadata, and its
+    crc32 trailer recomputed, so only the edit is wrong with it."""
+    blob = src.read_bytes()[:-4]
     start = blob.rindex(b'{"arch"')   # keys are sorted, so "arch" opens the block
     meta = json.loads(blob[start:])
     edit(meta)
     edited = json.dumps(meta).encode()
-    dest.write_bytes(blob[:start - 8] + struct.pack("<Q", len(edited)) + edited)
+    body = blob[:start - 8] + struct.pack("<Q", len(edited)) + edited
+    dest.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     return dest
 
 
@@ -638,6 +642,38 @@ def command_csvs(btc_csv, tmp_path_factory) -> Path:
     for argv in _command_argvs(btc_csv, out):
         assert main(argv) == 0
     return out
+
+
+class TestAtomicWrites:
+    """Every artifact goes through ``atomic_write``: a write cut short (a
+    full disk, a kill) leaves the previous file byte-identical and no
+    temporary file beside it."""
+
+    WRITERS = {
+        "loss.csv": lambda path, tag: cli._write_csv(path, ["tag"], [tag]),
+        "loss.svg": lambda path, tag: write_svg(path, f"<svg><text>{tag}</text></svg>"),
+        "config.txt": lambda path, tag: write_config(TrainConfig(seed=len(tag)), path),
+    }
+
+    @pytest.mark.parametrize("name", list(WRITERS))
+    def test_a_write_cut_short_keeps_the_old_file(self, tmp_path, monkeypatch, name):
+        path, write = tmp_path / name, self.WRITERS[name]
+        write(path, "old")
+        old = path.read_bytes()
+        write_bytes = Path.write_bytes
+
+        def cut_short(self, data):
+            write_bytes(self, bytes(data)[:5])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", cut_short)
+        with pytest.raises(OSError, match="No space left"):
+            write(path, "newer")
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        write(path, "newer")
+        assert path.read_bytes() != old
 
 
 class TestCsvGoldens:

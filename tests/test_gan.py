@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from tsforge import gan, nn
-from tsforge import tensor as T
 from tsforge.data import fit_scale
 from tsforge.gan import (TrainConfig, TrainingDiverged, critic_loss_gan, critic_loss_wgan,
                          generator_loss_gan, generator_loss_wgan, gradient_penalty,
                          interpolate, lipschitz_ratio_check, make_rng,
                          mode_collapse_score, sample_noise, wasserstein_estimate)
-from tsforge.nn import ArchitectureSpec, critic_forward, init_params
+from tsforge.nn import ArchitectureSpec, critic_backward, critic_forward, init_params
 from tsforge.optim import OptimConfig
 from tsforge.tensor import Graph, Tensor
 
@@ -28,18 +27,16 @@ def small_dataset(n_windows=64, seq_len=6, seed=0, scale=0.02):
     return fit_scale(rng.standard_normal((n_windows, seq_len)) * scale)
 
 
-def unit_norm_critic(x: Tensor) -> Tensor:
-    """D(x) = sum(x)/sqrt(n) per sample: gradient norm exactly 1."""
-    batch, seq, feat = x.shape
-    n = seq * feat
-    s = T.reduce("sum", T.reduce("sum", x, axis=2), axis=1)
-    return T.mul(s, 1.0 / np.sqrt(n))
+def scores(*values) -> Tensor:
+    """A critic's scores as the tape leaf the losses take."""
+    return Tensor(np.array(values, dtype=np.float64))
 
 
-def constant_critic(x: Tensor) -> Tensor:
-    """Scores structurally depend on x but with exactly zero gradient."""
-    s = T.reduce("sum", T.reduce("sum", x, axis=2), axis=1)
-    return T.mul(s, 0.0)
+def score_halves(critic, real, fake) -> tuple[Tensor, Tensor]:
+    """The real and fake halves of one critic call on [real; fake], as
+    ``critic_gradients`` takes them."""
+    s = critic_forward(critic, np.concatenate([real, fake]))[0]
+    return Tensor(s[:len(real)]), Tensor(s[len(real):])
 
 
 class TestNoise:
@@ -174,8 +171,8 @@ class TestGradientPenalty:
             assert rel_err(analytic[name], fd, floor=1e-5) < 1e-3, name
 
     def test_inner_gradient_accumulates_no_weight_gradients(self, monkeypatch):
-        # T.grad(total, x_hat) wants x alone, so its BPTT skips dW and db; the
-        # complex-step pass and the outer backward of the real/fake call need them
+        # the penalty's input gradient wants x alone, so its BPTT skips dW and
+        # db; the complex-step pass and the [real; fake] BPTT need them
         weights = []
         scan_backward = nn._scan_backward
 
@@ -213,10 +210,8 @@ class TestPeakMemory:
         x = np.random.default_rng(2).normal(size=(256, 50, 1)) * 0.1
 
         def step():
-            with Graph() as g:
-                loss = T.reduce("mean", critic_forward(critic, Tensor(x, requires_grad=False)))
-            T.backward(g, loss, wrt=[critic[n] for n in critic])
-            g.clear()
+            _, saved = critic_forward(critic, x, keep=True)
+            critic_backward(x, saved, np.full(256, 1.0 / 256), weights=True)
 
         assert _peak_mb(step) <= 30.0
 
@@ -238,7 +233,7 @@ class TestCriticLoss:
         real = np.random.default_rng(1).normal(size=(4, 6, 1))
         fake = np.random.default_rng(2).normal(size=(4, 6, 1))
         with Graph():
-            loss, w = critic_loss_wgan(lambda x: critic_forward(critic, x), real, fake)
+            loss, w = critic_loss_wgan(*score_halves(critic, real, fake))
         gp, _ = gradient_penalty(critic, interpolate(real, fake, make_rng(0)), 10.0)
         assert (loss.item(), w) == (0.0, 0.0)
         assert loss.item() + gp == 10.0
@@ -249,8 +244,7 @@ class TestCriticLoss:
         real = np.random.default_rng(5).normal(size=(4, 6, 1))
         fake = np.random.default_rng(6).normal(size=(4, 6, 1))
         _, loss, w, gp = gan.critic_gradients(critic, real, fake, "wgan_gp", 0.0, rng)
-        fn = lambda x: critic_forward(critic, x)
-        s_real, s_fake = (fn(Tensor(x, requires_grad=False)).data for x in (real, fake))
+        s_real, s_fake = (critic_forward(critic, x)[0] for x in (real, fake))
         assert loss == pytest.approx(np.mean(s_fake) - np.mean(s_real))
         assert w == -loss and gp == 0.0
         assert rng.random() == make_rng(3).random()   # no interpolation draw
@@ -281,78 +275,71 @@ class TestCriticLoss:
 class TestGeneratorLoss:
     def test_constant_score_gives_negated_score(self):
         with Graph():
-            fake = Tensor(np.zeros((3, 6, 1)))
-            loss = generator_loss_wgan(lambda x: T.add(T.mul(unit_norm_critic(x), 0.0), 2.5),
-                                       fake)
+            loss = generator_loss_wgan(scores(2.5, 2.5, 2.5))
         assert loss.item() == pytest.approx(-2.5)
 
     def test_better_fakes_lower_loss(self):
         critic = init_params(SMALL, "critic", 10)
-        fn = lambda x: critic_forward(critic, x)
         rng = np.random.default_rng(11)
         # pick the higher-scoring of two batches; its loss must be lower
-        a = rng.normal(size=(4, 6, 1))
-        b = rng.normal(size=(4, 6, 1))
+        sa, sb = (critic_forward(critic, rng.normal(size=(4, 6, 1)))[0] for _ in range(2))
         with Graph():
-            la = generator_loss_wgan(fn, Tensor(a, requires_grad=False)).item()
+            la = generator_loss_wgan(Tensor(sa)).item()
         with Graph():
-            lb = generator_loss_wgan(fn, Tensor(b, requires_grad=False)).item()
-        sa = float(np.mean(fn(Tensor(a, requires_grad=False)).data))
-        sb = float(np.mean(fn(Tensor(b, requires_grad=False)).data))
-        assert (la < lb) == (sa > sb)
+            lb = generator_loss_wgan(Tensor(sb)).item()
+        assert (la < lb) == (float(np.mean(sa)) > float(np.mean(sb)))
 
-    def test_frozen_critic_gets_exact_zero_grads(self):
-        from tsforge.nn import generator_forward
+    def test_frozen_critic_gets_exact_zero_grads(self, monkeypatch):
+        # the generator step's critic BPTT runs without weights: it gives the
+        # fakes' gradient alone and leaves the critic's tensors as they were
         gen = init_params(SMALL, "generator", 12)
         critic = init_params(SMALL, "critic", 13)
+        before = {k: t.data.copy() for k, t in critic.items()}
         z = np.random.default_rng(14).standard_normal((2, SMALL.noise_len))
-        with Graph() as g:
-            fake = generator_forward(gen, Tensor(z, requires_grad=False))
-            loss = generator_loss_wgan(lambda x: critic_forward(critic, x), fake)
-            gm = T.backward(g, loss, wrt=[t for _, t in gen.items()])   # as train does
-        for _, t in critic.items():
-            assert np.all(gm[t] == 0.0)
-        assert any(np.any(gm[t] != 0.0) for _, t in gen.items())
+        seen, backward = [], gan.critic_backward
+
+        def recording(*args, weights):
+            grads, dx = backward(*args, weights=weights)
+            seen.append(grads)
+            return grads, dx
+
+        monkeypatch.setattr(gan, "critic_backward", recording)
+        grads, _ = gan.generator_gradients(gen, critic, z, "wgan_gp", False)
+        assert seen == [None]
+        assert sorted(grads) == sorted(gen.names())
+        assert any(np.any(g != 0.0) for g in grads.values())
+        for k, t in critic.items():
+            assert np.array_equal(t.data, before[k])
 
 
 class TestStandardGanLosses:
     def test_half_probability_analytic(self):
         # D == 0.5 -> d_loss = 2 log 2
         with Graph():
-            d_loss, w = critic_loss_gan(constant_critic, np.zeros((4, 6, 1)),
-                                        np.zeros((4, 6, 1)))
-            g_loss = generator_loss_gan(constant_critic, Tensor(np.zeros((4, 6, 1))))
+            d_loss, w = critic_loss_gan(scores(0, 0, 0, 0), scores(0, 0, 0, 0))
+            g_loss = generator_loss_gan(scores(0, 0, 0, 0))
         assert d_loss.item() == pytest.approx(2 * np.log(2.0))
         assert w == 0.0
         assert g_loss.item() == pytest.approx(np.log(0.5))
 
     def test_perfect_discriminator_loss_near_zero(self):
-        def sharp(x: Tensor) -> Tensor:
-            # big positive scores for positive-mean inputs, negative otherwise
-            s = T.reduce("mean", T.reduce("sum", x, axis=2), axis=1)
-            return T.mul(s, 1000.0)
-
-        real = np.ones((4, 6, 1))
-        fake = -np.ones((4, 6, 1))
+        # big positive scores for the real windows, big negative for the fakes
         with Graph():
-            d_loss, w = critic_loss_gan(sharp, real, fake)
+            d_loss, w = critic_loss_gan(scores(*[1000.0] * 4), scores(*[-1000.0] * 4))
         assert d_loss.item() == pytest.approx(0.0, abs=1e-4)
         assert w == pytest.approx(2000.0)
 
     def test_g_loss_decreases_as_fake_scores_rise(self):
         vals = []
         for score in (-1.0, 0.0, 1.0):
-            def biased(x: Tensor, s=score) -> Tensor:
-                return T.add(constant_critic(x), s)
             with Graph():
-                g_loss = generator_loss_gan(biased, Tensor(np.zeros((2, 6, 1))))
+                g_loss = generator_loss_gan(scores(score, score))
             vals.append(g_loss.item())
         assert vals[0] > vals[1] > vals[2]
 
     def test_nonsaturating_variant(self):
         with Graph():
-            g_loss = generator_loss_gan(constant_critic, Tensor(np.zeros((2, 6, 1))),
-                                        nonsaturating=True)
+            g_loss = generator_loss_gan(scores(0, 0), nonsaturating=True)
         assert g_loss.item() == pytest.approx(-np.log(0.5))
 
 
@@ -360,14 +347,14 @@ class TestWassersteinEstimate:
     def test_identical_batches_zero(self):
         critic = init_params(SMALL, "critic", 15)
         x = np.random.default_rng(16).normal(size=(4, 6, 1))
-        s_real, s_fake = (critic_forward(critic, Tensor(v, requires_grad=False))
-                          for v in (x, x.copy()))
+        s_real, s_fake = (Tensor(critic_forward(critic, v)[0]) for v in (x, x.copy()))
         assert wasserstein_estimate(s_real, s_fake) == 0.0
 
     def test_constant_critic_zero(self):
-        a = np.random.default_rng(17).normal(size=(4, 6, 1))
-        b = np.random.default_rng(18).normal(size=(4, 6, 1))
-        assert wasserstein_estimate(constant_critic(Tensor(a)), constant_critic(Tensor(b))) == 0.0
+        critic = input_blind_critic(17)
+        s_real, s_fake = (Tensor(critic_forward(critic, np.random.default_rng(seed).normal(
+            size=(4, 6, 1)))[0]) for seed in (17, 18))
+        assert wasserstein_estimate(s_real, s_fake) == 0.0
 
     def test_mean_difference(self):
         got = wasserstein_estimate(Tensor([1.0, 2.0, 6.0]), Tensor([-1.0, 1.0]))
@@ -381,12 +368,11 @@ class TestWassersteinEstimate:
 
     def test_log_loss_estimate_matches_separate_critic_calls(self):
         critic = init_params(SMALL, "critic", 19)
-        fn = lambda t: critic_forward(critic, t)
         real = np.random.default_rng(21).normal(size=(5, 6, 1))
         fake = np.random.default_rng(22).normal(size=(3, 6, 1))
         with Graph():
-            _, w = critic_loss_gan(fn, real, fake)
-        s_real, s_fake = (fn(Tensor(x, requires_grad=False)).data for x in (real, fake))
+            _, w = critic_loss_gan(*score_halves(critic, real, fake))
+        s_real, s_fake = (critic_forward(critic, x)[0] for x in (real, fake))
         assert w == pytest.approx(np.mean(s_real) - np.mean(s_fake), rel=1e-12, abs=1e-15)
 
 
@@ -394,28 +380,28 @@ class TestLipschitz:
     def test_constant_critic_ratio_zero(self):
         a = np.random.default_rng(22).normal(size=(1, 6, 1))
         b = np.random.default_rng(23).normal(size=(1, 6, 1))
-        assert lipschitz_ratio_check(constant_critic, a, b) == 0.0
+        assert lipschitz_ratio_check(input_blind_critic(22), a, b) == 0.0
 
     def test_unit_norm_critic_bounded_by_one(self):
         rng = np.random.default_rng(24)
+        critic = linear_lstm_critic(1.0)
         for _ in range(50):
             a = rng.normal(size=(1, 6, 1))
             b = rng.normal(size=(1, 6, 1))
-            assert lipschitz_ratio_check(unit_norm_critic, a, b) <= 1.0 + 1e-12
+            assert lipschitz_ratio_check(critic, a, b) <= 1.0 + 1e-12
 
     def test_identical_inputs_rejected(self):
         a = np.ones((1, 6, 1))
         with pytest.raises(ValueError):
-            lipschitz_ratio_check(constant_critic, a, a.copy())
+            lipschitz_ratio_check(input_blind_critic(1), a, a.copy())
 
     def test_stack_matches_pairwise(self):
         critic = init_params(SMALL, "critic", 25)
-        fn = lambda t: critic_forward(critic, t)
         rng = np.random.default_rng(26)
         a, b = rng.normal(size=(7, 6, 1)), rng.normal(size=(7, 6, 1))
-        stacked = lipschitz_ratio_check(fn, a, b)
+        stacked = lipschitz_ratio_check(critic, a, b)
         assert stacked.shape == (7,)
-        pairwise = [lipschitz_ratio_check(fn, a[k], b[k]) for k in range(7)]
+        pairwise = [lipschitz_ratio_check(critic, a[k], b[k]) for k in range(7)]
         np.testing.assert_allclose(stacked, np.concatenate(pairwise), rtol=1e-12, atol=0)
 
     def test_identical_pair_in_stack_rejected(self):
@@ -423,7 +409,7 @@ class TestLipschitz:
         a, b = rng.normal(size=(6, 6, 1)), rng.normal(size=(6, 6, 1))
         b[3] = a[3]
         with pytest.raises(ValueError, match="pair 3"):
-            lipschitz_ratio_check(constant_critic, a, b)
+            lipschitz_ratio_check(input_blind_critic(1), a, b)
 
 
 class TestModeCollapse:
@@ -476,9 +462,9 @@ class TestTrainLoop:
         count = [0]
         orig = gan.critic_forward
 
-        def counting(params, x):
+        def counting(*args, **kwargs):
             count[0] += 1
-            return orig(params, x)
+            return orig(*args, **kwargs)
 
         monkeypatch.setattr(gan, "critic_forward", counting)
         gan.train(self._cfg(epochs=2, loss_variant=variant, checkpoint_every=100),
@@ -487,9 +473,10 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
     def test_tape_length_does_not_depend_on_seq_len(self, monkeypatch, variant):
-        # every LSTM pass, the penalty's included, is one tape node, so a
-        # longer window records no more nodes in any graph; a wgan_gp critic
-        # step clears two, the penalty's and the Wasserstein term's
+        # a tape records only a loss head on the scores or the penalty head on
+        # the input gradient, so a longer window records no more nodes in any
+        # graph; a wgan_gp critic step clears two, the penalty's and the
+        # Wasserstein term's
         clear = Graph.clear
         cleared = []
 
@@ -509,9 +496,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
     def test_generator_step_runs_one_weight_bptt(self, monkeypatch, variant):
-        # the generator step's backward is taken with respect to the generator's
-        # parameters, so every critic weight edge is pruned: the critic's BPTT
-        # gives the input gradient alone, and only the generator's has weights
+        # the generator step calls the critic's BPTT without weights, for the
+        # fakes' gradient alone, and only the generator's has weights
         log = []
         scan_backward, rmsprop_step = nn._scan_backward, gan.rmsprop_step
 
@@ -630,16 +616,23 @@ class TestTrainLoop:
         self._assert_poisoned_gradient_aborts(monkeypatch, kind, 1e200)
 
     def _assert_poisoned_gradient_aborts(self, monkeypatch, kind, value):
-        import tsforge.gan as gan_mod
-        orig = gan_mod._param_grads
-
-        def poisoned(gmap, params):
-            grads = orig(gmap, params)
-            if params.kind == kind:
-                grads["lstm.W_f"] = np.full(grads["lstm.W_f"].shape, value)
+        # poison the weight gradients where the step takes them: the critic's
+        # BPTT with weights, or the generator's
+        def poison(grads):
+            grads["lstm.W_f"] = np.full(grads["lstm.W_f"].shape, value)
             return grads
 
-        monkeypatch.setattr(gan_mod, "_param_grads", poisoned)
+        if kind == "critic":
+            backward = gan.critic_backward
+
+            def poisoned(*args, weights):
+                grads, dx = backward(*args, weights=weights)
+                return (poison(grads) if weights else grads), dx
+
+            monkeypatch.setattr(gan, "critic_backward", poisoned)
+        else:
+            backward = gan.generator_backward
+            monkeypatch.setattr(gan, "generator_backward", lambda *args: poison(backward(*args)))
         cfg = self._cfg(epochs=3)
         seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
         gen0 = init_params(cfg.arch(), "generator", int(seeds[0]))

@@ -10,7 +10,8 @@ from tsforge import tensor as T
 from tsforge.nn import ArchitectureSpec, ParamSet
 from tsforge.tensor import Graph, Tensor
 
-from oracles import central_diff, lstm_cell_reference, lstm_head_reference, rel_err
+from oracles import (central_diff, lstm_cell_reference, lstm_head_reference, rel_err, reshape,
+                     tanh, transpose)
 
 SMALL = ArchitectureSpec(noise_len=3, seq_len=6, features=1, lstm_units=4)
 
@@ -155,12 +156,10 @@ class TestLstmCell:
             _cell(p, np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
 
 
-def lstm_seq(p, x: Tensor) -> Tensor:
+def lstm_seq(p, x: np.ndarray) -> np.ndarray:
     """Head values of the scan over the timesteps of x [batch, timesteps,
-    features], as [batch, timesteps]; x itself gets no gradient."""
-    batch, steps, _ = x.shape
-    heads = nn.lstm_scan(p, Tensor(x.data, requires_grad=False), steps)
-    return T.transpose(T.reshape(heads, (steps, batch)), (1, 0))
+    features], as [batch, timesteps]."""
+    return nn.lstm_scan(p, x, x.shape[1])[0].T
 
 
 def _head(p: ParamSet, h: np.ndarray) -> np.ndarray:
@@ -173,27 +172,26 @@ class TestLstmForward:
         rng = np.random.default_rng(31)
         p = _random_lstm(rng, 4, 2)
         x = rng.normal(size=(3, 1, 2))
-        seq = lstm_seq(p, Tensor(x))
+        seq = lstm_seq(p, x)
         h, _ = _cell(p, x[:, 0, :], np.zeros((3, 4)), np.zeros((3, 4)))
-        assert rel_err(seq.data[:, 0], _head(p, h)) <= 1e-12
+        assert rel_err(seq[:, 0], _head(p, h)) <= 1e-12
 
     def test_three_steps_match_manual_unroll(self):
         rng = np.random.default_rng(32)
         p = _random_lstm(rng, 4, 2)
         x = rng.normal(size=(2, 3, 2))
-        seq = lstm_seq(p, Tensor(x))
+        seq = lstm_seq(p, x)
         h = np.zeros((2, 4))
         c = np.zeros((2, 4))
         for t in range(3):
             h, c = lstm_cell_reference(*(p[name].data for name in GATES), x[:, t, :], h, c)
-            assert rel_err(seq.data[:, t], _head(p, h)) <= 1e-10
+            assert rel_err(seq[:, t], _head(p, h)) <= 1e-10
 
     def test_zero_weights_zero_hidden(self):
         # every h is exactly 0, so every head value is exactly proj.b
         p = _lstm(3, 1, W=np.ones((3, 1)), b=np.array([0.5]))
-        x = np.ones((2, 5, 1))
-        out = lstm_seq(p, Tensor(x))
-        np.testing.assert_array_equal(out.data, np.full((2, 5), 0.5))
+        out = lstm_seq(p, np.ones((2, 5, 1)))
+        np.testing.assert_array_equal(out, np.full((2, 5), 0.5))
 
     def test_gradients_through_time(self):
         rng = np.random.default_rng(33)
@@ -203,9 +201,8 @@ class TestLstmForward:
         # unequal weights per sample and step; proj.W weighs the units unequally,
         # so swapped gate columns change the gradient
         w = rng.normal(size=(2, steps))
-        with Graph() as g:
-            out = lstm_seq(p, Tensor(x0, requires_grad=False))
-            gm = T.backward(g, T.reduce("sum", T.mul(out, Tensor(w))))
+        _, saved = nn.lstm_scan(p, x0, steps, keep=True)
+        grads, _ = nn.lstm_vjp(x0, saved, w.T.copy(), weights=True)
 
         for name in PARAMS:
             param = p[name]
@@ -213,11 +210,11 @@ class TestLstmForward:
 
             def f(wv):
                 param.data[...] = wv
-                out = lstm_seq(p, Tensor(x0, requires_grad=False))
+                out = lstm_seq(p, x0)
                 param.data[...] = W0
-                return float((out.data * w).sum())
+                return float((out * w).sum())
 
-            assert rel_err(gm[param], central_diff(f, W0.copy())) < 1e-4, name
+            assert rel_err(grads[name], central_diff(f, W0.copy())) < 1e-4, name
 
 
 # input shape of a critic window [batch, steps, features] and of generator
@@ -238,25 +235,33 @@ def _scan_case(kind: str, seed: int, scale: float = 1.0):
     for name in GATES:
         p[name].data[...] *= scale
     x = rng.normal(size=SCAN_INPUTS[kind])
-    w = rng.normal(size=(7 * 6, 1))   # unequal weights per step and sample
+    w = rng.normal(size=(7, 6))   # unequal weights per step and sample
     return p, x, w
 
 
-def _weighted_scan_grads(scan, p, x0, w):
+def _scan_grads(p, x0, w):
+    """The head values [7, 6] and the gradients of sum(heads * w) with respect
+    to x and p's ten tensors, from ``nn.lstm_vjp``."""
+    heads, saved = nn.lstm_scan(p, x0, 7, keep=True)
+    grads, dx = nn.lstm_vjp(x0, saved, w, weights=True)
+    return heads, [dx] + [grads[n] for n in PARAMS]
+
+
+def _reference_scan_grads(p, x0, w):
+    """The same through the primitive composition, on the tape."""
     x = Tensor(x0.copy())
     with Graph() as g:
-        heads = scan(p, x, 7)
-        loss = T.reduce("sum", T.mul(heads, Tensor(w, requires_grad=False)))
+        heads = lstm_head_reference(p, x, 7)
+        loss = T.reduce("sum", T.mul(heads, Tensor(w.reshape(-1, 1), requires_grad=False)))
     gm = T.backward(g, loss)
-    return heads.data, [gm[x]] + [gm[p[n]] for n in PARAMS]
+    return heads.data.reshape(7, -1), [gm[x]] + [gm[p[n]] for n in PARAMS]
 
 
-def _time_mean_total(scan, p, x: Tensor) -> tuple[Graph, Tensor]:
-    """S = the head values summed over the batch and averaged over the 7
-    steps, as the critic's summed scores are, on a graph of its own."""
-    with Graph() as g:
-        s = T.mul(T.reduce("sum", scan(p, x, 7)), 1.0 / 7)
-    return g, s
+def _input_grad(p, x0) -> np.ndarray:
+    """grad_x S, S = the head values summed over the batch and averaged over
+    the 7 steps, as the critic's summed scores are: the BPTT without weights."""
+    _, saved = nn.lstm_scan(p, x0, 7, keep=True)
+    return nn.lstm_vjp(x0, saved, np.full((7, x0.shape[0]), 1.0 / 7), weights=False)[1]
 
 
 def _input_grad_grads(p, x0, v) -> dict[str, np.ndarray]:
@@ -272,7 +277,9 @@ def _input_grad_grads(p, x0, v) -> dict[str, np.ndarray]:
 
 def _reference_param_grads(p, x0) -> dict[str, np.ndarray]:
     """grad S with respect to p's ten tensors, through the primitive composition."""
-    g, s = _time_mean_total(lstm_head_reference, p, Tensor(x0, requires_grad=False))
+    with Graph() as g:
+        heads = lstm_head_reference(p, Tensor(x0, requires_grad=False), 7)
+        s = T.mul(T.reduce("sum", heads), 1.0 / 7)
     gm = T.backward(g, s)
     return {name: gm[p[name]] for name in PARAMS}
 
@@ -281,23 +288,23 @@ class TestLstmScan:
     @SCALED_INPUTS
     def test_matches_primitive_composition(self, kind, scale):
         p, x0, w = _scan_case(kind, 41, scale)
-        heads, grads = _weighted_scan_grads(nn.lstm_scan, p, x0, w)
-        ref_heads, ref_grads = _weighted_scan_grads(lstm_head_reference, p, x0, w)
-        assert heads.shape == ref_heads.shape == (7 * 6, 1)
+        heads, grads = _scan_grads(p, x0, w)
+        ref_heads, ref_grads = _reference_scan_grads(p, x0, w)
+        assert heads.shape == ref_heads.shape == (7, 6)
         assert rel_err(heads, ref_heads) <= 1e-12
         for name, got, want in zip(("x",) + PARAMS, grads, ref_grads):
             assert got.shape == want.shape, name
             assert rel_err(got, want) <= 1e-12, name
-        outside = nn.lstm_scan(p, Tensor(x0, requires_grad=False), 7)
-        assert np.array_equal(outside.data, heads)
+        outside, saved = nn.lstm_scan(p, x0, 7)
+        assert np.array_equal(outside, heads) and saved is None
 
     @SCALED_INPUTS
     def test_gradients_vs_finite_differences(self, kind, scale):
         p, x0, w = _scan_case(kind, 42, scale)
-        _, grads = _weighted_scan_grads(nn.lstm_scan, p, x0, w)
+        _, grads = _scan_grads(p, x0, w)
 
         def f_x(xv):
-            return float((nn.lstm_scan(p, Tensor(xv), 7).data * w).sum())
+            return float((nn.lstm_scan(p, xv, 7)[0] * w).sum())
 
         assert rel_err(grads[0], central_diff(f_x, x0.copy())) < 1e-4
         for name, analytic in zip(PARAMS, grads[1:]):
@@ -311,6 +318,14 @@ class TestLstmScan:
                 return val
 
             assert rel_err(analytic, central_diff(f, W0.copy())) < 1e-4, name
+
+    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
+    def test_bptt_without_weights_gives_the_same_input_gradient(self, kind):
+        p, x0, w = _scan_case(kind, 43)
+        _, saved = nn.lstm_scan(p, x0, 7, keep=True)
+        grads, dx = nn.lstm_vjp(x0, saved, w, weights=False)
+        assert grads is None
+        assert np.array_equal(dx, nn.lstm_vjp(x0, saved, w, weights=True)[1])
 
     @SCALED_INPUTS
     def test_second_order_matches_primitive_composition(self, kind, scale):
@@ -333,19 +348,14 @@ class TestLstmScan:
         v = np.random.default_rng(48).normal(size=x0.shape)
         got = _input_grad_grads(p, x0, v)
 
-        def f() -> float:
-            """<v, grad_x S> from the first-order BPTT alone."""
-            x = Tensor(x0)
-            g, s = _time_mean_total(nn.lstm_scan, p, x)
-            return float((T.backward(g, s)[x] * v).sum())
-
         for name in PARAMS[:-1]:             # the gates and proj.W
             param = p[name]
             W0 = param.data.copy()
 
             def f_param(wv):
+                """<v, grad_x S> from the first-order BPTT alone."""
                 param.data[...] = wv
-                val = f()
+                val = float((_input_grad(p, x0) * v).sum())
                 param.data[...] = W0
                 return val
 
@@ -357,14 +367,14 @@ class TestLstmScan:
         assert all(not np.any(g) for g in got.values())
 
     def test_each_backward_pass_runs_its_own_bptt(self):
+        # the saved set is read, never written, so it serves any number of
+        # BPTT calls, each for its own upstream
         p, x0, w = _scan_case("window", 50)
-        x = Tensor(x0)
-        with Graph() as g:
-            heads = nn.lstm_scan(p, x, 7)
-            a = T.reduce("sum", T.mul(heads, Tensor(w, requires_grad=False)))
-            b = T.reduce("sum", T.mul(heads, Tensor(-2.0 * w, requires_grad=False)))
-        ga, gb = T.backward(g, a)[x], T.backward(g, b)[x]
+        _, saved = nn.lstm_scan(p, x0, 7, keep=True)
+        ga = nn.lstm_vjp(x0, saved, w, weights=True)[1]
+        gb = nn.lstm_vjp(x0, saved, -2.0 * w, weights=True)[1]
         np.testing.assert_allclose(gb, -2.0 * ga, rtol=1e-12)
+        assert np.array_equal(nn.lstm_vjp(x0, saved, w, weights=True)[1], ga)
 
     def test_every_step_calls_the_module_cell_step(self, monkeypatch):
         # benchmarks/spans.py counts LSTM steps by rebinding nn.lstm_cell_step
@@ -372,7 +382,7 @@ class TestLstmScan:
         calls = []
         step = nn.lstm_cell_step
         monkeypatch.setattr(nn, "lstm_cell_step", lambda *args: calls.append(1) or step(*args))
-        nn.lstm_scan(p, Tensor(x0), 7)
+        nn.lstm_scan(p, x0, 7)
         assert len(calls) == 7
         nn.critic_input_grad_vjp(p, x0, np.ones(x0.shape))      # one complex-step pass
         assert len(calls) == 14
@@ -386,18 +396,18 @@ class TestLstmScan:
         step = nn.lstm_cell_step
         monkeypatch.setattr(nn, "lstm_cell_step",
                             lambda *args: rows.append(args[2].shape[0]) or step(*args))
-        nn.lstm_scan(p, Tensor(x0, requires_grad=False), 7)
+        nn.lstm_scan(p, x0, 7)
         units, features = 5, x0.shape[-1]
         assert rows == [units if kind == "noise" else units + features] * 7
 
     def test_shape_mismatch(self):
         p, x0, _ = _scan_case("window", 44)
         with pytest.raises(ValueError):
-            nn.lstm_scan(p, Tensor(x0), 6)
+            nn.lstm_scan(p, x0, 6)
         with pytest.raises(ValueError):
-            nn.lstm_scan(p, Tensor(x0[:, :, :2]), 7)
+            nn.lstm_scan(p, x0[:, :, :2], 7)
         with pytest.raises(ValueError):
-            nn.lstm_scan(p, Tensor(x0[:, 0]), 0)
+            nn.lstm_scan(p, x0[:, 0], 0)
 
 
 class TestGenerator:
@@ -405,28 +415,28 @@ class TestGenerator:
         spec = ArchitectureSpec(noise_len=25, seq_len=50, features=1, lstm_units=50)
         gen = nn.init_params(spec, "generator", 42)
         z = np.random.default_rng(0).standard_normal((32, 25))
-        out = nn.generator_forward(gen, Tensor(z, requires_grad=False))
-        assert out.shape == (32, 50, 1)
-        assert np.all(out.data > -1.0) and np.all(out.data < 1.0)
+        out, saved = nn.generator_forward(gen, z)
+        assert out.shape == (32, 50, 1) and saved is None
+        assert np.all(out > -1.0) and np.all(out < 1.0)
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_shape_contract_any_batch(self, batch):
         gen = nn.init_params(SMALL, "generator", 3)
         z = np.random.default_rng(batch).standard_normal((batch, SMALL.noise_len))
-        out = nn.generator_forward(gen, Tensor(z, requires_grad=False))
+        out, _ = nn.generator_forward(gen, z)
         assert out.shape == (batch, SMALL.seq_len, 1)
 
     def test_deterministic(self):
         gen = nn.init_params(SMALL, "generator", 4)
         z = np.random.default_rng(9).standard_normal((3, SMALL.noise_len))
-        a = nn.generator_forward(gen, Tensor(z, requires_grad=False)).data
-        b = nn.generator_forward(gen, Tensor(z, requires_grad=False)).data
+        a = nn.generator_forward(gen, z)[0]
+        b = nn.generator_forward(gen, z, keep=True)[0]
         assert np.array_equal(a, b)
 
     def test_bad_noise_shape(self):
         gen = nn.init_params(SMALL, "generator", 4)
         with pytest.raises(ValueError):
-            nn.generator_forward(gen, Tensor(np.zeros((2, 7))))
+            nn.generator_forward(gen, np.zeros((2, 7)))
 
 
 class TestCritic:
@@ -434,16 +444,15 @@ class TestCritic:
         spec = ArchitectureSpec(noise_len=25, seq_len=50, features=1, lstm_units=50)
         critic = nn.init_params(spec, "critic", 8)
         x = np.random.default_rng(1).standard_normal((32, 50, 1)) * 0.1
-        out = nn.critic_forward(critic, Tensor(x, requires_grad=False))
-        assert out.shape == (32,)
+        out, saved = nn.critic_forward(critic, x)
+        assert out.shape == (32,) and saved is None
 
     def test_zero_parameters_zero_scores(self):
         critic = nn.init_params(SMALL, "critic", 0)
         for k in critic.names():
             critic[k].data[...] = 0.0
         x = np.random.default_rng(2).standard_normal((4, SMALL.seq_len, 1))
-        out = nn.critic_forward(critic, Tensor(x, requires_grad=False))
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        np.testing.assert_array_equal(nn.critic_forward(critic, x)[0], np.zeros(4))
 
     def test_scores_unbounded_smoke(self):
         # random params/inputs eventually score outside [0, 1]
@@ -455,7 +464,7 @@ class TestCritic:
                 if k.startswith("lstm.W") or k == "proj.W":
                     critic[k].data *= 4.0
             x = rng.standard_normal((8, SMALL.seq_len, 1))
-            s = nn.critic_forward(critic, Tensor(x, requires_grad=False)).data
+            s = nn.critic_forward(critic, x)[0]
             if np.any((s < 0.0) | (s > 1.0)):
                 found = True
                 break
@@ -464,9 +473,124 @@ class TestCritic:
     def test_bad_input_rank(self):
         critic = nn.init_params(SMALL, "critic", 8)
         with pytest.raises(ValueError):
-            nn.critic_forward(critic, Tensor(np.zeros((4, 6))))
+            nn.critic_forward(critic, np.zeros((4, 6)))
         with pytest.raises(ValueError):
-            nn.critic_forward(critic, Tensor(np.zeros((2, 0, 1))))
+            nn.critic_forward(critic, np.zeros((2, 0, 1)))
+
+
+def _scaled(kind: str, seed: int, scale: float) -> ParamSet:
+    """SMALL's network of ``kind`` with its gate weights and proj.W times ``scale``."""
+    p = nn.init_params(SMALL, kind, seed)
+    for name in p.names():
+        if name.startswith("lstm.W") or name == "proj.W":
+            p[name].data[...] *= scale
+    return p
+
+
+def _reference_critic_scores(d: ParamSet, x: Tensor) -> Tensor:
+    """The critic's scores [batch] on the tape: the time mean of the primitive
+    composition's head values."""
+    batch, steps, _ = x.shape
+    heads = reshape(lstm_head_reference(d, x, steps), (steps, batch))
+    return T.reduce("mean", heads, axis=0)
+
+
+def _reference_generator(g: ParamSet, z: Tensor) -> Tensor:
+    """The generator's windows [batch, seq_len, 1] on the tape."""
+    steps, batch = g.arch.seq_len, z.shape[0]
+    y = reshape(tanh(lstm_head_reference(g, z, steps)), (steps, batch, 1))
+    return transpose(y, (1, 0, 2))
+
+
+def _param_fd(p: ParamSet, f) -> dict[str, np.ndarray]:
+    """Central differences of the scalar f() with respect to each of p's tensors."""
+    out = {}
+    for name in p.names():
+        param = p[name]
+        w0 = param.data.copy()
+
+        def f_param(wv):
+            param.data[...] = wv
+            val = f()
+            param.data[...] = w0
+            return val
+
+        out[name] = central_diff(f_param, w0.copy())
+    return out
+
+
+SCALES = pytest.mark.parametrize("scale", [1.0, 4.0], ids=["x1", "x4"])
+
+
+class TestNetworkBackward:
+    """``critic_backward`` and ``generator_backward`` against the tape oracle
+    and central differences, for a weighted sum of the network's outputs.
+
+    Against the oracle, entries under 1e-5 compare absolutely: at weights x4
+    one generator entry near-cancels to 1.0e-6 from per-step terms of about
+    1e-1, and the two summation orders differ there by 2.8e-18, 2.8e-12 of
+    the entry itself."""
+
+    @SCALES
+    def test_critic_backward_matches_tape_oracle(self, scale):
+        critic = _scaled("critic", 61, scale)
+        rng = np.random.default_rng(62)
+        x0, ds = rng.normal(size=(5, SMALL.seq_len, 1)), rng.normal(size=5)
+        scores, saved = nn.critic_forward(critic, x0, keep=True)
+        grads, dx = nn.critic_backward(x0, saved, ds, weights=True)
+        x = Tensor(x0.copy())
+        with Graph() as g:
+            ref = _reference_critic_scores(critic, x)
+            loss = T.reduce("sum", T.mul(ref, Tensor(ds, requires_grad=False)))
+        gm = T.backward(g, loss)
+        assert rel_err(scores, ref.data) <= 1e-12
+        assert rel_err(dx, gm[x]) <= 1e-12
+        assert sorted(grads) == sorted(critic.names())
+        for name, t in critic.items():
+            assert rel_err(grads[name], gm[t], floor=1e-5) <= 1e-12, name
+        assert nn.critic_backward(x0, saved, ds, weights=False)[0] is None
+
+    @SCALES
+    def test_critic_backward_vs_finite_differences(self, scale):
+        critic = _scaled("critic", 63, scale)
+        rng = np.random.default_rng(64)
+        x0, ds = rng.normal(size=(3, SMALL.seq_len, 1)), rng.normal(size=3)
+        _, saved = nn.critic_forward(critic, x0, keep=True)
+        grads, dx = nn.critic_backward(x0, saved, ds, weights=True)
+
+        def f(x=x0) -> float:
+            return float(nn.critic_forward(critic, x)[0] @ ds)
+
+        assert rel_err(dx, central_diff(f, x0.copy())) < 1e-4
+        for name, fd in _param_fd(critic, f).items():
+            assert rel_err(grads[name], fd) < 1e-4, name
+
+    @SCALES
+    def test_generator_backward_matches_tape_oracle(self, scale):
+        gen = _scaled("generator", 65, scale)
+        rng = np.random.default_rng(66)
+        z, dy = rng.normal(size=(5, SMALL.noise_len)), rng.normal(size=(5, SMALL.seq_len, 1))
+        y, saved = nn.generator_forward(gen, z, keep=True)
+        grads = nn.generator_backward(z, saved, dy)
+        with Graph() as g:
+            ref = _reference_generator(gen, Tensor(z, requires_grad=False))
+            loss = T.reduce("sum", T.mul(ref, Tensor(dy, requires_grad=False)))
+        gm = T.backward(g, loss)
+        assert rel_err(y, ref.data) <= 1e-12
+        assert sorted(grads) == sorted(gen.names())
+        for name, t in gen.items():
+            assert rel_err(grads[name], gm[t], floor=1e-5) <= 1e-12, name
+
+    @SCALES
+    def test_generator_backward_vs_finite_differences(self, scale):
+        gen = _scaled("generator", 67, scale)
+        rng = np.random.default_rng(68)
+        z, dy = rng.normal(size=(3, SMALL.noise_len)), rng.normal(size=(3, SMALL.seq_len, 1))
+        _, saved = nn.generator_forward(gen, z, keep=True)
+        grads = nn.generator_backward(z, saved, dy)
+        fd = _param_fd(gen, lambda: float((nn.generator_forward(gen, z)[0] * dy).sum()))
+        for name in gen.names():
+            assert rel_err(grads[name], fd[name]) < 1e-4, name
 
 
 class TestEndToEnd:
@@ -478,14 +602,13 @@ class TestEndToEnd:
         z0 = np.random.default_rng(13).standard_normal((2, SMALL.noise_len))
 
         def loss_value() -> float:
-            fake = nn.generator_forward(gen, Tensor(z0, requires_grad=False))
-            return float(np.mean(nn.critic_forward(critic, fake).data))
+            return float(np.mean(nn.critic_forward(critic, nn.generator_forward(gen, z0)[0])[0]))
 
-        with Graph() as g:
-            fake = nn.generator_forward(gen, Tensor(z0, requires_grad=False))
-            loss = T.reduce("mean", nn.critic_forward(critic, fake))
-            gm = T.backward(g, loss, wrt=[t for _, t in gen.items()])   # as gan.train does
-            analytic = {k: gm[t].copy() for k, t in gen.items()}
+        # as gan.generator_gradients does: the critic's BPTT without weights
+        fake, gen_saved = nn.generator_forward(gen, z0, keep=True)
+        _, critic_saved = nn.critic_forward(critic, fake, keep=True)
+        _, dx = nn.critic_backward(fake, critic_saved, np.full(2, 0.5), weights=False)
+        analytic = nn.generator_backward(z0, gen_saved, dx)
 
         vec0 = _flatten_params(gen)
 
@@ -500,16 +623,17 @@ class TestEndToEnd:
         assert rel_err(flat_analytic, fd) < 1e-4
 
     def test_frozen_network_params_unchanged_and_zero_grads(self):
-        # a backward with respect to the generator's parameters holds the critic fixed
+        # the generator step's critic BPTT takes no weight gradient, and it
+        # leaves the critic's tensors as they were
         gen = nn.init_params(SMALL, "generator", 21)
         critic = nn.init_params(SMALL, "critic", 22)
         z0 = np.random.default_rng(23).standard_normal((2, SMALL.noise_len))
         before = {k: critic[k].data.copy() for k in critic.names()}
-        with Graph() as g:
-            fake = nn.generator_forward(gen, Tensor(z0, requires_grad=False))
-            loss = T.negate(T.reduce("mean", nn.critic_forward(critic, fake)))
-            gm = T.backward(g, loss, wrt=[t for _, t in gen.items()])
+        fake, gen_saved = nn.generator_forward(gen, z0, keep=True)
+        _, critic_saved = nn.critic_forward(critic, fake, keep=True)
+        critic_grads, dx = nn.critic_backward(fake, critic_saved, np.full(2, -0.5), weights=False)
+        grads = nn.generator_backward(z0, gen_saved, dx)
+        assert critic_grads is None
         for k, t in critic.items():
             assert np.array_equal(t.data, before[k])
-            assert np.all(gm[t] == 0.0)
-        assert any(np.any(gm[t] != 0.0) for _, t in gen.items())
+        assert any(np.any(g != 0.0) for g in grads.values())

@@ -124,16 +124,32 @@ class TestAcf:
         b = stats.acf(2.5 * x - 7.0, 20).values
         np.testing.assert_allclose(a, b, atol=1e-9)
 
-    def test_window_rows_average_the_per_row_acf(self):
-        # bit for bit, and a series is one row of itself
+    def test_window_rows_pool_one_mean_and_one_denominator(self):
+        # a series is one row of itself, bit for bit
         rows = np.random.Generator(np.random.Philox(27)).standard_normal((7, 30))
         rep = stats.acf(rows, 12)
-        per_row = np.mean([stats.acf(w, 12).values for w in rows], axis=0)
-        assert rep.values.tobytes() == per_row.tobytes()
-        assert rep.band == stats.acf(rows[0], 12).band == 1.96 / np.sqrt(30)
+        np.testing.assert_allclose(rep.values, acf_reference(rows, 12), rtol=1e-12)
+        assert rep.band == 1.96 / np.sqrt(7 * 30)
         assert stats.acf(rows[:1], 12).values.tobytes() == stats.acf(rows[0], 12).values.tobytes()
         with pytest.raises(StatsError, match="got 3 dimensions"):
             stats.acf(rows[:, :, None], 5)
+
+    @pytest.mark.parametrize("phi", [0.3, 0.5])
+    def test_ar1_lag_one_near_phi_in_windows_of_16(self, phi):
+        # 2,000 rows of 16 from one AR(1) path: the pooled lag-1 ACF is
+        # phi (L - 1) / L, within about 0.006 (one standard error), so within
+        # 0.05 of phi. Each row's own mean would pull it down by about
+        # (1 + phi) / L more: 0.317 at phi = 0.5, measured.
+        rng = np.random.Generator(np.random.Philox(31))
+        e = rng.standard_normal(16 * 2000)
+        x = np.empty_like(e)
+        x[0] = e[0]
+        for t in range(1, e.size):
+            x[t] = phi * x[t - 1] + e[t]
+        rows = x.reshape(-1, 16)
+        assert abs(stats.acf(rows, 3).values[1] - phi) < 0.05
+        per_row = np.mean([acf_reference(r, 1)[1] for r in rows])
+        assert abs(per_row - phi) > 0.08
 
 
 class TestAcfAbsolute:
@@ -346,35 +362,51 @@ class TestCompare:
         assert len(rep.acf_synthetic.values) == 20  # capped at window length - 1 + 1
 
     def test_four_acfs_share_one_lag(self, btc_prices):
-        # short synthetic windows cap every ACF, and the real ones keep their
-        # bits: each lag's sum does not depend on the largest lag asked for
+        # short synthetic windows cap every ACF, and the real series is cut
+        # into rows of their length; each lag's sum does not depend on the
+        # largest lag asked for
         from tsforge.data import log_returns
         r = log_returns(btc_prices)
         windows = np.random.Generator(np.random.Philox(26)).standard_normal((16, 20)) * 0.02
         rep = stats.compare_distributions(r, windows, max_lag=50)
         for got in (rep.acf_real, rep.acf_synthetic, rep.acf_abs_real, rep.acf_abs_synthetic):
             np.testing.assert_array_equal(got.lags, np.arange(20))
-        assert rep.acf_real.values.tobytes() == stats.acf(r, 50).values[:20].tobytes()
+        real_rows = r[: r.size // 20 * 20].reshape(-1, 20)
+        assert rep.acf_real.values.tobytes() == stats.acf(real_rows, 19).values.tobytes()
         assert (rep.acf_abs_real.values.tobytes()
-                == stats.acf(np.abs(r), 50).values[:20].tobytes())
-        assert rep.acf_real.band == stats.acf(r, 50).band
+                == stats.acf(np.abs(real_rows), 19).values.tobytes())
+        assert rep.acf_real.band == 1.96 / np.sqrt(r.size // 20 * 20)
         short = stats.compare_distributions(windows, r, max_lag=50)   # either side caps
         assert len(short.acf_real.values) == len(short.acf_synthetic.values) == 20
 
-    def test_batched_acf_averaging(self):
+    def test_batched_acf_pooling(self):
         rng = np.random.Generator(np.random.Philox(25))
         windows = rng.standard_normal((30, 40))
         rep = stats.compare_distributions(rng.standard_normal(500), windows, max_lag=10)
-        manual = np.mean([acf_reference(w, 10) for w in windows], axis=0)
-        np.testing.assert_allclose(rep.acf_synthetic.values, manual, rtol=1e-12)
-        # bit for bit the mean of per-row acf, also over the strided rows of an
-        # F-ordered batch (the layout gan.generate returns)
+        np.testing.assert_allclose(rep.acf_synthetic.values, acf_reference(windows, 10),
+                                   rtol=1e-12)
+        # bit for bit the same over the strided rows of an F-ordered batch
+        # (the layout gan.generate returns)
         for batch in (windows, np.asfortranarray(windows)):
             rep = stats.compare_distributions(rng.standard_normal(500), batch, max_lag=10)
             for got, absolute in ((rep.acf_synthetic, False), (rep.acf_abs_synthetic, True)):
-                rows = np.abs(batch) if absolute else batch
-                per_row = np.mean([stats.acf(w, 10).values for w in rows], axis=0)
-                assert got.values.tobytes() == per_row.tobytes()
+                rows = np.abs(windows) if absolute else windows
+                assert got.values.tobytes() == stats.acf(rows, 10).values.tobytes()
+
+    @pytest.mark.parametrize("length", [16, 50])
+    def test_the_data_own_windows_reproduce_the_real_columns(self, btc_prices, length):
+        # a generator that returns the data's own windows (every 7th start)
+        # scores the data's ACFs within 0.04 at lags 1-5 (measured worst:
+        # 0.029, |r| at lag 3 and L = 16), where each window's own mean put
+        # the |r| columns about 0.1 apart
+        from tsforge.data import log_returns
+        r = log_returns(btc_prices)
+        starts = range(0, r.size - length + 1, 7)
+        windows = np.stack([r[s:s + length] for s in starts])
+        rep = stats.compare_distributions(r, windows, max_lag=5)
+        np.testing.assert_allclose(rep.acf_synthetic.values, rep.acf_real.values, atol=0.04)
+        np.testing.assert_allclose(rep.acf_abs_synthetic.values, rep.acf_abs_real.values,
+                                   atol=0.04)
 
     def test_empty_rejected(self):
         with pytest.raises(StatsError):

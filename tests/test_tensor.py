@@ -1,6 +1,9 @@
 """Autodiff engine: forward values and first-order backward rules."""
 
+import ast
+import inspect
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 from tsforge import tensor as T
 from tsforge.tensor import Graph, Tensor
 
-from oracles import add_row, central_diff, matmul, rel_err
+from oracles import (add, add_row, central_diff, concat, matmul, rel_err, reshape, slice_,
+                     tanh, transpose)
 
 
 def scalar_backward(build, x: np.ndarray) -> np.ndarray:
@@ -23,6 +27,24 @@ def scalar_backward(build, x: np.ndarray) -> np.ndarray:
 
 def vec(*values) -> Tensor:
     return Tensor(np.array(values, dtype=np.float64))
+
+
+def test_every_public_function_has_a_caller_in_src():
+    """``tsforge.tensor`` holds only what ``src/`` records or runs; the
+    primitives that only the tests record live in ``tests/oracles.py``."""
+    used = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "T"):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "tensor":
+                used.update(alias.name for alias in node.names)
+    public = {name for name, f in vars(T).items() if inspect.isfunction(f)
+              and f.__module__ == T.__name__ and not name.startswith("_")}
+    assert public and sorted(public - used) == []
 
 
 class TestConstruction:
@@ -47,7 +69,7 @@ class TestConstruction:
 
 class TestElementwise:
     def test_add(self):
-        out = T.add(vec(1, 2), vec(3, 4))
+        out = add(vec(1, 2), vec(3, 4))
         np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
     def test_mul_by_zero_scalar(self):
@@ -60,7 +82,7 @@ class TestElementwise:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            T.add(vec(1, 2), vec(1, 2, 3))
+            add(vec(1, 2), vec(1, 2, 3))
 
     def test_log_of_nonpositive(self):
         with pytest.raises(ValueError):
@@ -83,9 +105,9 @@ class TestElementwise:
 
 class TestActivations:
     def test_tanh_zero(self):
-        g = scalar_backward(lambda x: T.tanh(x), np.asarray(0.0))
+        g = scalar_backward(lambda x: tanh(x), np.asarray(0.0))
         assert g == pytest.approx(1.0)
-        assert T.tanh(Tensor(np.asarray(0.0))).item() == 0.0
+        assert tanh(Tensor(np.asarray(0.0))).item() == 0.0
 
     def test_sigmoid_zero(self):
         assert T.sigmoid(Tensor(np.asarray(0.0))).item() == pytest.approx(0.5)
@@ -228,28 +250,28 @@ class TestL2Norm:
 
 class TestStructural:
     def test_reshape_row_major(self):
-        out = T.reshape(Tensor(np.arange(1.0, 7.0).reshape(2, 3)), (3, 2))
+        out = reshape(Tensor(np.arange(1.0, 7.0).reshape(2, 3)), (3, 2))
         np.testing.assert_array_equal(out.data, [[1, 2], [3, 4], [5, 6]])
 
     def test_concat(self):
-        out = T.concat([vec(1), vec(2)])
+        out = concat([vec(1), vec(2)])
         np.testing.assert_array_equal(out.data, [1.0, 2.0])
 
     def test_slice_backward_scatters(self):
         with Graph() as g:
             x = Tensor(np.arange(6.0))
-            out = T.reduce("sum", T.slice_(x, 0, 2, 4))
+            out = T.reduce("sum", slice_(x, 0, 2, 4))
             gm = T.backward(g, out)
         np.testing.assert_array_equal(gm[x], [0, 0, 1, 1, 0, 0])
 
     def test_transpose(self):
-        s = T.reshape(T.concat([vec(1, 2), vec(3, 4)]), (2, 2))
+        s = reshape(concat([vec(1, 2), vec(3, 4)]), (2, 2))
         np.testing.assert_array_equal(s.data, [[1, 2], [3, 4]])
-        np.testing.assert_array_equal(T.transpose(s).data, [[1, 3], [2, 4]])
+        np.testing.assert_array_equal(transpose(s).data, [[1, 3], [2, 4]])
 
     def test_reshape_bad_size(self):
         with pytest.raises(ValueError):
-            T.reshape(vec(1, 2), (3,))
+            reshape(vec(1, 2), (3,))
 
 
 class TestBackward:
@@ -292,9 +314,9 @@ class TestBackward:
             return T.reduce("sum", T.square(x))
 
         def g2(x):
-            return T.reduce("sum", T.tanh(T.mul(x, 0.3)))
+            return T.reduce("sum", tanh(T.mul(x, 0.3)))
 
-        ga = scalar_backward(lambda x: T.add(g1(x), g2(x)), x0)
+        ga = scalar_backward(lambda x: add(g1(x), g2(x)), x0)
         gb = scalar_backward(g1, x0) + scalar_backward(g2, x0)
         np.testing.assert_allclose(ga, gb, rtol=1e-12)
 
@@ -305,7 +327,7 @@ class TestBackward:
         def run():
             with Graph() as g:
                 x = Tensor(x0.copy())
-                out = T.reduce("mean", T.tanh(matmul(x, x)))
+                out = T.reduce("mean", tanh(matmul(x, x)))
                 gm = T.backward(g, out)
                 return out.data.copy(), gm[x].copy()
 
@@ -320,9 +342,9 @@ class TestBackward:
             y = T.reduce("sum", T.square(x))
             n = len(g)
             assert T.backward(g, y)[x].tolist() == [2.0, 4.0]
-            assert T.grad(y, x).tolist() == [2.0, 4.0]
+            assert T.grad(y, x, g).tolist() == [2.0, 4.0]
             assert len(g) == n
-        assert T.backward(g, y, wrt=[x])[x].tolist() == [2.0, 4.0]
+        assert T.backward(g, y)[x].tolist() == [2.0, 4.0]
         with Graph() as other:
             assert T.grad(y, x, g).tolist() == [2.0, 4.0]
         assert len(other) == 0 and len(g) == n
@@ -341,7 +363,7 @@ _UNARY_CASES = [
     ("sqrt", T.sqrt, (0.5, 3.0)),
     ("log", T.log, (0.5, 3.0)),
     ("negate", T.negate, (-2.0, 2.0)),
-    ("tanh", T.tanh, (-2.0, 2.0)),
+    ("tanh", tanh, (-2.0, 2.0)),
     ("sigmoid", T.sigmoid, (-2.0, 2.0)),
     ("clip", lambda x: T.clip(x, -0.5, 0.5), (-1.0, 1.0)),  # straddles both bounds
 ]
@@ -363,7 +385,7 @@ class TestGradientOracle:
 
             assert rel_err(ga, central_diff(f, x)) < 1e-4
 
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("op", [add, T.sub, T.mul], ids=lambda op: op.__name__)
     def test_binary_ops(self, op):
         rng = np.random.default_rng(zlib.crc32(op.__name__.encode()))
         for _ in range(100):
@@ -395,10 +417,10 @@ class TestGradientOracle:
             x = rng.normal(size=(3, 4))
 
             def f_graph(t):
-                a = T.reshape(t, (4, 3))
-                b = T.transpose(a)
-                c = T.slice_(b, 1, 1, 3)
-                d = T.concat([c, c], axis=0)
+                a = reshape(t, (4, 3))
+                b = transpose(a)
+                c = slice_(b, 1, 1, 3)
+                d = concat([c, c], axis=0)
                 return T.reduce("sum", T.square(d))
 
             def f_plain(v):
@@ -476,7 +498,7 @@ def test_add_commutes(a, b):
     n = min(len(a), len(b))
     x = Tensor(np.array(a[:n]))
     y = Tensor(np.array(b[:n]))
-    np.testing.assert_array_equal(T.add(x, y).data, T.add(y, x).data)
+    np.testing.assert_array_equal(add(x, y).data, add(y, x).data)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,9 +5,11 @@ matmul per LSTM gate, separate critic calls for real and fake windows,
 every LSTM step on the tape). Fused ops may reorder floating-point sums,
 so they are compared with a relative tolerance, but any change to the
 maths moves them far past it. Every LSTM pass and its dense head now
-run through ``nn.lstm_scan``, one tape node with a numpy BPTT, and the
-gradient penalty's second order runs off the tape, in one complex-step
-pass, so no tape pin depends on the sequence length.
+run through ``nn.lstm_scan`` as plain numpy calls, each BPTT called
+explicitly, and the gradient penalty's second order runs in one
+complex-step pass. A tape records only the scalar heads between the
+critic's scores (or its input gradient) and a loss, so no tape pin
+depends on the sequence length or the batch.
 """
 
 import numpy as np
@@ -71,9 +73,10 @@ def test_golden_trajectory(variant):
 
 
 # variant: tape lengths at Graph.clear of (each critic step's graphs, the
-# generator step). A wgan_gp critic step records the penalty's input-gradient
-# graph (17 nodes) and then the Wasserstein term's (27), each on its own tape.
-TAPE_NODES = {"wgan_gp": ((17, 27), 34), "wgan_clip": ((27,), 34), "gan": ((36,), 38)}
+# generator step). A wgan_gp critic step records the penalty head on the
+# input gradient (13 nodes) and then the Wasserstein head on the scores (9),
+# each on its own tape. The leaves and constants count as nodes.
+TAPE_NODES = {"wgan_gp": ((13, 9), 5), "wgan_clip": ((9,), 5), "gan": ((18,), 9)}
 
 
 @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
