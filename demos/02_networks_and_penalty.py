@@ -9,8 +9,9 @@ gradients with respect to the critic's weights: the critic's input
 gradient from its BPTT, the penalty's direction from the tape, then one
 complex-step pass for the second order.
 
-Both networks are plain numpy calls. A forward returns its values and,
-with keep=True, the saved set that its backward takes.
+Both networks are plain numpy calls on their parameters, a ParamSet of
+named arrays. A forward returns its values and, with keep=True, the
+saved set that its backward takes.
 
 Run:  python demos/02_networks_and_penalty.py
 """
@@ -24,8 +25,9 @@ from tsforge.nn import (ArchitectureSpec, critic_backward, critic_forward, gener
 spec = ArchitectureSpec(noise_len=25, seq_len=50, features=1, lstm_units=50)
 gen = init_params(spec, "generator", seed=1)
 critic = init_params(spec, "critic", seed=2)
-print(f"generator parameters: {gen.count()}")
-print(f"critic parameters:    {critic.count()}   (4*((50+1)*50+50) + 51 = 10451)")
+print(f"generator parameters: {sum(w.size for _, w in gen.items())}")
+print(f"critic parameters:    {sum(w.size for _, w in critic.items())}"
+      f"   (4*((50+1)*50+50) + 51 = 10451)")
 
 rng = make_rng(0)
 z = sample_noise(4, spec.noise_len, rng)
@@ -49,7 +51,7 @@ print(f"...and its gradient w.r.t. the critic weights, e.g. "
 
 print("\n== sanity: a critic blind to its input pays lambda ==")
 blind = critic.copy()
-blind["proj.W"].data[...] = 0.0
+blind["proj.W"][...] = 0.0
 pen, grads = gradient_penalty(blind, x_hat, 10.0)
 largest = max(float(np.abs(g).max()) for g in grads.values())
 print(f"penalty with proj.W = 0: {pen}  (expect 10.0); largest |gradient|: {largest}  (expect 0)")

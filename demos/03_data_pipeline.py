@@ -58,5 +58,5 @@ print(f"first 3 integrated prices {np.round(path[:3], 4)} "
       f"vs original {np.round(series.closes[:3], 4)}")
 
 ds2 = build_dataset(series, seq_len=50)
-print(f"\nbuild_dataset composes the stages: {ds2.windows.shape}, "
-      f"meta={ds2.meta}")
+print(f"\nbuild_dataset composes the stages: {len(series)} prices -> "
+      f"{len(series) - 1} returns -> {ds2.windows.shape}")

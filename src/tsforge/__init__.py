@@ -2,8 +2,8 @@
 
 The package is organized as a small library:
 
-- :mod:`tsforge.tensor`   first-order reverse-mode autodiff on a tape
-- :mod:`tsforge.nn`       dense/LSTM layers, generator and critic
+- :mod:`tsforge.tensor`   first-order autodiff tape of the loss heads (``gan`` only)
+- :mod:`tsforge.nn`       LSTM generator and critic on named numpy arrays
 - :mod:`tsforge.optim`    RMSprop and weight clipping
 - :mod:`tsforge.gan`      adversarial losses and the training loop
 - :mod:`tsforge.data`     price CSV -> log returns -> windows -> scaling

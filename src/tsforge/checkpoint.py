@@ -14,8 +14,10 @@ Version 1 files have no crc trailer and still load. The trailer is checked
 after the body parses, so a cut or a damaged length still reports where
 it went wrong, and any other damage fails the checksum.
 
-Tensor names are namespaced: ``gen/<param>``, ``critic/<param>``,
-``opt_g/<param>``, ``opt_c/<param>``. Round-trips are bit-exact.
+The records are the networks' parameter arrays and the optimizers'
+caches, read and written as they are, under namespaced names:
+``gen/<param>``, ``critic/<param>``, ``opt_g/<param>``, ``opt_c/<param>``.
+Round-trips are bit-exact.
 
 The metadata holds the architecture, the epoch, the parameter names,
 the optimizer step counts, the scaler, the RNG state and a free-form
@@ -41,7 +43,6 @@ from . import atomic_write
 from .data import Scaler
 from .nn import ArchitectureSpec, ParamSet, param_shapes
 from .optim import RmspropState
-from .tensor import Tensor
 
 MAGIC = b"WGTS1"
 FORMAT_VERSION = 2
@@ -136,8 +137,8 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
     previous file at ``path`` whole."""
     records: list[tuple[str, np.ndarray]] = []
     for prefix, ps in (("gen", cp.generator), ("critic", cp.critic)):
-        for name, t in ps.items():
-            records.append((f"{prefix}/{name}", t.data))
+        for name, arr in ps.items():
+            records.append((f"{prefix}/{name}", arr))
     for prefix, st in (("opt_g", cp.opt_generator), ("opt_c", cp.opt_critic)):
         for name, arr in st.cache.items():
             records.append((f"{prefix}/{name}", arr))
@@ -147,8 +148,8 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
         "epoch": cp.epoch,
         "arch": {"noise_len": cp.spec.noise_len, "seq_len": cp.spec.seq_len,
                  "features": cp.spec.features, "lstm_units": cp.spec.lstm_units},
-        "generator_names": cp.generator.names(),
-        "critic_names": cp.critic.names(),
+        "generator_names": list(cp.generator),
+        "critic_names": list(cp.critic),
         "opt_steps": {"generator": cp.opt_generator.step, "critic": cp.opt_critic.step},
         "scaler": cp.scaler.to_dict() if cp.scaler is not None else None,
         "rng_state": _rng_state_to_json(cp.rng_state),
@@ -229,7 +230,7 @@ def _decode(blob: bytes, path) -> Checkpoint:
             key = f"{prefix}/{name}"
             if key not in tensors:
                 raise CheckpointError(f"{path}: missing tensor record {key!r}")
-            params[name] = Tensor(tensors[key])
+            params[name] = tensors[key]
         if {n: t.shape for n, t in params.items()} != param_shapes(arch, kind):
             raise ValueError(f"the {kind} tensors do not fit {arch}")
         return ParamSet(kind, params, arch=arch)

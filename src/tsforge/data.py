@@ -15,15 +15,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-CSV_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
-
 
 class DataError(ValueError):
     """Raised for unreadable, malformed or degenerate input data."""
@@ -91,7 +88,6 @@ class WindowedDataset:
     windows: np.ndarray
     scaler: Scaler
     seq_len: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.windows = np.asarray(self.windows, dtype=np.float64)
@@ -205,7 +201,7 @@ def make_windows(r: np.ndarray, seq_len: int = 50, stride: int = 1) -> np.ndarra
     return np.lib.stride_tricks.sliding_window_view(values, seq_len)[::stride].copy()
 
 
-def fit_scale(windows: np.ndarray, meta: dict | None = None) -> WindowedDataset:
+def fit_scale(windows: np.ndarray) -> WindowedDataset:
     """Fit the scaler over all window values and apply it.
 
     [min, max] maps linearly onto [-1, 1]. Global (not per-window) so the
@@ -223,7 +219,7 @@ def fit_scale(windows: np.ndarray, meta: dict | None = None) -> WindowedDataset:
         raise DataError("constant window values cannot be min-max scaled")
     scaler = Scaler(lo=lo, hi=hi)
     return WindowedDataset(windows=scaler.transform(windows)[:, :, None], scaler=scaler,
-                           seq_len=windows.shape[1], meta=dict(meta or {}))
+                           seq_len=windows.shape[1])
 
 
 def sample_real_batch(ds: WindowedDataset, batch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -250,6 +246,4 @@ def returns_to_prices(r: np.ndarray, p0: float) -> np.ndarray:
 
 def build_dataset(prices: PriceSeries, seq_len: int = 50, stride: int = 1) -> WindowedDataset:
     """The full pipeline: returns -> windows -> scale."""
-    returns = log_returns(prices)
-    return fit_scale(make_windows(returns, seq_len=seq_len, stride=stride),
-                     meta={"n_prices": len(prices), "n_returns": len(returns), "stride": stride})
+    return fit_scale(make_windows(log_returns(prices), seq_len=seq_len, stride=stride))

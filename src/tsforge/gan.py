@@ -118,24 +118,20 @@ def sample_noise(batch: int, noise_len: int, rng: np.random.Generator) -> np.nda
     return rng.standard_normal((batch, noise_len))
 
 
-def interpolate(real: np.ndarray, fake: np.ndarray, rng: np.random.Generator,
-                eps: np.ndarray | float | None = None) -> np.ndarray:
+def interpolate(real: np.ndarray, fake: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per-sample convex mix eps*real + (1-eps)*fake, eps ~ Uniform[0,1]."""
     real = np.asarray(real, dtype=np.float64)
     fake = np.asarray(fake, dtype=np.float64)
     if real.shape != fake.shape:
         raise ValueError(f"interpolate: shapes {real.shape} and {fake.shape} differ")
-    if eps is None:
-        eps = rng.uniform(0.0, 1.0, size=real.shape[0])
-    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64).reshape(-1, *([1] * (real.ndim - 1))),
-                          (real.shape[0],) + (1,) * (real.ndim - 1))
+    eps = rng.uniform(0.0, 1.0, size=real.shape[0]).reshape(-1, *([1] * (real.ndim - 1)))
     return eps * real + (1.0 - eps) * fake
 
 
 def gradient_penalty(critic: ParamSet, x_hat: np.ndarray, lambda_gp: float,
                      ) -> tuple[float, dict[str, np.ndarray]]:
     """lambda * E[(||grad_x D(x_hat)||_2 - 1)^2] and its gradients with
-    respect to the critic's tensors.
+    respect to the critic's arrays.
 
     The per-sample gradient norm is taken jointly over all timesteps; the
     expectation is the batch mean. The input gradient g is the critic's

@@ -7,6 +7,11 @@ output lives in (-1, 1) to match min-max scaled training windows. The
 critic averages its per-step head values over time into one score;
 there is deliberately no sigmoid, so scores are unbounded.
 
+A network's parameters are a ``ParamSet``, its ten named float64 arrays,
+which the optimizer updates in place and the checkpoint writes as they
+are. The sigmoid kernel ``_sigmoid`` lives here, where the scan runs it;
+``tensor.sigmoid`` imports it.
+
 There is one LSTM: ``lstm_scan`` steps ``lstm_cell_step`` in numpy over
 the timesteps and applies the head inside the scan. It returns the head
 values h_t proj.W + proj.b, and no hidden state outlives its step. Nothing
@@ -16,7 +21,7 @@ that set and the upstream gradient: ``lstm_vjp``, ``critic_backward`` and
 ``generator_backward``, the first two with an explicit ``weights`` flag,
 since a BPTT for the input gradient alone skips the weight GEMMs. The
 gates are fused in column order [i | f | o | c~]; the checkpoint layout
-stays the ten tensors ``lstm.W_i`` ... ``lstm.b_o``, ``proj.W`` and
+stays the ten arrays ``lstm.W_i`` ... ``lstm.b_o``, ``proj.W`` and
 ``proj.b``. The kernel runs feature-major: each critic step computes
 W^T [h; x_t] + b as [4u, B], so every gate block is a contiguous slab,
 and every ufunc writes into buffers made once per call; h goes straight
@@ -50,9 +55,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import tensor as T
-from .tensor import Tensor
-
 
 @dataclass
 class ArchitectureSpec:
@@ -72,14 +74,14 @@ class ArchitectureSpec:
 
 
 class ParamSet:
-    """Ordered, named collection of trainable tensors for one network.
+    """Ordered map of one network's parameter names to float64 arrays.
 
-    ``lstm_scan`` reads the LSTM's and the head's tensors from it by name.
-    Carries the architecture it was initialized for, so a generator
-    knows its own output length.
+    ``lstm_scan`` reads the LSTM's and the head's arrays from it by name,
+    and the optimizer updates them in place. Carries the architecture it
+    was initialized for, so a generator knows its own output length.
     """
 
-    def __init__(self, kind: str, params: dict[str, Tensor],
+    def __init__(self, kind: str, params: dict[str, np.ndarray],
                  arch: ArchitectureSpec | None = None):
         if kind not in ("generator", "critic"):
             raise ValueError(f"unknown network kind {kind!r}")
@@ -87,28 +89,17 @@ class ParamSet:
         self.arch = arch
         self._params = dict(params)
 
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._params)
 
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
-    def count(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(t.size for t in self._params.values())
-
     def copy(self) -> "ParamSet":
-        return ParamSet(self.kind, {k: Tensor(v.data.copy()) for k, v in self.items()},
-                        arch=self.arch)
+        return ParamSet(self.kind, {k: v.copy() for k, v in self.items()}, arch=self.arch)
 
 
 def param_shapes(spec: ArchitectureSpec, kind: str) -> dict[str, tuple[int, ...]]:
@@ -128,14 +119,28 @@ def init_params(spec: ArchitectureSpec, kind: str, seed: int) -> ParamSet:
     Deterministic for a given seed.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(spec, kind).items():
         if len(shape) == 2:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            params[name] = Tensor(rng.uniform(-limit, limit, size=shape))
+            params[name] = rng.uniform(-limit, limit, size=shape)
         else:
-            params[name] = Tensor(np.full(shape, 1.0 if name == "lstm.b_f" else 0.0))
+            params[name] = np.full(shape, 1.0 if name == "lstm.b_f" else 0.0)
     return ParamSet(kind, params, arch=spec)
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in four in-place passes, into ``out`` (which may be
+    x) if given. Below about -709.78, exp(-x) overflows to inf and 1 / inf
+    gives 0, under 1e-304 from the exact value, so that overflow is not
+    reported; on [-700, 700] the result is within 2 ulp of exact."""
+    if out is None:
+        out = np.empty_like(x)
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _activate(z: np.ndarray, out: np.ndarray, n_sigmoid: int, scratch: np.ndarray) -> None:
@@ -147,13 +152,13 @@ def _activate(z: np.ndarray, out: np.ndarray, n_sigmoid: int, scratch: np.ndarra
     n = n_sigmoid
     if z.dtype.kind != "c":
         if n:
-            T._sigmoid(z[:n], out=out[:n])
+            _sigmoid(z[:n], out=out[:n])
         np.tanh(z[n:], out=out[n:])
         return
     s, d = scratch[0, :z.shape[0]], scratch[1, :z.shape[0]]
     s[...] = z.real
     if n:
-        T._sigmoid(s[:n], out=s[:n])
+        _sigmoid(s[:n], out=s[:n])
     np.tanh(s[n:], out=s[n:])
     np.subtract(1.0, s[:n], out=d[:n])
     d[:n] *= s[:n]
@@ -302,15 +307,15 @@ def _complex_step(W: np.ndarray, b: np.ndarray, w: np.ndarray, x: np.ndarray, st
     return [g * (scale / 1e-20) for g in wb]
 
 
-# the gate tensors in the kernel's column order [i | f | o | c~], then the head
+# the gate arrays in the kernel's column order [i | f | o | c~], then the head
 _PARAMS = (*(f"lstm.{kind}_{gate}" for kind in "Wb" for gate in "ifoc"), "proj.W", "proj.b")
 
 
 def _fused(p: ParamSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gates' weights and biases fused in the kernel's column order,
     and the head's proj.W."""
-    return (np.concatenate([p[name].data for name in _PARAMS[:4]], axis=1),
-            np.concatenate([p[name].data for name in _PARAMS[4:8]]), p["proj.W"].data)
+    return (np.concatenate([p[name] for name in _PARAMS[:4]], axis=1),
+            np.concatenate([p[name] for name in _PARAMS[4:8]]), p["proj.W"])
 
 
 def lstm_scan(p: ParamSet, x: np.ndarray, steps: int, keep: bool = False,
@@ -326,13 +331,13 @@ def lstm_scan(p: ParamSet, x: np.ndarray, steps: int, keep: bool = False,
                          f"{rows} (units {u})")
     W, b, w = _fused(p)
     heads, saved = _scan_forward(W, b, w, x, steps, keep)
-    return heads.reshape(steps, x.shape[0]) + p["proj.b"].data, (W, w, saved) if keep else None
+    return heads.reshape(steps, x.shape[0]) + p["proj.b"], (W, w, saved) if keep else None
 
 
 def lstm_vjp(x: np.ndarray, saved: tuple, g: np.ndarray, weights: bool,
              ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
     """The BPTT of ``lstm_scan`` from the upstream g [steps, batch] of its
-    head values: the gradients of p's ten tensors by name, or None unless
+    head values: the gradients of p's ten arrays by name, or None unless
     ``weights``, and the gradient of x."""
     W, w, state = saved
     *grads, dx = _scan_backward(W, w, x, state, g, weights)
@@ -343,7 +348,7 @@ def lstm_vjp(x: np.ndarray, saved: tuple, g: np.ndarray, weights: bool,
 
 def critic_input_grad_vjp(d: ParamSet, x: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
     """The gradients of <v, grad_x sum(critic_forward(d, x))> with respect
-    to d's ten tensors, for windows x and a direction v [batch, seq_len,
+    to d's ten arrays, for windows x and a direction v [batch, seq_len,
     features]: the mixed second derivative that the gradient penalty trains
     through, from one complex-step pass at the upstream 1/seq_len of the
     critic's time mean. The input gradient does not depend on proj.b, whose
@@ -373,7 +378,7 @@ def generator_forward(g: ParamSet, z: np.ndarray, keep: bool = False,
 
 
 def generator_backward(z: np.ndarray, saved: tuple, dy: np.ndarray) -> dict[str, np.ndarray]:
-    """The gradients of the generator's ten tensors from the upstream dy
+    """The gradients of the generator's ten arrays from the upstream dy
     [batch, seq_len, 1] of ``generator_forward``'s windows."""
     scan_saved, y = saved
     g = dy.transpose(1, 0, 2).reshape(y.shape) * (1.0 - y * y)
@@ -397,7 +402,7 @@ def critic_forward(d: ParamSet, x: np.ndarray, keep: bool = False,
 def critic_backward(x: np.ndarray, saved: tuple, ds: np.ndarray, weights: bool,
                     ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
     """``lstm_vjp`` of the critic from the upstream ds [batch] of its
-    scores: the gradients of its ten tensors (None unless ``weights``) and
+    scores: the gradients of its ten arrays (None unless ``weights``) and
     of the windows x."""
     steps = x.shape[1]
     return lstm_vjp(x, saved, np.repeat((ds * (1.0 / steps))[None], steps, axis=0), weights)

@@ -51,7 +51,7 @@ def rmsprop_step(params: ParamSet, grads: dict[str, np.ndarray],
     cache <- rho*cache + (1-rho)*g^2; p <- p - lr*g / (sqrt(cache)+eps).
     Requires a gradient for every parameter.
     """
-    missing = [name for name in params.names() if name not in grads]
+    missing = [name for name in params if name not in grads]
     if missing:
         raise KeyError(f"missing gradients for parameters: {missing}")
     for name, p in params.items():
@@ -63,7 +63,7 @@ def rmsprop_step(params: ParamSet, grads: dict[str, np.ndarray],
             cache = np.zeros(p.shape)
         cache = cfg.rho * cache + (1.0 - cfg.rho) * (g * g)
         state.cache[name] = cache
-        p.data -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.epsilon)
+        p -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.epsilon)
     state.step += 1
     return state
 
@@ -73,5 +73,5 @@ def clip_weights(params: ParamSet, c: float) -> ParamSet:
     if c <= 0:
         raise ValueError("clip constant must be positive")
     for _, p in params.items():
-        np.clip(p.data, -c, c, out=p.data)
+        np.clip(p, -c, c, out=p)
     return params

@@ -12,8 +12,10 @@ anything. It differentiates only the scalar heads of training: the
 losses on the critic's scores, and the gradient penalty on the critic's
 input gradient. The networks run outside it, in ``nn``, with explicit
 backward passes, and the penalty's second order is taken by
-``nn.critic_input_grad_vjp``. The module holds only the ops those heads
-record; the test suite's oracles add the rest on ``_record``.
+``nn.critic_input_grad_vjp``. ``gan`` alone imports this module: the
+networks' parameters are plain arrays, and the sigmoid kernel is
+``nn._sigmoid``. The module holds only the ops those heads record; the
+test suite's oracles add the rest on ``_record``.
 
 Only scalar-vs-tensor broadcasting is supported; anything else must be
 reshaped explicitly and fails loudly otherwise.
@@ -24,6 +26,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .nn import _sigmoid
 
 MAX_RANK = 3
 
@@ -214,20 +218,6 @@ def clip(a, lo: float, hi: float) -> Tensor:
 
 
 # activations --------------------------------------------------------
-
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)) in four in-place passes, into ``out`` (which may be
-    x) if given. Below about -709.78, exp(-x) overflows to inf and 1 / inf
-    gives 0, under 1e-304 from the exact value, so that overflow is not
-    reported; on [-700, 700] the result is within 2 ulp of exact."""
-    if out is None:
-        out = np.empty_like(x)
-    np.negative(x, out=out)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
-
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)

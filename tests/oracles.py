@@ -4,7 +4,9 @@ Central finite differences are computed straight from repeated forward
 evaluations, never through the autodiff path they are checking.
 ``lstm_scan_reference`` builds the LSTM from recorded tensor primitives,
 and ``lstm_head_reference`` puts the dense head on it, so they give
-first-order gradients without ``nn.lstm_vjp``'s numpy BPTT. The
+first-order gradients without ``nn.lstm_vjp``'s numpy BPTT. A ParamSet
+holds plain arrays, so they wrap its arrays in leaf tensors and hand the
+leaves back by name, where the gradients are looked up. The
 primitives that ``src/`` does not record (``add``, ``tanh``, ``reshape``,
 ``transpose``, ``concat``, ``slice_``, ``matmul`` and ``add_row``) are
 defined here, on the tape's ``_record``. Central differences of those
@@ -195,13 +197,14 @@ def lstm_cell_reference(Wi, Wf, Wc, Wo, bi, bf, bc, bo, x_t, h_prev, c_prev):
     return h_t, c_t
 
 
-def lstm_scan_reference(p, x: Tensor, steps: int) -> Tensor:
+def lstm_scan_reference(p, x: Tensor, steps: int) -> tuple[Tensor, dict[str, Tensor]]:
     """The hidden states [steps*batch, units], step-major, of the LSTM in the
     ParamSet ``p``, composed of recorded primitives, the gates fused in
-    column order [i | f | o | c~]."""
+    column order [i | f | o | c~], and p's arrays as leaf tensors by name."""
+    leaves = {name: Tensor(arr) for name, arr in p.items()}
     u, batch = p["lstm.W_i"].shape[1], x.shape[0]
-    W = concat([p[f"lstm.W_{gate}"] for gate in "ifoc"], axis=1)
-    b = concat([p[f"lstm.b_{gate}"] for gate in "ifoc"], axis=0)
+    W = concat([leaves[f"lstm.W_{gate}"] for gate in "ifoc"], axis=1)
+    b = concat([leaves[f"lstm.b_{gate}"] for gate in "ifoc"], axis=0)
     h = c = Tensor(np.zeros((batch, u)), requires_grad=False, op="const")
     hs = []
     for t in range(steps):
@@ -213,11 +216,13 @@ def lstm_scan_reference(p, x: Tensor, steps: int) -> Tensor:
         c = add(T.mul(f_t, c), T.mul(i_t, c_tilde))
         h = T.mul(o_t, tanh(c))
         hs.append(h)
-    return concat(hs, axis=0)
+    return concat(hs, axis=0), leaves
 
 
-def lstm_head_reference(p, x: Tensor, steps: int) -> Tensor:
+def lstm_head_reference(p, x: Tensor, steps: int) -> tuple[Tensor, dict[str, Tensor]]:
     """``nn.lstm_scan``'s head values h_t proj.W + proj.b [steps*batch, 1]
     (step-major, as ``lstm_scan``'s [steps, batch] flattened):
-    the dense head as recorded primitives on ``lstm_scan_reference``."""
-    return add_row(matmul(lstm_scan_reference(p, x, steps), p["proj.W"]), p["proj.b"])
+    the dense head as recorded primitives on ``lstm_scan_reference``, and
+    p's arrays as leaf tensors by name."""
+    hs, leaves = lstm_scan_reference(p, x, steps)
+    return add_row(matmul(hs, leaves["proj.W"]), leaves["proj.b"]), leaves

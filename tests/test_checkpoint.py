@@ -1,6 +1,7 @@
 """Checkpoint container: bit-exact round trips and corruption handling."""
 
 import functools
+import hashlib
 import os
 import tempfile
 from pathlib import Path
@@ -15,7 +16,7 @@ from tsforge.checkpoint import (Checkpoint, CheckpointError, MAGIC, load_checkpo
 from tsforge.data import Scaler
 from tsforge.gan import generate, make_rng
 from tsforge.nn import ArchitectureSpec, init_params
-from tsforge.optim import RmspropState
+from tsforge.optim import OptimConfig, RmspropState, rmsprop_step
 
 SPEC = ArchitectureSpec(noise_len=3, seq_len=6, features=1, lstm_units=4)
 
@@ -25,8 +26,8 @@ def make_checkpoint(seed=0, with_rng=True) -> Checkpoint:
     critic = init_params(SPEC, "critic", seed + 1)
     rng = make_rng(seed + 2)
     rng.standard_normal(17)  # advance so the state is non-trivial
-    opt_g = RmspropState(cache={k: np.abs(t.data) * 0.1 for k, t in gen.items()}, step=5)
-    opt_c = RmspropState(cache={k: np.abs(t.data) * 0.2 for k, t in critic.items()}, step=25)
+    opt_g = RmspropState(cache={k: np.abs(t) * 0.1 for k, t in gen.items()}, step=5)
+    opt_c = RmspropState(cache={k: np.abs(t) * 0.2 for k, t in critic.items()}, step=25)
     return Checkpoint(
         spec=SPEC, epoch=42, generator=gen, critic=critic,
         opt_generator=opt_g, opt_critic=opt_c,
@@ -43,9 +44,9 @@ class TestRoundtrip:
         save_checkpoint(path, cp)
         back = load_checkpoint(path)
         for ps_a, ps_b in ((cp.generator, back.generator), (cp.critic, back.critic)):
-            assert ps_a.names() == ps_b.names()
-            for k in ps_a.names():
-                assert np.array_equal(ps_a[k].data, ps_b[k].data)
+            assert list(ps_a) == list(ps_b)
+            for k in ps_a:
+                assert np.array_equal(ps_a[k], ps_b[k])
         for st_a, st_b in ((cp.opt_generator, back.opt_generator),
                            (cp.opt_critic, back.opt_critic)):
             assert st_a.step == st_b.step
@@ -79,6 +80,26 @@ class TestRoundtrip:
         save_checkpoint(p1, cp)
         save_checkpoint(p2, load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    PINNED = (6283, "212f072fdc7cb2e1e58467ab9823719daa4bb5c2c66a337826e2182f84ba1217")
+
+    def test_bytes_are_pinned_without_blas(self, tmp_path):
+        """Philox draws and elementwise IEEE arithmetic do not depend on the
+        host, and nothing here runs a BLAS call: the initial weights, one
+        RMSprop step per network on drawn gradients, the cache it leaves and
+        the RNG state give the same file on any machine."""
+        gen, critic = init_params(SPEC, "generator", 5), init_params(SPEC, "critic", 6)
+        rng = make_rng(7)
+        opt = [rmsprop_step(ps, {k: rng.uniform(-1.0, 1.0, size=t.shape) for k, t in ps.items()},
+                            RmspropState(), OptimConfig(learning_rate=1e-3))
+               for ps in (gen, critic)]
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, Checkpoint(
+            spec=SPEC, epoch=1, generator=gen, critic=critic, opt_generator=opt[0],
+            opt_critic=opt[1], scaler=Scaler(lo=-0.13, hi=0.21),
+            rng_state=rng.bit_generator.state, extra={"seed": 5}))
+        blob = path.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == self.PINNED
 
 
 class TestCorruption:
@@ -208,7 +229,7 @@ class TestChecksum:
         (tmp_path / "v2.ckpt").write_bytes(blob)
         old, new = (load_checkpoint(tmp_path / name) for name in ("v1.ckpt", "v2.ckpt"))
         for a, b in ((old.generator, new.generator), (old.critic, new.critic)):
-            assert all(np.array_equal(a[k].data, b[k].data) for k in a.names())
+            assert all(np.array_equal(a[k], b[k]) for k in a)
         assert (old.epoch, old.extra, old.scaler) == (new.epoch, new.extra, new.scaler)
 
     def test_every_seventh_damaged_byte_or_cut_fails_to_load(self, tmp_path):

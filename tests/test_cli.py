@@ -836,8 +836,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("record,array,value", [
-        ("gen/proj.W", lambda cp: cp.generator["proj.W"].data, np.nan),
-        ("critic/lstm.W_f", lambda cp: cp.critic["lstm.W_f"].data, np.inf),
+        ("gen/proj.W", lambda cp: cp.generator["proj.W"], np.nan),
+        ("critic/lstm.W_f", lambda cp: cp.critic["lstm.W_f"], np.inf),
         ("opt_c/lstm.b_i", lambda cp: cp.opt_critic.cache["lstm.b_i"], np.nan),
     ], ids=["generator-nan", "critic-inf", "optimizer-nan"])
     def test_non_finite_checkpoint_exit_2_before_any_write(self, trained_run, tmp_path, capsys,

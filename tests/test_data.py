@@ -344,7 +344,7 @@ class TestPrices:
 
 def test_build_dataset_pipeline(btc_prices):
     ds = build_dataset(btc_prices, seq_len=50, stride=1)
-    assert ds.windows.shape == (2366, 50, 1)
-    assert ds.meta["n_prices"] == 2416
-    assert ds.meta["n_returns"] == 2415
+    n_returns = len(btc_prices) - 1
+    assert n_returns == 2415
+    assert ds.windows.shape == (n_returns - 50 + 1, 50, 1) == (2366, 50, 1)
     assert ds.windows.min() >= -1.0 and ds.windows.max() <= 1.0

@@ -7,6 +7,7 @@ cuts its configuration to 4 epochs with a checkpoint every 2; every
 """
 
 import ast
+import contextlib
 import importlib
 import os
 import subprocess
@@ -65,6 +66,9 @@ def test_training_demo_names_resolve():
         if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "tsforge":
             module = importlib.import_module(node.module)
             for alias in node.names:
+                if not hasattr(module, alias.name):     # a submodule, which the
+                    with contextlib.suppress(ModuleNotFoundError):    # statement imports
+                        importlib.import_module(f"{node.module}.{alias.name}")
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
                 bound[alias.asname or alias.name] = getattr(module, alias.name)
     assert bound

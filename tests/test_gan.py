@@ -54,20 +54,37 @@ class TestNoise:
         assert abs(z.var() - 1.0) < 0.05
 
 
+class FixedUniform:
+    """A stand-in generator whose every uniform draw is ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def uniform(self, low, high, size):
+        return np.full(size, self.value)
+
+
 class TestInterpolate:
     def test_eps_one_is_real(self):
         real = np.full((2, 3, 1), 5.0)
         fake = np.zeros((2, 3, 1))
-        np.testing.assert_array_equal(interpolate(real, fake, make_rng(0), eps=1.0), real)
+        np.testing.assert_array_equal(interpolate(real, fake, FixedUniform(1.0)), real)
 
     def test_eps_zero_is_fake(self):
         real = np.full((2, 3, 1), 5.0)
         fake = np.zeros((2, 3, 1))
-        np.testing.assert_array_equal(interpolate(real, fake, make_rng(0), eps=0.0), fake)
+        np.testing.assert_array_equal(interpolate(real, fake, FixedUniform(0.0)), fake)
 
     def test_midpoint(self):
-        out = interpolate(np.array([[2.0]]), np.array([[0.0]]), make_rng(0), eps=0.5)
+        out = interpolate(np.array([[2.0]]), np.array([[0.0]]), FixedUniform(0.5))
         assert out[0, 0] == 1.0
+
+    def test_mixes_with_one_uniform_draw_per_sample(self):
+        rng = np.random.default_rng(4)
+        real, fake = rng.normal(size=(5, 3, 1)), rng.normal(size=(5, 3, 1))
+        eps = make_rng(0).uniform(size=5)[:, None, None]
+        np.testing.assert_array_equal(interpolate(real, fake, make_rng(0)),
+                                      eps * real + (1.0 - eps) * fake)
 
     def test_one_eps_per_sample(self):
         rng = make_rng(1)
@@ -95,12 +112,11 @@ def linear_lstm_critic(norm: float, seq_len: int = 6, a: float = 1e-9) -> nn.Par
     |w a| sqrt(1^2 + ... + T^2) / T; proj.W = w is set to make it ``norm``.
     """
     spec = ArchitectureSpec(seq_len=seq_len, features=1, lstm_units=1)
-    params = {name: Tensor(np.zeros(shape))
-              for name, shape in nn.param_shapes(spec, "critic").items()}
+    params = {name: np.zeros(shape) for name, shape in nn.param_shapes(spec, "critic").items()}
     for gate in "ifo":
-        params[f"lstm.b_{gate}"].data[...] = 40.0
-    params["lstm.W_c"].data[1, 0] = a                  # row 0 reads h, row 1 reads x
-    params["proj.W"].data[...] = norm * seq_len / (a * np.sqrt(np.sum(
+        params[f"lstm.b_{gate}"][...] = 40.0
+    params["lstm.W_c"][1, 0] = a                       # row 0 reads h, row 1 reads x
+    params["proj.W"][...] = norm * seq_len / (a * np.sqrt(np.sum(
         np.arange(1.0, seq_len + 1) ** 2)))
     return nn.ParamSet("critic", params, arch=spec)
 
@@ -110,7 +126,7 @@ def input_blind_critic(seed: int) -> nn.ParamSet:
     weights is zero, so D(x) is one constant and grad_x D is exactly 0."""
     critic = init_params(SMALL, "critic", seed)
     for gate in "ifco":
-        critic[f"lstm.W_{gate}"].data[SMALL.lstm_units:] = 0.0
+        critic[f"lstm.W_{gate}"][SMALL.lstm_units:] = 0.0
     return critic
 
 
@@ -136,13 +152,13 @@ class TestGradientPenalty:
         # proj.W = 0 makes grad_x D exactly 0, where the norm's derivative is
         # guarded to 0: no division by zero, and no NaN in any gradient
         critic = init_params(SMALL, "critic", 6)
-        critic["proj.W"].data[...] = 0.0
+        critic["proj.W"][...] = 0.0
         x_hat = np.random.default_rng(7).normal(size=(4, 6, 1))
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             pen, grads = gradient_penalty(critic, x_hat, 10.0)
         assert pen == 10.0
-        assert sorted(grads) == sorted(critic.names())
+        assert sorted(grads) == sorted(critic)
         for name, g in grads.items():
             assert g.shape == critic[name].shape and np.all(g == 0.0), name
 
@@ -159,12 +175,12 @@ class TestGradientPenalty:
         lam = 10.0
         analytic = gradient_penalty(critic, x_hat, lam)[1]
         for name, t in critic.items():
-            w0 = t.data.copy()
+            w0 = t.copy()
 
             def penalty_value(wv) -> float:
-                t.data[...] = wv
+                t[...] = wv
                 val = gradient_penalty(critic, x_hat, lam)[0]
-                t.data[...] = w0
+                t[...] = w0
                 return val
 
             fd = central_diff(penalty_value, w0.copy())   # perturbs its argument in place
@@ -228,8 +244,8 @@ class TestCriticLoss:
     def test_constant_critic_loss_is_lambda(self):
         # proj.W = 0: every score is proj.b, and grad_x D is exactly 0
         critic = init_params(SMALL, "critic", 0)
-        critic["proj.W"].data[...] = 0.0
-        critic["proj.b"].data[...] = 0.7
+        critic["proj.W"][...] = 0.0
+        critic["proj.b"][...] = 0.7
         real = np.random.default_rng(1).normal(size=(4, 6, 1))
         fake = np.random.default_rng(2).normal(size=(4, 6, 1))
         with Graph():
@@ -260,12 +276,12 @@ class TestCriticLoss:
 
         analytic = step()[0]
         for name, t in critic.items():
-            w0 = t.data.copy()
+            w0 = t.copy()
 
             def loss_value(wv) -> float:
-                t.data[...] = wv
+                t[...] = wv
                 val = step()[1]
-                t.data[...] = w0
+                t[...] = w0
                 return val
 
             fd = central_diff(loss_value, w0.copy())   # perturbs its argument in place
@@ -294,7 +310,7 @@ class TestGeneratorLoss:
         # fakes' gradient alone and leaves the critic's tensors as they were
         gen = init_params(SMALL, "generator", 12)
         critic = init_params(SMALL, "critic", 13)
-        before = {k: t.data.copy() for k, t in critic.items()}
+        before = {k: t.copy() for k, t in critic.items()}
         z = np.random.default_rng(14).standard_normal((2, SMALL.noise_len))
         seen, backward = [], gan.critic_backward
 
@@ -306,10 +322,10 @@ class TestGeneratorLoss:
         monkeypatch.setattr(gan, "critic_backward", recording)
         grads, _ = gan.generator_gradients(gen, critic, z, "wgan_gp", False)
         assert seen == [None]
-        assert sorted(grads) == sorted(gen.names())
+        assert sorted(grads) == sorted(gen)
         assert any(np.any(g != 0.0) for g in grads.values())
         for k, t in critic.items():
-            assert np.array_equal(t.data, before[k])
+            assert np.array_equal(t, before[k])
 
 
 class TestStandardGanLosses:
@@ -549,7 +565,7 @@ class TestTrainLoop:
         seen = []
 
         def spying(params, grads, state, cfg):
-            seen.append((params.kind, {k: t.data.copy() for k, t in params.items()}))
+            seen.append((params.kind, {k: t.copy() for k, t in params.items()}))
             return orig(params, grads, state, cfg)
 
         monkeypatch.setattr(gan_mod, "rmsprop_step", spying)
@@ -560,8 +576,8 @@ class TestTrainLoop:
         seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
         gen0 = init_params(cfg.arch(), "generator", int(seeds[0]))
         gen_update_params = [p for kind, p in seen if kind == "generator"][0]
-        for k in gen0.names():
-            assert np.array_equal(gen_update_params[k], gen0[k].data)
+        for k in gen0:
+            assert np.array_equal(gen_update_params[k], gen0[k])
 
     def test_variant_equivalence_gp0_vs_clip_inf(self):
         ds = small_dataset()
@@ -588,11 +604,12 @@ class TestTrainLoop:
         cfg = self._cfg(epochs=6, checkpoint_every=2)
         _, _, straight, _ = gan.train(cfg, ds)
         _, _, _, cps = gan.train(self._cfg(epochs=4, checkpoint_every=2), ds)
-        snap = [c for c in cps if c.epoch == 4][0]
-        _, _, tail, _ = gan.train(cfg, ds, resume=snap)
-        assert tail.epochs == [5, 6]
-        assert tail.critic_loss == straight.critic_loss[4:]
-        assert tail.generator_loss == straight.generator_loss[4:]
+        assert [c.epoch for c in cps] == [2, 4]
+        for snap in cps:            # each holds its own epoch's weights, not the last ones
+            _, _, tail, _ = gan.train(cfg, ds, resume=snap)
+            assert tail.epochs == list(range(snap.epoch + 1, 7))
+            assert tail.critic_loss == straight.critic_loss[snap.epoch:]
+            assert tail.generator_loss == straight.generator_loss[snap.epoch:]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort(self):
@@ -642,12 +659,12 @@ class TestTrainLoop:
         crash = exc.value.checkpoint
         assert crash.epoch == 1
         for ps in (crash.generator, crash.critic):
-            assert all(np.all(np.isfinite(t.data)) for _, t in ps.items())
+            assert all(np.all(np.isfinite(t)) for _, t in ps.items())
         # the poisoned network never stepped: it still holds its initial weights
         poisoned_net, initial = ((crash.critic, critic0) if kind == "critic"
                                  else (crash.generator, gen0))
         for name, t in initial.items():
-            assert np.array_equal(poisoned_net[name].data, t.data)
+            assert np.array_equal(poisoned_net[name], t)
 
     def test_empty_dataset_rejected(self):
         ds = small_dataset()

@@ -17,15 +17,15 @@ SMALL = ArchitectureSpec(noise_len=3, seq_len=6, features=1, lstm_units=4)
 
 
 def _flatten_params(ps: ParamSet) -> np.ndarray:
-    return np.concatenate([ps[k].data.reshape(-1) for k in ps.names()])
+    return np.concatenate([ps[k].reshape(-1) for k in ps])
 
 
 def _set_params(ps: ParamSet, vec: np.ndarray) -> None:
     off = 0
-    for k in ps.names():
+    for k in ps:
         t = ps[k]
         n = t.size
-        t.data[...] = vec[off: off + n].reshape(t.shape)
+        t[...] = vec[off: off + n].reshape(t.shape)
         off += n
 
 
@@ -33,23 +33,23 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = nn.init_params(SMALL, "generator", 123)
         b = nn.init_params(SMALL, "generator", 123)
-        for k in a.names():
-            assert np.array_equal(a[k].data, b[k].data)
+        for k in a:
+            assert np.array_equal(a[k], b[k])
 
     def test_different_seed_differs(self):
         a = nn.init_params(SMALL, "generator", 1)
         b = nn.init_params(SMALL, "generator", 2)
-        assert any(not np.array_equal(a[k].data, b[k].data) for k in a.names())
+        assert any(not np.array_equal(a[k], b[k]) for k in a)
 
     def test_forget_bias_ones_other_biases_zero(self):
         ps = nn.init_params(SMALL, "critic", 5)
-        np.testing.assert_array_equal(ps["lstm.b_f"].data, np.ones(4))
+        np.testing.assert_array_equal(ps["lstm.b_f"], np.ones(4))
         for gate in ("b_i", "b_c", "b_o"):
-            np.testing.assert_array_equal(ps[f"lstm.{gate}"].data, np.zeros(4))
+            np.testing.assert_array_equal(ps[f"lstm.{gate}"], np.zeros(4))
 
     def test_generator_name_schema(self):
         ps = nn.init_params(SMALL, "generator", 7)
-        assert set(ps.names()) == {
+        assert set(ps) == {
             "lstm.W_i", "lstm.W_f", "lstm.W_c", "lstm.W_o",
             "lstm.b_i", "lstm.b_f", "lstm.b_c", "lstm.b_o",
             "proj.W", "proj.b",
@@ -59,7 +59,7 @@ class TestInit:
         spec = ArchitectureSpec(noise_len=25, seq_len=50, features=1, lstm_units=50)
         ps = nn.init_params(spec, "critic", 9)
         limit = np.sqrt(6.0 / (51 + 50))
-        W = ps["lstm.W_i"].data
+        W = ps["lstm.W_i"]
         assert W.shape == (51, 50)
         assert np.all(np.abs(W) <= limit)
 
@@ -72,9 +72,9 @@ class TestInit:
 
         critic = nn.init_params(spec, "critic", 0)
         assert lstm_count("critic") == 4 * (51 * 50 + 50) == 10400
-        assert critic.count() == 10400 + 51 == 10451
+        assert sum(a.size for _, a in critic.items()) == 10400 + 51 == 10451
         gen = nn.init_params(spec, "generator", 0)
-        assert gen.count() == lstm_count("generator") + 51 == 15251
+        assert sum(a.size for _, a in gen.items()) == lstm_count("generator") + 51 == 15251
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ def _lstm(units, features, **arrays) -> ParamSet:
     """One LSTM and its head, zero except the named ``arrays``, keyed by the
     name after its dot: W_i ... b_o for the gates, W and b for the head."""
     shapes = nn.param_shapes(ArchitectureSpec(features=features, lstm_units=units), "critic")
-    return ParamSet("critic", {name: Tensor(arrays.get(name.split(".")[1], np.zeros(shape)))
+    return ParamSet("critic", {name: arrays.get(name.split(".")[1], np.zeros(shape))
                                for name, shape in shapes.items()})
 
 
@@ -145,7 +145,7 @@ class TestLstmCell:
         h0 = rng.normal(size=(batch, units))
         c0 = rng.normal(size=(batch, units))
         h, c = _cell(p, x, h0, c0)
-        h_ref, c_ref = lstm_cell_reference(*(p[name].data for name in GATES), x, h0, c0)
+        h_ref, c_ref = lstm_cell_reference(*(p[name] for name in GATES), x, h0, c0)
         np.testing.assert_allclose(h, h_ref, rtol=1e-12)
         np.testing.assert_allclose(c, c_ref, rtol=1e-12)
 
@@ -164,7 +164,7 @@ def lstm_seq(p, x: np.ndarray) -> np.ndarray:
 
 def _head(p: ParamSet, h: np.ndarray) -> np.ndarray:
     """h proj.W + proj.b [batch] for hidden states h [batch, units]."""
-    return (h @ p["proj.W"].data + p["proj.b"].data)[:, 0]
+    return (h @ p["proj.W"] + p["proj.b"])[:, 0]
 
 
 class TestLstmForward:
@@ -184,7 +184,7 @@ class TestLstmForward:
         h = np.zeros((2, 4))
         c = np.zeros((2, 4))
         for t in range(3):
-            h, c = lstm_cell_reference(*(p[name].data for name in GATES), x[:, t, :], h, c)
+            h, c = lstm_cell_reference(*(p[name] for name in GATES), x[:, t, :], h, c)
             assert rel_err(seq[:, t], _head(p, h)) <= 1e-10
 
     def test_zero_weights_zero_hidden(self):
@@ -206,12 +206,12 @@ class TestLstmForward:
 
         for name in PARAMS:
             param = p[name]
-            W0 = param.data.copy()
+            W0 = param.copy()
 
             def f(wv):
-                param.data[...] = wv
+                param[...] = wv
                 out = lstm_seq(p, x0)
-                param.data[...] = W0
+                param[...] = W0
                 return float((out * w).sum())
 
             assert rel_err(grads[name], central_diff(f, W0.copy())) < 1e-4, name
@@ -233,7 +233,7 @@ def _scan_case(kind: str, seed: int, scale: float = 1.0):
     rng = np.random.default_rng(seed)
     p = _random_lstm(rng, 5, 3)
     for name in GATES:
-        p[name].data[...] *= scale
+        p[name][...] *= scale
     x = rng.normal(size=SCAN_INPUTS[kind])
     w = rng.normal(size=(7, 6))   # unequal weights per step and sample
     return p, x, w
@@ -251,10 +251,10 @@ def _reference_scan_grads(p, x0, w):
     """The same through the primitive composition, on the tape."""
     x = Tensor(x0.copy())
     with Graph() as g:
-        heads = lstm_head_reference(p, x, 7)
+        heads, leaves = lstm_head_reference(p, x, 7)
         loss = T.reduce("sum", T.mul(heads, Tensor(w.reshape(-1, 1), requires_grad=False)))
     gm = T.backward(g, loss)
-    return heads.data.reshape(7, -1), [gm[x]] + [gm[p[n]] for n in PARAMS]
+    return heads.data.reshape(7, -1), [gm[x]] + [gm[leaves[n]] for n in PARAMS]
 
 
 def _input_grad(p, x0) -> np.ndarray:
@@ -278,10 +278,10 @@ def _input_grad_grads(p, x0, v) -> dict[str, np.ndarray]:
 def _reference_param_grads(p, x0) -> dict[str, np.ndarray]:
     """grad S with respect to p's ten tensors, through the primitive composition."""
     with Graph() as g:
-        heads = lstm_head_reference(p, Tensor(x0, requires_grad=False), 7)
+        heads, leaves = lstm_head_reference(p, Tensor(x0, requires_grad=False), 7)
         s = T.mul(T.reduce("sum", heads), 1.0 / 7)
     gm = T.backward(g, s)
-    return {name: gm[p[name]] for name in PARAMS}
+    return {name: gm[leaves[name]] for name in PARAMS}
 
 
 class TestLstmScan:
@@ -309,12 +309,12 @@ class TestLstmScan:
         assert rel_err(grads[0], central_diff(f_x, x0.copy())) < 1e-4
         for name, analytic in zip(PARAMS, grads[1:]):
             param = p[name]
-            W0 = param.data.copy()
+            W0 = param.copy()
 
             def f(wv):
-                param.data[...] = wv
+                param[...] = wv
                 val = f_x(x0)
-                param.data[...] = W0
+                param[...] = W0
                 return val
 
             assert rel_err(analytic, central_diff(f, W0.copy())) < 1e-4, name
@@ -350,13 +350,13 @@ class TestLstmScan:
 
         for name in PARAMS[:-1]:             # the gates and proj.W
             param = p[name]
-            W0 = param.data.copy()
+            W0 = param.copy()
 
             def f_param(wv):
                 """<v, grad_x S> from the first-order BPTT alone."""
-                param.data[...] = wv
+                param[...] = wv
                 val = float((_input_grad(p, x0) * v).sum())
-                param.data[...] = W0
+                param[...] = W0
                 return val
 
             assert rel_err(got[name], central_diff(f_param, W0.copy())) < 1e-4, name
@@ -449,8 +449,8 @@ class TestCritic:
 
     def test_zero_parameters_zero_scores(self):
         critic = nn.init_params(SMALL, "critic", 0)
-        for k in critic.names():
-            critic[k].data[...] = 0.0
+        for k in critic:
+            critic[k][...] = 0.0
         x = np.random.default_rng(2).standard_normal((4, SMALL.seq_len, 1))
         np.testing.assert_array_equal(nn.critic_forward(critic, x)[0], np.zeros(4))
 
@@ -460,9 +460,9 @@ class TestCritic:
         found = False
         for seed in range(40):
             critic = nn.init_params(SMALL, "critic", seed)
-            for k in critic.names():
+            for k in critic:
                 if k.startswith("lstm.W") or k == "proj.W":
-                    critic[k].data *= 4.0
+                    critic[k][...] *= 4.0
             x = rng.standard_normal((8, SMALL.seq_len, 1))
             s = nn.critic_forward(critic, x)[0]
             if np.any((s < 0.0) | (s > 1.0)):
@@ -481,38 +481,39 @@ class TestCritic:
 def _scaled(kind: str, seed: int, scale: float) -> ParamSet:
     """SMALL's network of ``kind`` with its gate weights and proj.W times ``scale``."""
     p = nn.init_params(SMALL, kind, seed)
-    for name in p.names():
+    for name in p:
         if name.startswith("lstm.W") or name == "proj.W":
-            p[name].data[...] *= scale
+            p[name][...] *= scale
     return p
 
 
-def _reference_critic_scores(d: ParamSet, x: Tensor) -> Tensor:
+def _reference_critic_scores(d: ParamSet, x: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
     """The critic's scores [batch] on the tape: the time mean of the primitive
-    composition's head values."""
+    composition's head values; and d's arrays as its leaves."""
     batch, steps, _ = x.shape
-    heads = reshape(lstm_head_reference(d, x, steps), (steps, batch))
-    return T.reduce("mean", heads, axis=0)
+    heads, leaves = lstm_head_reference(d, x, steps)
+    return T.reduce("mean", reshape(heads, (steps, batch)), axis=0), leaves
 
 
-def _reference_generator(g: ParamSet, z: Tensor) -> Tensor:
-    """The generator's windows [batch, seq_len, 1] on the tape."""
+def _reference_generator(g: ParamSet, z: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
+    """The generator's windows [batch, seq_len, 1] on the tape, and g's
+    arrays as its leaves."""
     steps, batch = g.arch.seq_len, z.shape[0]
-    y = reshape(tanh(lstm_head_reference(g, z, steps)), (steps, batch, 1))
-    return transpose(y, (1, 0, 2))
+    heads, leaves = lstm_head_reference(g, z, steps)
+    return transpose(reshape(tanh(heads), (steps, batch, 1)), (1, 0, 2)), leaves
 
 
 def _param_fd(p: ParamSet, f) -> dict[str, np.ndarray]:
     """Central differences of the scalar f() with respect to each of p's tensors."""
     out = {}
-    for name in p.names():
+    for name in p:
         param = p[name]
-        w0 = param.data.copy()
+        w0 = param.copy()
 
         def f_param(wv):
-            param.data[...] = wv
+            param[...] = wv
             val = f()
-            param.data[...] = w0
+            param[...] = w0
             return val
 
         out[name] = central_diff(f_param, w0.copy())
@@ -540,14 +541,14 @@ class TestNetworkBackward:
         grads, dx = nn.critic_backward(x0, saved, ds, weights=True)
         x = Tensor(x0.copy())
         with Graph() as g:
-            ref = _reference_critic_scores(critic, x)
+            ref, leaves = _reference_critic_scores(critic, x)
             loss = T.reduce("sum", T.mul(ref, Tensor(ds, requires_grad=False)))
         gm = T.backward(g, loss)
         assert rel_err(scores, ref.data) <= 1e-12
         assert rel_err(dx, gm[x]) <= 1e-12
-        assert sorted(grads) == sorted(critic.names())
-        for name, t in critic.items():
-            assert rel_err(grads[name], gm[t], floor=1e-5) <= 1e-12, name
+        assert sorted(grads) == sorted(critic)
+        for name in critic:
+            assert rel_err(grads[name], gm[leaves[name]], floor=1e-5) <= 1e-12, name
         assert nn.critic_backward(x0, saved, ds, weights=False)[0] is None
 
     @SCALES
@@ -573,13 +574,13 @@ class TestNetworkBackward:
         y, saved = nn.generator_forward(gen, z, keep=True)
         grads = nn.generator_backward(z, saved, dy)
         with Graph() as g:
-            ref = _reference_generator(gen, Tensor(z, requires_grad=False))
+            ref, leaves = _reference_generator(gen, Tensor(z, requires_grad=False))
             loss = T.reduce("sum", T.mul(ref, Tensor(dy, requires_grad=False)))
         gm = T.backward(g, loss)
         assert rel_err(y, ref.data) <= 1e-12
-        assert sorted(grads) == sorted(gen.names())
-        for name, t in gen.items():
-            assert rel_err(grads[name], gm[t], floor=1e-5) <= 1e-12, name
+        assert sorted(grads) == sorted(gen)
+        for name in gen:
+            assert rel_err(grads[name], gm[leaves[name]], floor=1e-5) <= 1e-12, name
 
     @SCALES
     def test_generator_backward_vs_finite_differences(self, scale):
@@ -589,7 +590,7 @@ class TestNetworkBackward:
         _, saved = nn.generator_forward(gen, z, keep=True)
         grads = nn.generator_backward(z, saved, dy)
         fd = _param_fd(gen, lambda: float((nn.generator_forward(gen, z)[0] * dy).sum()))
-        for name in gen.names():
+        for name in gen:
             assert rel_err(grads[name], fd[name]) < 1e-4, name
 
 
@@ -619,7 +620,7 @@ class TestEndToEnd:
             return val
 
         fd = central_diff(f, vec0.copy())
-        flat_analytic = np.concatenate([analytic[k].reshape(-1) for k in gen.names()])
+        flat_analytic = np.concatenate([analytic[k].reshape(-1) for k in gen])
         assert rel_err(flat_analytic, fd) < 1e-4
 
     def test_frozen_network_params_unchanged_and_zero_grads(self):
@@ -628,12 +629,12 @@ class TestEndToEnd:
         gen = nn.init_params(SMALL, "generator", 21)
         critic = nn.init_params(SMALL, "critic", 22)
         z0 = np.random.default_rng(23).standard_normal((2, SMALL.noise_len))
-        before = {k: critic[k].data.copy() for k in critic.names()}
+        before = {k: critic[k].copy() for k in critic}
         fake, gen_saved = nn.generator_forward(gen, z0, keep=True)
         _, critic_saved = nn.critic_forward(critic, fake, keep=True)
         critic_grads, dx = nn.critic_backward(fake, critic_saved, np.full(2, -0.5), weights=False)
         grads = nn.generator_backward(z0, gen_saved, dx)
         assert critic_grads is None
         for k, t in critic.items():
-            assert np.array_equal(t.data, before[k])
+            assert np.array_equal(t, before[k])
         assert any(np.any(g != 0.0) for g in grads.values())

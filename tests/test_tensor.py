@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsforge import nn
 from tsforge import tensor as T
 from tsforge.tensor import Graph, Tensor
 
@@ -45,6 +46,36 @@ def test_every_public_function_has_a_caller_in_src():
     public = {name for name, f in vars(T).items() if inspect.isfunction(f)
               and f.__module__ == T.__name__ and not name.startswith("_")}
     assert public and sorted(public - used) == []
+
+
+def _imports_the_tape(tree: ast.Module) -> bool:
+    """Whether a module of the package imports ``tsforge.tensor`` or a name
+    from it, by a relative or an absolute import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["tsforge" if node.level else None, node.module]))
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(m == "tsforge.tensor" or m.startswith("tsforge.tensor.") for m in modules):
+            return True
+    return False
+
+
+def test_only_gan_imports_the_tape():
+    """Parameters are plain arrays, so ``nn``, ``optim`` and ``checkpoint``
+    need no tape; it is a detail of ``gan``'s loss heads alone."""
+    importers = {path.stem for path in Path(T.__file__).parent.glob("*.py")
+                 if path.name != "tensor.py"
+                 and _imports_the_tape(ast.parse(path.read_text("utf-8")))}
+    assert importers == {"gan"}
+    for source in ("from . import tensor", "from .tensor import Graph",
+                   "import tsforge.tensor", "from tsforge import tensor as T",
+                   "from tsforge.tensor import Tensor"):
+        assert _imports_the_tape(ast.parse(source)), source
+    assert not _imports_the_tape(ast.parse("from . import nn\nimport numpy.tensor"))
 
 
 class TestConstruction:
@@ -149,7 +180,7 @@ class TestActivations:
             self.assert_same_bits(got, want)
             assert got.ndim == x.ndim
             in_place = x.copy()          # the LSTM scan's form, into its own buffers
-            T._sigmoid(in_place, out=in_place)
+            nn._sigmoid(in_place, out=in_place)
             self.assert_same_bits(in_place, want)
 
     def test_sigmoid_is_within_2_ulp_of_a_60_digit_reference(self):
@@ -160,7 +191,7 @@ class TestActivations:
         rng = np.random.default_rng(33)
         x = np.concatenate([np.linspace(-800.0, 800.0, 4001), rng.normal(size=2000) * 10.0,
                             rng.uniform(-800.0, 800.0, 2000), [np.nan]])
-        got = T._sigmoid(x)
+        got = nn._sigmoid(x)
         with mpmath.workdps(60):
             exact = [mpmath.mpf(1) / (1 + mpmath.exp(-mpmath.mpf(v))) for v in x[:-1]]
         want = np.array([float(v) for v in exact])

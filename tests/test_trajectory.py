@@ -68,7 +68,7 @@ def test_golden_trajectory(variant):
     np.testing.assert_allclose(h.generator_loss, gen_loss, rtol=RTOL, atol=0)
     np.testing.assert_allclose(h.wasserstein, wasserstein, rtol=RTOL, atol=0)
     np.testing.assert_allclose(h.gradient_penalty, penalty, rtol=RTOL, atol=0)
-    got = [sum(float(t.data.sum()) for _, t in ps.items()) for ps in (gen, critic)]
+    got = [sum(float(t.sum()) for _, t in ps.items()) for ps in (gen, critic)]
     np.testing.assert_allclose(got, sums, rtol=RTOL, atol=0)
 
 
