@@ -6,12 +6,13 @@ scores windows through its own LSTM block and a time-averaged dense
 head. The penalty pins the critic's input-gradient norm near 1, the
 soft version of the Lipschitz constraint. It comes back with its
 gradients with respect to the critic's weights: the critic's input
-gradient from its BPTT, the penalty's direction from the tape, then one
-complex-step pass for the second order.
+gradient from its BPTT, the penalty's direction from the tape, then the
+critic's own forward and BPTT at a complex input for the second order.
 
 Both networks are plain numpy calls on their parameters, a ParamSet of
 named arrays. A forward returns its values and, with keep=True, the
-saved set that its backward takes.
+saved set that its backward takes; the set holds the input too, so the
+backward takes only it and the upstream gradient.
 
 Run:  python demos/02_networks_and_penalty.py
 """
@@ -37,7 +38,7 @@ print(f"outputs live in (-1, 1): min={fake.min():.4f} max={fake.max():.4f}")
 
 scores, saved = critic_forward(critic, fake, keep=True)
 print(f"critic: windows -> scores {scores.shape}, unbounded: {scores}")
-grads, dx = critic_backward(fake, saved, np.ones(4), weights=True)
+grads, dx = critic_backward(saved, np.ones(4), weights=True)
 print(f"its BPTT for the summed scores: {len(grads)} weight gradients and "
       f"d scores / d windows {dx.shape}")
 

@@ -87,14 +87,15 @@ class WindowedDataset:
 
     windows: np.ndarray
     scaler: Scaler
-    seq_len: int
 
     def __post_init__(self):
         self.windows = np.asarray(self.windows, dtype=np.float64)
         if self.windows.ndim != 3 or self.windows.shape[2] != 1:
             raise DataError(f"windows must be [n, seq_len, 1], got {self.windows.shape}")
-        if self.windows.shape[1] != self.seq_len:
-            raise DataError("window length disagrees with seq_len")
+
+    @property
+    def seq_len(self) -> int:
+        return self.windows.shape[1]
 
     def __len__(self) -> int:
         return self.windows.shape[0]
@@ -117,8 +118,9 @@ def load_csv(path) -> PriceSeries:
     A date is a year, month and day as ``datetime.strptime`` reads
     ``%Y-%m-%d`` after stripping whitespace: ``2014-09-17``, and also
     forms such as ``2014-9-7``. Any other date raises a ``DataError``
-    naming ``path:line``. Rows whose Close is missing, non-numeric or zero
-    are dropped; the drop count is logged and kept on the returned series.
+    naming ``path:line``, and so does a negative Close. Rows whose Close is
+    missing, non-numeric, non-finite or zero are dropped; the drop count is
+    logged and kept on the returned series.
     The file is UTF-8 text, optionally after a byte order mark (as Excel's
     "CSV UTF-8" writes it); an undecodable byte raises a ``DataError``
     naming the path and the byte's offset in the file.
@@ -153,6 +155,8 @@ def load_csv(path) -> PriceSeries:
                 if not math.isfinite(close) or close == 0.0:
                     dropped += 1
                     continue
+                if close < 0.0:
+                    raise DataError(f"{path}:{lineno}: negative close price {raw!r}")
                 rows.append((d, close))
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
@@ -173,8 +177,6 @@ def load_csv(path) -> PriceSeries:
             raise DataError(f"{path}: duplicate date {d1}")
     dates = [r[0] for r in rows]
     closes = np.array([r[1] for r in rows])
-    if np.any(closes <= 0):
-        raise DataError(f"{path}: non-positive close price")
     return PriceSeries(dates=dates, closes=closes, dropped=dropped)
 
 
@@ -218,8 +220,7 @@ def fit_scale(windows: np.ndarray) -> WindowedDataset:
     if hi == lo:
         raise DataError("constant window values cannot be min-max scaled")
     scaler = Scaler(lo=lo, hi=hi)
-    return WindowedDataset(windows=scaler.transform(windows)[:, :, None], scaler=scaler,
-                           seq_len=windows.shape[1])
+    return WindowedDataset(windows=scaler.transform(windows)[:, :, None], scaler=scaler)
 
 
 def sample_real_batch(ds: WindowedDataset, batch_size: int, rng: np.random.Generator) -> np.ndarray:

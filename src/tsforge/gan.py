@@ -1,4 +1,4 @@
-"""Adversarial losses and the two-timescale training loop.
+"""Adversarial losses and the training loop that alternates critic and generator updates.
 
 The critic is trained n_critic times per generator update, each time on
 a fresh real batch and fresh noise, while the other network's weights
@@ -144,7 +144,7 @@ def gradient_penalty(critic: ParamSet, x_hat: np.ndarray, lambda_gp: float,
     set is freed before that complex-step pass runs.
     """
     _, saved = critic_forward(critic, x_hat, keep=True)
-    _, dx = critic_backward(x_hat, saved, np.ones(x_hat.shape[0]), weights=False)
+    _, dx = critic_backward(saved, np.ones(x_hat.shape[0]), weights=False)
     del saved
     with Graph() as graph:
         g = Tensor(dx)
@@ -285,15 +285,14 @@ def critic_gradients(critic: ParamSet, real: np.ndarray, fake: np.ndarray, varia
     penalty_grads, gp_val = None, 0.0
     if variant == "wgan_gp" and lambda_gp > 0:
         gp_val, penalty_grads = gradient_penalty(critic, interpolate(real, fake, rng), lambda_gp)
-    x = np.concatenate([real, fake])
-    scores, saved = critic_forward(critic, x, keep=True)
+    scores, saved = critic_forward(critic, np.concatenate([real, fake]), keep=True)
     with Graph() as graph:
         s_real, s_fake = Tensor(scores[:len(real)]), Tensor(scores[len(real):])
         loss, w_est = (critic_loss_gan if variant == "gan" else critic_loss_wgan)(s_real, s_fake)
     gm = T.backward(graph, loss)
     c_loss = loss.item()
     graph.clear()
-    grads, _ = critic_backward(x, saved, np.concatenate([gm[s_real], gm[s_fake]]), weights=True)
+    grads, _ = critic_backward(saved, np.concatenate([gm[s_real], gm[s_fake]]), weights=True)
     if penalty_grads is not None:
         grads = {name: g + penalty_grads[name] for name, g in grads.items()}
         c_loss += gp_val
@@ -315,8 +314,8 @@ def generator_gradients(gen: ParamSet, critic: ParamSet, z: np.ndarray, variant:
     gm = T.backward(graph, loss)
     g_loss = loss.item()
     graph.clear()
-    _, dx = critic_backward(fake, critic_saved, gm[s_fake], weights=False)
-    return generator_backward(z, gen_saved, dx), g_loss
+    _, dx = critic_backward(critic_saved, gm[s_fake], weights=False)
+    return generator_backward(gen_saved, dx), g_loss
 
 
 def train(config: TrainConfig, data: WindowedDataset, *,

@@ -12,40 +12,44 @@ which the optimizer updates in place and the checkpoint writes as they
 are. The sigmoid kernel ``_sigmoid`` lives here, where the scan runs it;
 ``tensor.sigmoid`` imports it.
 
-There is one LSTM: ``lstm_scan`` steps ``lstm_cell_step`` in numpy over
-the timesteps and applies the head inside the scan. It returns the head
-values h_t proj.W + proj.b, and no hidden state outlives its step. Nothing
-here records on a tape: each forward takes ``keep`` and returns its values
+There is one LSTM forward, ``lstm_scan``, and one BPTT, ``lstm_vjp``.
+``lstm_scan`` steps ``lstm_cell_step`` in numpy over the timesteps and
+applies the head inside the scan. It returns the head values
+h_t proj.W + proj.b, and no hidden state outlives its step. Nothing here
+records on a tape: each forward takes ``keep`` and returns its values
 with the saved set (or None), and its backward is called explicitly with
 that set and the upstream gradient: ``lstm_vjp``, ``critic_backward`` and
 ``generator_backward``, the first two with an explicit ``weights`` flag,
 since a BPTT for the input gradient alone skips the weight GEMMs. The
-gates are fused in column order [i | f | o | c~]; the checkpoint layout
-stays the ten arrays ``lstm.W_i`` ... ``lstm.b_o``, ``proj.W`` and
-``proj.b``. The kernel runs feature-major: each critic step computes
-W^T [h; x_t] + b as [4u, B], so every gate block is a contiguous slab,
-and every ufunc writes into buffers made once per call; h goes straight
-into the next step's [h; x] buffer, where the head reads it. The generator's noise z is the same at
-every step, so its steps compute W_h^T h + (b + W_x^T z), the bracket
-made once per call: the input projection that RNN kernels hoist out of
-the recurrence. The BPTT keeps only the activated gates [T, 4u, B] and
-the cell states [T + 1, u, B], 5u floats per sample and step. h's
+saved set holds the input x itself (a reference, not a copy), the fused
+gate weights, proj.W, the activated gates [T, 4u, B] and the cell states
+[T + 1, u, B], 5u floats per sample and step besides x; no backward takes
+its input again. The gates are fused in column order [i | f | o | c~];
+the checkpoint layout stays the ten arrays ``lstm.W_i`` ... ``lstm.b_o``,
+``proj.W`` and ``proj.b``. The kernel runs feature-major: each critic
+step computes W^T [h; x_t] + b as [4u, B], so every gate block is a
+contiguous slab, and every ufunc writes into buffers made once per call;
+h goes straight into the next step's [h; x] buffer, where the head reads
+it. The generator's noise z is the same at every step, so its steps
+compute W_h^T h + (b + W_x^T z), the bracket made once per call: the
+input projection that RNN kernels hoist out of the recurrence. h's
 upstream enters as proj.W ds_t, and h_{t-1} = o_{t-1} tanh c_{t-1} is
 recomputed, one multiply per step on the tanh c the BPTT recomputes
-anyway (Chen et al. 2016, arXiv:1604.06174); x_t comes from the input.
+anyway (Chen et al. 2016, arXiv:1604.06174); x_t comes from the saved x.
 
 The gradient penalty differentiates the critic's input gradient again:
 ``critic_input_grad_vjp`` takes the weight gradients of <v, grad_x D> by
-a complex step (Martins, Sturdza & Alonso 2003, ACM
-TOMS 29(3)): one forward and BPTT at x + i h v, with h = 1e-20 / max|v|,
-gives Im f / h = f'(x) v + O(h^2) for every analytic f of the pass. No
-nearby values are subtracted, so nothing cancels, and the O(h^2) term
-lies some 40 orders of magnitude under the derivative: the result is
-exact to float64 rounding. The pass runs in real arithmetic: real
-weights times complex activations are one real GEMM on the float64 view
-[K, 2B], and sigmoid and tanh at a + ib are f(a) + i b f'(a). That
-expansion drops only O(b^2) relative terms, so it needs |Im| << 1, which
-h guarantees. The pass's recomputed h_t give proj.W's gradient.
+a complex step (Martins, Sturdza & Alonso 2003, ACM TOMS 29(3)): the
+critic's own pass pair, ``lstm_scan`` and ``critic_backward``, at
+x + i h v, with h = 1e-20 / max|v|, gives Im f / h = f'(x) v + O(h^2)
+for every analytic f of the pass. No nearby values are subtracted, so
+nothing cancels, and the O(h^2) term lies some 40 orders of magnitude
+under the derivative: the result is exact to float64 rounding. The pass
+runs in real arithmetic: real weights times complex activations are one
+real GEMM on the float64 view [K, 2B], and sigmoid and tanh at a + ib are
+f(a) + i b f'(a). That expansion drops only O(b^2) relative terms, so it
+needs |Im| << 1, which h guarantees. The pass's recomputed h_t give
+proj.W's gradient.
 """
 
 from __future__ import annotations
@@ -193,26 +197,40 @@ def lstm_cell_step(W: np.ndarray, bias: np.ndarray, hx: np.ndarray, c_prev: np.n
     h *= gates[2 * u:3 * u]
 
 
-def _scan_forward(W: np.ndarray, b: np.ndarray, w: np.ndarray, x: np.ndarray, steps: int,
-                  keep: bool) -> tuple[np.ndarray, tuple | None]:
-    """The head values w^T h_t [steps, 1, batch] from the zero state and, if
-    ``keep``, the saved set of the BPTT: the activated gates [steps, 4u, B]
-    and the cell states [steps + 1, u, B], the first one zero.
+# the gate arrays in the kernel's column order [i | f | o | c~], then the head
+_PARAMS = (*(f"lstm.{kind}_{gate}" for kind in "Wb" for gate in "ifoc"), "proj.W", "proj.b")
 
-    A window x [B, T, F] steps on hx = [h; x_t] through all of W. Noise
-    x [B, F] is the same at every step, so its part W_x^T z joins the
-    per-call bias once, and each step computes W_h^T h + (b + W_x^T z)
-    on hx = h through W's first u rows alone."""
-    batch, u = x.shape[0], b.shape[0] // 4
-    bias = np.empty((4 * u, batch), x.dtype)
+
+def lstm_scan(p: ParamSet, x: np.ndarray, steps: int, keep: bool = False,
+              ) -> tuple[np.ndarray, tuple | None]:
+    """Step-major head values h_t proj.W + proj.b [steps, batch] of one pass
+    from zero state over a window x [batch, steps, features], or a vector x
+    [batch, features] fed at every step, and, if ``keep``, the saved set
+    that ``lstm_vjp`` takes: x itself, the fused gate weights W, proj.W,
+    the activated gates [steps, 4u, B] and the cell states [steps + 1, u, B],
+    the first one zero. No hidden state outlives its step.
+
+    A window steps on hx = [h; x_t] through all of W. Noise x [B, F] is the
+    same at every step, so its part W_x^T z joins the per-call bias once,
+    and each step computes W_h^T h + (b + W_x^T z) on hx = h through W's
+    first u rows alone."""
+    rows, u = p["lstm.W_i"].shape
+    if (x.ndim not in (2, 3) or x.shape[-1] != rows - u or steps <= 0
+            or (x.ndim == 3 and x.shape[1] != steps)):
+        raise ValueError(f"lstm: {steps} steps over input {x.shape} with gate rows "
+                         f"{rows} (units {u})")
+    W = np.concatenate([p[name] for name in _PARAMS[:4]], axis=1)
+    b = np.concatenate([p[name] for name in _PARAMS[4:8]])
+    w, batch = p["proj.W"], x.shape[0]
+    W_step, bias = W, np.empty((4 * u, batch), x.dtype)
     if x.ndim == 2:
         _matmul(W[u:].T, np.ascontiguousarray(x.T), bias)
         bias += b[:, None]
-        W = W[:u]
+        W_step = W[:u]
     else:
         bias[...] = b[:, None]
     heads = np.empty((steps, 1, batch), x.dtype)
-    hx = np.zeros((W.shape[0], batch), x.dtype)
+    hx = np.zeros((W_step.shape[0], batch), x.dtype)
     gates = np.empty((steps if keep else 1, 4 * u, batch), x.dtype)
     cells = np.zeros((steps + 1 if keep else 2, u, batch), x.dtype)
     scratch = np.empty((2, 4 * u, batch))
@@ -220,22 +238,24 @@ def _scan_forward(W: np.ndarray, b: np.ndarray, w: np.ndarray, x: np.ndarray, st
         if x.ndim == 3:
             hx[u:] = x[:, t].T
         c_prev, c = (t, t + 1) if keep else (t % 2, (t + 1) % 2)
-        lstm_cell_step(W, bias, hx, cells[c_prev], gates[t if keep else 0], cells[c], scratch)
+        lstm_cell_step(W_step, bias, hx, cells[c_prev], gates[t if keep else 0], cells[c],
+                       scratch)
         _matmul(w.T, hx[:u], heads[t])
-    return heads, (gates, cells) if keep else None
+    return heads.reshape(steps, batch) + p["proj.b"], (x, W, w, gates, cells) if keep else None
 
 
-def _scan_backward(W: np.ndarray, w: np.ndarray, x: np.ndarray, saved: tuple,
-                   ds: np.ndarray, weights: bool) -> list[np.ndarray]:
-    """BPTT for ``_scan_forward`` from the head's upstream ds [steps, B],
-    latest step first: the gradients of the weight and bias blocks in fused
-    column order, then of the head's w [u, 1] (all zero unless ``weights``),
-    then of x. h's upstream is w ds_t + dh_next. tanh c_{t-1} is recomputed
-    one step early, and with it h_{t-1} = o_{t-1} tanh c_{t-1} for the
-    weight GEMM and w's gradient; x_t comes from ``x``. In a complex pass
-    the weight and bias gradients hold only the imaginary parts, the one
-    part the complex step reads."""
-    gates, cells = saved
+def lstm_vjp(saved: tuple, ds: np.ndarray, weights: bool,
+             ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
+    """The BPTT of ``lstm_scan`` from the upstream ds [steps, batch] of its
+    head values, latest step first: the gradients of p's ten arrays by
+    name, or None unless ``weights``, and the gradient of the saved x.
+
+    h's upstream is proj.W ds_t + dh_next. tanh c_{t-1} is recomputed one
+    step early, and with it h_{t-1} = o_{t-1} tanh c_{t-1} for the weight
+    GEMM and proj.W's gradient; x_t comes from the saved x. In a complex
+    pass the gate and proj.W gradients hold only the imaginary parts, the
+    one part the complex step reads."""
+    x, W, w, gates, cells = saved
     steps, _, batch = gates.shape
     u, dtype, K = cells.shape[1], gates.dtype, W.shape[0]
     parts = (lambda a: (a.imag, a.real)) if dtype.kind == "c" else (lambda a: (a,))
@@ -292,71 +312,25 @@ def _scan_backward(W: np.ndarray, w: np.ndarray, x: np.ndarray, saved: tuple,
             # Im(dz a) = Re dz Im a + Im dz Re a: one real GEMM by parts
             np.matmul(dz.view(np.float64), hx1.reshape(-1, K + 1), out=dWb_t)
             dWb += dWb_t
-    return [*np.split(dWb[:, :K].T, 4, axis=1), *np.split(dWb[:, K], 4), dw[:, None], dx]
-
-
-def _complex_step(W: np.ndarray, b: np.ndarray, w: np.ndarray, x: np.ndarray, steps: int,
-                  ds: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
-    """The gradients of <v, dx>, with dx ``_scan_backward``'s x-gradient for
-    the upstream ds, with respect to the weight and bias blocks and the
-    head's w: the imaginary parts of one pass at x + i h v, over h."""
-    scale = np.max(np.abs(v)) or 1.0   # v = 0 has zero gradients at any step
-    xc = x + 1e-20j * (v / scale)
-    _, saved = _scan_forward(W, b, w, xc, steps, keep=True)
-    *wb, _ = _scan_backward(W, w, xc, saved, ds, True)
-    return [g * (scale / 1e-20) for g in wb]
-
-
-# the gate arrays in the kernel's column order [i | f | o | c~], then the head
-_PARAMS = (*(f"lstm.{kind}_{gate}" for kind in "Wb" for gate in "ifoc"), "proj.W", "proj.b")
-
-
-def _fused(p: ParamSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gates' weights and biases fused in the kernel's column order,
-    and the head's proj.W."""
-    return (np.concatenate([p[name] for name in _PARAMS[:4]], axis=1),
-            np.concatenate([p[name] for name in _PARAMS[4:8]]), p["proj.W"])
-
-
-def lstm_scan(p: ParamSet, x: np.ndarray, steps: int, keep: bool = False,
-              ) -> tuple[np.ndarray, tuple | None]:
-    """Step-major head values h_t proj.W + proj.b [steps, batch] of one pass
-    from zero state over a window x [batch, steps, features], or a vector x
-    [batch, features] fed at every step, and, if ``keep``, the saved set
-    that ``lstm_vjp`` takes. No hidden state outlives its step."""
-    rows, u = p["lstm.W_i"].shape
-    if (x.ndim not in (2, 3) or x.shape[-1] != rows - u or steps <= 0
-            or (x.ndim == 3 and x.shape[1] != steps)):
-        raise ValueError(f"lstm: {steps} steps over input {x.shape} with gate rows "
-                         f"{rows} (units {u})")
-    W, b, w = _fused(p)
-    heads, saved = _scan_forward(W, b, w, x, steps, keep)
-    return heads.reshape(steps, x.shape[0]) + p["proj.b"], (W, w, saved) if keep else None
-
-
-def lstm_vjp(x: np.ndarray, saved: tuple, g: np.ndarray, weights: bool,
-             ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
-    """The BPTT of ``lstm_scan`` from the upstream g [steps, batch] of its
-    head values: the gradients of p's ten arrays by name, or None unless
-    ``weights``, and the gradient of x."""
-    W, w, state = saved
-    *grads, dx = _scan_backward(W, w, x, state, g, weights)
     if not weights:
         return None, dx
-    return dict(zip(_PARAMS, [*grads, np.sum(g.reshape(-1, 1), axis=0)])), dx
+    return dict(zip(_PARAMS, [*np.split(dWb[:, :K].T, 4, axis=1), *np.split(dWb[:, K], 4),
+                              dw[:, None], np.sum(ds.reshape(-1, 1), axis=0)])), dx
 
 
 def critic_input_grad_vjp(d: ParamSet, x: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
     """The gradients of <v, grad_x sum(critic_forward(d, x))> with respect
     to d's ten arrays, for windows x and a direction v [batch, seq_len,
     features]: the mixed second derivative that the gradient penalty trains
-    through, from one complex-step pass at the upstream 1/seq_len of the
-    critic's time mean. The input gradient does not depend on proj.b, whose
+    through, as the imaginary parts of the critic's own scan and BPTT at
+    x + i h v, over h. The input gradient does not depend on proj.b, whose
     gradient is an exact 0."""
-    batch, steps, _ = x.shape
-    W, b, w = _fused(d)
-    grads = _complex_step(W, b, w, x, steps, np.full((steps, batch), 1.0 / steps), v)
-    return dict(zip(_PARAMS, [*grads, np.zeros(d["proj.b"].shape)]))
+    scale = np.max(np.abs(v)) or 1.0   # v = 0 has zero gradients at any step
+    _, saved = lstm_scan(d, x + 1e-20j * (v / scale), x.shape[1], keep=True)
+    grads, _ = critic_backward(saved, np.ones(x.shape[0]), weights=True)
+    grads = {name: g * (scale / 1e-20) for name, g in grads.items()}
+    grads["proj.b"] = np.zeros(d["proj.b"].shape)
+    return grads
 
 
 def generator_forward(g: ParamSet, z: np.ndarray, keep: bool = False,
@@ -377,12 +351,12 @@ def generator_forward(g: ParamSet, z: np.ndarray, keep: bool = False,
     return y[:, :, None].transpose(1, 0, 2), (saved, y) if keep else None
 
 
-def generator_backward(z: np.ndarray, saved: tuple, dy: np.ndarray) -> dict[str, np.ndarray]:
+def generator_backward(saved: tuple, dy: np.ndarray) -> dict[str, np.ndarray]:
     """The gradients of the generator's ten arrays from the upstream dy
     [batch, seq_len, 1] of ``generator_forward``'s windows."""
     scan_saved, y = saved
     g = dy.transpose(1, 0, 2).reshape(y.shape) * (1.0 - y * y)
-    return lstm_vjp(z, scan_saved, g, True)[0]
+    return lstm_vjp(scan_saved, g, True)[0]
 
 
 def critic_forward(d: ParamSet, x: np.ndarray, keep: bool = False,
@@ -399,10 +373,10 @@ def critic_forward(d: ParamSet, x: np.ndarray, keep: bool = False,
     return np.sum(heads, axis=0) * (1.0 / x.shape[1]), saved
 
 
-def critic_backward(x: np.ndarray, saved: tuple, ds: np.ndarray, weights: bool,
+def critic_backward(saved: tuple, ds: np.ndarray, weights: bool,
                     ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
     """``lstm_vjp`` of the critic from the upstream ds [batch] of its
     scores: the gradients of its ten arrays (None unless ``weights``) and
-    of the windows x."""
-    steps = x.shape[1]
-    return lstm_vjp(x, saved, np.repeat((ds * (1.0 / steps))[None], steps, axis=0), weights)
+    of the windows the saved set holds."""
+    steps = saved[0].shape[1]
+    return lstm_vjp(saved, np.repeat((ds * (1.0 / steps))[None], steps, axis=0), weights)

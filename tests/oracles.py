@@ -11,7 +11,7 @@ primitives that ``src/`` does not record (``add``, ``tanh``, ``reshape``,
 ``transpose``, ``concat``, ``slice_``, ``matmul`` and ``add_row``) are
 defined here, on the tape's ``_record``. Central differences of those
 gradients give the second order without ``nn.critic_input_grad_vjp``'s
-complex step.
+complex step, the critic's scan and BPTT at a complex input.
 """
 
 from __future__ import annotations

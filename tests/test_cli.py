@@ -483,6 +483,62 @@ class TestGenerate:
         assert "malformed checkpoint" in capsys.readouterr().err
 
 
+
+def _file(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _train_on(csv_text: str):
+    return lambda tmp, csv, request: ["train", "--data", _file(tmp, "p.csv", csv_text)]
+
+
+def _train_with_config(config_text: str):
+    return lambda tmp, csv, request: ["train", "--data", str(csv), "--config",
+                                      _file(tmp, "c.txt", config_text)]
+
+
+def _names_a_missing_record(tmp, csv, request):
+    run = request.getfixturevalue("trained_run")[0]
+    ckpt = edit_checkpoint_meta(run / "checkpoint_epoch000002.ckpt", tmp / "bad.ckpt",
+                                lambda meta: meta["generator_names"].append("lstm.W_z"))
+    return ["generate", "--checkpoint", str(ckpt)]
+
+
+# argv before --out, from (tmp_path, a good price CSV, the test's fixture request);
+# the exit code; a fragment of the message, with {tmp} for tmp_path
+MALFORMED_INPUTS = {
+    "empty-csv": (_train_on(""), 2, "p.csv: empty file"),
+    "csv-without-close": (_train_on("Date,Open\n2020-01-01,1\n2020-01-02,2\n"), 2,
+                          "header must contain Date and Close columns"),
+    "negative-close": (_train_on("Date,Close\n2020-01-01,1\n2020-01-02,-2\n"
+                                 "2020-01-03,3\n"), 2,
+                       "{tmp}/p.csv:3: negative close price '-2'"),
+    "config-line-without-equals": (_train_with_config("epochs 3\n"), 1,
+                                   "c.txt:1: expected 'key = value'"),
+    "config-bool-yes": (_train_with_config("g_loss_nonsaturating = yes\n"), 1,
+                        "cannot parse value 'yes' for key 'g_loss_nonsaturating'"),
+    "config-is-a-directory": (lambda tmp, csv, request: ["train", "--data", str(csv),
+                                                         "--config", str(tmp)], 1,
+                              "cannot read config"),
+    "config-missing": (lambda tmp, csv, request: ["train", "--data", str(csv), "--config",
+                                                  str(tmp / "absent.txt")], 1,
+                       "cannot read config"),
+    "generator-names-a-missing-record": (_names_a_missing_record, 2,
+                                         "missing tensor record 'gen/lstm.W_z'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_before_any_write(case, small_csv, tmp_path, capsys, request):
+    argv, code, fragment = MALFORMED_INPUTS[case]
+    out = tmp_path / "out"
+    assert main(argv(tmp_path, small_csv, request) + ["--out", str(out)]) == code
+    assert fragment.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_outputs_schema(self, btc_csv, tmp_path):
         out = tmp_path / "eval"

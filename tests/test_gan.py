@@ -190,13 +190,13 @@ class TestGradientPenalty:
         # the penalty's input gradient wants x alone, so its BPTT skips dW and
         # db; the complex-step pass and the [real; fake] BPTT need them
         weights = []
-        scan_backward = nn._scan_backward
+        lstm_vjp = nn.lstm_vjp
 
         def recording(*args):
             weights.append(args[-1])
-            return scan_backward(*args)
+            return lstm_vjp(*args)
 
-        monkeypatch.setattr(nn, "_scan_backward", recording)
+        monkeypatch.setattr(nn, "lstm_vjp", recording)
         _critic_step(init_params(SMALL, "critic", 3), batch=4, seq_len=6)
         assert weights == [False, True, True]
 
@@ -227,7 +227,7 @@ class TestPeakMemory:
 
         def step():
             _, saved = critic_forward(critic, x, keep=True)
-            critic_backward(x, saved, np.full(256, 1.0 / 256), weights=True)
+            critic_backward(saved, np.full(256, 1.0 / 256), weights=True)
 
         assert _peak_mb(step) <= 30.0
 
@@ -515,18 +515,18 @@ class TestTrainLoop:
         # the generator step calls the critic's BPTT without weights, for the
         # fakes' gradient alone, and only the generator's has weights
         log = []
-        scan_backward, rmsprop_step = nn._scan_backward, gan.rmsprop_step
+        lstm_vjp, rmsprop_step = nn.lstm_vjp, gan.rmsprop_step
 
-        def recording(W, *args):
+        def recording(saved, *args):
             # gate rows: units + noise_len (4 + 3) in the generator, 4 + 1 in the critic
-            log.append(("generator" if W.shape[0] == 7 else "critic", args[-1]))
-            return scan_backward(W, *args)
+            log.append(("generator" if saved[1].shape[0] == 7 else "critic", args[-1]))
+            return lstm_vjp(saved, *args)
 
         def marking(params, *args):
             log.append(params.kind)
             return rmsprop_step(params, *args)
 
-        monkeypatch.setattr(nn, "_scan_backward", recording)
+        monkeypatch.setattr(nn, "lstm_vjp", recording)
         monkeypatch.setattr(gan, "rmsprop_step", marking)
         gan.train(self._cfg(epochs=1, n_critic=1, loss_variant=variant, checkpoint_every=100),
                   small_dataset())

@@ -113,7 +113,8 @@ def _units(p: ParamSet) -> int:
 
 def _cell(p: ParamSet, x_t, h_prev, c_prev):
     """(h, c) of one feature-major ``nn.lstm_cell_step``, batch-major."""
-    W, b, _ = nn._fused(p)
+    W = np.concatenate([p[name] for name in nn._PARAMS[:4]], axis=1)
+    b = np.concatenate([p[name] for name in nn._PARAMS[4:8]])
     hx = np.concatenate([h_prev, x_t], axis=1).T.copy()
     units, batch = _units(p), hx.shape[1]
     c = np.empty((units, batch))
@@ -202,7 +203,7 @@ class TestLstmForward:
         # so swapped gate columns change the gradient
         w = rng.normal(size=(2, steps))
         _, saved = nn.lstm_scan(p, x0, steps, keep=True)
-        grads, _ = nn.lstm_vjp(x0, saved, w.T.copy(), weights=True)
+        grads, _ = nn.lstm_vjp(saved, w.T.copy(), weights=True)
 
         for name in PARAMS:
             param = p[name]
@@ -243,7 +244,7 @@ def _scan_grads(p, x0, w):
     """The head values [7, 6] and the gradients of sum(heads * w) with respect
     to x and p's ten tensors, from ``nn.lstm_vjp``."""
     heads, saved = nn.lstm_scan(p, x0, 7, keep=True)
-    grads, dx = nn.lstm_vjp(x0, saved, w, weights=True)
+    grads, dx = nn.lstm_vjp(saved, w, weights=True)
     return heads, [dx] + [grads[n] for n in PARAMS]
 
 
@@ -261,18 +262,19 @@ def _input_grad(p, x0) -> np.ndarray:
     """grad_x S, S = the head values summed over the batch and averaged over
     the 7 steps, as the critic's summed scores are: the BPTT without weights."""
     _, saved = nn.lstm_scan(p, x0, 7, keep=True)
-    return nn.lstm_vjp(x0, saved, np.full((7, x0.shape[0]), 1.0 / 7), weights=False)[1]
+    return nn.lstm_vjp(saved, np.full((7, x0.shape[0]), 1.0 / 7), weights=False)[1]
 
 
 def _input_grad_grads(p, x0, v) -> dict[str, np.ndarray]:
     """Gradients of <v, grad_x S> with respect to p's ten tensors:
-    ``nn.critic_input_grad_vjp`` for a window, and the complex-step kernel
-    it runs for noise."""
+    ``nn.critic_input_grad_vjp`` for a window, and for noise the same
+    complex step, ``nn.lstm_scan`` and ``nn.lstm_vjp`` at x + i h v."""
     if x0.ndim == 3:
         return nn.critic_input_grad_vjp(p, x0, v)
-    W, b, w = nn._fused(p)
-    grads = nn._complex_step(W, b, w, x0, 7, np.full((7, x0.shape[0]), 1.0 / 7), v)
-    return {**dict(zip(nn._PARAMS, grads)), "proj.b": np.zeros(1)}
+    scale = np.max(np.abs(v)) or 1.0
+    _, saved = nn.lstm_scan(p, x0 + 1e-20j * (v / scale), 7, keep=True)
+    grads, _ = nn.lstm_vjp(saved, np.full((7, x0.shape[0]), 1.0 / 7), weights=True)
+    return {**{name: g * (scale / 1e-20) for name, g in grads.items()}, "proj.b": np.zeros(1)}
 
 
 def _reference_param_grads(p, x0) -> dict[str, np.ndarray]:
@@ -323,9 +325,9 @@ class TestLstmScan:
     def test_bptt_without_weights_gives_the_same_input_gradient(self, kind):
         p, x0, w = _scan_case(kind, 43)
         _, saved = nn.lstm_scan(p, x0, 7, keep=True)
-        grads, dx = nn.lstm_vjp(x0, saved, w, weights=False)
+        grads, dx = nn.lstm_vjp(saved, w, weights=False)
         assert grads is None
-        assert np.array_equal(dx, nn.lstm_vjp(x0, saved, w, weights=True)[1])
+        assert np.array_equal(dx, nn.lstm_vjp(saved, w, weights=True)[1])
 
     @SCALED_INPUTS
     def test_second_order_matches_primitive_composition(self, kind, scale):
@@ -371,10 +373,10 @@ class TestLstmScan:
         # BPTT calls, each for its own upstream
         p, x0, w = _scan_case("window", 50)
         _, saved = nn.lstm_scan(p, x0, 7, keep=True)
-        ga = nn.lstm_vjp(x0, saved, w, weights=True)[1]
-        gb = nn.lstm_vjp(x0, saved, -2.0 * w, weights=True)[1]
+        ga = nn.lstm_vjp(saved, w, weights=True)[1]
+        gb = nn.lstm_vjp(saved, -2.0 * w, weights=True)[1]
         np.testing.assert_allclose(gb, -2.0 * ga, rtol=1e-12)
-        assert np.array_equal(nn.lstm_vjp(x0, saved, w, weights=True)[1], ga)
+        assert np.array_equal(nn.lstm_vjp(saved, w, weights=True)[1], ga)
 
     def test_every_step_calls_the_module_cell_step(self, monkeypatch):
         # benchmarks/spans.py counts LSTM steps by rebinding nn.lstm_cell_step
@@ -538,7 +540,7 @@ class TestNetworkBackward:
         rng = np.random.default_rng(62)
         x0, ds = rng.normal(size=(5, SMALL.seq_len, 1)), rng.normal(size=5)
         scores, saved = nn.critic_forward(critic, x0, keep=True)
-        grads, dx = nn.critic_backward(x0, saved, ds, weights=True)
+        grads, dx = nn.critic_backward(saved, ds, weights=True)
         x = Tensor(x0.copy())
         with Graph() as g:
             ref, leaves = _reference_critic_scores(critic, x)
@@ -549,7 +551,7 @@ class TestNetworkBackward:
         assert sorted(grads) == sorted(critic)
         for name in critic:
             assert rel_err(grads[name], gm[leaves[name]], floor=1e-5) <= 1e-12, name
-        assert nn.critic_backward(x0, saved, ds, weights=False)[0] is None
+        assert nn.critic_backward(saved, ds, weights=False)[0] is None
 
     @SCALES
     def test_critic_backward_vs_finite_differences(self, scale):
@@ -557,7 +559,7 @@ class TestNetworkBackward:
         rng = np.random.default_rng(64)
         x0, ds = rng.normal(size=(3, SMALL.seq_len, 1)), rng.normal(size=3)
         _, saved = nn.critic_forward(critic, x0, keep=True)
-        grads, dx = nn.critic_backward(x0, saved, ds, weights=True)
+        grads, dx = nn.critic_backward(saved, ds, weights=True)
 
         def f(x=x0) -> float:
             return float(nn.critic_forward(critic, x)[0] @ ds)
@@ -572,7 +574,7 @@ class TestNetworkBackward:
         rng = np.random.default_rng(66)
         z, dy = rng.normal(size=(5, SMALL.noise_len)), rng.normal(size=(5, SMALL.seq_len, 1))
         y, saved = nn.generator_forward(gen, z, keep=True)
-        grads = nn.generator_backward(z, saved, dy)
+        grads = nn.generator_backward(saved, dy)
         with Graph() as g:
             ref, leaves = _reference_generator(gen, Tensor(z, requires_grad=False))
             loss = T.reduce("sum", T.mul(ref, Tensor(dy, requires_grad=False)))
@@ -588,7 +590,7 @@ class TestNetworkBackward:
         rng = np.random.default_rng(68)
         z, dy = rng.normal(size=(3, SMALL.noise_len)), rng.normal(size=(3, SMALL.seq_len, 1))
         _, saved = nn.generator_forward(gen, z, keep=True)
-        grads = nn.generator_backward(z, saved, dy)
+        grads = nn.generator_backward(saved, dy)
         fd = _param_fd(gen, lambda: float((nn.generator_forward(gen, z)[0] * dy).sum()))
         for name in gen:
             assert rel_err(grads[name], fd[name]) < 1e-4, name
@@ -608,8 +610,8 @@ class TestEndToEnd:
         # as gan.generator_gradients does: the critic's BPTT without weights
         fake, gen_saved = nn.generator_forward(gen, z0, keep=True)
         _, critic_saved = nn.critic_forward(critic, fake, keep=True)
-        _, dx = nn.critic_backward(fake, critic_saved, np.full(2, 0.5), weights=False)
-        analytic = nn.generator_backward(z0, gen_saved, dx)
+        _, dx = nn.critic_backward(critic_saved, np.full(2, 0.5), weights=False)
+        analytic = nn.generator_backward(gen_saved, dx)
 
         vec0 = _flatten_params(gen)
 
@@ -632,8 +634,8 @@ class TestEndToEnd:
         before = {k: critic[k].copy() for k in critic}
         fake, gen_saved = nn.generator_forward(gen, z0, keep=True)
         _, critic_saved = nn.critic_forward(critic, fake, keep=True)
-        critic_grads, dx = nn.critic_backward(fake, critic_saved, np.full(2, -0.5), weights=False)
-        grads = nn.generator_backward(z0, gen_saved, dx)
+        critic_grads, dx = nn.critic_backward(critic_saved, np.full(2, -0.5), weights=False)
+        grads = nn.generator_backward(gen_saved, dx)
         assert critic_grads is None
         for k, t in critic.items():
             assert np.array_equal(t, before[k])

@@ -48,6 +48,27 @@ def test_every_public_function_has_a_caller_in_src():
     assert public and sorted(public - used) == []
 
 
+
+def test_every_module_level_definition_is_named_in_src():
+    """No code in ``src/`` serves the tests alone: every module-level
+    function and class of the package is named somewhere in ``src/``
+    outside its own definition, by a call, an attribute or an import."""
+    defined, named = set(), set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text("utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                defined.add((path.stem, owner))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else node.attr
+                        if isinstance(node, ast.Attribute) else node.name
+                        if isinstance(node, ast.alias) else None)
+                if name is not None and name != owner:
+                    named.add(name)
+    assert defined and sorted(d for d in defined if d[1] not in named) == []
+
+
 def _imports_the_tape(tree: ast.Module) -> bool:
     """Whether a module of the package imports ``tsforge.tensor`` or a name
     from it, by a relative or an absolute import."""
