@@ -15,7 +15,6 @@ import numpy as np
 from tsforge import gan
 from tsforge.data import fit_scale, make_windows
 from tsforge.gan import TrainConfig
-from tsforge.optim import OptimConfig
 from tsforge.stats import moments
 
 rng = np.random.Generator(np.random.Philox(2024))
@@ -25,7 +24,7 @@ print(f"dataset: {ds.windows.shape[0]} windows of length {ds.seq_len}")
 
 cfg = TrainConfig(epochs=300, n_critic=5, lambda_gp=10.0, batch_size=32,
                   noise_len=25, seq_len=20, lstm_units=16, seed=11,
-                  checkpoint_every=100, optim=OptimConfig(learning_rate=2e-4))
+                  checkpoint_every=100, learning_rate=2e-4)
 
 t0 = time.time()
 gen, critic, history, checkpoints = gan.train(cfg, ds)

@@ -21,9 +21,12 @@ Round-trips are bit-exact.
 
 The metadata holds the architecture, the epoch, the parameter names,
 the optimizer step counts, the scaler, the RNG state and a free-form
-``extra`` block. Checkpoints written by ``gan.train`` put the full
-training configuration (``config``), the number of training windows
-(``n_windows``) and the generator's mode-collapse score
+``extra`` block. The architecture is the networks' own: the generator's
+is written, and on load both networks' tensors must fit it. Checkpoints
+written by ``gan.train`` put the full training configuration
+(``config``, a flat ``asdict(TrainConfig)``; older files nest the
+optimizer's four keys under ``config["optim"]``), the number of training
+windows (``n_windows``) and the generator's mode-collapse score
 (``mode_collapse``) there, so a resume can be checked against the
 configuration and the data it continues.
 """
@@ -34,7 +37,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +57,8 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    """On-disk unit of training state."""
+    """On-disk unit of training state; the architecture is the networks'."""
 
-    spec: ArchitectureSpec
     epoch: int
     generator: ParamSet
     critic: ParamSet
@@ -146,8 +148,7 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
         "epoch": cp.epoch,
-        "arch": {"noise_len": cp.spec.noise_len, "seq_len": cp.spec.seq_len,
-                 "features": cp.spec.features, "lstm_units": cp.spec.lstm_units},
+        "arch": asdict(cp.generator.arch),
         "generator_names": list(cp.generator),
         "critic_names": list(cp.critic),
         "opt_steps": {"generator": cp.opt_generator.step, "critic": cp.opt_critic.step},
@@ -258,7 +259,7 @@ def _decode(blob: bytes, path) -> Checkpoint:
     if rng_state is not None:
         np.random.Philox(0).state = rng_state   # raises unless it is a Philox state
     return Checkpoint(
-        spec=arch, epoch=epoch, generator=gen, critic=critic,
+        epoch=epoch, generator=gen, critic=critic,
         opt_generator=optimizer("opt_g", gen, meta["opt_steps"]["generator"]),
         opt_critic=optimizer("opt_c", critic, meta["opt_steps"]["critic"]),
         scaler=scaler, rng_state=rng_state, extra=meta.get("extra", {}),

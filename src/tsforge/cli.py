@@ -10,7 +10,8 @@ Subcommands::
 Every plot is written as minimal SVG with a CSV twin carrying the same
 numbers. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
 abort. ``TSFORGE_OUT`` overrides the default output root, and
-``TSFORGE_LOG`` names the log level in any case (default WARNING).
+``TSFORGE_LOG`` names the level of the ``tsforge`` loggers in any case
+(default WARNING), read again on every ``main`` call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_check
 from .data import (DataError, WindowedDataset, build_dataset, load_csv, log_returns,
                    returns_to_prices)
 from .gan import TrainConfig, TrainingDiverged, make_rng
-from .optim import OptimConfig
 from .plot import Chart, render_chart, render_panels, write_svg
 from .stats import StatsError
 
@@ -64,12 +64,10 @@ def _fmt(x: float) -> str:
 # configuration ------------------------------------------------------
 
 # Config keys, mapped to the type of their field's default: the TrainConfig
-# and OptimConfig field names, two of them renamed.
+# field names, two of them renamed.
 _RENAMED = {"lambda_gp": "lambda", "lstm_units": "units"}
 _FIELD = {key: name for name, key in _RENAMED.items()}
-_OPTIM_FIELDS = {f.name for f in fields(OptimConfig)}
-_KEYS = {_RENAMED.get(f.name, f.name): type(f.default)
-         for f in fields(TrainConfig) + fields(OptimConfig) if f.name != "optim"}
+_KEYS = {_RENAMED.get(f.name, f.name): type(f.default) for f in fields(TrainConfig)}
 
 
 def _read_config_file(path) -> dict:
@@ -116,17 +114,17 @@ def parse_config(path=None, overrides: dict | None = None) -> TrainConfig:
         if k not in _KEYS:
             raise ConfigError(f"unknown configuration key {k!r}")
         values[k] = v
-    kwargs = {_FIELD.get(k, k): v for k, v in values.items()}
-    optim = {name: kwargs.pop(name) for name in _OPTIM_FIELDS & kwargs.keys()}
     try:
-        return TrainConfig(optim=OptimConfig(**optim), **kwargs)
+        return TrainConfig(**{_FIELD.get(k, k): v for k, v in values.items()})
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from None
 
 
 def _by_key(config: dict) -> dict:
-    """The values of an ``asdict(TrainConfig)`` under their config keys."""
-    values = {**config, **config["optim"]}
+    """The values of an ``asdict(TrainConfig)`` under their config keys. A
+    checkpoint written before the optimizer's four keys joined TrainConfig
+    nests them under ``"optim"``."""
+    values = {**config, **config.get("optim", {})}
     return {key: values[_FIELD.get(key, key)] for key in _KEYS}
 
 
@@ -221,8 +219,8 @@ def _check_resume(cp: Checkpoint, cfg: TrainConfig, dataset: WindowedDataset, pa
         if key not in ("epochs", "checkpoint_every") and have[key] != need:
             raise CheckpointError(f"{path}: checkpoint has {key} = {have[key]}, "
                                   f"the configuration {need}")
-    if cp.spec != cfg.arch():
-        raise CheckpointError(f"{path}: checkpoint architecture {cp.spec} "
+    if cp.generator.arch != cfg.arch():
+        raise CheckpointError(f"{path}: checkpoint architecture {cp.generator.arch} "
                               f"disagrees with its configuration")
     if cp.scaler != dataset.scaler or cp.extra.get("n_windows") != len(dataset):
         raise CheckpointError(f"{path}: checkpoint was trained on other data "
@@ -515,7 +513,9 @@ def _log_level() -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        logging.basicConfig(level=_log_level())
+        level = _log_level()
+        logging.basicConfig()     # adds stderr's handler once, then does nothing
+        logging.getLogger("tsforge").setLevel(level)
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as e:

@@ -32,7 +32,7 @@ from .checkpoint import Checkpoint
 from .data import WindowedDataset, sample_real_batch
 from .nn import (ArchitectureSpec, ParamSet, critic_backward, critic_forward,
                  critic_input_grad_vjp, generator_backward, generator_forward, init_params)
-from .optim import OptimConfig, RmspropState, clip_weights, rmsprop_step
+from .optim import RmspropState, clip_weights, rmsprop_step
 from .tensor import Graph, Tensor
 
 logger = logging.getLogger(__name__)
@@ -63,23 +63,32 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 500
     g_loss_nonsaturating: bool = False
-    optim: OptimConfig = field(default_factory=OptimConfig)
+    learning_rate: float = 0.00005
+    rho: float = 0.9
+    epsilon: float = 1e-8
+    clip_c: float = 0.01
 
     def __post_init__(self):
-        for name in ("epochs", "n_critic", "batch_size", "noise_len",
-                     "seq_len", "lstm_units", "checkpoint_every"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("epochs", "n_critic", "batch_size", "noise_len", "seq_len",
+                     "lstm_units", "seed", "checkpoint_every"):
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if type(value) is not int or value < least:     # a bool is no count
+                raise ValueError(f"{name} must be an integer of at least {least}, "
+                                 f"got {value!r}")
+        for name in ("learning_rate", "epsilon", "clip_c"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError("rho must lie in (0, 1)")
         if not (math.isfinite(self.lambda_gp) and self.lambda_gp >= 0):
             raise ValueError(f"lambda_gp must be finite and non-negative, got {self.lambda_gp!r}")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
 
-    def arch(self, features: int = 1) -> ArchitectureSpec:
+    def arch(self) -> ArchitectureSpec:
         return ArchitectureSpec(noise_len=self.noise_len, seq_len=self.seq_len,
-                                features=features, lstm_units=self.lstm_units)
+                                lstm_units=self.lstm_units)
 
 
 @dataclass
@@ -254,8 +263,6 @@ def mode_collapse_score(batch: np.ndarray) -> float:
 
 def generate(generator: ParamSet, n_samples: int, seed: int) -> np.ndarray:
     """Sample noise and run the generator; [n_samples, seq_len, 1]."""
-    if generator.arch is None:
-        raise ValueError("generator ParamSet carries no architecture")
     rng = make_rng(seed)
     z = sample_noise(n_samples, generator.arch.noise_len, rng)
     return np.array(generator_forward(generator, z)[0])
@@ -361,10 +368,9 @@ def train(config: TrainConfig, data: WindowedDataset, *,
 
     def checkpoint(epoch: int, batch: np.ndarray | None = None) -> Checkpoint:
         mc = mode_collapse_score(batch) if batch is not None and batch.shape[0] >= 2 else 0.0
-        return Checkpoint(spec=config.arch(), epoch=epoch, generator=gen.copy(),
-                          critic=critic.copy(), opt_generator=opt_g.copy(),
-                          opt_critic=opt_c.copy(), scaler=data.scaler,
-                          rng_state=rng.bit_generator.state,
+        return Checkpoint(epoch=epoch, generator=gen.copy(), critic=critic.copy(),
+                          opt_generator=opt_g.copy(), opt_critic=opt_c.copy(),
+                          scaler=data.scaler, rng_state=rng.bit_generator.state,
                           extra={"config": asdict(config), "n_windows": len(data),
                                  "mode_collapse": mc})
 
@@ -390,9 +396,9 @@ def train(config: TrainConfig, data: WindowedDataset, *,
             if bad or not all(np.isfinite(v) for v in (c_loss, w_est, gp_val)):
                 history.append(epoch, c_loss, float("nan"), w_est, gp_val)
                 abort(f"critic={c_loss}, wasserstein={w_est}, penalty={gp_val}", bad)
-            rmsprop_step(critic, grads, opt_c, config.optim)
+            rmsprop_step(critic, grads, opt_c, config.learning_rate, config.rho, config.epsilon)
             if config.loss_variant == "wgan_clip":
-                clip_weights(critic, config.optim.clip_c)
+                clip_weights(critic, config.clip_c)
 
         z = sample_noise(B, config.noise_len, rng)
         grads, g_val = generator_gradients(gen, critic, z, config.loss_variant,
@@ -402,7 +408,7 @@ def train(config: TrainConfig, data: WindowedDataset, *,
         bad = _nonfinite(grads)
         if bad or not history.last_finite():
             abort(f"critic={c_loss}, generator={g_val}", bad)
-        rmsprop_step(gen, grads, opt_g, config.optim)
+        rmsprop_step(gen, grads, opt_g, config.learning_rate, config.rho, config.epsilon)
         if epoch == start_epoch + 1 or epoch % 100 == 0:
             logger.debug("epoch %d: critic=%.5f generator=%.5f w=%.5f gp=%.5f",
                          epoch, c_loss, g_val, w_est, gp_val)

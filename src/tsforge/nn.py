@@ -81,12 +81,12 @@ class ParamSet:
     """Ordered map of one network's parameter names to float64 arrays.
 
     ``lstm_scan`` reads the LSTM's and the head's arrays from it by name,
-    and the optimizer updates them in place. Carries the architecture it
-    was initialized for, so a generator knows its own output length.
+    and the optimizer updates them in place. It carries its network's
+    architecture: a generator reads its output length there, and a
+    checkpoint writes the generator's as its own.
     """
 
-    def __init__(self, kind: str, params: dict[str, np.ndarray],
-                 arch: ArchitectureSpec | None = None):
+    def __init__(self, kind: str, params: dict[str, np.ndarray], arch: ArchitectureSpec):
         if kind not in ("generator", "critic"):
             raise ValueError(f"unknown network kind {kind!r}")
         self.kind = kind
@@ -103,7 +103,7 @@ class ParamSet:
         return self._params.items()
 
     def copy(self) -> "ParamSet":
-        return ParamSet(self.kind, {k: v.copy() for k, v in self.items()}, arch=self.arch)
+        return ParamSet(self.kind, {k: v.copy() for k, v in self.items()}, self.arch)
 
 
 def param_shapes(spec: ArchitectureSpec, kind: str) -> dict[str, tuple[int, ...]]:
@@ -342,8 +342,6 @@ def generator_forward(g: ParamSet, z: np.ndarray, keep: bool = False,
     sequence length comes from the architecture, and tanh keeps the
     output inside (-1, 1).
     """
-    if g.arch is None:
-        raise ValueError("generator ParamSet carries no architecture")
     if z.ndim != 2:
         raise ValueError(f"generator: expected noise [batch, noise_len], got {z.shape}")
     heads, saved = lstm_scan(g, z, g.arch.seq_len, keep)

@@ -1,36 +1,19 @@
 """RMSprop updates and the weight-clipping rule for the clipping variant.
 
 RMSprop divides the learning rate by an exponentially decaying average
-of squared gradients, per parameter element. The paper's experiments fix
-the learning rate at 0.00005; decay and epsilon follow the standard
-defaults, with epsilon added outside the square root so results are
-reproducible bit for bit.
+of squared gradients, per parameter element. The learning rate, decay
+and epsilon are plain arguments; their defaults (the paper's 0.00005,
+the standard 0.9 and 1e-8) live in ``gan.TrainConfig`` alone. Epsilon
+is added outside the square root so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .nn import ParamSet
-
-
-@dataclass
-class OptimConfig:
-    learning_rate: float = 0.00005
-    rho: float = 0.9
-    epsilon: float = 1e-8
-    clip_c: float = 0.01
-
-    def __post_init__(self):
-        for name in ("learning_rate", "epsilon", "clip_c"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
 
 
 @dataclass
@@ -45,7 +28,8 @@ class RmspropState:
 
 
 def rmsprop_step(params: ParamSet, grads: dict[str, np.ndarray],
-                 state: RmspropState, cfg: OptimConfig) -> RmspropState:
+                 state: RmspropState, learning_rate: float, rho: float,
+                 epsilon: float) -> RmspropState:
     """One in-place update of every parameter.
 
     cache <- rho*cache + (1-rho)*g^2; p <- p - lr*g / (sqrt(cache)+eps).
@@ -61,9 +45,9 @@ def rmsprop_step(params: ParamSet, grads: dict[str, np.ndarray],
         cache = state.cache.get(name)
         if cache is None:
             cache = np.zeros(p.shape)
-        cache = cfg.rho * cache + (1.0 - cfg.rho) * (g * g)
+        cache = rho * cache + (1.0 - rho) * (g * g)
         state.cache[name] = cache
-        p -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.epsilon)
+        p -= learning_rate * g / (np.sqrt(cache) + epsilon)
     state.step += 1
     return state
 

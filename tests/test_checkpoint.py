@@ -16,7 +16,7 @@ from tsforge.checkpoint import (Checkpoint, CheckpointError, MAGIC, load_checkpo
 from tsforge.data import Scaler
 from tsforge.gan import generate, make_rng
 from tsforge.nn import ArchitectureSpec, init_params
-from tsforge.optim import OptimConfig, RmspropState, rmsprop_step
+from tsforge.optim import RmspropState, rmsprop_step
 
 SPEC = ArchitectureSpec(noise_len=3, seq_len=6, features=1, lstm_units=4)
 
@@ -29,7 +29,7 @@ def make_checkpoint(seed=0, with_rng=True) -> Checkpoint:
     opt_g = RmspropState(cache={k: np.abs(t) * 0.1 for k, t in gen.items()}, step=5)
     opt_c = RmspropState(cache={k: np.abs(t) * 0.2 for k, t in critic.items()}, step=25)
     return Checkpoint(
-        spec=SPEC, epoch=42, generator=gen, critic=critic,
+        epoch=42, generator=gen, critic=critic,
         opt_generator=opt_g, opt_critic=opt_c,
         scaler=Scaler(lo=-0.13, hi=0.21),
         rng_state=rng.bit_generator.state if with_rng else None,
@@ -59,7 +59,7 @@ class TestRoundtrip:
         save_checkpoint(path, cp)
         back = load_checkpoint(path)
         assert back.epoch == 42
-        assert back.spec == SPEC
+        assert back.generator.arch == back.critic.arch == SPEC
         assert back.scaler == cp.scaler
         assert back.extra == cp.extra
 
@@ -91,11 +91,11 @@ class TestRoundtrip:
         gen, critic = init_params(SPEC, "generator", 5), init_params(SPEC, "critic", 6)
         rng = make_rng(7)
         opt = [rmsprop_step(ps, {k: rng.uniform(-1.0, 1.0, size=t.shape) for k, t in ps.items()},
-                            RmspropState(), OptimConfig(learning_rate=1e-3))
+                            RmspropState(), 1e-3, 0.9, 1e-8)
                for ps in (gen, critic)]
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, Checkpoint(
-            spec=SPEC, epoch=1, generator=gen, critic=critic, opt_generator=opt[0],
+            epoch=1, generator=gen, critic=critic, opt_generator=opt[0],
             opt_critic=opt[1], scaler=Scaler(lo=-0.13, hi=0.21),
             rng_state=rng.bit_generator.state, extra={"seed": 5}))
         blob = path.read_bytes()
@@ -145,7 +145,7 @@ class TestCorruption:
 
     def test_tensors_must_fit_the_architecture(self, tmp_path):
         cp = make_checkpoint()
-        cp.spec = ArchitectureSpec(noise_len=4, seq_len=6, features=1, lstm_units=4)
+        cp.generator.arch = ArchitectureSpec(noise_len=4, seq_len=6, features=1, lstm_units=4)
         save_checkpoint(tmp_path / "x.ckpt", cp)
         with pytest.raises(CheckpointError, match="generator tensors do not fit"):
             load_checkpoint(tmp_path / "x.ckpt")
@@ -269,6 +269,6 @@ def test_damaged_file_loads_whole_or_raises(tmp_path_factory, data):
         cp = load_checkpoint(path)
     except CheckpointError:
         return
-    assert generate(cp.generator, 2, 0).shape == (2, cp.spec.seq_len, 1)
+    assert generate(cp.generator, 2, 0).shape == (2, cp.generator.arch.seq_len, 1)
     s = np.linspace(-1.0, 1.0, 5)
     np.testing.assert_allclose(cp.scaler.transform(cp.scaler.inverse(s)), s, atol=1e-9)

@@ -21,7 +21,6 @@ from tsforge import cli, gan
 from tsforge.checkpoint import load_checkpoint, save_checkpoint
 from tsforge.cli import main, parse_config, write_config
 from tsforge.gan import TrainConfig, make_rng
-from tsforge.optim import OptimConfig
 from tsforge.plot import write_svg
 
 from conftest import build_price_csv
@@ -68,7 +67,7 @@ epsilon = 1e-08
 clip_c = 0.01
 """
 
-# flag, its value, the field it sets (optimizer fields under "optim."), the parsed value
+# flag, its value, the field it sets, the parsed value
 TRAIN_FLAGS = [
     ("--epochs", "7", "epochs", 7), ("--n-critic", "2", "n_critic", 2),
     ("--lambda", "3.5", "lambda_gp", 3.5), ("--batch-size", "9", "batch_size", 9),
@@ -76,17 +75,16 @@ TRAIN_FLAGS = [
     ("--units", "12", "lstm_units", 12), ("--loss-variant", "gan", "loss_variant", "gan"),
     ("--seed", "9", "seed", 9), ("--checkpoint-every", "3", "checkpoint_every", 3),
     ("--g-loss-nonsaturating", None, "g_loss_nonsaturating", True),
-    ("--lr", "0.001", "optim.learning_rate", 0.001), ("--rho", "0.8", "optim.rho", 0.8),
-    ("--epsilon", "1e-7", "optim.epsilon", 1e-7), ("--clip-c", "0.02", "optim.clip_c", 0.02),
+    ("--lr", "0.001", "learning_rate", 0.001), ("--rho", "0.8", "rho", 0.8),
+    ("--epsilon", "1e-7", "epsilon", 1e-7), ("--clip-c", "0.02", "clip_c", 0.02),
 ]
 
 
 def every_field_changed() -> TrainConfig:
     return TrainConfig(epochs=7, n_critic=2, lambda_gp=3.5, batch_size=9, noise_len=4,
                        seq_len=11, lstm_units=12, loss_variant="gan", seed=9,
-                       checkpoint_every=3, g_loss_nonsaturating=True,
-                       optim=OptimConfig(learning_rate=1e-3, rho=0.8, epsilon=1e-7,
-                                         clip_c=0.02))
+                       checkpoint_every=3, g_loss_nonsaturating=True, learning_rate=1e-3,
+                       rho=0.8, epsilon=1e-7, clip_c=0.02)
 
 
 def edit_checkpoint_meta(src, dest, edit):
@@ -107,7 +105,7 @@ class TestParseConfig:
         cfg = parse_config()
         assert cfg.epochs == 3000
         assert cfg.n_critic == 5
-        assert cfg.optim.learning_rate == 0.00005
+        assert cfg.learning_rate == 0.00005
         assert cfg.batch_size == 32
         assert cfg.noise_len == 25
         assert cfg.seq_len == 50
@@ -195,14 +193,11 @@ class TestParseConfig:
         default = TrainConfig()
         for f in fields(TrainConfig):
             assert getattr(cfg, f.name) != getattr(default, f.name), f.name
-        for f in fields(OptimConfig):
-            assert getattr(cfg.optim, f.name) != getattr(default.optim, f.name), f.name
         write_config(cfg, tmp_path / "snap.cfg")
         assert parse_config(tmp_path / "snap.cfg") == cfg
 
     def test_flags_cover_every_field(self):
-        names = {f.name for f in fields(TrainConfig) if f.name != "optim"}
-        names |= {f"optim.{f.name}" for f in fields(OptimConfig)}
+        names = [f.name for f in fields(TrainConfig)]
         assert sorted(field for _, _, field, _ in TRAIN_FLAGS) == sorted(names)
 
     @pytest.mark.parametrize("flag,value,field,expected", TRAIN_FLAGS,
@@ -215,11 +210,7 @@ class TestParseConfig:
                             lambda *a: parsed.append(real_parse(*a)) or parsed[-1])
         argv = ["train", "--data", str(tmp_path / "missing.csv"), flag]
         assert main(argv + ([value] if value is not None else [])) == 2
-        if field.startswith("optim."):
-            want = TrainConfig(optim=replace(OptimConfig(), **{field[6:]: expected}))
-        else:
-            want = replace(TrainConfig(), **{field: expected})
-        assert parsed == [want]
+        assert parsed == [replace(TrainConfig(), **{field: expected})]
 
 
 class TestTrain:
@@ -356,6 +347,31 @@ class TestTrain:
                      "--resume", str(old)] + FAST) == 2
         assert "no complete training configuration" in capsys.readouterr().err
         assert not (out / "config.txt").exists()
+
+    def test_checkpoint_with_nested_optimizer_keys_resumes(self, trained_run, tmp_path, capsys):
+        # checkpoints written before the optimizer's four keys joined
+        # TrainConfig hold them under extra.config.optim
+        run, csv_path = trained_run
+        flat = run / "checkpoint_epoch000002.ckpt"
+
+        def nested(meta):
+            config = meta["extra"]["config"]
+            config["optim"] = {key: config.pop(key)
+                               for key in ("learning_rate", "rho", "epsilon", "clip_c")}
+
+        old = edit_checkpoint_meta(flat, tmp_path / "old.ckpt", nested)
+        for name, path in (("flat", flat), ("nested", old)):
+            assert main(["train", "--data", str(csv_path), "--out", str(tmp_path / name),
+                         "--resume", str(path)] + FAST + ["--epochs", "4"]) == 0
+        for artifact in ("loss.csv", "checkpoint_epoch000004.ckpt"):
+            assert ((tmp_path / "flat" / artifact).read_bytes()
+                    == (tmp_path / "nested" / artifact).read_bytes()), artifact
+        capsys.readouterr()
+        out = tmp_path / "lr"
+        assert main(["train", "--data", str(csv_path), "--out", str(out), "--resume", str(old)]
+                    + FAST + ["--lr", "0.01"]) == 2
+        assert "learning_rate = 5e-05" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_without_rng_state_exit_2(self, trained_run, tmp_path, capsys):
         run, csv_path = trained_run
@@ -971,6 +987,24 @@ def test_tsforge_log_takes_level_names_in_any_case(small_csv, tmp_path):
     done = _run_python(*train, "--out", str(tmp_path / "debug"), TSFORGE_LOG="DeBuG")
     assert done.returncode == 0, done.stderr
     assert "DEBUG:tsforge.gan:epoch 1: critic=" in done.stderr
+
+
+def test_tsforge_log_is_read_on_every_main_call(small_csv, tmp_path):
+    # logging.basicConfig sets a level only while the root logger has no
+    # handler, so only a fresh process shows a second call's level; under
+    # pytest the root logger already has handlers
+    script = ("import os, sys\n"
+              "from tsforge.cli import main\n"
+              "for level in ('WARNING', 'DEBUG'):\n"
+              "    os.environ['TSFORGE_LOG'] = level\n"
+              "    print('---', level, file=sys.stderr, flush=True)\n"
+              "    out = os.path.join(sys.argv[1], level)\n"
+              "    assert main(sys.argv[2:] + ['--out', out]) == 0\n")
+    done = _run_python("-c", script, str(tmp_path), "train", "--data", str(small_csv), *FAST)
+    assert done.returncode == 0, done.stderr
+    warning, debug = done.stderr.split("--- DEBUG\n")
+    assert warning == "--- WARNING\n"
+    assert "DEBUG:tsforge.gan:epoch 1: critic=" in debug
 
 
 def test_tsforge_log_needs_no_python_3_11_logging_api(monkeypatch):

@@ -1,20 +1,21 @@
 """Losses, gradient penalty analytics, and the training loop contract."""
 
+import ast
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsforge import gan, nn
+from tsforge import gan, nn, optim
 from tsforge.data import fit_scale
 from tsforge.gan import (TrainConfig, TrainingDiverged, critic_loss_gan, critic_loss_wgan,
                          generator_loss_gan, generator_loss_wgan, gradient_penalty,
                          interpolate, lipschitz_ratio_check, make_rng,
                          mode_collapse_score, sample_noise, wasserstein_estimate)
 from tsforge.nn import ArchitectureSpec, critic_backward, critic_forward, init_params
-from tsforge.optim import OptimConfig
 from tsforge.tensor import Graph, Tensor
 
 from oracles import central_diff, rel_err
@@ -449,7 +450,7 @@ class TestTrainLoop:
     def _cfg(self, **kw):
         base = dict(epochs=2, n_critic=5, lambda_gp=10.0, batch_size=8,
                     noise_len=3, seq_len=6, lstm_units=4, seed=42,
-                    checkpoint_every=1, optim=OptimConfig(learning_rate=5e-5))
+                    checkpoint_every=1, learning_rate=5e-5)
         base.update(kw)
         return TrainConfig(**base)
 
@@ -539,9 +540,9 @@ class TestTrainLoop:
         import tsforge.gan as gan_mod
         orig = gan_mod.rmsprop_step
 
-        def counting(params, grads, state, cfg):
+        def counting(params, *args):
             calls[params.kind] += 1
-            return orig(params, grads, state, cfg)
+            return orig(params, *args)
 
         monkeypatch.setattr(gan_mod, "rmsprop_step", counting)
         ds = small_dataset()
@@ -564,9 +565,9 @@ class TestTrainLoop:
         orig = gan_mod.rmsprop_step
         seen = []
 
-        def spying(params, grads, state, cfg):
+        def spying(params, *args):
             seen.append((params.kind, {k: t.copy() for k, t in params.items()}))
-            return orig(params, grads, state, cfg)
+            return orig(params, *args)
 
         monkeypatch.setattr(gan_mod, "rmsprop_step", spying)
         gen, critic, _, _ = gan.train(self._cfg(epochs=1), ds)
@@ -582,8 +583,7 @@ class TestTrainLoop:
     def test_variant_equivalence_gp0_vs_clip_inf(self):
         ds = small_dataset()
         cfg_gp = self._cfg(epochs=4, lambda_gp=0.0, loss_variant="wgan_gp")
-        cfg_clip = self._cfg(epochs=4, loss_variant="wgan_clip",
-                             optim=OptimConfig(learning_rate=5e-5, clip_c=1e9))
+        cfg_clip = self._cfg(epochs=4, loss_variant="wgan_clip", clip_c=1e9)
         _, _, h1, _ = gan.train(cfg_gp, ds)
         _, _, h2, _ = gan.train(cfg_clip, ds)
         assert h1.critic_loss == h2.critic_loss
@@ -595,7 +595,7 @@ class TestTrainLoop:
         _, _, _, cps = gan.train(cfg, ds)
         assert [c.epoch for c in cps] == [2, 4]
         for c in cps:
-            assert c.spec == cfg.arch() and c.scaler == ds.scaler
+            assert c.generator.arch == c.critic.arch == cfg.arch() and c.scaler == ds.scaler
             assert c.extra["config"] == asdict(cfg) and c.extra["n_windows"] == len(ds)
             assert c.extra["mode_collapse"] > 0.0
 
@@ -616,7 +616,7 @@ class TestTrainLoop:
         # the first step moves the weights by about 3x the learning rate, so
         # one near the float limit overflows the next critic loss
         ds = small_dataset()
-        cfg = self._cfg(epochs=50, optim=OptimConfig(learning_rate=1e307))
+        cfg = self._cfg(epochs=50, learning_rate=1e307)
         with pytest.raises(TrainingDiverged) as exc:
             gan.train(cfg, ds)
         assert exc.value.checkpoint.epoch == 1
@@ -695,3 +695,35 @@ class TestTrainLoop:
                 TrainConfig(lambda_gp=bad)
         with pytest.raises(ValueError):
             TrainConfig(loss_variant="wgan")
+
+    @pytest.mark.parametrize("value", [2.0, 1.5, True, "2"], ids=repr)
+    @pytest.mark.parametrize("name", ["epochs", "n_critic", "batch_size", "noise_len", "seq_len",
+                                      "lstm_units", "seed", "checkpoint_every"])
+    def test_counts_must_be_integers(self, name, value):
+        # refused when the config is built, not deep inside a training run;
+        # a bool is an int to isinstance, but no count
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+
+
+def _attributes_read(tree: ast.AST, receiver: str) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == receiver}
+
+
+def test_every_config_field_is_read_by_training():
+    """A TrainConfig field that no training code reads is a config key that
+    does nothing. Each must be read as ``config.<field>`` in gan.py or
+    optim.py, or as ``self.<field>`` in a TrainConfig method; the checks of
+    ``__post_init__`` do not count."""
+    read = set()
+    for module in (gan, optim):
+        tree = ast.parse(Path(module.__file__).read_text("utf-8"))
+        read |= _attributes_read(tree, "config")
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "TrainConfig":
+                read |= {name for method in cls.body if isinstance(method, ast.FunctionDef)
+                         and method.name != "__post_init__"
+                         for name in _attributes_read(method, "self")}
+    assert [f.name for f in fields(TrainConfig) if f.name not in read] == []

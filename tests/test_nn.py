@@ -78,7 +78,7 @@ class TestInit:
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
-            ParamSet("actor", {})
+            ParamSet("actor", {}, ArchitectureSpec())
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -95,9 +95,9 @@ PARAMS = GATES + ("proj.W", "proj.b")
 def _lstm(units, features, **arrays) -> ParamSet:
     """One LSTM and its head, zero except the named ``arrays``, keyed by the
     name after its dot: W_i ... b_o for the gates, W and b for the head."""
-    shapes = nn.param_shapes(ArchitectureSpec(features=features, lstm_units=units), "critic")
+    spec = ArchitectureSpec(features=features, lstm_units=units)
     return ParamSet("critic", {name: arrays.get(name.split(".")[1], np.zeros(shape))
-                               for name, shape in shapes.items()})
+                               for name, shape in nn.param_shapes(spec, "critic").items()}, spec)
 
 
 def _random_lstm(rng, units, features) -> ParamSet:

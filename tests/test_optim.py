@@ -3,19 +3,24 @@
 import numpy as np
 import pytest
 
+from tsforge.gan import TrainConfig
 from tsforge.nn import ArchitectureSpec, ParamSet, init_params
-from tsforge.optim import OptimConfig, RmspropState, clip_weights, rmsprop_step
+from tsforge.optim import RmspropState, clip_weights, rmsprop_step
+
+# the paper's learning rate and the standard decay and epsilon, TrainConfig's defaults
+DEFAULTS = (0.00005, 0.9, 1e-8)
 
 
 def _tiny_params(values: dict[str, np.ndarray]) -> ParamSet:
-    return ParamSet("critic", {k: np.asarray(v, dtype=np.float64) for k, v in values.items()})
+    return ParamSet("critic", {k: np.asarray(v, dtype=np.float64) for k, v in values.items()},
+                    ArchitectureSpec())
 
 
 class TestRmsprop:
     def test_zero_gradient_leaves_params(self):
         ps = _tiny_params({"w": [1.0, -2.0]})
         st = RmspropState(cache={"w": np.array([0.5, 0.5])})
-        rmsprop_step(ps, {"w": np.zeros(2)}, st, OptimConfig())
+        rmsprop_step(ps, {"w": np.zeros(2)}, st, *DEFAULTS)
         np.testing.assert_array_equal(ps["w"], [1.0, -2.0])
         # cache decays toward zero
         np.testing.assert_allclose(st.cache["w"], [0.45, 0.45])
@@ -23,28 +28,26 @@ class TestRmsprop:
     def test_first_step_analytic(self):
         # g=1, lr=0.001, rho=0.9, eps->0: cache=0.1, update=0.001/sqrt(0.1)
         ps = _tiny_params({"w": [0.0]})
-        cfg = OptimConfig(learning_rate=0.001, rho=0.9, epsilon=1e-300)
-        rmsprop_step(ps, {"w": np.ones(1)}, RmspropState(), cfg)
+        rmsprop_step(ps, {"w": np.ones(1)}, RmspropState(), 0.001, 0.9, 1e-300)
         assert ps["w"][0] == pytest.approx(-0.001 / np.sqrt(0.1), rel=1e-9)
 
     def test_steady_state_step_size(self):
         # constant gradient: cache -> g^2, step size -> lr within 1% after 200 steps
         ps = _tiny_params({"w": [0.0]})
-        cfg = OptimConfig(learning_rate=0.01, rho=0.9, epsilon=1e-300)
         st = RmspropState()
         g = np.array([3.0])
         prev = ps["w"].copy()
         for _ in range(200):
             prev = ps["w"].copy()
-            rmsprop_step(ps, {"w": g}, st, cfg)
+            rmsprop_step(ps, {"w": g}, st, 0.01, 0.9, 1e-300)
         last_step = abs(ps["w"][0] - prev[0])
-        assert last_step == pytest.approx(cfg.learning_rate, rel=0.01)
+        assert last_step == pytest.approx(0.01, rel=0.01)
         assert st.cache["w"][0] == pytest.approx(9.0, rel=0.01)
 
     def test_missing_gradient_rejected(self):
         ps = _tiny_params({"w": [0.0], "b": [0.0]})
         with pytest.raises(KeyError):
-            rmsprop_step(ps, {"w": np.zeros(1)}, RmspropState(), OptimConfig())
+            rmsprop_step(ps, {"w": np.zeros(1)}, RmspropState(), *DEFAULTS)
 
     def test_independent_of_naming_order(self):
         rng = np.random.default_rng(0)
@@ -52,8 +55,8 @@ class TestRmsprop:
         g1, g2 = rng.normal(size=3), rng.normal(size=3)
         a = _tiny_params({"x": w1.copy(), "y": w2.copy()})
         b = _tiny_params({"y": w2.copy(), "x": w1.copy()})
-        rmsprop_step(a, {"x": g1, "y": g2}, RmspropState(), OptimConfig())
-        rmsprop_step(b, {"x": g1, "y": g2}, RmspropState(), OptimConfig())
+        rmsprop_step(a, {"x": g1, "y": g2}, RmspropState(), *DEFAULTS)
+        rmsprop_step(b, {"x": g1, "y": g2}, RmspropState(), *DEFAULTS)
         np.testing.assert_array_equal(a["x"], b["x"])
         np.testing.assert_array_equal(a["y"], b["y"])
 
@@ -62,7 +65,7 @@ class TestRmsprop:
         g = np.array([1e150, -1e150, 1e-300])
         st = RmspropState()
         for _ in range(5):
-            rmsprop_step(ps, {"w": g}, st, OptimConfig())
+            rmsprop_step(ps, {"w": g}, st, *DEFAULTS)
         assert np.all(np.isfinite(ps["w"]))
 
     def test_update_opposes_gradient_sign(self):
@@ -71,7 +74,7 @@ class TestRmsprop:
         st = RmspropState()
         g = rng.normal(size=8)
         before = ps["w"].copy()
-        rmsprop_step(ps, {"w": g}, st, OptimConfig(learning_rate=0.01))
+        rmsprop_step(ps, {"w": g}, st, 0.01, 0.9, 1e-8)
         moved = ps["w"] - before
         nz = g != 0
         assert np.all(np.sign(moved[nz]) == -np.sign(g[nz]))
@@ -79,19 +82,17 @@ class TestRmsprop:
     def test_shape_mismatch_rejected(self):
         ps = _tiny_params({"w": [0.0, 0.0]})
         with pytest.raises(ValueError):
-            rmsprop_step(ps, {"w": np.zeros(3)}, RmspropState(), OptimConfig())
+            rmsprop_step(ps, {"w": np.zeros(3)}, RmspropState(), *DEFAULTS)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            OptimConfig(rho=1.0)
-        with pytest.raises(ValueError):
-            OptimConfig(epsilon=0.0)
-        for bad in ({"learning_rate": np.nan}, {"epsilon": np.inf}, {"clip_c": -1.0},
+        # the optimizer's hyperparameters are TrainConfig fields, checked there
+        cfg = TrainConfig()
+        assert (cfg.learning_rate, cfg.rho, cfg.epsilon) == DEFAULTS
+        for bad in ({"learning_rate": 0.0}, {"rho": 1.0}, {"epsilon": 0.0},
+                    {"learning_rate": np.nan}, {"epsilon": np.inf}, {"clip_c": -1.0},
                     {"clip_c": np.nan}, {"rho": np.nan}):
             with pytest.raises(ValueError):
-                OptimConfig(**bad)
+                TrainConfig(**bad)
 
 
 class TestClipping:

@@ -17,7 +17,6 @@ import pytest
 
 from tsforge import gan, nn, tensor
 from tsforge.data import fit_scale
-from tsforge.optim import OptimConfig
 
 RTOL = 1e-9
 
@@ -30,7 +29,7 @@ def tiny_dataset():
 def tiny_config(variant: str, epochs: int = 3) -> gan.TrainConfig:
     return gan.TrainConfig(epochs=epochs, n_critic=5, batch_size=4, noise_len=2, seq_len=6,
                            lstm_units=3, loss_variant=variant, seed=7, checkpoint_every=1000,
-                           optim=OptimConfig(learning_rate=1e-3))
+                           learning_rate=1e-3)
 
 
 # variant: (critic loss, generator loss, wasserstein, penalty, (generator sum, critic sum))
