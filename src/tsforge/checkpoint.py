@@ -21,8 +21,11 @@ Round-trips are bit-exact.
 
 The metadata holds the architecture, the epoch, the parameter names,
 the optimizer step counts, the scaler, the RNG state and a free-form
-``extra`` block. The architecture is the networks' own: the generator's
-is written, and on load both networks' tensors must fit it. Checkpoints
+``extra`` block. The scaler and the RNG state are always there: a file
+without either fails to load. The RNG state's arrays are written as
+``{"__array__": list, "dtype": name}``. The architecture is the
+networks' own: the generator's is written, and both networks' tensors
+must fit it, on save and on load. Checkpoints
 written by ``gan.train`` put the full training configuration
 (``config``, a flat ``asdict(TrainConfig)``; older files nest the
 optimizer's four keys under ``config["optim"]``), the number of training
@@ -57,46 +60,39 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    """On-disk unit of training state; the architecture is the networks'."""
+    """On-disk unit of training state; the architecture is the networks'.
+    The scaler and the RNG state are always present."""
 
     epoch: int
     generator: ParamSet
     critic: ParamSet
     opt_generator: RmspropState
     opt_critic: RmspropState
-    scaler: Scaler | None = None
-    rng_state: dict | None = None
+    scaler: Scaler
+    rng_state: dict
     extra: dict = field(default_factory=dict)
 
 
-def _rng_state_to_json(state: dict | None):
-    if state is None:
-        return None
-
-    def conv(v):
-        if isinstance(v, np.ndarray):
-            return {"__array__": v.tolist(), "dtype": str(v.dtype)}
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
-
-    return conv(state)
+def _encode_array(obj):
+    """``json.dumps``'s ``default``: an ndarray of the RNG state as its list
+    and dtype."""
+    if isinstance(obj, np.ndarray):
+        return {"__array__": obj.tolist(), "dtype": str(obj.dtype)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _rng_state_from_json(obj):
-    if obj is None:
-        return None
+def _decode_array(obj: dict):
+    """``json.loads``'s ``object_hook``: the inverse of ``_encode_array``."""
+    if "__array__" in obj:
+        return np.array(obj["__array__"], dtype=obj["dtype"])
+    return obj
 
-    def conv(v):
-        if isinstance(v, dict):
-            if "__array__" in v:
-                return np.array(v["__array__"], dtype=v["dtype"])
-            return {k: conv(x) for k, x in v.items()}
-        return v
 
-    return conv(obj)
+def _check_fits(ps: ParamSet, arch: ArchitectureSpec) -> None:
+    """Raise ``ValueError`` unless the network's tensors have the names and
+    shapes ``arch`` gives them."""
+    if {n: t.shape for n, t in ps.items()} != param_shapes(arch, ps.kind):
+        raise ValueError(f"the {ps.kind} tensors do not fit {arch}")
 
 
 def _write_record(out: bytearray, name: str, arr: np.ndarray) -> None:
@@ -136,7 +132,11 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
     """Serialize a checkpoint; see the module docstring for the layout.
 
     It is written by ``atomic_write``, so a run killed mid-write leaves the
-    previous file at ``path`` whole."""
+    previous file at ``path`` whole. Both networks must fit the
+    generator's architecture, which is the one written; otherwise it
+    raises ``ValueError`` and writes nothing."""
+    for ps in (cp.generator, cp.critic):
+        _check_fits(ps, cp.generator.arch)
     records: list[tuple[str, np.ndarray]] = []
     for prefix, ps in (("gen", cp.generator), ("critic", cp.critic)):
         for name, arr in ps.items():
@@ -152,11 +152,11 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
         "generator_names": list(cp.generator),
         "critic_names": list(cp.critic),
         "opt_steps": {"generator": cp.opt_generator.step, "critic": cp.opt_critic.step},
-        "scaler": cp.scaler.to_dict() if cp.scaler is not None else None,
-        "rng_state": _rng_state_to_json(cp.rng_state),
+        "scaler": cp.scaler.to_dict(),
+        "rng_state": cp.rng_state,
         "extra": cp.extra,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    meta_bytes = json.dumps(meta, sort_keys=True, default=_encode_array).encode("utf-8")
 
     out = bytearray()
     out += MAGIC
@@ -215,7 +215,7 @@ def _decode(blob: bytes, path) -> Checkpoint:
                                   f"infinite value")
     meta_len = r.u64()
     try:
-        meta = json.loads(r.take(meta_len).decode("utf-8"))
+        meta = json.loads(r.take(meta_len).decode("utf-8"), object_hook=_decode_array)
     except json.JSONDecodeError as e:
         raise CheckpointError(f"{path}: corrupt metadata block: {e}") from None
     if r.pos != len(r.blob):
@@ -232,9 +232,9 @@ def _decode(blob: bytes, path) -> Checkpoint:
             if key not in tensors:
                 raise CheckpointError(f"{path}: missing tensor record {key!r}")
             params[name] = tensors[key]
-        if {n: t.shape for n, t in params.items()} != param_shapes(arch, kind):
-            raise ValueError(f"the {kind} tensors do not fit {arch}")
-        return ParamSet(kind, params, arch=arch)
+        ps = ParamSet(kind, params, arch=arch)
+        _check_fits(ps, arch)
+        return ps
 
     def optimizer(prefix: str, params: ParamSet, step) -> RmspropState:
         if type(step) is not int or step < 0:
@@ -251,16 +251,18 @@ def _decode(blob: bytes, path) -> Checkpoint:
 
     gen = network("gen", "generator")
     critic = network("critic", "critic")
-    scaler = Scaler.from_dict(meta["scaler"]) if meta["scaler"] is not None else None
+    if meta["scaler"] is None:
+        raise CheckpointError(f"{path}: checkpoint holds no scaler")
+    if meta["rng_state"] is None:
+        raise CheckpointError(f"{path}: checkpoint holds no RNG state")
     epoch = meta["epoch"]
     if type(epoch) is not int or epoch < 0:
         raise ValueError(f"epoch must be a non-negative integer, got {epoch!r}")
-    rng_state = _rng_state_from_json(meta["rng_state"])
-    if rng_state is not None:
-        np.random.Philox(0).state = rng_state   # raises unless it is a Philox state
+    np.random.Philox(0).state = meta["rng_state"]   # raises unless it is a Philox state
     return Checkpoint(
         epoch=epoch, generator=gen, critic=critic,
         opt_generator=optimizer("opt_g", gen, meta["opt_steps"]["generator"]),
         opt_critic=optimizer("opt_c", critic, meta["opt_steps"]["critic"]),
-        scaler=scaler, rng_state=rng_state, extra=meta.get("extra", {}),
+        scaler=Scaler.from_dict(meta["scaler"]), rng_state=meta["rng_state"],
+        extra=meta.get("extra", {}),
     )

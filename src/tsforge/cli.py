@@ -36,8 +36,6 @@ from .gan import TrainConfig, TrainingDiverged, make_rng
 from .plot import Chart, render_chart, render_panels, write_svg
 from .stats import StatsError
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -229,8 +227,6 @@ def _check_resume(cp: Checkpoint, cfg: TrainConfig, dataset: WindowedDataset, pa
     if cfg.epochs <= cp.epoch:
         raise CheckpointError(f"{path}: checkpoint is at epoch {cp.epoch}, "
                               f"so epochs = {cfg.epochs} leaves nothing to train")
-    if cp.rng_state is None:
-        raise CheckpointError(f"{path}: checkpoint holds no RNG state to resume from")
 
 
 def cmd_train(args) -> int:
@@ -307,11 +303,7 @@ def cmd_generate(args) -> int:
     samples = gan.generate(cp.generator, args.n, args.seed)   # [n, seq, 1]
     scaled = samples[:, :, 0]
     _write_csv(out / "returns_scaled.csv", None, *scaled.T)
-    if cp.scaler is not None:
-        returns = cp.scaler.inverse(scaled)
-    else:
-        logger.warning("checkpoint has no scaler; emitting scaled values as returns")
-        returns = scaled
+    returns = cp.scaler.inverse(scaled)
     _write_csv(out / "returns.csv", None, *returns.T)
     prices = np.stack([returns_to_prices(row, args.p0) for row in returns])
     _write_csv(out / "prices.csv", None, *prices.T)
@@ -369,10 +361,7 @@ def _load_synthetic(args) -> np.ndarray:
     if args.synthetic:
         return _read_matrix_csv(args.synthetic)
     cp = load_checkpoint(args.checkpoint)
-    samples = gan.generate(cp.generator, args.n, args.seed)[:, :, 0]
-    if cp.scaler is not None:
-        samples = cp.scaler.inverse(samples)
-    return samples
+    return cp.scaler.inverse(gan.generate(cp.generator, args.n, args.seed)[:, :, 0])
 
 
 def cmd_compare(args) -> int:

@@ -75,6 +75,13 @@ class TrainConfig:
             if type(value) is not int or value < least:     # a bool is no count
                 raise ValueError(f"{name} must be an integer of at least {least}, "
                                  f"got {value!r}")
+        for name in ("lambda_gp", "learning_rate", "rho", "epsilon", "clip_c"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int or a float, got {value!r}")
+        if type(self.g_loss_nonsaturating) is not bool:
+            raise ValueError(f"g_loss_nonsaturating must be a bool, "
+                             f"got {self.g_loss_nonsaturating!r}")
         for name in ("learning_rate", "epsilon", "clip_c"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -366,8 +373,8 @@ def train(config: TrainConfig, data: WindowedDataset, *,
     checkpoints: list[Checkpoint] = []
     B = config.batch_size
 
-    def checkpoint(epoch: int, batch: np.ndarray | None = None) -> Checkpoint:
-        mc = mode_collapse_score(batch) if batch is not None and batch.shape[0] >= 2 else 0.0
+    def checkpoint(epoch: int) -> Checkpoint:
+        mc = mode_collapse_score(generate(gen, B, config.seed + epoch)) if B >= 2 else 0.0
         return Checkpoint(epoch=epoch, generator=gen.copy(), critic=critic.copy(),
                           opt_generator=opt_g.copy(), opt_critic=opt_c.copy(),
                           scaler=data.scaler, rng_state=rng.bit_generator.state,
@@ -376,19 +383,17 @@ def train(config: TrainConfig, data: WindowedDataset, *,
 
     for epoch in range(start_epoch + 1, config.epochs + 1):
         c_loss = w_est = gp_val = 0.0
-        last_fake = None
 
         def abort(detail: str, bad_grads: list[str]):
             if bad_grads:
                 detail += f"; non-finite or overflowing gradient of {', '.join(bad_grads)}"
             raise TrainingDiverged(f"non-finite value at epoch {epoch}: {detail}",
-                                   history, checkpoint(epoch, last_fake))
+                                   history, checkpoint(epoch))
 
         for _ in range(config.n_critic):
             real = sample_real_batch(data, B, rng)
             z = sample_noise(B, config.noise_len, rng)
             fake, _ = generator_forward(gen, z)
-            last_fake = fake
             grads, c_loss, w_est, gp_val = critic_gradients(
                 critic, real, fake, config.loss_variant, config.lambda_gp, rng)
             # checked before the step, so the crash checkpoint holds finite weights
@@ -413,7 +418,7 @@ def train(config: TrainConfig, data: WindowedDataset, *,
             logger.debug("epoch %d: critic=%.5f generator=%.5f w=%.5f gp=%.5f",
                          epoch, c_loss, g_val, w_est, gp_val)
         if epoch % config.checkpoint_every == 0:
-            cp = checkpoint(epoch, generate(gen, B, config.seed + epoch))
+            cp = checkpoint(epoch)
             checkpoints.append(cp)
             if on_checkpoint is not None:
                 on_checkpoint(cp)

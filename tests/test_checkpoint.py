@@ -4,6 +4,8 @@ import functools
 import hashlib
 import os
 import tempfile
+import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from tsforge.optim import RmspropState, rmsprop_step
 SPEC = ArchitectureSpec(noise_len=3, seq_len=6, features=1, lstm_units=4)
 
 
-def make_checkpoint(seed=0, with_rng=True) -> Checkpoint:
+def make_checkpoint(seed=0) -> Checkpoint:
     gen = init_params(SPEC, "generator", seed)
     critic = init_params(SPEC, "critic", seed + 1)
     rng = make_rng(seed + 2)
@@ -32,7 +34,7 @@ def make_checkpoint(seed=0, with_rng=True) -> Checkpoint:
         epoch=42, generator=gen, critic=critic,
         opt_generator=opt_g, opt_critic=opt_c,
         scaler=Scaler(lo=-0.13, hi=0.21),
-        rng_state=rng.bit_generator.state if with_rng else None,
+        rng_state=rng.bit_generator.state,
         extra={"loss_variant": "wgan_gp", "seed": seed},
     )
 
@@ -144,11 +146,25 @@ class TestCorruption:
         assert MAGIC == b"WGTS1"
 
     def test_tensors_must_fit_the_architecture(self, tmp_path):
-        cp = make_checkpoint()
-        cp.generator.arch = ArchitectureSpec(noise_len=4, seq_len=6, features=1, lstm_units=4)
-        save_checkpoint(tmp_path / "x.ckpt", cp)
+        # the metadata names another noise length than the tensors have
+        body = saved_blob()[:-4].replace(b'"noise_len": 3', b'"noise_len": 4')
+        (tmp_path / "x.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
         with pytest.raises(CheckpointError, match="generator tensors do not fit"):
             load_checkpoint(tmp_path / "x.ckpt")
+
+    @pytest.mark.parametrize("kind", ["generator", "critic"])
+    def test_save_refuses_what_load_would_refuse(self, tmp_path, kind):
+        # the generator's architecture is the one written, so a generator
+        # labelled with another one, or a critic of other widths, is refused
+        # before anything is written
+        cp = make_checkpoint()
+        if kind == "generator":
+            cp.generator.arch = replace(SPEC, noise_len=4)
+        else:
+            cp.critic = init_params(replace(SPEC, lstm_units=5), "critic", 1)
+        with pytest.raises(ValueError, match=f"the {kind} tensors do not fit"):
+            save_checkpoint(tmp_path / "x.ckpt", cp)
+        assert list(tmp_path.iterdir()) == []
 
     def test_optimizer_cache_must_fit_its_parameter(self, tmp_path):
         cp = make_checkpoint()

@@ -500,6 +500,21 @@ class TestGenerate:
 
 
 
+@pytest.mark.parametrize("command", ["generate", "compare"])
+@pytest.mark.parametrize("key, named", [("scaler", "no scaler"), ("rng_state", "no RNG state")])
+def test_checkpoint_without_training_state_exit_2(trained_run, tmp_path, capsys, command,
+                                                  key, named):
+    # without its scaler, compare would set scaled values against raw log returns
+    run, csv_path = trained_run
+    bad = edit_checkpoint_meta(run / "checkpoint_epoch000002.ckpt", tmp_path / "bad.ckpt",
+                               lambda meta: meta.update({key: None}))
+    out = tmp_path / "o"
+    argv = ["generate"] if command == "generate" else ["compare", "--real", str(csv_path)]
+    assert main(argv + ["--checkpoint", str(bad), "--out", str(out)]) == 2
+    assert f"{bad}: checkpoint holds {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _file(tmp_path, name: str, text: str) -> str:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")

@@ -705,6 +705,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        *[(name, value) for name in ("lambda_gp", "learning_rate", "rho", "epsilon", "clip_c")
+          for value in (True, "0.5", None)],
+        *[("g_loss_nonsaturating", value) for value in ("false", 0, 1, None)]])
+    def test_rates_and_flag_must_have_their_types(self, name, value):
+        # a rate is an int or a float but no bool; the string "false" as the
+        # flag would select the non-saturating loss
+        with pytest.raises(ValueError, match=f"{name} must be an? (int or a float|bool)"):
+            TrainConfig(**{name: value})
+
+    def test_numpy_floats_and_ints_are_numbers(self):
+        cfg = TrainConfig(lambda_gp=10, learning_rate=np.float64(1e-3), rho=np.float64(0.5),
+                          epsilon=np.float64(1e-7), clip_c=np.float64(0.02))
+        assert (cfg.lambda_gp, cfg.rho) == (10, 0.5)
+
 
 def _attributes_read(tree: ast.AST, receiver: str) -> set[str]:
     return {node.attr for node in ast.walk(tree)
