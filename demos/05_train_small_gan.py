@@ -36,8 +36,11 @@ for i in range(0, len(history), 50):
           f"{history.generator_loss[i]:>10.4f} {history.wasserstein[i]:>12.4f} "
           f"{history.gradient_penalty[i]:>9.4f}")
 
+# mode collapse: mean pairwise distance of a batch drawn from each checkpoint's generator
+scores = [gan.mode_collapse_score(gan.generate(c.generator, cfg.batch_size, cfg.seed + c.epoch))
+          for c in checkpoints]
 print("\ncheckpoints:", [c.epoch for c in checkpoints],
-      " mode-collapse scores:", [round(c.extra["mode_collapse"], 4) for c in checkpoints])
+      " mode-collapse scores:", [round(s, 4) for s in scores])
 
 samples = gan.generate(gen, 256, seed=7)
 synth = ds.scaler.inverse(samples[:, :, 0])

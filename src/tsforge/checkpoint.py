@@ -28,10 +28,11 @@ networks' own: the generator's is written, and both networks' tensors
 must fit it, on save and on load. Checkpoints
 written by ``gan.train`` put the full training configuration
 (``config``, a flat ``asdict(TrainConfig)``; older files nest the
-optimizer's four keys under ``config["optim"]``), the number of training
-windows (``n_windows``) and the generator's mode-collapse score
-(``mode_collapse``) there, so a resume can be checked against the
-configuration and the data it continues.
+optimizer's four keys under ``config["optim"]``) and the number of
+training windows (``n_windows``) there, so a resume can be checked
+against the configuration and the data it continues. Older files also
+carry the generator's mode-collapse score, which nothing reads:
+``tsforge train`` scores each checkpoint's generator itself.
 """
 
 from __future__ import annotations

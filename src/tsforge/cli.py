@@ -243,10 +243,15 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out, f"train-{Path(args.data).stem}-seed{cfg.seed}")
     write_config(cfg, out / "config.txt")
     real_moments = stats.moments(dataset.scaler.inverse(dataset.windows))
+    collapse_scores: dict[str, float] = {}
+
+    def collapse(generator, seed: int) -> float:
+        return gan.mode_collapse_score(gan.generate(generator, max(2, cfg.batch_size), seed))
 
     def on_checkpoint(cp: Checkpoint) -> None:
         tag = f"epoch{cp.epoch:06d}"
         save_checkpoint(out / f"checkpoint_{tag}.ckpt", cp)
+        collapse_scores[str(cp.epoch)] = collapse(cp.generator, cfg.seed + cp.epoch)
         samples = gan.generate(cp.generator, args.grid_samples, cfg.seed + cp.epoch)[:, :, 0]
         _write_csv(out / f"samples_{tag}.csv", None, *samples.T)
         write_svg(out / f"samples_{tag}.svg", render_chart(_paths_chart(
@@ -256,7 +261,7 @@ def cmd_train(args) -> int:
                        stats.moments(dataset.scaler.inverse(samples)))
 
     try:
-        gen, critic, history, checkpoints = gan.train(
+        gen, critic, history, _ = gan.train(
             cfg, dataset, resume=resume, on_checkpoint=on_checkpoint)
     except TrainingDiverged as e:
         _write_loss_artifacts(out, e.history)
@@ -266,7 +271,7 @@ def cmd_train(args) -> int:
 
     _write_loss_artifacts(out, history)
 
-    # run summary: mode collapse per checkpoint plus a Lipschitz probe over
+    # run summary: the final mode-collapse score plus a Lipschitz probe over
     # random window pairs, identical ones dropped, scored in one critic call
     rng = make_rng(cfg.seed + 1)
     w = dataset.windows
@@ -276,16 +281,14 @@ def cmd_train(args) -> int:
     if pairs:
         i, j = np.array(pairs).T
         median_ratio = float(np.median(gan.lipschitz_ratio_check(critic, w[i], w[j])))
-    final_sample = gan.generate(gen, max(2, cfg.batch_size), cfg.seed + cfg.epochs + 1)
     summary = {
         "epochs": cfg.epochs,
         "final_critic_loss": history.critic_loss[-1],
         "final_generator_loss": history.generator_loss[-1],
         "final_wasserstein": history.wasserstein[-1],
         "median_lipschitz_ratio": median_ratio,
-        "mode_collapse_final": gan.mode_collapse_score(final_sample),
-        "mode_collapse_per_checkpoint": {str(c.epoch): c.extra["mode_collapse"]
-                                         for c in checkpoints},
+        "mode_collapse_final": collapse(gen, cfg.seed + cfg.epochs + 1),
+        "mode_collapse_per_checkpoint": collapse_scores,
         "dropped_rows": prices.dropped,
         "n_windows": len(dataset),
     }

@@ -212,8 +212,6 @@ def fit_scale(windows: np.ndarray) -> WindowedDataset:
     windows = np.asarray(windows, dtype=np.float64)
     if windows.size == 0:
         raise DataError("cannot scale an empty window set")
-    if windows.ndim == 3 and windows.shape[2] == 1:
-        windows = windows[:, :, 0]
     if windows.ndim != 2:
         raise DataError(f"expected [n, seq_len] windows, got shape {windows.shape}")
     lo, hi = float(windows.min()), float(windows.max())

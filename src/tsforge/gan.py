@@ -226,18 +226,16 @@ def generator_loss_gan(s_fake: Tensor, nonsaturating: bool = False) -> Tensor:
 def lipschitz_ratio_check(critic: ParamSet, x1, x2) -> np.ndarray:
     """|D(x1[k]) - D(x2[k])| / ||x1[k] - x2[k]||_2 for each of n pairs.
 
-    ``x1`` and ``x2`` are stacks [n, seq_len, features] of equal shape; a
-    single [seq_len, features] pair is a stack of one. All 2n windows are
-    scored in one critic call on their concatenation, and the n ratios
-    come back as an array. Raises ``ValueError`` if any pair is identical.
-    Diagnostic only; a 1-Lipschitz critic keeps every ratio at most 1.
+    ``x1`` and ``x2`` are stacks [n, seq_len, features] of equal shape. All
+    2n windows are scored in one critic call on their concatenation, and
+    the n ratios come back as an array. Raises ``ValueError`` if any pair
+    is identical. Diagnostic only; a 1-Lipschitz critic keeps every ratio
+    at most 1.
     """
     a = np.asarray(x1, dtype=np.float64)
     b = np.asarray(x2, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("inputs must share a shape")
-    if a.ndim == 2:
-        a, b = a[None], b[None]
     n = a.shape[0]
     diff = (a - b).reshape(n, -1)
     dist = np.sqrt(np.sum(diff * diff, axis=1))
@@ -374,12 +372,10 @@ def train(config: TrainConfig, data: WindowedDataset, *,
     B = config.batch_size
 
     def checkpoint(epoch: int) -> Checkpoint:
-        mc = mode_collapse_score(generate(gen, B, config.seed + epoch)) if B >= 2 else 0.0
         return Checkpoint(epoch=epoch, generator=gen.copy(), critic=critic.copy(),
                           opt_generator=opt_g.copy(), opt_critic=opt_c.copy(),
                           scaler=data.scaler, rng_state=rng.bit_generator.state,
-                          extra={"config": asdict(config), "n_windows": len(data),
-                                 "mode_collapse": mc})
+                          extra={"config": asdict(config), "n_windows": len(data)})
 
     for epoch in range(start_epoch + 1, config.epochs + 1):
         c_loss = w_est = gp_val = 0.0

@@ -11,6 +11,7 @@ come from ``statistics.NormalDist``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -82,28 +83,27 @@ def moments(x) -> MomentsReport:
     """Moment table of a sample.
 
     Skewness and kurtosis use population central moments (divide by n);
-    std is the usual sample estimate. A constant series has no defined
-    shape statistics and is rejected.
+    std is the usual sample estimate. A constant sample has std 0 and no
+    defined shape: its skewness and kurtosis are NaN, as scipy's are.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     n = x.size
     if n < 4:
         raise StatsError(f"moments need at least 4 observations, got {n}")
-    mean = float(x.mean())
-    centered = x - mean
-    sq = centered * centered      # products, not ``**``: a cube through libm pow is 100x slower
-    m2 = float(np.mean(sq))
-    if m2 == 0.0:
-        raise StatsError("skewness/kurtosis undefined for a constant series")
-    m3 = float(np.mean(sq * centered))
-    m4 = float(np.mean(sq * sq))
+    mean, lo, hi = float(x.mean()), float(x.min()), float(x.max())
+    # equal values, not m2 == 0: the mean of n copies of v can miss v by an ulp
+    std, skewness, kurtosis = 0.0, math.nan, math.nan
+    if lo != hi:
+        centered = x - mean
+        sq = centered * centered      # products, not ``**``: a cube through libm pow is 100x slower
+        m2 = float(np.mean(sq))
+        std = float(x.std(ddof=1))
+        skewness = float(np.mean(sq * centered)) / m2 ** 1.5
+        kurtosis = float(np.mean(sq * sq)) / m2 ** 2
     q25, q50, q75 = np.quantile(x, [0.25, 0.5, 0.75])
-    return MomentsReport(
-        n=n, mean=mean, std=float(x.std(ddof=1)),
-        min=float(x.min()), max=float(x.max()),
-        q25=float(q25), q50=float(q50), q75=float(q75),
-        skewness=m3 / m2 ** 1.5, kurtosis=m4 / m2 ** 2,
-    )
+    return MomentsReport(n=n, mean=mean, std=std, min=lo, max=hi,
+                         q25=float(q25), q50=float(q50), q75=float(q75),
+                         skewness=skewness, kurtosis=kurtosis)
 
 
 def acf(x, max_lag: int) -> AcfReport:
@@ -232,9 +232,7 @@ def compare_distributions(real_returns, synthetic_returns, max_lag: int = 50,
         raise StatsError("both datasets must be non-empty")
     real_flat = real.reshape(-1)
     synth_flat = synth.reshape(-1)
-    # window rows: a 1-D series is one row, [n, seq_len, 1] windows lose their last axis
-    real_rows, synth_rows = (np.atleast_2d(x[:, :, 0] if x.ndim == 3 and x.shape[2] == 1 else x)
-                             for x in (real, synth))
+    real_rows, synth_rows = np.atleast_2d(real), np.atleast_2d(synth)   # a series is one row
     length = synth_rows.shape[1]
     if real.ndim == 1 and length <= real.size:
         real_rows = real[: real.size // length * length].reshape(-1, length)

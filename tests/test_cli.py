@@ -395,6 +395,32 @@ class TestTrain:
         assert (tmp_path / "o" / "checkpoint_crash.ckpt").exists()
         assert (tmp_path / "o" / "loss.csv").exists()
 
+    def test_collapsed_generator_completes(self, small_csv, tmp_path):
+        # at this learning rate the generator's tanh saturates, so every sample
+        # is one constant: its moments have NaN shape statistics, and the run
+        # reports them rather than ending as a data error
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(small_csv), "--out", str(out)] + FAST
+                    + ["--epochs", "20", "--checkpoint-every", "5", "--lr", "50",
+                       "--loss-variant", "wgan_clip"]) == 0
+        assert len((out / "loss.csv").read_text().splitlines()) == 1 + 20
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0.0 in summary["mode_collapse_per_checkpoint"].values()
+        rows = dict(line.split(",", 1) for line in
+                    (out / "compare_epoch000005_moments.csv").read_text().splitlines())
+        assert rows["skewness"].split(",")[1] == rows["kurtosis"].split(",")[1] == "nan"
+
+    def test_batch_of_one_scores_mode_collapse_on_two_samples(self, small_csv, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(small_csv), "--out", str(out)] + FAST
+                    + ["--batch-size", "1", "--epochs", "4"]) == 0
+        scores = json.loads((out / "summary.json").read_text())["mode_collapse_per_checkpoint"]
+        assert list(scores) == ["2", "4"]
+        for epoch, score in scores.items():
+            gen = load_checkpoint(out / f"checkpoint_epoch{int(epoch):06d}.ckpt").generator
+            assert score > 0.0
+            assert score == gan.mode_collapse_score(gan.generate(gen, 2, 5 + int(epoch)))
+
     def test_bad_flag_exit_1(self, small_csv, tmp_path):
         assert main(["train", "--data", str(small_csv), "--epochs", "-3",
                      "--out", str(tmp_path / "o")]) == 1

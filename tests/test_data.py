@@ -248,6 +248,10 @@ class TestScaling:
         with pytest.raises(DataError):
             fit_scale(np.ones((3, 4)))
 
+    def test_three_dimensional_windows_rejected(self):
+        with pytest.raises(DataError, match="expected \\[n, seq_len\\] windows"):
+            fit_scale(np.arange(12.0).reshape(4, 3, 1))
+
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(5, 8)) * 0.05

@@ -44,9 +44,13 @@ class TestMoments:
         assert labels == ["count", "mean", "std", "min", "25%", "50%", "75%", "max",
                           "skewness", "kurtosis"]
 
-    def test_constant_series_rejected(self):
-        with pytest.raises(StatsError):
-            stats.moments([3.0, 3.0, 3.0, 3.0])
+    def test_constant_series_has_no_shape(self):
+        # NaN shape statistics, as scipy's skew and kurtosis give; the mean
+        # of 0.1 or 0.7 repeated misses the value by an ulp, std is still 0
+        for value, n in ((3.0, 4), (0.1, 7), (0.7, 100)):
+            m = stats.moments(np.full(n, value))
+            assert (m.n, m.std, m.min, m.max, m.q50) == (n, 0.0, value, value, value)
+            assert math.isnan(m.skewness) and math.isnan(m.kurtosis)
 
     def test_too_short_rejected(self):
         with pytest.raises(StatsError):
@@ -418,3 +422,9 @@ class TestCompare:
     def test_empty_rejected(self):
         with pytest.raises(StatsError):
             stats.compare_distributions(np.array([]), np.array([1.0]))
+
+    def test_three_dimensional_windows_rejected(self):
+        rng = np.random.Generator(np.random.Philox(28))
+        windows = rng.standard_normal((16, 20, 1))
+        with pytest.raises(StatsError, match="2-D window rows"):
+            stats.compare_distributions(rng.standard_normal(500), windows, max_lag=10)
