@@ -13,9 +13,9 @@ The package is organized as a small library:
 - :mod:`tsforge.cli`      the ``tsforge`` command line front end
 
 Import names from these modules; the package imports none of them, so
-importing one module loads only what that module needs. It holds one
-helper they share, ``atomic_write``, through which every artifact is
-written.
+importing one module loads only what that module needs. It holds the
+two helpers they share: ``atomic_write``, through which every artifact
+is written, and ``read_text``, through which every text input is read.
 """
 
 import os
@@ -36,3 +36,16 @@ def atomic_write(path, data: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The file at ``path`` decoded whole as UTF-8, less a leading byte order
+    mark (as Excel's "CSV UTF-8" writes it). A file that cannot be read, or
+    a byte that is not UTF-8 (its offset counted from the file's first
+    byte), raises ``error`` naming the path."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except OSError as e:
+        raise error(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None

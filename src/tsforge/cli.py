@@ -7,11 +7,13 @@ Subcommands::
     tsforge evaluate  --data prices.csv ...          stylized facts of one asset
     tsforge compare   --real prices.csv ...          real vs synthetic report
 
-Every plot is written as minimal SVG with a CSV twin carrying the same
-numbers. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-abort. ``TSFORGE_OUT`` overrides the default output root, and
-``TSFORGE_LOG`` names the level of the ``tsforge`` loggers in any case
-(default WARNING), read again on every ``main`` call.
+Every input file (a price CSV, a ``--config`` file, a ``--synthetic``
+matrix) is UTF-8 text, optionally after a byte order mark. Every plot is
+written as minimal SVG with a CSV twin carrying the same numbers. Exit
+codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.
+``TSFORGE_OUT`` overrides the default output root, and ``TSFORGE_LOG``
+names the level of the ``tsforge`` loggers in any case (default
+WARNING), read again on every ``main`` call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, atomic_write, gan, stats
+from . import __version__, atomic_write, gan, read_text, stats
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (DataError, WindowedDataset, build_dataset, load_csv, log_returns,
                    returns_to_prices)
@@ -70,14 +72,7 @@ _KEYS = {_RENAMED.get(f.name, f.name): type(f.default) for f in fields(TrainConf
 
 def _read_config_file(path) -> dict:
     values: dict = {}
-    try:
-        # decoded whole, so an undecodable byte's offset counts from the first byte
-        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -156,12 +151,13 @@ def _write_csv(path, header: list[str] | None, *columns) -> None:
 
 
 def _read_matrix_csv(path) -> np.ndarray:
+    lines = read_text(path, DataError).splitlines()
     try:
         # ndmin=2: one column is n windows of one return, one row is one window
-        matrix = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        matrix = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2)
         if not np.all(np.isfinite(matrix)):
             raise ValueError("it holds a NaN or infinite value")
-    except (OSError, ValueError) as e:
+    except ValueError as e:
         raise DataError(f"cannot read numeric CSV {path}: {e}") from None
     return matrix
 

@@ -13,12 +13,15 @@ real distribution out of its reach.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
 
 import numpy as np
+
+from . import read_text
 
 logger = logging.getLogger(__name__)
 
@@ -40,8 +43,8 @@ class PriceSeries:
             raise DataError("dates and closes must have equal length")
         if len(self.closes) < 2:
             raise DataError("a price series needs at least 2 points")
-        if np.any(self.closes <= 0):
-            raise DataError("close prices must be positive")
+        if not np.all(np.isfinite(self.closes) & (self.closes > 0)):
+            raise DataError("close prices must be positive and finite")
         for a, b in zip(self.dates, self.dates[1:]):
             if not a < b:
                 raise DataError(f"dates must be strictly increasing, got {a} then {b}")
@@ -121,52 +124,41 @@ def load_csv(path) -> PriceSeries:
     naming ``path:line``, and so does a negative Close. Rows whose Close is
     missing, non-numeric, non-finite or zero are dropped; the drop count is
     logged and kept on the returned series.
-    The file is UTF-8 text, optionally after a byte order mark (as Excel's
-    "CSV UTF-8" writes it); an undecodable byte raises a ``DataError``
-    naming the path and the byte's offset in the file.
+    The file is read by ``tsforge.read_text``: UTF-8, optionally after a
+    byte order mark, and an unreadable file or an undecodable byte raises a
+    ``DataError`` naming the path.
     """
+    reader = csv.reader(io.StringIO(read_text(path, DataError), newline=""))
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            if "Date" not in header or "Close" not in header:
-                raise DataError(f"{path}: header must contain Date and Close columns")
-            i_date = header.index("Date")
-            i_close = header.index("Close")
-            rows: list[tuple[date, float]] = []
-            dropped = 0
-            for lineno, row in enumerate(reader, start=2):
-                if not any(map(str.strip, row)):
-                    continue
-                text = row[i_date] if len(row) > i_date else ""
-                try:
-                    d = _parse_date(text.strip())
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad date {text!r}") from None
-                raw = row[i_close].strip() if len(row) > i_close else ""
-                try:
-                    close = float(raw)
-                except ValueError:
-                    dropped += 1
-                    continue
-                if not math.isfinite(close) or close == 0.0:
-                    dropped += 1
-                    continue
-                if close < 0.0:
-                    raise DataError(f"{path}:{lineno}: negative close price {raw!r}")
-                rows.append((d, close))
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        with open(path, "rb") as fh:     # e.start counts from the chunk being decoded
-            try:
-                fh.read().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                e = whole
-        raise DataError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if "Date" not in header or "Close" not in header:
+        raise DataError(f"{path}: header must contain Date and Close columns")
+    i_date = header.index("Date")
+    i_close = header.index("Close")
+    rows: list[tuple[date, float]] = []
+    dropped = 0
+    for lineno, row in enumerate(reader, start=2):
+        if not any(map(str.strip, row)):
+            continue
+        text = row[i_date] if len(row) > i_date else ""
+        try:
+            d = _parse_date(text.strip())
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad date {text!r}") from None
+        raw = row[i_close].strip() if len(row) > i_close else ""
+        try:
+            close = float(raw)
+        except ValueError:
+            dropped += 1
+            continue
+        if not math.isfinite(close) or close == 0.0:
+            dropped += 1
+            continue
+        if close < 0.0:
+            raise DataError(f"{path}:{lineno}: negative close price {raw!r}")
+        rows.append((d, close))
     if dropped:
         logger.warning("%s: dropped %d rows with missing/zero/non-numeric Close", path, dropped)
     if len(rows) < 2:
@@ -181,14 +173,9 @@ def load_csv(path) -> PriceSeries:
 
 
 def log_returns(p: PriceSeries) -> np.ndarray:
-    """r_t = ln(close_t / close_{t-1}); one shorter than the price series."""
-    closes = p.closes
-    if np.any(closes <= 0):
-        raise DataError("log returns need positive prices")
-    returns = np.diff(np.log(closes))
-    if not np.all(np.isfinite(returns)):
-        raise DataError("log returns must be finite")
-    return returns
+    """r_t = ln(close_t / close_{t-1}); one shorter than the price series.
+    Finite, as ``PriceSeries`` holds positive finite closes."""
+    return np.diff(np.log(p.closes))
 
 
 def make_windows(r: np.ndarray, seq_len: int = 50, stride: int = 1) -> np.ndarray:

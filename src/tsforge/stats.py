@@ -128,7 +128,8 @@ def acf(x, max_lag: int) -> AcfReport:
         raise StatsError(f"acf needs windows of at least 2 returns, got {n}")
     centered = rows - rows.mean()
     denom = np.sum(centered ** 2)
-    if denom == 0.0:
+    # equal values as well as denom == 0 (an underflow): the mean of n copies of v can miss v
+    if rows.min() == rows.max() or denom == 0.0:
         raise StatsError("acf undefined for a constant series")
     values = np.array([np.sum(centered[:, : n - k] * centered[:, k:]) for k in range(max_lag + 1)])
     return AcfReport(lags=np.arange(max_lag + 1), values=values / denom,
@@ -175,7 +176,7 @@ def qq_points(sample, reference="normal") -> QqReport:
         if reference != "normal":
             raise StatsError(f"unknown reference {reference!r}")
         std = x.std(ddof=1)
-        if std == 0.0:
+        if x[0] == x[-1] or std == 0.0:     # equal ends of the sorted x, or an underflow
             raise StatsError("degenerate sample: zero variance")
         sample_q = (x - x.mean()) / std
         theo_q = np.fromiter(map(NormalDist().inv_cdf, _plotting_positions(n).tolist()),

@@ -578,12 +578,15 @@ MALFORMED_INPUTS = {
                         "cannot parse value 'yes' for key 'g_loss_nonsaturating'"),
     "config-is-a-directory": (lambda tmp, csv, request: ["train", "--data", str(csv),
                                                          "--config", str(tmp)], 1,
-                              "cannot read config"),
+                              "cannot read {tmp}"),
     "config-missing": (lambda tmp, csv, request: ["train", "--data", str(csv), "--config",
                                                   str(tmp / "absent.txt")], 1,
-                       "cannot read config"),
+                       "cannot read {tmp}"),
     "generator-names-a-missing-record": (_names_a_missing_record, 2,
                                          "missing tensor record 'gen/lstm.W_z'"),
+    "synthetic-missing": (lambda tmp, csv, request: ["compare", "--real", str(csv),
+                                                     "--synthetic", str(tmp / "absent.csv")], 2,
+                          "data error: cannot read {tmp}/absent.csv: "),
 }
 
 
@@ -896,6 +899,42 @@ class TestCompare:
         assert main(["compare", "--real", str(small_csv), "--synthetic", str(synth),
                      "--checkpoint", str(tmp_path / "missing.ckpt"), "--out", str(out)]) == 1
         assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bom_synthetic_compares_like_the_plain_file(self, small_csv, tmp_path):
+        # Excel's "CSV UTF-8" export of the matrix starts with EF BB BF
+        plain = tmp_path / "synth.csv"
+        cli._write_csv(plain, None, *np.random.default_rng(4).normal(0.0, 0.02, (5, 12)).T)
+        bom = tmp_path / "synth-bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = [tmp_path / "cmp-plain", tmp_path / "cmp-bom"]
+        for synth, out in zip((plain, bom), outs):
+            assert main(["compare", "--real", str(small_csv), "--synthetic", str(synth),
+                         "--out", str(out)]) == 0
+        files = sorted(f.name for f in outs[0].iterdir())
+        assert files and files == sorted(f.name for f in outs[1].iterdir())
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_undecodable_synthetic_byte_names_its_offset(self, small_csv, tmp_path, capsys, bom):
+        head = bom + b"0.01,-0.02,0.005\n0.0,"
+        synth = tmp_path / "synth.csv"
+        synth.write_bytes(head + b"\xa30.01,0.02\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--real", str(small_csv), "--synthetic", str(synth),
+                     "--out", str(out)]) == 2
+        assert f"data error: {synth}: byte {len(head)} is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constant_synthetic_exit_2_before_any_write(self, small_csv, tmp_path, capsys):
+        # the mean of these 50 copies of 0.1 is not 0.1
+        synth = tmp_path / "synth.csv"
+        cli._write_csv(synth, None, *np.full((10, 5), 0.1))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--real", str(small_csv), "--synthetic", str(synth),
+                     "--out", str(out)]) == 2
+        assert "data error: degenerate sample: zero variance" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_column_synthetic_is_windows_of_one_return(self, small_csv, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Data pipeline: CSV loading, returns, windows, scaling, batching."""
 
+import ast
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsforge import data
+from tsforge import data, read_text
 from tsforge.data import (DataError, PriceSeries, Scaler, build_dataset, fit_scale, load_csv,
                           log_returns, make_windows, returns_to_prices, sample_real_batch)
 
@@ -150,9 +151,83 @@ class TestLogReturns:
         assert len(log_returns(btc_prices)) == 2415
 
     def test_nonfinite_rejected(self):
-        p = PriceSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([1.0, np.inf]))
         with pytest.raises(DataError, match="finite"):
+            p = PriceSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([1.0, np.inf]))
             log_returns(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 0.0, -1.0])
+    def test_series_holds_positive_finite_closes(self, bad):
+        with pytest.raises(DataError, match="close prices must be positive and finite"):
+            PriceSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([bad, 1.0]))
+
+
+class TestReadText:
+    """``tsforge.read_text``, through which every input file is read."""
+
+    class Refused(ValueError):
+        pass
+
+    def test_bom_is_dropped_once_and_only_at_the_start(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa,\xc2\xa3\r\nb\xef\xbb\xbf\n")
+        assert read_text(p, self.Refused) == "\ufeffa,\u00a3\r\nb\ufeff\n"
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_undecodable_byte_raises_the_callers_error(self, tmp_path, bom):
+        p = tmp_path / "t.txt"
+        p.write_bytes(bom + b"ab\n\xa3")
+        with pytest.raises(self.Refused, match=re.escape(f"{p}: byte {len(bom) + 3} is not UTF-8")):
+            read_text(p, self.Refused)
+
+    @pytest.mark.parametrize("name", ["absent.txt", ""], ids=["missing", "directory"])
+    def test_unreadable_path_raises_the_callers_error(self, tmp_path, name):
+        with pytest.raises(self.Refused, match=re.escape(f"cannot read {tmp_path / name}: ")):
+            read_text(tmp_path / name, self.Refused)
+
+
+def _file_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(top-level definition, call) for each call in a module that reads a
+    file: ``open``, ``.read_bytes``, ``.read_text``, and ``np.loadtxt`` on
+    anything but text that ``read_text`` decoded in the same definition."""
+    def decodes(node) -> bool:
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "read_text" for n in ast.walk(node))
+
+    reads = set()
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", "<module>")
+        decoded = {t.id for n in ast.walk(stmt) if isinstance(n, ast.Assign) and decodes(n.value)
+                   for t in n.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "open":
+                reads.add((owner, "open"))
+            elif isinstance(f, ast.Attribute) and f.attr in ("read_bytes", "read_text"):
+                reads.add((owner, f.attr))
+            elif isinstance(f, ast.Attribute) and f.attr == "loadtxt" and not (
+                    node.args and (decodes(node.args[0]) or isinstance(node.args[0], ast.Name)
+                                   and node.args[0].id in decoded)):
+                reads.add((owner, "loadtxt"))
+    return reads
+
+
+def test_only_read_text_and_the_checkpoint_reader_read_files():
+    """Every text input is decoded by ``tsforge.read_text``; the binary
+    checkpoint is the one other file the package reads."""
+    reads = {(path.stem, *read) for path in Path(data.__file__).parent.glob("*.py")
+             for read in _file_reads(ast.parse(path.read_text("utf-8")))}
+    assert reads == {("__init__", "read_text", "read_bytes"),
+                     ("checkpoint", "load_checkpoint", "read_bytes")}
+    for source in ("def f(path):\n    return np.loadtxt(path)",
+                   "def f(path):\n    with open(path) as fh:\n        return fh.read()",
+                   "def f(path):\n    return Path(path).read_text()",
+                   "text = read_text(p, E)\ndef f(path):\n    return np.loadtxt(text)"):
+        assert _file_reads(ast.parse(source)) != set(), source
+    assert _file_reads(ast.parse(
+        "def f(path):\n    lines = read_text(path, E).splitlines()\n    return np.loadtxt(lines)\n"
+        "def g(path):\n    return np.loadtxt(read_text(path, E).splitlines())")) == set()
 
 
 def _outcome(parse, text):

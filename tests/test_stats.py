@@ -117,6 +117,14 @@ class TestAcf:
         with pytest.raises(StatsError):
             stats.acf(np.ones(50), 5)
 
+    @pytest.mark.parametrize("shape", [(50,), (5, 10)], ids=["series", "windows"])
+    def test_constant_whose_mean_misses_it_rejected(self, shape):
+        # the mean of 50 copies of 0.1 is not 0.1, so the centered sum of squares is not 0
+        x = np.full(shape, 0.1)
+        assert x.mean() != 0.1 and np.sum((x - x.mean()) ** 2) != 0.0
+        with pytest.raises(StatsError, match="constant"):
+            stats.acf(x, 3)
+
     def test_max_lag_bound(self):
         with pytest.raises(StatsError):
             stats.acf(np.arange(10.0), 10)
@@ -182,6 +190,12 @@ class TestAcfAbsolute:
 
 
 class TestQq:
+    def test_constant_whose_mean_misses_it_rejected(self):
+        x = np.full(50, 0.1)
+        assert x.mean() != 0.1 and x.std(ddof=1) != 0.0
+        with pytest.raises(StatsError, match="zero variance"):
+            stats.qq_points(x)
+
     def test_self_reference_identity(self):
         rng = np.random.Generator(np.random.Philox(14))
         x = rng.standard_normal(500)
