@@ -152,6 +152,8 @@ def _write_csv(path, header: list[str] | None, *columns) -> None:
 
 def _read_matrix_csv(path) -> np.ndarray:
     lines = read_text(path, DataError).splitlines()
+    if not any(line.strip() for line in lines):
+        raise DataError(f"{path}: no rows of numbers")
     try:
         # ndmin=2: one column is n windows of one return, one row is one window
         matrix = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2)

@@ -9,8 +9,8 @@ there is deliberately no sigmoid, so scores are unbounded.
 
 A network's parameters are a ``ParamSet``, its ten named float64 arrays,
 which the optimizer updates in place and the checkpoint writes as they
-are. The sigmoid kernel ``_sigmoid`` lives here, where the scan runs it;
-``tensor.sigmoid`` imports it.
+are. The sigmoid kernel lives here, where the scan runs it; ``tensor.sigmoid``
+imports it.
 
 There is one LSTM forward, ``lstm_scan``, and one BPTT, ``lstm_vjp``.
 ``lstm_scan`` steps ``lstm_cell_step`` in numpy over the timesteps and
@@ -28,9 +28,12 @@ its input again. The gates are fused in column order [i | f | o | c~];
 the checkpoint layout stays the ten arrays ``lstm.W_i`` ... ``lstm.b_o``,
 ``proj.W`` and ``proj.b``. The kernel runs feature-major: each critic
 step computes W^T [h; x_t] + b as [4u, B], so every gate block is a
-contiguous slab, and every ufunc writes into buffers made once per call;
-h goes straight into the next step's [h; x] buffer, where the head reads
-it. The generator's noise z is the same at every step, so its steps
+contiguous slab. A pass makes every buffer and view a step reads once: W^T,
+the bias with its sigmoid rows negated, so that a step's (-b) - W^T hx is
+-(W^T hx + b) bit for bit, exp's argument, and the gate blocks. One
+errstate over the scan silences exp's overflow alone. h goes straight into
+the next step's [h; x] buffer, where the head reads it. The generator's
+noise z is the same at every step, so its steps
 compute W_h^T h + (b + W_x^T z), the bracket made once per call: the
 input projection that RNN kernels hoist out of the recurrence. h's
 upstream enters as proj.W ds_t, and h_{t-1} = o_{t-1} tanh c_{t-1} is
@@ -138,63 +141,66 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     x) if given. Below about -709.78, exp(-x) overflows to inf and 1 / inf
     gives 0, under 1e-304 from the exact value, so that overflow is not
     reported; on [-700, 700] the result is within 2 ulp of exact."""
-    if out is None:
-        out = np.empty_like(x)
-    np.negative(x, out=out)
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
+        return _sigmoid_of_negated(out)
 
 
-def _activate(z: np.ndarray, out: np.ndarray, n_sigmoid: int, scratch: np.ndarray) -> None:
-    """out = the sigmoid of z's first ``n_sigmoid`` rows and tanh of the rest;
-    out may be z. ``scratch`` is real [2, rows, B] and serves a complex z only.
-    At a complex z = a + ib (the complex step) this is f(a) + i b f'(a), with
-    f' = f (1 - f) or 1 - f^2, in real arithmetic on a contiguous copy of a:
-    the dropped O(b^2) term lies some 40 orders of magnitude under b f'(a)."""
-    n = n_sigmoid
-    if z.dtype.kind != "c":
-        if n:
-            _sigmoid(z[:n], out=out[:n])
-        np.tanh(z[n:], out=out[n:])
-        return
-    s, d = scratch[0, :z.shape[0]], scratch[1, :z.shape[0]]
-    s[...] = z.real
-    if n:
-        _sigmoid(s[:n], out=s[:n])
-    np.tanh(s[n:], out=s[n:])
-    np.subtract(1.0, s[:n], out=d[:n])
-    d[:n] *= s[:n]
-    np.multiply(s[n:], s[n:], out=d[n:])
-    np.subtract(1.0, d[n:], out=d[n:])
-    np.multiply(z.imag, d, out=out.imag)
-    out.real = s
+def _sigmoid_of_negated(z: np.ndarray) -> np.ndarray:
+    """z = 1 / (1 + exp(z)), the sigmoid of -z, in place; exp may overflow."""
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
-def _matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
-    """out = A B for a real A and a real or complex B, as one real GEMM on
-    the float64 views: the imaginary parts ride along as extra columns."""
-    np.matmul(A, B.view(np.float64), out=out.view(np.float64))
+def _ops(dtype: np.dtype, rows: int, batch: int) -> tuple:
+    """A pass's (matmul(A, B, out), sigmoid of -z in place, tanh(z, out)):
+    numpy's own in a real pass. At a complex z = a + ib (the complex step),
+    real A times complex B is one real GEMM on the float64 views, and f(z) =
+    f(a) + i b f'(a) on a copy of a in a scratch of ``rows`` rows, f' = s (s - 1)
+    for the sigmoid of -z, the exact negation of s (1 - s), and 1 - f^2 for
+    tanh: the dropped O(b^2) term lies some 40 orders under b f'(a)."""
+    if dtype.kind != "c":
+        return np.matmul, _sigmoid_of_negated, np.tanh
+    scratch = np.empty((2, rows, batch))
+
+    def activate(z, out, sigmoid):
+        s, d = scratch[0, :len(z)], scratch[1, :len(z)]
+        s[...] = z.real
+        if sigmoid:
+            _sigmoid_of_negated(s)
+            np.subtract(s, 1.0, out=d)
+            d *= s
+        else:
+            np.tanh(s, out=s)
+            np.multiply(s, s, out=d)
+            np.subtract(1.0, d, out=d)
+        np.multiply(z.imag, d, out=out.imag)
+        out.real = s
+    return (lambda A, B, out: np.matmul(A, B.view(np.float64), out=out.view(np.float64)),
+            lambda z: activate(z, z, True), lambda z, out: activate(z, out, False))
 
 
-def lstm_cell_step(W: np.ndarray, bias: np.ndarray, hx: np.ndarray, c_prev: np.ndarray,
-                   gates: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
-    """One feature-major cell step on hx = [h_prev; x_t] [K, B], or h_prev
-    alone when the input's part is already in ``bias``, into the given
-    buffers: gates [4u, B] = [i; f; o; c~], the sigmoid of W^T hx + bias by
-    row block and tanh for c~; c = f * c_prev + i * c~; and h = o * tanh(c)
-    over hx's first u rows, where the next step reads it."""
-    u = c.shape[0]
-    h = hx[:u]
-    _matmul(W.T, hx, gates)
-    gates += bias
-    _activate(gates, gates, 3 * u, scratch)
-    np.multiply(gates[u:2 * u], c_prev, out=c)
-    np.multiply(gates[:u], gates[3 * u:], out=h)
+def lstm_cell_step(WT: np.ndarray, bias: tuple[np.ndarray, np.ndarray], hx: np.ndarray,
+                   c_prev: np.ndarray, gates: tuple[np.ndarray, ...], c: np.ndarray,
+                   ops: tuple) -> None:
+    """One feature-major cell step on hx = [h_prev; x_t] [K, B], or h_prev alone
+    when the input's part is in the bias, by the pass's ``_ops`` through views
+    it made once: WT = W^T; bias = (-b_ifo, b_c~); gates = (g, g[:3u], i, f, o,
+    c~, h = hx[:u]) of g [4u, B] = [i; f; o; c~], the sigmoid of W^T hx + b from
+    (-b) - W^T hx by row block and tanh for c~; c = f c_prev + i c~; h = o tanh(c)."""
+    matmul, sigmoid_of_negated, tanh = ops
+    g, sig, i, f, o, cand, h = gates
+    matmul(WT, hx, g)
+    np.subtract(bias[0], sig, out=sig)
+    cand += bias[1]
+    sigmoid_of_negated(sig)
+    tanh(cand, cand)
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, cand, out=h)
     c += h
-    _activate(c, h, 0, scratch)
-    h *= gates[2 * u:3 * u]
+    tanh(c, h)
+    h *= o
 
 
 # the gate arrays in the kernel's column order [i | f | o | c~], then the head
@@ -215,6 +221,8 @@ def lstm_scan(p: ParamSet, x: np.ndarray, steps: int, keep: bool = False,
     and each step computes W_h^T h + (b + W_x^T z) on hx = h through W's
     first u rows alone."""
     rows, u = p["lstm.W_i"].shape
+    if x.dtype not in (np.float64, np.complex128):
+        raise ValueError(f"lstm: input dtype {x.dtype} is neither float64 nor complex128")
     if (x.ndim not in (2, 3) or x.shape[-1] != rows - u or steps <= 0
             or (x.ndim == 3 and x.shape[1] != steps)):
         raise ValueError(f"lstm: {steps} steps over input {x.shape} with gate rows "
@@ -222,25 +230,29 @@ def lstm_scan(p: ParamSet, x: np.ndarray, steps: int, keep: bool = False,
     W = np.concatenate([p[name] for name in _PARAMS[:4]], axis=1)
     b = np.concatenate([p[name] for name in _PARAMS[4:8]])
     w, batch = p["proj.W"], x.shape[0]
-    W_step, bias = W, np.empty((4 * u, batch), x.dtype)
+    W_step, bias, ops = W, np.empty((4 * u, batch), x.dtype), _ops(x.dtype, 3 * u, batch)
     if x.ndim == 2:
-        _matmul(W[u:].T, np.ascontiguousarray(x.T), bias)
+        ops[0](W[u:].T, np.ascontiguousarray(x.T), bias)
         bias += b[:, None]
         W_step = W[:u]
     else:
         bias[...] = b[:, None]
+    np.negative(bias[:3 * u], out=bias[:3 * u])
     heads = np.empty((steps, 1, batch), x.dtype)
     hx = np.zeros((W_step.shape[0], batch), x.dtype)
     gates = np.empty((steps if keep else 1, 4 * u, batch), x.dtype)
     cells = np.zeros((steps + 1 if keep else 2, u, batch), x.dtype)
-    scratch = np.empty((2, 4 * u, batch))
-    for t in range(steps):
-        if x.ndim == 3:
-            hx[u:] = x[:, t].T
-        c_prev, c = (t, t + 1) if keep else (t % 2, (t + 1) % 2)
-        lstm_cell_step(W_step, bias, hx, cells[c_prev], gates[t if keep else 0], cells[c],
-                       scratch)
-        _matmul(w.T, hx[:u], heads[t])
+    WT, wT, bias, h, x_rows = W_step.T, w.T, (bias[:3 * u], bias[3 * u:]), hx[:u], hx[u:]
+    views = lambda g: (g, g[:3 * u], *g.reshape(4, u, batch), h)
+    step_views, xs, (c, c_prev) = views(gates[0]), np.moveaxis(x, 0, -1), cells[:2]
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            if x.ndim == 3:
+                x_rows[...] = xs[t]
+            c_prev, c = (cells[t], cells[t + 1]) if keep else (c, c_prev)
+            step_views = views(gates[t]) if keep else step_views
+            lstm_cell_step(WT, bias, hx, c_prev, step_views, c, ops)
+            ops[0](wT, h, heads[t])
     return heads.reshape(steps, batch) + p["proj.b"], (x, W, w, gates, cells) if keep else None
 
 
@@ -270,47 +282,52 @@ def lstm_vjp(saved: tuple, ds: np.ndarray, weights: bool,
     hx1[:, -1, K] = 1.0
     dWb, dWb_t = np.zeros((4 * u, K + 1)), np.empty((4 * u, K + 1))
     dw = np.zeros(u)
-    scratch = np.empty((2, u, batch))
-    _activate(cells[steps], tanh_c, 0, scratch)
+    matmul, _, tanh = _ops(dtype, u, batch)
+    # the views the loop reads: gate blocks, dz's and dhx's, hx1's h and x parts
+    G, (dz_i, dz_f, dz_o, dz_c) = gates.reshape(steps, 4, u, batch), dz.reshape(4, u, batch)
+    dz_ifo, dh_next, dx_t, dxs = dz[:3 * u], dhx[:u], dhx[u:], np.moveaxis(dx, 0, -1)
+    h_part, dz_2d, hx1_2d = parts(h)[0], dz.view(np.float64), hx1.reshape(-1, K + 1)
+    hx_rows = [(hx1[:, k, :u], a, hx1[:, k, u:K], b)
+               for k, (a, b) in enumerate(zip(parts(h.T), parts(x)))]
+    tanh(cells[steps], tanh_c)
     if weights:
-        np.multiply(tanh_c, gates[-1, 2 * u:3 * u], out=h)
+        np.multiply(tanh_c, G[-1, 2], out=h)
     for t in range(steps - 1, -1, -1):
-        g = gates[t]
+        (g_i, g_f, g_o, g_c), g_ifo = G[t], gates[t, :3 * u]
         np.multiply(w, ds[t], out=dh)
-        dh += dhx[:u]
-        np.multiply(dh, tanh_c, out=dz[2 * u:3 * u])                # d o
+        dh += dh_next
+        np.multiply(dh, tanh_c, out=dz_o)                           # d o
         np.multiply(tanh_c, tanh_c, out=one_minus)
         np.subtract(1.0, one_minus, out=one_minus)
-        dh *= g[2 * u:3 * u]
+        dh *= g_o
         dh *= one_minus
         dc += dh
-        np.multiply(dc, g[3 * u:], out=dz[:u])                      # d i
-        np.multiply(dc, cells[t], out=dz[u:2 * u])                  # d f
-        np.subtract(1.0, g[:3 * u], out=work)
-        work *= g[:3 * u]
-        dz[:3 * u] *= work
-        np.multiply(dc, g[:u], out=dz[3 * u:])                      # d c~
-        np.multiply(g[3 * u:], g[3 * u:], out=one_minus)
+        np.multiply(dc, g_c, out=dz_i)                              # d i
+        np.multiply(dc, cells[t], out=dz_f)                         # d f
+        np.subtract(1.0, g_ifo, out=work)
+        work *= g_ifo
+        dz_ifo *= work
+        np.multiply(dc, g_i, out=dz_c)                              # d c~
+        np.multiply(g_c, g_c, out=one_minus)
         np.subtract(1.0, one_minus, out=one_minus)
-        dz[3 * u:] *= one_minus
-        dc *= g[u:2 * u]
-        _matmul(W, dz, dhx)                                         # [dh_next; dx_t]
+        dz_c *= one_minus
+        dc *= g_f
+        matmul(W, dz, dhx)                                          # [dh_next; dx_t]
         if x.ndim == 3:
-            dx[:, t] = dhx[u:].T
+            dxs[t] = dx_t
         else:
-            dx += dhx[u:].T
+            dxs += dx_t
         if t:
-            _activate(cells[t], tanh_c, 0, scratch)                 # tanh c_{t-1}
+            tanh(cells[t], tanh_c)                                  # tanh c_{t-1}
         if weights:
-            dw += parts(h)[0] @ ds[t]                               # h = h_t
+            dw += h_part @ ds[t]                                    # h = h_t
             if t:
-                np.multiply(tanh_c, gates[t - 1, 2 * u:3 * u], out=h)
-            x_t = x if x.ndim == 2 else x[:, t]
-            for k, (h_part, x_part) in enumerate(zip(parts(h), parts(x_t))):
-                hx1[:, k, :u] = h_part.T if t else 0.0
-                hx1[:, k, u:K] = x_part
+                np.multiply(tanh_c, G[t - 1, 2], out=h)
+            for h_dst, h_src, x_dst, x_src in hx_rows:
+                h_dst[...] = h_src if t else 0.0
+                x_dst[...] = x_src[:, t] if x.ndim == 3 else x_src
             # Im(dz a) = Re dz Im a + Im dz Re a: one real GEMM by parts
-            np.matmul(dz.view(np.float64), hx1.reshape(-1, K + 1), out=dWb_t)
+            np.matmul(dz_2d, hx1_2d, out=dWb_t)
             dWb += dWb_t
     if not weights:
         return None, dx

@@ -556,6 +556,11 @@ def _train_with_config(config_text: str):
                                       _file(tmp, "c.txt", config_text)]
 
 
+def _compare_with(synthetic_text: str):
+    return lambda tmp, csv, request: ["compare", "--real", str(csv), "--synthetic",
+                                      _file(tmp, "s.csv", synthetic_text)]
+
+
 def _names_a_missing_record(tmp, csv, request):
     run = request.getfixturevalue("trained_run")[0]
     ckpt = edit_checkpoint_meta(run / "checkpoint_epoch000002.ckpt", tmp / "bad.ckpt",
@@ -587,6 +592,9 @@ MALFORMED_INPUTS = {
     "synthetic-missing": (lambda tmp, csv, request: ["compare", "--real", str(csv),
                                                      "--synthetic", str(tmp / "absent.csv")], 2,
                           "data error: cannot read {tmp}/absent.csv: "),
+    "synthetic-empty": (_compare_with(""), 2, "data error: {tmp}/s.csv: no rows of numbers"),
+    "synthetic-blank-lines": (_compare_with("\n  \n\t\n"), 2,
+                              "data error: {tmp}/s.csv: no rows of numbers"),
 }
 
 

@@ -1,6 +1,7 @@
 """Layers and network architectures: shapes, equations, gradients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,8 +119,10 @@ def _cell(p: ParamSet, x_t, h_prev, c_prev):
     hx = np.concatenate([h_prev, x_t], axis=1).T.copy()
     units, batch = _units(p), hx.shape[1]
     c = np.empty((units, batch))
-    nn.lstm_cell_step(W, b[:, None], hx, c_prev.T, np.empty((4 * units, batch)), c,
-                      np.empty((2, 4 * units, batch)))
+    bias = (-b[:3 * units, None], b[3 * units:, None])      # the sigmoid rows negated
+    g = np.empty((4 * units, batch))
+    gates = (g, g[:3 * units], *g.reshape(4, units, batch), hx[:units])
+    nn.lstm_cell_step(W.T, bias, hx, c_prev.T, gates, c, nn._ops(hx.dtype, 3 * units, batch))
     return hx[:units].T, c.T
 
 
@@ -410,6 +413,70 @@ class TestLstmScan:
             nn.lstm_scan(p, x0[:, :, :2], 7)
         with pytest.raises(ValueError):
             nn.lstm_scan(p, x0[:, 0], 0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.float32, np.complex64])
+    def test_input_dtype_other_than_float64_or_complex128_is_refused(self, dtype):
+        p, x0, _ = _scan_case("window", 45)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            nn.lstm_scan(p, x0.astype(dtype), 7)
+
+    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
+    def test_complex_pass_real_parts_are_the_real_pass_bit_for_bit(self, kind):
+        # the complex step's pass at x + 1e-20j v: its real parts, saved gates
+        # and cells included, are the real pass's own bits, and so is the real
+        # part of its BPTT's input gradient. At the paper's batch of 32: the
+        # GEMMs are the BLAS's, and OpenBLAS rounds a column by its place in
+        # a tile, so at some batches (1, 2, 4, 6 and 12 among them) the float64
+        # view's 2B columns can differ from the real pass's B in the last bit
+        rng = np.random.default_rng(53)
+        p = _random_lstm(rng, 5, 3)
+        x0 = rng.normal(size=(32, 7, 3) if kind == "window" else (32, 3))
+        v, w = rng.normal(size=x0.shape), rng.normal(size=(7, 32))
+        heads, saved = nn.lstm_scan(p, x0, 7, keep=True)
+        heads_c, saved_c = nn.lstm_scan(p, x0 + 1e-20j * v, 7, keep=True)
+        assert np.array_equal(heads_c.real, heads)
+        assert np.array_equal(saved_c[3].real, saved[3])                # gates
+        assert np.array_equal(saved_c[4].real, saved[4])                # cells
+        assert np.any(saved_c[3].imag != 0.0)
+        dx = nn.lstm_vjp(saved, w, weights=False)[1]
+        assert np.array_equal(nn.lstm_vjp(saved_c, w, weights=False)[1].real, dx)
+
+    @pytest.mark.parametrize("kind", list(SCAN_INPUTS))
+    def test_gates_past_710_raise_no_warning_and_stay_finite(self, kind):
+        # weight scale x1e3: weights within +-100 and biases +-2000 over inputs
+        # within +-1 put every gate past +-1200, where exp(-z) overflows on
+        # half the sigmoid rows; the scan silences that, and the window, noise,
+        # BPTT and complex-step paths all return finite values
+        rng = np.random.default_rng(57)
+        p, _, w = _scan_case(kind, 57)
+        for name in GATES:
+            shape = p[name].shape
+            p[name][...] = 1e3 * (rng.uniform(-0.1, 0.1, shape) if name.startswith("lstm.W")
+                                  else 2.0 * rng.choice([-1.0, 1.0], shape))
+        x0 = rng.uniform(-1.0, 1.0, SCAN_INPUTS[kind])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            heads, saved = nn.lstm_scan(p, x0, 7, keep=True)
+            grads, dx = nn.lstm_vjp(saved, w, weights=True)
+            outs = [heads, dx, *grads.values()]
+            if kind == "window":
+                outs += nn.critic_input_grad_vjp(p, x0, w.T[:, :, None] * x0).values()
+        gates = saved[3]
+        assert np.all(np.isin(gates[:, :15], (0.0, 1.0))) and np.any(gates[:, :15] == 0.0)
+        assert np.all(np.isin(gates[:, 15:], (-1.0, 1.0)))
+        assert all(np.all(np.isfinite(a)) for a in outs)
+
+    def test_nan_input_gives_nan_heads_and_the_scan_silences_overflow_alone(self, monkeypatch):
+        p, x0, _ = _scan_case("window", 58)
+        x0[2, 3, 1] = np.nan
+        modes = []
+        step = nn.lstm_cell_step
+        monkeypatch.setattr(nn, "lstm_cell_step",
+                            lambda *args: modes.append(np.geterr()) or step(*args))
+        heads = nn.lstm_scan(p, x0, 7)[0]
+        assert np.all(np.isnan(heads[3:, 2]))
+        assert np.all(np.isfinite(heads[:3])) and np.all(np.isfinite(np.delete(heads, 2, 1)))
+        assert modes == [{**np.geterr(), "over": "ignore"}] * 7
 
 
 class TestGenerator:

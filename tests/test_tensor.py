@@ -200,9 +200,20 @@ class TestActivations:
             got = T.sigmoid(Tensor(x)).data
             self.assert_same_bits(got, want)
             assert got.ndim == x.ndim
-            in_place = x.copy()          # the LSTM scan's form, into its own buffers
+            in_place = x.copy()          # in place, into the input's own buffer
             nn._sigmoid(in_place, out=in_place)
             self.assert_same_bits(in_place, want)
+
+    def test_fused_negation_matches_the_sigmoid_of_the_sum_bit_for_bit(self):
+        # the LSTM scan's form: it negates its bias's sigmoid rows once, and a
+        # step's (-b) - a is -(a + b) exactly, so exp sees the same bits; the
+        # special values crossed with a +-800 grid, a = -b among them
+        values = np.concatenate([self.SPECIAL, np.linspace(-800.0, 800.0, 321)])
+        a, b = np.meshgrid(values, values)
+        with np.errstate(invalid="ignore", over="ignore"):      # inf - inf
+            want = nn._sigmoid(a + b)
+            got = nn._sigmoid_of_negated(np.subtract(-b, a))
+        self.assert_same_bits(got, want)
 
     def test_sigmoid_is_within_2_ulp_of_a_60_digit_reference(self):
         """Within 2 ulp from -700 up. Below, the exact value is under 1e-304 and
