@@ -38,7 +38,7 @@ returns = log_returns(series)
 print(f"log returns: {len(returns)} values, "
       f"std {returns.std():.4f}, mean {returns.mean():.5f}")
 
-windows = make_windows(returns, seq_len=50, stride=1)
+windows = make_windows(returns, seq_len=50)
 print(f"windows: {windows.shape}  (count = len - seq_len + 1 = {len(returns)} - 50 + 1)")
 
 ds = fit_scale(windows)

@@ -1,6 +1,6 @@
 """Binary checkpoint container for networks, optimizer state and RNG.
 
-Layout (all integers little-endian):
+Layout of format version 2, the only one read (integers little-endian):
 
     magic   b"WGTS1"
     version u32
@@ -10,29 +10,26 @@ Layout (all integers little-endian):
     meta    len u64, UTF-8 JSON key-value block
     crc     u32                      zlib.crc32 of every byte before it
 
-Version 1 files have no crc trailer and still load. The trailer is checked
-after the body parses, so a cut or a damaged length still reports where
-it went wrong, and any other damage fails the checksum.
+Any other version fails to load. The trailer is checked after the body
+parses, so a cut or a damaged length still reports where it went wrong,
+and any other damage fails the checksum.
 
 The records are the networks' parameter arrays and the optimizers'
 caches, read and written as they are, under namespaced names:
 ``gen/<param>``, ``critic/<param>``, ``opt_g/<param>``, ``opt_c/<param>``.
 Round-trips are bit-exact.
 
-The metadata holds the architecture, the epoch, the parameter names,
-the optimizer step counts, the scaler, the RNG state and a free-form
-``extra`` block. The scaler and the RNG state are always there: a file
-without either fails to load. The RNG state's arrays are written as
-``{"__array__": list, "dtype": name}``. The architecture is the
-networks' own: the generator's is written, and both networks' tensors
-must fit it, on save and on load. Checkpoints
-written by ``gan.train`` put the full training configuration
-(``config``, a flat ``asdict(TrainConfig)``; older files nest the
-optimizer's four keys under ``config["optim"]``) and the number of
-training windows (``n_windows``) there, so a resume can be checked
-against the configuration and the data it continues. Older files also
-carry the generator's mode-collapse score, which nothing reads:
-``tsforge train`` scores each checkpoint's generator itself.
+A load reads these metadata keys and fails without any of them: ``arch``
+(the generator's architecture, which both networks' tensors must fit, on
+save and on load), ``epoch``, ``generator_names``, ``critic_names``,
+``opt_steps``, ``scaler`` (its fields), ``rng_state`` (a Philox state,
+its arrays written as ``{"__array__": list, "dtype": name}``) and
+``extra``, a free-form block. ``gan.train`` puts the full training
+configuration (``config``, a flat ``asdict(TrainConfig)``) and the
+number of training windows (``n_windows``) in ``extra``, so a resume can
+be checked against the configuration and the data it continues. Older
+files also carry the generator's mode-collapse score there, which
+nothing reads: ``tsforge train`` scores each checkpoint's generator.
 """
 
 from __future__ import annotations
@@ -153,7 +150,7 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
         "generator_names": list(cp.generator),
         "critic_names": list(cp.critic),
         "opt_steps": {"generator": cp.opt_generator.step, "critic": cp.opt_critic.step},
-        "scaler": cp.scaler.to_dict(),
+        "scaler": asdict(cp.scaler),
         "rng_state": cp.rng_state,
         "extra": cp.extra,
     }
@@ -196,11 +193,10 @@ def _decode(blob: bytes, path) -> Checkpoint:
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
     version = r.u32()
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version} "
-                              f"(expected 1 or {FORMAT_VERSION})")
-    if version == FORMAT_VERSION:
-        r.blob = blob[:-4]                  # the body, before the crc trailer
+                              f"(expected {FORMAT_VERSION})")
+    r.blob = blob[:-4]                      # the body, before the crc trailer
     count = r.u64()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -221,7 +217,7 @@ def _decode(blob: bytes, path) -> Checkpoint:
         raise CheckpointError(f"{path}: corrupt metadata block: {e}") from None
     if r.pos != len(r.blob):
         raise CheckpointError(f"{path}: {len(r.blob) - r.pos} trailing bytes at offset {r.pos}")
-    if version == FORMAT_VERSION and zlib.crc32(r.blob) != struct.unpack("<I", blob[-4:])[0]:
+    if zlib.crc32(r.blob) != struct.unpack("<I", blob[-4:])[0]:
         raise CheckpointError(f"{path}: checksum mismatch (the file is damaged)")
 
     arch = ArchitectureSpec(**meta["arch"])
@@ -264,6 +260,6 @@ def _decode(blob: bytes, path) -> Checkpoint:
         epoch=epoch, generator=gen, critic=critic,
         opt_generator=optimizer("opt_g", gen, meta["opt_steps"]["generator"]),
         opt_critic=optimizer("opt_c", critic, meta["opt_steps"]["critic"]),
-        scaler=Scaler.from_dict(meta["scaler"]), rng_state=meta["rng_state"],
-        extra=meta.get("extra", {}),
+        scaler=Scaler(**meta["scaler"]), rng_state=meta["rng_state"],
+        extra=meta["extra"],
     )

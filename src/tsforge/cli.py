@@ -114,11 +114,8 @@ def parse_config(path=None, overrides: dict | None = None) -> TrainConfig:
 
 
 def _by_key(config: dict) -> dict:
-    """The values of an ``asdict(TrainConfig)`` under their config keys. A
-    checkpoint written before the optimizer's four keys joined TrainConfig
-    nests them under ``"optim"``."""
-    values = {**config, **config.get("optim", {})}
-    return {key: values[_FIELD.get(key, key)] for key in _KEYS}
+    """The values of an ``asdict(TrainConfig)`` under their config keys."""
+    return {key: config[_FIELD.get(key, key)] for key in _KEYS}
 
 
 def write_config(cfg: TrainConfig, path) -> None:
@@ -235,7 +232,7 @@ def cmd_train(args) -> int:
                           f"fewer than the 4 its moments need")
     resume = load_checkpoint(args.resume) if args.resume else None
     prices = load_csv(args.data)
-    dataset = build_dataset(prices, seq_len=cfg.seq_len, stride=args.stride)
+    dataset = build_dataset(prices, seq_len=cfg.seq_len)
     if resume is not None:
         _check_resume(resume, cfg, dataset, args.resume)
     out = _out_dir(args.out, f"train-{Path(args.data).stem}-seed{cfg.seed}")
@@ -452,7 +449,6 @@ def _build_parser() -> _Parser:
         else:
             tr.add_argument(flag, dest=key, type=kind, help=f"config key {key}",
                             choices=gan.LOSS_VARIANTS if key == "loss_variant" else None)
-    tr.add_argument("--stride", type=_positive(int), default=1)
     tr.add_argument("--grid-samples", dest="grid_samples", type=_positive(int), default=16,
                     help="samples per checkpoint grid")
     tr.add_argument("--lipschitz-pairs", type=_positive(int, zero_ok=True), default=200,

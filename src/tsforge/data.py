@@ -71,17 +71,6 @@ class Scaler:
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) + 1.0) / 2.0 * (self.hi - self.lo) + self.lo
 
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scaler":
-        """Read ``to_dict`` output, or the {"kind": "minmax_symmetric", ...}
-        record of earlier checkpoints."""
-        if "kind" in d and d["kind"] != "minmax_symmetric":
-            raise DataError(f"unsupported scaler kind {d['kind']!r}")
-        return cls(lo=d["lo"], hi=d["hi"])
-
 
 @dataclass
 class WindowedDataset:
@@ -178,16 +167,16 @@ def log_returns(p: PriceSeries) -> np.ndarray:
     return np.diff(np.log(p.closes))
 
 
-def make_windows(r: np.ndarray, seq_len: int = 50, stride: int = 1) -> np.ndarray:
+def make_windows(r: np.ndarray, seq_len: int = 50) -> np.ndarray:
     """Overlapping fixed-length windows [count, seq_len] of the return
-    series; count = floor((len - seq_len)/stride) + 1."""
-    if seq_len < 1 or stride < 1:
-        raise DataError("seq_len and stride must be positive")
+    series, one window per start: count = len - seq_len + 1."""
+    if seq_len < 1:
+        raise DataError("seq_len must be positive")
     values = np.asarray(r, dtype=np.float64)
     n = len(values)
     if n < seq_len:
         raise DataError(f"series of length {n} is shorter than seq_len {seq_len}")
-    return np.lib.stride_tricks.sliding_window_view(values, seq_len)[::stride].copy()
+    return np.lib.stride_tricks.sliding_window_view(values, seq_len).copy()
 
 
 def fit_scale(windows: np.ndarray) -> WindowedDataset:
@@ -230,6 +219,6 @@ def returns_to_prices(r: np.ndarray, p0: float) -> np.ndarray:
     return path
 
 
-def build_dataset(prices: PriceSeries, seq_len: int = 50, stride: int = 1) -> WindowedDataset:
+def build_dataset(prices: PriceSeries, seq_len: int = 50) -> WindowedDataset:
     """The full pipeline: returns -> windows -> scale."""
-    return fit_scale(make_windows(log_returns(prices), seq_len=seq_len, stride=stride))
+    return fit_scale(make_windows(log_returns(prices), seq_len=seq_len))

@@ -19,6 +19,7 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 800, 480
 _ML, _MR, _MT, _MB = 64, 16, 36, 44
+_PANEL_W, _PANEL_H = 440, 320
 
 
 def _fmt(x: float) -> str:
@@ -180,18 +181,18 @@ def render_chart(chart: Chart, width: int = _W, height: int = _H) -> str:
     return "\n".join(parts)
 
 
-def render_panels(charts: list[Chart], columns: int = 2,
-                  panel_w: int = 440, panel_h: int = 320) -> str:
-    """Several charts in one SVG as small multiples."""
-    rows = (len(charts) + columns - 1) // columns
-    width, height = columns * panel_w, rows * panel_h
+def render_panels(charts: list[Chart]) -> str:
+    """Several charts in one SVG as small multiples, two columns of
+    _PANEL_W x _PANEL_H."""
+    rows = (len(charts) + 1) // 2
+    width, height = 2 * _PANEL_W, rows * _PANEL_H
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
              f'viewBox="0 0 {width} {height}">']
     for i, chart in enumerate(charts):
-        inner = render_chart(chart, panel_w, panel_h)
+        inner = render_chart(chart, _PANEL_W, _PANEL_H)
         body = inner.split(">", 1)[1].rsplit("</svg>", 1)[0]
-        ox = (i % columns) * panel_w
-        oy = (i // columns) * panel_h
+        ox = (i % 2) * _PANEL_W
+        oy = (i // 2) * _PANEL_H
         parts.append(f'<g transform="translate({ox} {oy})">{body}</g>')
     parts.append("</svg>")
     return "\n".join(parts)

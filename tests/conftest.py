@@ -76,4 +76,4 @@ def btc_prices(btc_csv):
 @pytest.fixture(scope="session")
 def btc_dataset(btc_prices):
     from tsforge.data import build_dataset
-    return build_dataset(btc_prices, seq_len=50, stride=1)
+    return build_dataset(btc_prices, seq_len=50)

@@ -1,5 +1,6 @@
 """CLI contract: flags, config precedence, artifacts, exit codes."""
 
+import argparse
 import ast
 import hashlib
 import itertools
@@ -98,6 +99,32 @@ def edit_checkpoint_meta(src, dest, edit):
     body = blob[:start - 8] + struct.pack("<Q", len(edited)) + edited
     dest.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     return dest
+
+
+def _meta_edited(edit):
+    return lambda src, dest: edit_checkpoint_meta(src, dest, edit)
+
+
+# checkpoint layouts that earlier versions wrote and that no longer load or resume
+def version_1(src, dest):
+    """The file under format version 1's header, without the crc trailer."""
+    blob = src.read_bytes()
+    dest.write_bytes(blob[:5] + struct.pack("<I", 1) + blob[9:-4])
+    return dest
+
+
+def tag_scaler(meta):
+    meta["scaler"].update(kind="minmax_symmetric", mean=0.0, std=0.0)
+
+
+def drop_extra(meta):
+    del meta["extra"]
+
+
+def nest_optimizer_keys(meta):
+    config = meta["extra"]["config"]
+    config["optim"] = {key: config.pop(key)
+                       for key in ("learning_rate", "rho", "epsilon", "clip_c")}
 
 
 class TestParseConfig:
@@ -199,6 +226,15 @@ class TestParseConfig:
     def test_flags_cover_every_field(self):
         names = [f.name for f in fields(TrainConfig)]
         assert sorted(field for _, _, field, _ in TRAIN_FLAGS) == sorted(names)
+
+    def test_every_train_flag_is_recorded_or_changes_no_training_input(self):
+        # a config key is written to config.txt and compared on a resume; the
+        # other flags name files or size the run's report
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in subparsers.choices["train"]._actions} - {"help"}
+        unrecorded = {"data", "config", "out", "resume", "grid_samples", "lipschitz_pairs"}
+        assert dests - unrecorded - set(cli._KEYS) == set()
 
     @pytest.mark.parametrize("flag,value,field,expected", TRAIN_FLAGS,
                              ids=[row[0] for row in TRAIN_FLAGS])
@@ -328,49 +364,41 @@ class TestTrain:
 
     def test_earlier_checkpoint_format(self, trained_run, tmp_path, capsys):
         # the metadata of checkpoints written before the configuration was
-        # stored: a tagged scaler record and an extra block without config
+        # stored, a tagged scaler record and an extra block without config,
+        # is refused by every reader
         run, csv_path = trained_run
-        ckpt = run / "checkpoint_epoch000002.ckpt"
 
         def earlier(meta):
-            meta["scaler"].update(kind="minmax_symmetric", mean=0.0, std=0.0)
+            tag_scaler(meta)
             meta["extra"] = {"loss_variant": "wgan_gp", "seed": 5}
 
-        old = edit_checkpoint_meta(ckpt, tmp_path / "old.ckpt", earlier)
-        for name, path in (("new", ckpt), ("old", old)):
-            assert main(["generate", "--checkpoint", str(path), "--n", "4",
-                         "--out", str(tmp_path / name)]) == 0
-        assert ((tmp_path / "new" / "returns.csv").read_bytes()
-                == (tmp_path / "old" / "returns.csv").read_bytes())
-        out = tmp_path / "t"
-        assert main(["train", "--data", str(csv_path), "--out", str(out),
-                     "--resume", str(old)] + FAST) == 2
-        assert "no complete training configuration" in capsys.readouterr().err
-        assert not (out / "config.txt").exists()
+        old = edit_checkpoint_meta(run / "checkpoint_epoch000002.ckpt", tmp_path / "old.ckpt",
+                                   earlier)
+        out = tmp_path / "o"
+        for argv in (["generate", "--checkpoint", str(old), "--n", "4"],
+                     ["train", "--data", str(csv_path), "--resume", str(old)] + FAST):
+            assert main(argv + ["--out", str(out)]) == 2, argv[0]
+            assert "unexpected keyword argument 'kind'" in capsys.readouterr().err
+            assert not out.exists()
 
-    def test_checkpoint_with_nested_optimizer_keys_resumes(self, trained_run, tmp_path, capsys):
+    def test_checkpoint_with_nested_optimizer_keys_does_not_resume(self, trained_run, tmp_path,
+                                                                   capsys):
         # checkpoints written before the optimizer's four keys joined
-        # TrainConfig hold them under extra.config.optim
+        # TrainConfig hold them under extra.config.optim: generate reads no
+        # configuration and takes the file, a resume refuses it
         run, csv_path = trained_run
         flat = run / "checkpoint_epoch000002.ckpt"
-
-        def nested(meta):
-            config = meta["extra"]["config"]
-            config["optim"] = {key: config.pop(key)
-                               for key in ("learning_rate", "rho", "epsilon", "clip_c")}
-
-        old = edit_checkpoint_meta(flat, tmp_path / "old.ckpt", nested)
+        old = edit_checkpoint_meta(flat, tmp_path / "old.ckpt", nest_optimizer_keys)
         for name, path in (("flat", flat), ("nested", old)):
-            assert main(["train", "--data", str(csv_path), "--out", str(tmp_path / name),
-                         "--resume", str(path)] + FAST + ["--epochs", "4"]) == 0
-        for artifact in ("loss.csv", "checkpoint_epoch000004.ckpt"):
-            assert ((tmp_path / "flat" / artifact).read_bytes()
-                    == (tmp_path / "nested" / artifact).read_bytes()), artifact
+            assert main(["generate", "--checkpoint", str(path), "--n", "4",
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "flat" / "returns.csv").read_bytes()
+                == (tmp_path / "nested" / "returns.csv").read_bytes())
         capsys.readouterr()
-        out = tmp_path / "lr"
+        out = tmp_path / "t"
         assert main(["train", "--data", str(csv_path), "--out", str(out), "--resume", str(old)]
-                    + FAST + ["--lr", "0.01"]) == 2
-        assert "learning_rate = 5e-05" in capsys.readouterr().err
+                    + FAST + ["--epochs", "4"]) == 2
+        assert "no complete training configuration" in capsys.readouterr().err
         assert not out.exists()
 
     def test_resume_without_rng_state_exit_2(self, trained_run, tmp_path, capsys):
@@ -526,6 +554,22 @@ class TestGenerate:
 
 
 
+@pytest.mark.parametrize("make", [version_1, _meta_edited(tag_scaler),
+                                  _meta_edited(drop_extra)],
+                         ids=["version-1", "tagged-scaler", "without-extra"])
+def test_legacy_checkpoint_exit_2_in_every_reader(trained_run, tmp_path, capsys, make):
+    run, csv_path = trained_run
+    bad = str(make(run / "checkpoint_epoch000002.ckpt", tmp_path / "bad.ckpt"))
+    out = tmp_path / "o"
+    for argv in (["generate", "--checkpoint", bad],
+                 ["compare", "--real", str(csv_path), "--checkpoint", bad],
+                 ["train", "--data", str(csv_path), "--resume", bad] + FAST):
+        assert main(argv + ["--out", str(out)]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "compare"])
 @pytest.mark.parametrize("key, named", [("scaler", "no scaler"), ("rng_state", "no RNG state")])
 def test_checkpoint_without_training_state_exit_2(trained_run, tmp_path, capsys, command,
@@ -561,11 +605,16 @@ def _compare_with(synthetic_text: str):
                                       _file(tmp, "s.csv", synthetic_text)]
 
 
-def _names_a_missing_record(tmp, csv, request):
-    run = request.getfixturevalue("trained_run")[0]
-    ckpt = edit_checkpoint_meta(run / "checkpoint_epoch000002.ckpt", tmp / "bad.ckpt",
-                                lambda meta: meta["generator_names"].append("lstm.W_z"))
-    return ["generate", "--checkpoint", str(ckpt)]
+def _reading(make, resume: bool = False):
+    """argv of generate, or of train --resume, on the file that ``make(src,
+    dest)`` makes of the trained run's checkpoint."""
+    def argv(tmp, csv, request):
+        run = request.getfixturevalue("trained_run")[0]
+        ckpt = str(make(run / "checkpoint_epoch000002.ckpt", tmp / "bad.ckpt"))
+        if resume:
+            return ["train", "--data", str(csv), "--resume", ckpt] + FAST
+        return ["generate", "--checkpoint", ckpt]
+    return argv
 
 
 # argv before --out, from (tmp_path, a good price CSV, the test's fixture request);
@@ -587,8 +636,18 @@ MALFORMED_INPUTS = {
     "config-missing": (lambda tmp, csv, request: ["train", "--data", str(csv), "--config",
                                                   str(tmp / "absent.txt")], 1,
                        "cannot read {tmp}"),
-    "generator-names-a-missing-record": (_names_a_missing_record, 2,
-                                         "missing tensor record 'gen/lstm.W_z'"),
+    "generator-names-a-missing-record": (
+        _reading(_meta_edited(lambda meta: meta["generator_names"].append("lstm.W_z"))), 2,
+        "missing tensor record 'gen/lstm.W_z'"),
+    "checkpoint-version-1": (_reading(version_1), 2,
+                             "bad.ckpt: unsupported format version 1 (expected 2)"),
+    "checkpoint-tagged-scaler": (_reading(_meta_edited(tag_scaler)), 2,
+                                 "unexpected keyword argument 'kind'"),
+    "checkpoint-without-extra": (_reading(_meta_edited(drop_extra)), 2,
+                                 "malformed checkpoint: KeyError: 'extra'"),
+    "checkpoint-nested-optimizer-keys": (_reading(_meta_edited(nest_optimizer_keys),
+                                                  resume=True), 2,
+                                         "no complete training configuration"),
     "synthetic-missing": (lambda tmp, csv, request: ["compare", "--real", str(csv),
                                                      "--synthetic", str(tmp / "absent.csv")], 2,
                           "data error: cannot read {tmp}/absent.csv: "),
@@ -965,7 +1024,7 @@ BAD_NUMBERS = [
     ("train", ["--clip-c", "nan"]), ("train", ["--grid-samples", "0"]),
     ("generate", ["--n", "0"]), ("generate", ["--n", "-3"]), ("generate", ["--p0", "nan"]),
     ("compare", ["--n", "-2"]), ("compare", ["--bins", "0"]), ("compare", ["--bins", "-1"]),
-    ("train", ["--stride", "0"]), ("train", ["--lipschitz-pairs", "-1"]),
+    ("train", ["--lipschitz-pairs", "-1"]),
     ("evaluate", ["--max-lag", "-1"]), ("compare", ["--max-lag", "-1"]),
     ("train", ["--seed", "-1"]), ("generate", ["--seed", "-1"]), ("compare", ["--seed", "-1"]),
     # a checkpoint grid of 2 returns is too few for its moments table

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from datetime import date, datetime
 from pathlib import Path
 
@@ -273,17 +274,11 @@ class TestParseDate:
 class TestWindows:
     def test_fixture_window_count(self, btc_prices):
         r = log_returns(btc_prices)
-        assert make_windows(r, seq_len=50, stride=1).shape == (2366, 50)
+        assert make_windows(r, seq_len=50).shape == (2366, 50)
 
     def test_exactly_one_window(self):
         r = np.arange(5.0)
         assert make_windows(r, seq_len=5).shape == (1, 5)
-
-    def test_non_overlapping_partition(self):
-        r = np.arange(20.0)
-        w = make_windows(r, seq_len=5, stride=5)
-        assert w.shape == (4, 5)
-        np.testing.assert_array_equal(w.reshape(-1), np.arange(20.0))
 
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
@@ -292,25 +287,25 @@ class TestWindows:
     def test_windows_are_contiguous_slices(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=40)
-        w = make_windows(vals, seq_len=7, stride=3)
+        w = make_windows(vals, seq_len=7)
         for i in range(w.shape[0]):
-            np.testing.assert_array_equal(w[i], vals[i * 3: i * 3 + 7])
+            np.testing.assert_array_equal(w[i], vals[i: i + 7])
 
     def test_windows_are_an_owned_c_contiguous_copy(self):
         vals = np.arange(30.0)
-        w = make_windows(vals, seq_len=4, stride=3)
+        w = make_windows(vals, seq_len=4)
         assert w.flags.c_contiguous and w.flags.owndata and w.flags.writeable
         w[0, 0] = -1.0
         assert vals[0] == 0.0
 
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(5, 200), seq=st.integers(1, 40), stride=st.integers(1, 10))
-    def test_count_formula_fuzz(self, n, seq, stride):
+    @given(n=st.integers(5, 200), seq=st.integers(1, 40))
+    def test_count_formula_fuzz(self, n, seq):
         if n < seq:
             return
         r = np.arange(float(n))
-        w = make_windows(r, seq_len=seq, stride=stride)
-        assert w.shape[0] == (n - seq) // stride + 1
+        w = make_windows(r, seq_len=seq)
+        assert w.shape[0] == n - seq + 1
 
 
 class TestScaling:
@@ -359,14 +354,9 @@ class TestScaling:
 
     def test_scaler_dict_roundtrip(self):
         scaler = fit_scale(np.array([[1.0, 2.0, 3.0]])).scaler
-        again = Scaler.from_dict(scaler.to_dict())
+        # the checkpoint's record of a scaler
+        again = Scaler(**asdict(scaler))
         assert again == scaler
-
-    def test_scaler_reads_the_earlier_record(self):
-        earlier = {"kind": "minmax_symmetric", "lo": 2.0, "hi": 6.0, "mean": 0.0, "std": 0.0}
-        assert Scaler.from_dict(earlier) == Scaler(lo=2.0, hi=6.0)
-        with pytest.raises(DataError, match="kind"):
-            Scaler.from_dict({**earlier, "kind": "zscore"})
 
     @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (np.nan, 1.0), (0.0, np.inf)])
     def test_scaler_needs_a_finite_increasing_range(self, lo, hi):
@@ -422,7 +412,7 @@ class TestPrices:
 
 
 def test_build_dataset_pipeline(btc_prices):
-    ds = build_dataset(btc_prices, seq_len=50, stride=1)
+    ds = build_dataset(btc_prices, seq_len=50)
     n_returns = len(btc_prices) - 1
     assert n_returns == 2415
     assert ds.windows.shape == (n_returns - 50 + 1, 50, 1) == (2366, 50, 1)

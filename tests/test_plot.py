@@ -83,8 +83,6 @@ def rendered() -> dict[str, str]:
     svgs = {name: render_chart(make()) for name, make in CHARTS.items()}
     svgs["small"] = render_chart(_scatter(), 440, 320)
     svgs["panels"] = render_panels([_stem(), _scatter(), _bars()])
-    svgs["panels_3col"] = render_panels([make() for make in CHARTS.values()], columns=3,
-                                        panel_w=300, panel_h=240)
     return svgs
 
 
@@ -96,7 +94,6 @@ GOLDEN_SHA256 = {
     "non_finite": "d576e02a28bf3a825c918cb17181eb692e22169170fec7ce9018daadd65d7c3c",
     "one_bar": "42945621e20766e3f449fe55204b193d3f140a474d4d6753163024e5071e4c73",
     "panels": "75a590bdc6767843fa3113af2509164246d41e46d84b7fcc5d8b1b53099cfda9",
-    "panels_3col": "78d1f74b10a9fefb444a6644dfb3515b7107b0017a721fa12c1105d176958857",
     "scatter": "b81d506f251eccb79ee095e4b07370aa3eadc5a7e84b3059120b05aacf8fd811",
     "small": "e2a8de462b11c9dbd9017fec0ef9eb93042d874260f64834587139d0b6f6e61e",
     "stem": "61b91d89df8a95933a97e0f63cd3d8dcc4e33330e1d308a64bc83f2670fadbf4",
