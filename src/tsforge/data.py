@@ -112,7 +112,9 @@ def load_csv(path) -> PriceSeries:
     forms such as ``2014-9-7``. Any other date raises a ``DataError``
     naming ``path:line``, and so does a negative Close. Rows whose Close is
     missing, non-numeric, non-finite or zero are dropped; the drop count is
-    logged and kept on the returned series.
+    logged and kept on the returned series. The rows are sorted by date,
+    and a date given twice raises a ``DataError`` naming the path and the
+    date.
     The file is read by ``tsforge.read_text``: UTF-8, optionally after a
     byte order mark, and an unreadable file or an undecodable byte raises a
     ``DataError`` naming the path.
@@ -153,12 +155,11 @@ def load_csv(path) -> PriceSeries:
     if len(rows) < 2:
         raise DataError(f"{path}: fewer than 2 valid rows")
     rows.sort(key=lambda r: r[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DataError(f"{path}: duplicate date {d1}")
-    dates = [r[0] for r in rows]
-    closes = np.array([r[1] for r in rows])
-    return PriceSeries(dates=dates, closes=closes, dropped=dropped)
+    try:        # PriceSeries refuses a duplicate date, which sorting made adjacent
+        return PriceSeries(dates=[r[0] for r in rows], closes=np.array([r[1] for r in rows]),
+                           dropped=dropped)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def log_returns(p: PriceSeries) -> np.ndarray:

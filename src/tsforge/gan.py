@@ -8,9 +8,12 @@ Wasserstein term ``critic_loss_wgan`` and ``generator_loss_wgan``; the
 former adds ``gradient_penalty``, which returns the penalty together
 with its gradients: the critic's input gradient from its BPTT, the
 penalty's direction from the tape, then one complex-step pass
-(``nn.critic_input_grad_vjp``) for the second order. The original
-log-loss GAN uses ``critic_loss_gan`` and ``generator_loss_gan``; only it
-squashes the scores through a sigmoid.
+(``nn.critic_input_grad_vjp``) for the second order. ``train`` runs that
+pass in a forked worker beside the step's Wasserstein pass, which does not
+read it, when the process may use two CPUs (``os.sched_getaffinity``);
+pinned to one CPU, and for direct callers, it runs in-process, with the
+same bits. The original log-loss GAN uses ``critic_loss_gan`` and
+``generator_loss_gan``; only it squashes the scores through a sigmoid.
 
 The networks run as plain numpy calls, each backward called explicitly
 (``nn.critic_backward``, ``nn.generator_backward``). The losses take the
@@ -20,8 +23,13 @@ alone, and one ``T.backward`` gives the scores' gradient.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -145,7 +153,7 @@ def interpolate(real: np.ndarray, fake: np.ndarray, rng: np.random.Generator) ->
 
 
 def gradient_penalty(critic: ParamSet, x_hat: np.ndarray, lambda_gp: float,
-                     ) -> tuple[float, dict[str, np.ndarray]]:
+                     vjp: Callable | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """lambda * E[(||grad_x D(x_hat)||_2 - 1)^2] and its gradients with
     respect to the critic's arrays.
 
@@ -156,8 +164,10 @@ def gradient_penalty(critic: ParamSet, x_hat: np.ndarray, lambda_gp: float,
     per-sample input gradients. The penalty is recorded on g as a tape
     leaf, ``T.grad`` gives its direction v = dpenalty/dg (the sqrt's
     backward guards a zero norm to 0), and the penalty's gradients are
-    ``nn.critic_input_grad_vjp`` in that direction. The x-hat scan's saved
-    set is freed before that complex-step pass runs.
+    ``vjp(critic, x_hat, v)``: by default ``nn.critic_input_grad_vjp`` in
+    that direction, run here. ``train``'s penalty worker passes its
+    ``submit``, which returns the call that waits for them. The x-hat
+    scan's saved set is freed before that complex-step pass starts.
     """
     _, saved = critic_forward(critic, x_hat, keep=True)
     _, dx = critic_backward(saved, np.ones(x_hat.shape[0]), weights=False)
@@ -168,7 +178,7 @@ def gradient_penalty(critic: ParamSet, x_hat: np.ndarray, lambda_gp: float,
         penalty = T.mul(T.reduce("mean", T.square(T.sub(norms, 1.0))), float(lambda_gp))
     v = T.grad(penalty, g, graph)
     graph.clear()
-    return penalty.item(), critic_input_grad_vjp(critic, x_hat, v)
+    return penalty.item(), (vjp or critic_input_grad_vjp)(critic, x_hat, v)
 
 
 def critic_loss_wgan(s_real: Tensor, s_fake: Tensor) -> tuple[Tensor, float]:
@@ -282,13 +292,15 @@ def _nonfinite(grads: dict[str, np.ndarray]) -> list[str]:
 
 def critic_gradients(critic: ParamSet, real: np.ndarray, fake: np.ndarray, variant: str,
                      lambda_gp: float, rng: np.random.Generator,
+                     worker: _PenaltyWorker | None = None,
                      ) -> tuple[dict[str, np.ndarray], float, float, float]:
     """Gradients of one critic update, and its loss, Wasserstein estimate
     and penalty.
 
     With the penalty (wgan_gp, lambda_gp > 0) the interpolates are drawn
     and ``gradient_penalty`` runs first, and its passes end before the
-    [real; fake] scan runs, so no two scans' saved sets are alive together.
+    [real; fake] scan runs, so no two scans' saved sets are alive together;
+    ``train``'s ``worker`` runs the complex-step one beside the rest instead.
     The Wasserstein term follows: one critic pass on [real; fake], its
     loss head on the two halves' scores as tape leaves, and one BPTT with
     weights from the scores' gradient. The loss is their sum, so the
@@ -296,7 +308,8 @@ def critic_gradients(critic: ParamSet, real: np.ndarray, fake: np.ndarray, varia
     """
     penalty_grads, gp_val = None, 0.0
     if variant == "wgan_gp" and lambda_gp > 0:
-        gp_val, penalty_grads = gradient_penalty(critic, interpolate(real, fake, rng), lambda_gp)
+        gp_val, penalty_grads = gradient_penalty(critic, interpolate(real, fake, rng), lambda_gp,
+                                                 worker and worker.submit)
     scores, saved = critic_forward(critic, np.concatenate([real, fake]), keep=True)
     with Graph() as graph:
         s_real, s_fake = Tensor(scores[:len(real)]), Tensor(scores[len(real):])
@@ -306,6 +319,8 @@ def critic_gradients(critic: ParamSet, real: np.ndarray, fake: np.ndarray, varia
     graph.clear()
     grads, _ = critic_backward(saved, np.concatenate([gm[s_real], gm[s_fake]]), weights=True)
     if penalty_grads is not None:
+        if callable(penalty_grads):         # the worker's pass: wait for its gradients
+            penalty_grads = penalty_grads()
         grads = {name: g + penalty_grads[name] for name, g in grads.items()}
         c_loss += gp_val
     return grads, c_loss, w_est, gp_val
@@ -330,6 +345,82 @@ def generator_gradients(gen: ParamSet, critic: ParamSet, z: np.ndarray, variant:
     return generator_backward(gen_saved, dx), g_loss
 
 
+class _PenaltyWorker:
+    """A forked process that runs ``critic_input_grad_vjp`` while the parent
+    runs the rest of the critic step. The pass's inputs (the critic's
+    arrays, x-hat and v) and its gradients are in shared anonymous mmaps. A
+    byte on one pipe starts a pass; the reply on the other pickles None or
+    the exception, raised in the parent. The worker ignores SIGINT and exits
+    by ``os._exit`` at the end of its command pipe, also when the parent is
+    killed. If it is gone, the parent warns once and runs the passes itself.
+    """
+
+    def __init__(self, critic: ParamSet, batch: int):
+        def shared(shape: tuple) -> np.ndarray:
+            return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+
+        window = (batch, critic.arch.seq_len, critic.arch.features)
+        self.inputs = ParamSet("critic", {k: shared(a.shape) for k, a in critic.items()},
+                               critic.arch)
+        self.x_hat, self.v = shared(window), shared(window)
+        self.grads = {name: shared(a.shape) for name, a in critic.items()}
+        self.pending, self.alive = None, True
+        commands, self.commands = os.pipe()
+        replies, reply_end = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(self.commands)
+                os.close(replies)
+                while os.read(commands, 1):
+                    try:
+                        for name, g in critic_input_grad_vjp(self.inputs, self.x_hat,
+                                                             self.v).items():
+                            self.grads[name][...] = g
+                        error = None
+                    except Exception as e:
+                        error = e
+                    os.write(reply_end, pickle.dumps(error))
+            finally:
+                os._exit(0)
+        os.close(commands)
+        os.close(reply_end)
+        self.replies = os.fdopen(replies, "rb")
+
+    def submit(self, critic: ParamSet, x_hat: np.ndarray, v: np.ndarray) -> Callable:
+        """Start the pass on copies of its inputs; returns ``result``."""
+        self.pending = critic, x_hat, v
+        if self.alive:
+            for name, a in critic.items():
+                self.inputs[name][...] = a
+            self.x_hat[...], self.v[...] = x_hat, v
+            with contextlib.suppress(BrokenPipeError):      # a lost worker: result reads EOF
+                os.write(self.commands, b"\0")
+        return self.result
+
+    def result(self) -> dict[str, np.ndarray]:
+        """The gradients of the pass ``submit`` started."""
+        if self.alive:
+            try:
+                error = pickle.load(self.replies)
+            except EOFError:
+                self.alive = False
+                logger.warning("the penalty worker exited; its passes run in this process")
+            else:
+                if error is not None:
+                    raise error
+                return self.grads
+        return critic_input_grad_vjp(*self.pending)
+
+    def close(self) -> None:
+        """Close the command pipe, which ends the worker, and reap it."""
+        os.close(self.commands)
+        self.replies.close()
+        with contextlib.suppress(ChildProcessError):    # reaped already, by a SIGCHLD policy
+            os.waitpid(self.pid, 0)
+
+
 def train(config: TrainConfig, data: WindowedDataset, *,
           resume: Checkpoint | None = None,
           on_checkpoint: Callable[[Checkpoint], None] | None = None,
@@ -343,7 +434,8 @@ def train(config: TrainConfig, data: WindowedDataset, *,
     gradient alone.
     Real batches are drawn uniformly with replacement.
     Deterministic given (seed, config, data); on NaN/Inf raises
-    TrainingDiverged carrying the crash checkpoint.
+    TrainingDiverged carrying the crash checkpoint. No ``_PenaltyWorker``
+    outlives the call.
     """
     if len(data) == 0:
         raise ValueError("training dataset is empty")
@@ -377,46 +469,53 @@ def train(config: TrainConfig, data: WindowedDataset, *,
                           scaler=data.scaler, rng_state=rng.bit_generator.state,
                           extra={"config": asdict(config), "n_windows": len(data)})
 
-    for epoch in range(start_epoch + 1, config.epochs + 1):
-        c_loss = w_est = gp_val = 0.0
+    forks = (config.loss_variant == "wgan_gp" and config.lambda_gp > 0 and hasattr(os, "fork")
+             and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1)
+    worker = _PenaltyWorker(critic, B) if forks else None
+    try:
+        for epoch in range(start_epoch + 1, config.epochs + 1):
+            c_loss = w_est = gp_val = 0.0
 
-        def abort(detail: str, bad_grads: list[str]):
-            if bad_grads:
-                detail += f"; non-finite or overflowing gradient of {', '.join(bad_grads)}"
-            raise TrainingDiverged(f"non-finite value at epoch {epoch}: {detail}",
-                                   history, checkpoint(epoch))
+            def abort(detail: str, bad_grads: list[str]):
+                if bad_grads:
+                    detail += f"; non-finite or overflowing gradient of {', '.join(bad_grads)}"
+                raise TrainingDiverged(f"non-finite value at epoch {epoch}: {detail}",
+                                       history, checkpoint(epoch))
 
-        for _ in range(config.n_critic):
-            real = sample_real_batch(data, B, rng)
+            for _ in range(config.n_critic):
+                real = sample_real_batch(data, B, rng)
+                z = sample_noise(B, config.noise_len, rng)
+                fake, _ = generator_forward(gen, z)
+                grads, c_loss, w_est, gp_val = critic_gradients(
+                    critic, real, fake, config.loss_variant, config.lambda_gp, rng, worker)
+                # checked before the step, so the crash checkpoint holds finite weights
+                bad = _nonfinite(grads)
+                if bad or not all(np.isfinite(v) for v in (c_loss, w_est, gp_val)):
+                    history.append(epoch, c_loss, float("nan"), w_est, gp_val)
+                    abort(f"critic={c_loss}, wasserstein={w_est}, penalty={gp_val}", bad)
+                rmsprop_step(critic, grads, opt_c, config.learning_rate, config.rho,
+                             config.epsilon)
+                if config.loss_variant == "wgan_clip":
+                    clip_weights(critic, config.clip_c)
+
             z = sample_noise(B, config.noise_len, rng)
-            fake, _ = generator_forward(gen, z)
-            grads, c_loss, w_est, gp_val = critic_gradients(
-                critic, real, fake, config.loss_variant, config.lambda_gp, rng)
-            # checked before the step, so the crash checkpoint holds finite weights
+            grads, g_val = generator_gradients(gen, critic, z, config.loss_variant,
+                                               config.g_loss_nonsaturating)
+
+            history.append(epoch, c_loss, g_val, w_est, gp_val)
             bad = _nonfinite(grads)
-            if bad or not all(np.isfinite(v) for v in (c_loss, w_est, gp_val)):
-                history.append(epoch, c_loss, float("nan"), w_est, gp_val)
-                abort(f"critic={c_loss}, wasserstein={w_est}, penalty={gp_val}", bad)
-            rmsprop_step(critic, grads, opt_c, config.learning_rate, config.rho, config.epsilon)
-            if config.loss_variant == "wgan_clip":
-                clip_weights(critic, config.clip_c)
-
-        z = sample_noise(B, config.noise_len, rng)
-        grads, g_val = generator_gradients(gen, critic, z, config.loss_variant,
-                                           config.g_loss_nonsaturating)
-
-        history.append(epoch, c_loss, g_val, w_est, gp_val)
-        bad = _nonfinite(grads)
-        if bad or not history.last_finite():
-            abort(f"critic={c_loss}, generator={g_val}", bad)
-        rmsprop_step(gen, grads, opt_g, config.learning_rate, config.rho, config.epsilon)
-        if epoch == start_epoch + 1 or epoch % 100 == 0:
-            logger.debug("epoch %d: critic=%.5f generator=%.5f w=%.5f gp=%.5f",
-                         epoch, c_loss, g_val, w_est, gp_val)
-        if epoch % config.checkpoint_every == 0:
-            cp = checkpoint(epoch)
-            checkpoints.append(cp)
-            if on_checkpoint is not None:
-                on_checkpoint(cp)
-
+            if bad or not history.last_finite():
+                abort(f"critic={c_loss}, generator={g_val}", bad)
+            rmsprop_step(gen, grads, opt_g, config.learning_rate, config.rho, config.epsilon)
+            if epoch == start_epoch + 1 or epoch % 100 == 0:
+                logger.debug("epoch %d: critic=%.5f generator=%.5f w=%.5f gp=%.5f",
+                             epoch, c_loss, g_val, w_est, gp_val)
+            if epoch % config.checkpoint_every == 0:
+                cp = checkpoint(epoch)
+                checkpoints.append(cp)
+                if on_checkpoint is not None:
+                    on_checkpoint(cp)
+    finally:
+        if worker is not None:
+            worker.close()
     return gen, critic, history, checkpoints

@@ -97,7 +97,8 @@ class TestLoadCsv:
             "2020-01-01,1,1,1,100.0,100.0,5",
             "2020-01-01,1,1,1,101.0,101.0,5",
         ])
-        with pytest.raises(DataError):
+        # one check, in PriceSeries; load_csv names the path
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: .* 2020-01-01 then 2020-01-01"):
             load_csv(p)
 
     def test_rows_sorted_by_date(self, tmp_path):

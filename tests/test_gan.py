@@ -2,9 +2,11 @@
 
 import ast
 import contextlib
+import os
+import signal
 import tracemalloc
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from tsforge.nn import ArchitectureSpec, critic_backward, critic_forward, init_p
 from tsforge.tensor import Graph, Tensor
 
 from oracles import central_diff, rel_err
+from test_trajectory import tiny_config, tiny_dataset
 
 SMALL = ArchitectureSpec(noise_len=3, seq_len=6, features=1, lstm_units=4)
 
@@ -690,6 +693,13 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             gan.train(self._cfg(), ds)
 
+    def test_one_window_trains(self):
+        # the smallest dataset train accepts: every batch draws the one window
+        data = tiny_dataset()
+        data.windows = data.windows[:1]
+        _, _, h, _ = gan.train(tiny_config("wgan_gp", epochs=1), data)
+        assert len(h) == 1 and h.last_finite()
+
     def test_gan_variant_runs(self):
         ds = small_dataset()
         _, _, h, _ = gan.train(self._cfg(epochs=2, loss_variant="gan"), ds)
@@ -737,6 +747,106 @@ class TestTrainLoop:
         cfg = TrainConfig(lambda_gp=10, learning_rate=np.float64(1e-3), rho=np.float64(0.5),
                           epsilon=np.float64(1e-7), clip_c=np.float64(0.02))
         assert (cfg.lambda_gp, cfg.rho) == (10, 0.5)
+
+
+class TestPenaltyWorker:
+    """``train`` runs the penalty's complex-step pass in a forked worker when
+    the process may use two CPUs, and in-process when it is pinned to one."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers ``train`` forks."""
+        pids, fork = [], os.fork
+
+        def recording():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording)
+        return pids
+
+    @staticmethod
+    def _workers(runs: int) -> int:
+        return runs if len(os.sched_getaffinity(0)) > 1 else 0
+
+    @staticmethod
+    def _assert_no_child() -> None:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _pinned_run(monkeypatch, config, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return gan.train(config, tiny_dataset(), **kwargs)
+
+    @staticmethod
+    def _assert_identical(a, b) -> None:
+        (gen_a, critic_a, h_a, _), (gen_b, critic_b, h_b, _) = a, b
+        assert asdict(h_a) == asdict(h_b)
+        for x, y in ((gen_a, gen_b), (critic_a, critic_b)):
+            assert all(np.array_equal(x[name], y[name]) for name in x)
+
+    def test_pinned_run_is_bit_identical(self, monkeypatch, forks):
+        with_worker = gan.train(tiny_config("wgan_gp"), tiny_dataset())
+        assert len(forks) == self._workers(1)
+        pinned = self._pinned_run(monkeypatch, tiny_config("wgan_gp"))
+        assert len(forks) == self._workers(1)
+        self._assert_identical(with_worker, pinned)
+        self._assert_no_child()
+
+    @pytest.mark.parametrize("exit", ["return", "diverged", "interrupt"])
+    def test_no_child_outlives_train(self, monkeypatch, forks, exit):
+        config, on_checkpoint = tiny_config("wgan_gp"), None
+        if exit == "diverged":
+            backward = gan.critic_backward
+
+            def poisoned(*args, weights):
+                grads, dx = backward(*args, weights=weights)
+                if weights:
+                    grads["lstm.W_f"] = np.full(grads["lstm.W_f"].shape, np.nan)
+                return grads, dx
+
+            monkeypatch.setattr(gan, "critic_backward", poisoned)
+        elif exit == "interrupt":
+            config = replace(config, checkpoint_every=1)
+
+            def on_checkpoint(cp):
+                raise KeyboardInterrupt
+
+        expected = {"return": contextlib.nullcontext(),
+                    "diverged": pytest.raises(TrainingDiverged),
+                    "interrupt": pytest.raises(KeyboardInterrupt)}[exit]
+        with expected:
+            gan.train(config, tiny_dataset(), on_checkpoint=on_checkpoint)
+        assert len(forks) == self._workers(1)
+        self._assert_no_child()
+
+    def test_worker_error_is_raised_in_the_parent(self, monkeypatch, forks):
+        # the worker is forked after the patch, so it runs the patched pass
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(gan, "critic_input_grad_vjp", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            gan.train(tiny_config("wgan_gp"), tiny_dataset())
+        assert len(forks) == self._workers(1)
+        self._assert_no_child()
+
+    def test_killed_worker_leaves_an_identical_run(self, monkeypatch, forks, caplog):
+        config = replace(tiny_config("wgan_gp"), checkpoint_every=1)
+
+        def kill_worker(cp):
+            if cp.epoch == 1 and forks:
+                os.kill(forks[0], signal.SIGKILL)
+
+        killed = gan.train(config, tiny_dataset(), on_checkpoint=kill_worker)
+        self._assert_identical(killed, self._pinned_run(monkeypatch, config))
+        warned = [r for r in caplog.records if "penalty worker exited" in r.getMessage()]
+        assert len(warned) == self._workers(1)
+        self._assert_no_child()
 
 
 def _attributes_read(tree: ast.AST, receiver: str) -> set[str]:

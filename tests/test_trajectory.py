@@ -12,6 +12,8 @@ critic's scores (or its input gradient) and a loss, so no tape pin
 depends on the sequence length or the batch.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -114,8 +116,19 @@ LSTM_STEPS = {"wgan_gp": 132, "wgan_clip": 72, "gan": 72}
 
 @pytest.mark.parametrize("variant", gan.LOSS_VARIANTS)
 def test_lstm_steps_per_epoch(variant, monkeypatch):
-    calls = []
+    # one byte per call into a pipe, which the calls of a forked penalty
+    # worker reach too
+    read_end, write_end = os.pipe()
     step = nn.lstm_cell_step
-    monkeypatch.setattr(nn, "lstm_cell_step", lambda *args: calls.append(1) or step(*args))
-    gan.train(tiny_config(variant, epochs=1), tiny_dataset())
-    assert len(calls) == LSTM_STEPS[variant]
+
+    def counting(*args):
+        os.write(write_end, b".")
+        step(*args)
+
+    monkeypatch.setattr(nn, "lstm_cell_step", counting)
+    try:
+        gan.train(tiny_config(variant, epochs=1), tiny_dataset())
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end, "rb") as calls:
+        assert len(calls.read()) == LSTM_STEPS[variant]
